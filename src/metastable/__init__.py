@@ -12,7 +12,6 @@ from .order import (
     Sampling,
     WindowError,
     make_omega_window,
-    make_ordinal_window,
     make_custom_window,
     product,
     validate_sampling,

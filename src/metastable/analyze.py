@@ -10,26 +10,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+import random
+from dataclasses import dataclass
 
 import numpy as np
 
-from .meta import find_witness, is_witness, find_pointed_witness
-from .net import (
-    BINARY,
-    EUCLIDEAN,
-    Net,
-    SpaceError,
-    binary_space,
-    euclidean_space,
-    half_line_space,
-    unit_interval_space,
-    window_cauchy_index,
-)
+from .meta import find_witness, is_witness
+from .net import BINARY, EUCLIDEAN, Net, SpaceError, euclidean_space, window_cauchy_index
 from .order import (
-    DirectedWindow,
-    Sampling,
     doubling_sampling,
     identity_sampling,
     make_omega_window,
@@ -151,19 +139,9 @@ class AnalysisReport:
     refuted: bool  # some cell left a net without any witness
 
 
-def _greedy_cover(nets, eps, eta, pointed=False):
+def _greedy_cover(nets, eps, eta):
     window = eta.window
-    witness_sets = []
-    for a in nets:
-        if pointed:
-            ws = {
-                i
-                for i in window.elements
-                if find_pointed_witness(a, a.target, eps, eta, (i,)) is not None
-            }
-        else:
-            ws = {i for i in window.elements if is_witness(a, eps, eta, i)}
-        witness_sets.append(ws)
+    witness_sets = [{i for i in window.elements if is_witness(a, eps, eta, i)} for a in nets]
     uncovered = {m for m, ws in enumerate(witness_sets) if ws}
     no_witness = tuple(m for m, ws in enumerate(witness_sets) if not ws)
     cover = []
@@ -309,14 +287,12 @@ def ingest_csv(path, space):
     ]
 
 
-def build_sampling_suite(window, names, seed=None, random_count=8, max_size=3):
+def build_sampling_suite(window, names, seed=None, random_count=8):
     """Named built-in sampling suite: identity, successor, doubling, random-k.
 
     ``random-k`` requires a seed and contributes ``random_count`` seeded
     samplings with ids random-k-0, random-k-1, ...
     """
-    import random as _random
-
     suite = {}
     for name in names:
         if name == "identity":
@@ -328,9 +304,9 @@ def build_sampling_suite(window, names, seed=None, random_count=8, max_size=3):
         elif name == "random-k":
             if seed is None:
                 raise ValueError("the random-k suite needs a seed")
-            rng = _random.Random(seed)
+            rng = random.Random(seed)
             for r in range(random_count):
-                suite[f"random-k-{r}"] = random_sampling(window, rng, max_size=max_size)
+                suite[f"random-k-{r}"] = random_sampling(window, rng)
         else:
             raise ValueError(f"unknown sampling suite name {name!r}")
     return suite

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import analyze as _analyze
@@ -185,8 +186,6 @@ def _demo_doc(scenario, size, seed):
             "pointed_refutation": _ser.certificate_to_dict(cert),
         }
     if scenario == "cesaro":
-        import math
-
         nets = _analyze.cesaro_rotation_nets([math.pi / 2, math.pi / 3], size)
         window = nets[0].window
         suite = _analyze.build_sampling_suite(window, ["identity", "doubling"])

@@ -22,10 +22,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from .net import Net, binary_space, unit_interval_space
-from .order import DirectedWindow, Sampling, WindowError, identity_sampling, successor_sampling
+from .net import Net, binary_space, require_eps, unit_interval_space
+from .order import (
+    DirectedWindow,
+    Sampling,
+    WindowError,
+    identity_sampling,
+    make_omega_window,
+    successor_sampling,
+)
 from .meta import RefutationCertificate
 
 __all__ = [
@@ -63,10 +70,6 @@ class FamilySpec:
             raise FamilyError(f"unknown family tag {self.tag!r}")
 
 
-def _is_chain(window):
-    return window.kind in ("omega-window", "ordinal-window") or window.is_chain()
-
-
 def _threshold_net(window, cutoff):
     # 1 on the first `cutoff` chain positions, 0 after; target is the tail value.
     n = len(window)
@@ -97,7 +100,7 @@ def d_member(window, alpha):
     Index 0 counts as even.  Every value above alpha is 1, so the member
     converges to 1 within the window; its declared target is 1.
     """
-    if not _is_chain(window):
+    if not window.is_chain():
         raise FamilyError("family D needs a chain window")
     n = len(window)
     if not 0 <= alpha < n:
@@ -121,15 +124,14 @@ def enumerate_family(spec):
         yield from paracompact_nets(n_points, len(window))
         return
     if tag == "D":
-        if not _is_chain(window):
+        if not window.is_chain():
             raise FamilyError("family D needs a chain window")
         alphas = spec.parameters.get("alphas", range(len(window)))
         for alpha in alphas:
             yield d_member(window, alpha)
         return
 
-    chain = _is_chain(window)
-    if chain:
+    if window.is_chain():
         n = len(window)
         if tag in ("B", "B0"):
             cutoffs = range(n, -1, -1) if tag == "B" else range(n - 1, -1, -1)
@@ -162,6 +164,22 @@ def enumerate_family(spec):
                 yield Net(window, binary_space(), values, target=0)
 
 
+def _require_refutation_eps(eps):
+    # Closed-form refuters separate 0 from 1, so eps must also lie below 1.
+    if require_eps(eps) >= 1:
+        raise FamilyError("refutation needs eps strictly between 0 and 1")
+
+
+def _candidate_set(s, window):
+    s = frozenset(s)
+    if not s:
+        raise FamilyError("candidate set must be nonempty")
+    for i in s:
+        if i not in window:
+            raise FamilyError(f"{i!r} is not a window element")
+    return s
+
+
 def rate_B(eta, window):
     """The two-element uniform candidate set for the non-increasing family.
 
@@ -185,14 +203,8 @@ def refute_C(s, window, eps):
     that is 1 at k and 0 everywhere else.  Every i in ``s`` then samples a
     pair at distance 1.
     """
-    s = frozenset(s)
-    if not s:
-        raise FamilyError("candidate set must be nonempty")
-    if not 0 < eps < 1:
-        raise FamilyError("refutation needs eps strictly between 0 and 1")
-    for i in s:
-        if i not in window:
-            raise FamilyError(f"{i!r} is not a window element")
+    _require_refutation_eps(eps)
+    s = _candidate_set(s, window)
     bound = window.join_all(s)
     above = window.strictly_above(bound)
     k = next(iter(above), None)
@@ -212,22 +224,16 @@ def refute_D_pointed(s, window, eps=0.5):
     """Certificate that no subset of ``s`` is a pointed uniform rate for D.
 
     Uses the successor sampling eta_i = {i, i+1} (clipped at the top) and
-    the member with cutoff alpha = max(s) + 1.  For each i in ``s`` the
-    sampled pair contains an even index <= alpha, where the member is 0,
-    at distance 1 from the target 1.
+    the member whose cutoff alpha is one position past the last of ``s``.
+    For each i in ``s`` the sampled pair contains an even index <= alpha,
+    where the member is 0, at distance 1 from the target 1.
     """
-    s = frozenset(s)
-    if not s:
-        raise FamilyError("candidate set must be nonempty")
-    if not 0 < eps < 1:
-        raise FamilyError("refutation needs eps strictly between 0 and 1")
-    if not _is_chain(window):
+    _require_refutation_eps(eps)
+    if not window.is_chain():
         raise FamilyError("family D needs a chain window")
-    for i in s:
-        if i not in window:
-            raise FamilyError(f"{i!r} is not a window element")
+    s = _candidate_set(s, window)
     n = len(window)
-    alpha = max(s) + 1
+    alpha = max(window.index(i) for i in s) + 1
     if alpha + 1 > n - 1:
         raise FamilyError("window too small: no room for the cutoff above the candidate set")
     eta = successor_sampling(window)
@@ -247,8 +253,6 @@ def paracompact_nets(n_points, horizon):
     """
     if n_points < 1 or horizon < 1:
         raise FamilyError("counts must be positive")
-    from .order import make_omega_window
-
     window = make_omega_window(horizon)
     nets = []
     for p in range(n_points):
@@ -282,10 +286,9 @@ def closed_form_refutation(spec, union, eps, pointed=False):
 def _refute_B0_pointed(s, window, eps):
     # The member constant 1 on (the down-closure of) s defeats any pointed
     # rate near 0: under the identity sampling each i in s samples a 1.
-    if not _is_chain(window):
+    _require_refutation_eps(eps)
+    if not window.is_chain():
         raise FamilyError("closed-form B0 refutation needs a chain window")
-    if not 0 < eps < 1:
-        raise FamilyError("refutation needs eps strictly between 0 and 1")
     cutoff = window.index(window.join_all(s)) + 1
     if cutoff >= len(window):
         raise FamilyError("candidate set reaches the top: the defeating member would be constant 1")
@@ -295,18 +298,20 @@ def _refute_B0_pointed(s, window, eps):
 
 
 def _refute_paracompact(spec, s, eps):
-    # Mirror of the D refutation at the point x_{max(s)+1}: the successor
-    # pair of each i in s contains an odd index <= max(s)+1, where the
-    # iterate is 0 while the target is 1.
+    # Mirror of the D refutation at the point x_alpha, alpha one position
+    # past the last of s: the successor pair of each i in s contains an odd
+    # index <= alpha, where the iterate is 0 while the target is 1.
     window = spec.window
     n_points = spec.parameters.get("n_points", len(window))
-    if not 0 < eps < 1:
-        raise FamilyError("refutation needs eps strictly between 0 and 1")
-    alpha = max(s) + 1
+    _require_refutation_eps(eps)
+    if not window.is_chain():
+        raise FamilyError("closed-form paracompact refutation needs a chain window")
+    s = _candidate_set(s, window)
+    alpha = max(window.index(i) for i in s) + 1
     if alpha >= n_points:
         raise FamilyError("no point deep enough to defeat this candidate set")
     if alpha + 1 > len(window) - 1:
         raise FamilyError("window too small for the successor sampling to bite")
     member = paracompact_nets(n_points, len(window))[alpha]
     eta = successor_sampling(window)
-    return RefutationCertificate(eps, eta, member, frozenset(s), pointed_target=1.0)
+    return RefutationCertificate(eps, eta, member, s, pointed_target=1.0)

@@ -13,11 +13,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping
 
-from .net import Net
+from .net import Net, require_eps
 from .order import (
-    DirectedWindow,
     Sampling,
     WindowError,
     induced_sampling,
@@ -55,20 +54,31 @@ class RateError(ValueError):
 
 def is_witness(a, eps, eta, i):
     """Whether ``i`` witnesses plain [eps, eta]-metastability of ``a``."""
-    block = eta.at(i)
+    require_eps(eps)
+    return _close(a, eps, eta.at(i))
+
+
+def is_pointed_witness(a, b, eps, eta, i):
+    """Whether ``i`` witnesses [eps, eta]-metastability of ``a`` near ``b``."""
+    require_eps(eps)
+    a.space.require(b)
+    return _near(a, b, eps, eta.at(i))
+
+
+# Unchecked cores of the two tests above: callers validate eps and b once.
+def _close(a, eps, block):
     return all(
         a.dist(j, k) <= eps for j, k in itertools.combinations(sorted(block, key=a.window.index), 2)
     )
 
 
-def is_pointed_witness(a, b, eps, eta, i):
-    """Whether ``i`` witnesses [eps, eta]-metastability of ``a`` near ``b``."""
-    return all(a.space.dist(a.value(j), b) <= eps for j in eta.at(i))
+def _near(a, b, eps, block):
+    dist = a.space.unchecked_dist
+    return all(dist(a.value(j), b) <= eps for j in block)
 
 
 def _scan(a, eps, eta, candidates, check):
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    require_eps(eps)
     if eta.window != a.window:
         raise WindowError("sampling and net live on different windows")
     if candidates is None:
@@ -87,13 +97,13 @@ def find_witness(a, eps, eta, candidates=None):
     Scans the whole window, or just ``candidates`` when given.  Returns
     None when no scanned index is a witness.
     """
-    return _scan(a, eps, eta, candidates, lambda i: is_witness(a, eps, eta, i))
+    return _scan(a, eps, eta, candidates, lambda i: _close(a, eps, eta.at(i)))
 
 
 def find_pointed_witness(a, b, eps, eta, candidates=None):
     """Pointed analogue of :func:`find_witness`, measured against ``b``."""
     a.space.require(b)
-    return _scan(a, eps, eta, candidates, lambda i: is_pointed_witness(a, b, eps, eta, i))
+    return _scan(a, eps, eta, candidates, lambda i: _near(a, b, eps, eta.at(i)))
 
 
 # -- rates -----------------------------------------------------------------
@@ -103,7 +113,7 @@ def find_pointed_witness(a, b, eps, eta, candidates=None):
 class Rate:
     """Finite-grid rate of (pointed) metastability.
 
-    ``thresholds`` is a strictly descending tuple of positive reals;
+    ``thresholds`` is a strictly descending tuple of finite positive reals;
     ``samplings`` maps sampling ids to the samplings the rate is indexed
     by; ``table`` maps (threshold, sampling id) to a nonempty candidate
     set.  Lookup at an arbitrary eps uses the largest listed threshold
@@ -118,8 +128,8 @@ class Rate:
     def __post_init__(self):
         if not self.thresholds:
             raise RateError("rate needs a nonempty threshold grid")
-        if any(t <= 0 for t in self.thresholds):
-            raise RateError("thresholds must be positive")
+        for t in self.thresholds:
+            require_eps(t)
         if list(self.thresholds) != sorted(set(self.thresholds), reverse=True):
             raise RateError("thresholds must be strictly descending")
         windows = {eta.window for eta in self.samplings.values()}
@@ -264,13 +274,12 @@ def selfdist_rate_to_net_rate(rate, d, base_samplings):
     return Rate(rate.thresholds, base_samplings, table, pointed=False)
 
 
-def sampling_independent_bound(rate, assert_independent=True):
+def sampling_independent_bound(rate):
     """Upper bound (by repeated join) of each threshold's candidate set.
 
     Requires the candidate sets at each threshold to agree across all
-    registered samplings; with ``assert_independent=False`` the union
-    across samplings is bounded instead.  Any family verified by such a
-    rate is tail-close within eps above the returned index.
+    registered samplings.  Any family verified by such a rate is
+    tail-close within eps above the returned index.
     """
     w = rate.window
     bounds = {}
@@ -278,10 +287,9 @@ def sampling_independent_bound(rate, assert_independent=True):
         sets = [rate.table[(t, sid)] for sid in rate.samplings if (t, sid) in rate.table]
         if not sets:
             continue
-        if assert_independent and any(s != sets[0] for s in sets[1:]):
+        if any(s != sets[0] for s in sets[1:]):
             raise RateError(f"candidate sets at threshold {t} depend on the sampling")
-        merged = frozenset().union(*sets)
-        bounds[t] = w.join_all(merged)
+        bounds[t] = w.join_all(sets[0])
     return bounds
 
 
@@ -306,18 +314,18 @@ class RefutationCertificate:
 
 def replay_certificate(cert):
     """Re-run a certificate through the witness checker; True iff it holds."""
+    eps, member, target = require_eps(cert.eps), cert.member, cert.pointed_target
     require_valid_sampling(cert.sampling)
-    if cert.sampling.window != cert.member.window:
+    if target is not None:
+        member.space.require(target)
+    if cert.sampling.window != member.window:
         return False
     for i in cert.candidate_set:
-        if i not in cert.member.window:
+        if i not in member.window:
             return False
-        if cert.pointed_target is not None:
-            if is_pointed_witness(cert.member, cert.pointed_target, cert.eps, cert.sampling, i):
-                return False
-        else:
-            if is_witness(cert.member, cert.eps, cert.sampling, i):
-                return False
+        block = cert.sampling.at(i)
+        if _close(member, eps, block) if target is None else _near(member, target, eps, block):
+            return False
     return True
 
 
@@ -348,6 +356,7 @@ def refute_uniform(
     Returns None when the budget is exhausted without a refutation, which
     is not a claim that none exists.
     """
+    require_eps(eps)
     candidate_sets = [frozenset(s) for s in candidate_sets]
     if not candidate_sets or any(not s for s in candidate_sets):
         raise ValueError("candidate sets must be given and nonempty")

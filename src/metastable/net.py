@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import Optional
 
 from .order import DirectedWindow, product
@@ -22,6 +23,7 @@ __all__ = [
     "mutual_distance",
     "distance_to_point",
     "window_cauchy_index",
+    "require_eps",
 ]
 
 BINARY = "binary-discrete"
@@ -33,6 +35,17 @@ TABLE = "custom-table"
 
 class SpaceError(ValueError):
     """Raised for points outside a space or malformed distance tables."""
+
+
+def require_eps(eps):
+    """Return ``eps`` if it is a usable tolerance, else raise ValueError.
+
+    A tolerance is a finite real strictly above 0.  NaN would make every
+    ``<=`` test fail and an infinite tolerance every one pass.
+    """
+    if not (isinstance(eps, numbers.Real) and 0 < eps < math.inf):
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -70,6 +83,10 @@ class MetricSpace:
     def dist(self, x, y):
         self.require(x)
         self.require(y)
+        return self.unchecked_dist(x, y)
+
+    def unchecked_dist(self, x, y):
+        """Distance between two points already known to lie in the space."""
         if self.kind == BINARY:
             return 0.0 if x == y else 1.0
         if self.kind in (UNIT_INTERVAL, HALF_LINE):
@@ -150,7 +167,8 @@ class Net:
         return self.values[self.window.index(i)]
 
     def dist(self, i, j):
-        return self.space.dist(self.value(i), self.value(j))
+        # Values were checked once in __post_init__.
+        return self.space.unchecked_dist(self.value(i), self.value(j))
 
 
 def _distance_space(space):
@@ -165,7 +183,7 @@ def mutual_distance(a, b):
     if a.space != b.space:
         raise SpaceError("mutual distance requires a shared metric space")
     p = product(a.window, b.window)
-    values = tuple(a.space.dist(a.value(i), b.value(j)) for (i, j) in p.elements)
+    values = tuple(a.space.unchecked_dist(a.value(i), b.value(j)) for (i, j) in p.elements)
     return Net(p, _distance_space(a.space), values, target=None)
 
 
@@ -183,7 +201,7 @@ def self_distance(a):
 def distance_to_point(a, b):
     """Real net of distances from a fixed point: value at i is d(a_i, b)."""
     a.space.require(b)
-    values = tuple(a.space.dist(v, b) for v in a.values)
+    values = tuple(a.space.unchecked_dist(v, b) for v in a.values)
     return Net(a.window, _distance_space(a.space), values, target=0.0)
 
 
@@ -196,15 +214,14 @@ def window_cauchy_index(a, eps):
     when no window element has the tail property.  Comparisons are exact
     <= on binary64; there is no tolerance slack.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    require_eps(eps)
     w = a.window
-    if w.kind in ("omega-window", "ordinal-window"):
+    if w.is_chain():
         # Tails are nested on a chain: fold the max pairwise distance in
         # from the top, O(n^2) overall instead of O(n^3).
         n = len(w)
         values = a.values
-        dist = a.space.dist
+        dist = a.space.unchecked_dist
         tail_max = [0.0] * n
         for p in range(n - 2, -1, -1):
             worst = max(dist(values[p], values[q]) for q in range(p + 1, n))

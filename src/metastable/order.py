@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "DirectedWindow",
@@ -21,7 +20,6 @@ __all__ = [
     "WindowError",
     "SamplingViolation",
     "make_omega_window",
-    "make_ordinal_window",
     "make_custom_window",
     "product",
     "validate_sampling",
@@ -35,7 +33,6 @@ __all__ = [
 ]
 
 OMEGA = "omega-window"
-ORDINAL = "ordinal-window"
 PRODUCT = "product-window"
 CUSTOM = "custom"
 
@@ -47,14 +44,13 @@ class WindowError(ValueError):
 class DirectedWindow:
     """Finite fragment of a directed set with order and explicit join.
 
-    Instances are immutable.  Chain windows (``omega-window``,
-    ``ordinal-window``) and product windows are valid by construction;
-    custom windows are fully validated when built (reflexivity,
-    antisymmetry, transitivity, and that ``join`` is an upper bound
-    lying inside the window).
+    Instances are immutable.  Omega windows and product windows are valid
+    by construction; custom windows are fully validated when built
+    (reflexivity, antisymmetry, transitivity, and that ``join`` is an
+    upper bound lying inside the window).
     """
 
-    __slots__ = ("kind", "_elements", "_index", "_factors", "_leq", "_join")
+    __slots__ = ("kind", "_elements", "_index", "_factors", "_leq", "_join", "_chain")
 
     def __init__(self, kind, elements, factors=None, leq_matrix=None, join_table=None):
         self.kind = kind
@@ -67,6 +63,15 @@ class DirectedWindow:
             raise WindowError("window must be nonempty")
         if len(self._index) != len(self._elements):
             raise WindowError("duplicate window elements")
+        if factors is not None:
+            # Enumeration runs over the second factor inside the first, so
+            # it follows a chain's order only when the other factor is a point.
+            d, e = factors
+            self._chain = (len(d) == 1 and e.is_chain()) or (len(e) == 1 and d.is_chain())
+        elif leq_matrix is not None:
+            self._chain = all(v == (p <= q) for p, row in enumerate(leq_matrix) for q, v in enumerate(row))
+        else:
+            self._chain = True
 
     # -- structure ---------------------------------------------------------
 
@@ -98,9 +103,8 @@ class DirectedWindow:
 
     def leq(self, a, b):
         """Whether ``a`` precedes (or equals) ``b`` in the window order."""
-        if self.kind in (OMEGA, ORDINAL):
-            self.index(a), self.index(b)
-            return a <= b
+        if self._chain:
+            return self.index(a) <= self.index(b)
         if self.kind == PRODUCT:
             d, e = self._factors
             return d.leq(a[0], b[0]) and e.leq(a[1], b[1])
@@ -108,7 +112,7 @@ class DirectedWindow:
 
     def join(self, a, b):
         """The chosen explicit upper bound of ``a`` and ``b``."""
-        if self.kind in (OMEGA, ORDINAL):
+        if self.kind == OMEGA:
             self.index(a), self.index(b)
             return max(a, b)
         if self.kind == PRODUCT:
@@ -129,7 +133,7 @@ class DirectedWindow:
 
     def up_set(self, a):
         """All elements ``b`` with ``a`` <= ``b``, in enumeration order."""
-        if self.kind in (OMEGA, ORDINAL):
+        if self._chain:
             return self._elements[self.index(a):]
         return tuple(b for b in self._elements if self.leq(a, b))
 
@@ -137,23 +141,20 @@ class DirectedWindow:
         """Elements strictly above ``a``, in enumeration order."""
         return tuple(b for b in self._elements if b != a and self.leq(a, b))
 
-    def top(self):
-        """The (unique) maximum element of the window, if one exists."""
-        for b in self._elements:
-            if all(self.leq(a, b) for a in self._elements):
-                return b
-        return None
-
     def is_chain(self):
-        return all(
-            self.leq(a, b) or self.leq(b, a)
-            for a, b in itertools.combinations(self._elements, 2)
-        )
+        """Whether the window is a chain listed in its own order.
+
+        True exactly when ``leq(a, b)`` iff ``index(a) <= index(b)``; fixed
+        at construction.  A total order listed out of order is not a chain
+        here, because chain-only code reads tails and cutoffs off
+        enumeration positions.
+        """
+        return self._chain
 
     def validate(self):
         """Re-verify the partial-order and majorization invariants.
 
-        Chain and product windows satisfy these by construction; this full
+        Omega and product windows satisfy these by construction; this full
         check is O(n^3) and intended for custom windows and for tests.
         """
         els = self._elements
@@ -176,7 +177,7 @@ class DirectedWindow:
     # -- equality is structural -------------------------------------------
 
     def _key(self):
-        if self.kind in (OMEGA, ORDINAL):
+        if self.kind == OMEGA:
             return (self.kind, len(self._elements))
         if self.kind == PRODUCT:
             return (self.kind, self._factors)
@@ -201,14 +202,7 @@ def make_omega_window(n):
     return DirectedWindow(OMEGA, range(n))
 
 
-def make_ordinal_window(n):
-    """Finite encoding of an ordinal chain; order-isomorphic to an omega window."""
-    if n < 1:
-        raise WindowError("ordinal window needs at least one element")
-    return DirectedWindow(ORDINAL, range(n))
-
-
-def make_custom_window(elements, leq, join, kind=CUSTOM):
+def make_custom_window(elements, leq, join):
     """Build a fully validated window from explicit order data.
 
     ``leq`` is a predicate or a boolean matrix indexed by element position;
@@ -240,7 +234,7 @@ def make_custom_window(elements, leq, join, kind=CUSTOM):
         join_table = tuple(tuple(int(v) for v in row) for row in join)
         if len(join_table) != n or any(len(r) != n for r in join_table):
             raise WindowError("join table shape mismatch")
-    w = DirectedWindow(kind, elements, leq_matrix=leq_matrix, join_table=join_table)
+    w = DirectedWindow(CUSTOM, elements, leq_matrix=leq_matrix, join_table=join_table)
     w.validate()
     return w
 
@@ -322,8 +316,14 @@ def identity_sampling(window):
     return Sampling.from_function(window, lambda i: {i})
 
 
+def _require_chain(window):
+    if not window.is_chain():
+        raise WindowError("this sampling is defined only on chain windows")
+
+
 def successor_sampling(window):
     """On chains: eta_i = {i, i+1}, clipped at the top element."""
+    _require_chain(window)
     els = window.elements
     n = len(els)
     return Sampling(window, tuple(frozenset({els[p], els[min(p + 1, n - 1)]}) for p in range(n)))
@@ -331,6 +331,7 @@ def successor_sampling(window):
 
 def doubling_sampling(window):
     """On chains: eta_i = {i, 2i}, clipped at the top element."""
+    _require_chain(window)
     els = window.elements
     n = len(els)
     return Sampling(window, tuple(frozenset({els[p], els[min(2 * p, n - 1)]}) for p in range(n)))

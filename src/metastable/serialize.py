@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import json
 
-from .analyze import AnalysisCell, AnalysisReport, UmpVerdict
 from .families import FamilySpec
-from .meta import Rate, RefutationCertificate, WitnessReport
-from .net import MetricSpace, Net, euclidean_space, table_space
-from .order import (
-    DirectedWindow,
-    Sampling,
-    WindowError,
-    make_custom_window,
-    make_omega_window,
-    make_ordinal_window,
-    product,
+from .meta import Rate, RefutationCertificate
+from .net import (
+    Net,
+    binary_space,
+    euclidean_space,
+    half_line_space,
+    table_space,
+    unit_interval_space,
 )
+from .order import Sampling, make_custom_window, make_omega_window, product
 
 SCHEMA_VERSION = 1
 
@@ -89,12 +87,11 @@ def _label_from_json(label):
 
 def window_to_dict(w):
     doc = {"type": "window", "kind": w.kind}
-    if w.kind in ("omega-window", "ordinal-window"):
+    if w.kind == "omega-window":
         doc["size"] = len(w)
     elif w.kind == "product-window":
         doc["factors"] = [window_to_dict(f) for f in w.factors]
     else:
-        n = len(w)
         doc["elements"] = [_label_to_json(e) for e in w.elements]
         doc["leq"] = [[1 if w.leq(a, b) else 0 for b in w.elements] for a in w.elements]
         doc["join"] = [[w.index(w.join(a, b)) for b in w.elements] for a in w.elements]
@@ -104,15 +101,15 @@ def window_to_dict(w):
 def window_from_dict(doc):
     _expect(doc, "window")
     kind = doc["kind"]
-    if kind == "omega-window":
+    if kind in ("omega-window", "ordinal-window"):  # schema 1 also wrote ordinal chains
         return make_omega_window(doc["size"])
-    if kind == "ordinal-window":
-        return make_ordinal_window(doc["size"])
     if kind == "product-window":
         d, e = (window_from_dict(f) for f in doc["factors"])
         return product(d, e)
-    elements = [_label_from_json(e) for e in doc["elements"]]
-    return make_custom_window(elements, doc["leq"], doc["join"], kind=kind)
+    if kind == "custom":
+        elements = [_label_from_json(e) for e in doc["elements"]]
+        return make_custom_window(elements, doc["leq"], doc["join"])
+    raise SchemaError(f"unknown window kind {kind!r}")
 
 
 # -- samplings -------------------------------------------------------------
@@ -151,16 +148,10 @@ def space_from_dict(doc):
     _expect(doc, "space")
     kind = doc["kind"]
     if kind == "binary-discrete":
-        from .net import binary_space
-
         return binary_space()
     if kind == "unit-interval":
-        from .net import unit_interval_space
-
         return unit_interval_space()
     if kind == "half-line":
-        from .net import half_line_space
-
         return half_line_space()
     if kind == "euclidean":
         return euclidean_space(doc["dim"])

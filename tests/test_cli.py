@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from metastable import build_rate, make_omega_window, random_sampling, identity_sampling
+from metastable import build_rate, make_omega_window, product, random_sampling, identity_sampling
 from metastable.cli import main
 from metastable.families import FamilySpec, rate_B
 from metastable.serialize import dumps, family_spec_to_dict, rate_to_dict
@@ -102,6 +102,18 @@ class TestRefute:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("eps", ["nan", "-1"])
+    def test_invalid_eps_exits_three(self, tmp_path, eps):
+        fam = self._family_file(tmp_path, n=12)
+        cands = tmp_path / "cands.json"
+        cands.write_text(json.dumps([[0, 1, 2]]))
+        out = tmp_path / "cert.json"
+        code = main(
+            ["refute", "--family", str(fam), "--candidates", str(cands), "--eps", eps, "--seed", "0", "--out", str(out)]
+        )
+        assert code == 3
+        assert not out.exists()
+
     def test_deterministic_given_seed(self, tmp_path):
         fam = self._family_file(tmp_path)
         cands = tmp_path / "cands.json"
@@ -153,6 +165,16 @@ class TestAnalyze:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("suite", ["successor", "doubling"])
+    def test_chain_suite_on_product_window_exits_three(self, tmp_path, suite):
+        fam = tmp_path / "family.json"
+        w = product(make_omega_window(3), make_omega_window(3))
+        fam.write_text(dumps(family_spec_to_dict(FamilySpec("B", w))))
+        out = tmp_path / "report.json"
+        code = main(["analyze", "--family", str(fam), "--suite", suite, "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
 
     def test_missing_input_exits_three(self):
         assert main(["analyze", "--eps-grid", "0.5"]) == 3

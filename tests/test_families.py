@@ -13,6 +13,7 @@ from metastable import (
     is_witness,
     make_custom_window,
     make_omega_window,
+    product,
     random_sampling,
     replay_certificate,
     successor_sampling,
@@ -31,6 +32,7 @@ from metastable.families import (
     refute_C,
     refute_D_pointed,
 )
+from oracles import all_binary_nets, label_chain
 
 
 def members(tag, window, **params):
@@ -65,6 +67,23 @@ class TestEnumeration:
             assert m.target == (1 if all(v == 1 for v in m.values) else 0)
         for m in members("C", make_omega_window(4)):
             assert m.target == 0
+
+    @pytest.mark.parametrize("listing", [["b", "a", "c", "d"], ["a", "b", "c", "d"], ["d", "c", "b", "a"]])
+    def test_label_chains_match_brute_force(self, listing):
+        # Filter every binary net by the label order itself, not the window.
+        w = label_chain(listing)
+        nets = [a.values for a in all_binary_nets(w)]
+        at = lambda v, x: v[listing.index(x)]
+        nonincreasing = [v for v in nets if all(at(v, x) >= at(v, y) for x in listing for y in listing if x <= y)]
+        eventually_zero = [
+            v for v in nets if any(all(at(v, y) == 0 for y in listing if x <= y) for x in listing)
+        ]
+        assert sorted(m.values for m in members("B", w)) == sorted(nonincreasing)
+        assert sorted(m.values for m in members("C", w)) == sorted(eventually_zero)
+
+    def test_D_needs_chain_in_listing_order(self):
+        with pytest.raises(FamilyError):
+            members("D", label_chain(["b", "a", "c", "d"]))
 
     def test_nonchain_brute_force_matches_invariants(self):
         # diamond window: enumeration must respect the partial order
@@ -171,6 +190,16 @@ class TestRefuteDPointed:
         w = make_omega_window(4)
         with pytest.raises(FamilyError):
             refute_D_pointed({2}, w)
+
+    def test_positions_not_labels(self):
+        # alpha is read off positions, so any chain in listing order works
+        for w, s in (
+            (label_chain(list("abcdef")), {"a", "b"}),
+            (product(make_omega_window(6), make_omega_window(1)), {(0, 0), (1, 0)}),
+        ):
+            cert = refute_D_pointed(s, w)
+            assert replay_certificate(cert)
+            assert cert.member.values == (0, 1, 0, 1, 1, 1)
 
     def test_randomized_always_replays(self):
         rng = random.Random(2718)

@@ -1,0 +1,37 @@
+"""Static checks on the package source that need no linter."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "metastable"
+# __init__.py imports names only to re-export them.
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_modules_found():
+    assert len(MODULES) >= 8
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_scan_flags_an_unused_import():
+    tree = ast.parse("import os\nfrom typing import Mapping, Optional\nx: Mapping = os.sep\n")
+    assert unused_imports(tree) == [(2, "Optional")]

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from metastable import (
     RateError,
     RefutationCertificate,
     Sampling,
+    SpaceError,
     binary_space,
     build_rate,
     distance_to_point,
@@ -30,7 +33,7 @@ from metastable import (
     unit_interval_space,
     verify_rate,
 )
-from metastable.families import FamilySpec, rate_B
+from metastable.families import FamilySpec, rate_B, refute_C, refute_D_pointed
 from oracles import (
     all_binary_nets,
     all_samplings,
@@ -388,3 +391,43 @@ class TestReplay:
         a = constant_net(w)
         cert = RefutationCertificate(0.5, identity_sampling(w), a, frozenset({0}))
         assert not replay_certificate(cert)  # constant nets are witnessed everywhere
+
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0, math.inf])
+    def test_invalid_eps_raises(self, eps):
+        cert = refute_C({0, 1}, make_omega_window(6), 0.5)
+        assert replay_certificate(cert)
+        with pytest.raises(ValueError):
+            replay_certificate(dataclasses.replace(cert, eps=eps))
+
+    def test_invalid_pointed_target_raises(self):
+        cert = refute_D_pointed({0, 1}, make_omega_window(6))
+        with pytest.raises(SpaceError):
+            replay_certificate(dataclasses.replace(cert, pointed_target=2))
+
+
+class TestTrustedInputs:
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0, math.inf, "0.5"])
+    def test_witness_checks_reject_invalid_eps(self, eps):
+        w = make_omega_window(3)
+        a, eta = constant_net(w), identity_sampling(w)
+        for check in (
+            lambda: is_witness(a, eps, eta, 0),
+            lambda: is_pointed_witness(a, 0, eps, eta, 0),
+            lambda: find_witness(a, eps, eta),
+            lambda: refute_uniform([a], [{0}], eps, seed=0),
+        ):
+            with pytest.raises(ValueError):
+                check()
+
+    def test_pointed_witness_checks_outside_point(self):
+        w = make_omega_window(3)
+        a, eta = constant_net(w), identity_sampling(w)
+        with pytest.raises(SpaceError):
+            is_pointed_witness(a, 0.5, 0.5, eta, 0)
+        with pytest.raises(SpaceError):
+            distance_to_point(a, 2)
+
+    def test_threshold_must_be_finite(self):
+        w = make_omega_window(2)
+        with pytest.raises(ValueError):
+            Rate((math.inf, 0.5), {"id": identity_sampling(w)}, {})

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from metastable import (
     Net,
@@ -19,7 +20,7 @@ from metastable import (
     cesaro_rotation_nets,
 )
 from metastable.meta import is_witness
-from oracles import all_samplings, brute_cauchy_index, random_binary_net, random_unit_net
+from oracles import all_samplings, brute_cauchy_index, label_chain, random_binary_net, random_unit_net
 
 
 class TestSpaces:
@@ -31,6 +32,12 @@ class TestSpaces:
     def test_unit_interval_rejects_outside(self):
         with pytest.raises(SpaceError):
             unit_interval_space().require(1.5)
+
+    def test_dist_checks_points(self):
+        with pytest.raises(SpaceError):
+            unit_interval_space().dist(0.5, 1.5)
+        with pytest.raises(SpaceError):
+            euclidean_space(2).dist((0.0, 0.0), (1.0,))
 
     def test_euclidean(self):
         s = euclidean_space(2)
@@ -157,6 +164,28 @@ class TestWindowCauchyIndex:
         a = Net(make_omega_window(2), binary_space(), (0, 0))
         with pytest.raises(ValueError):
             window_cauchy_index(a, 0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_eps(self, eps):
+        a = Net(make_omega_window(2), binary_space(), (0, 0))
+        with pytest.raises(ValueError):
+            window_cauchy_index(a, eps)
+
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=9),
+        st.sampled_from(["labels", "column", "row"]),
+        st.sampled_from([0.05, 0.25, 0.5]),
+    )
+    def test_other_chains_agree_with_brute_force(self, values, shape, eps):
+        n = len(values)
+        w = {
+            "labels": lambda: label_chain([f"x{p}" for p in range(n)]),
+            "column": lambda: product(make_omega_window(n), make_omega_window(1)),
+            "row": lambda: product(make_omega_window(1), make_omega_window(n)),
+        }[shape]()
+        assert w.is_chain()
+        a = Net(w, unit_interval_space(), tuple(values))
+        assert window_cauchy_index(a, eps) == brute_cauchy_index(a, eps)
 
     def test_index_witnesses_every_sampling_exhaustively(self):
         # tail-bound index => universal witness, on all samplings of small windows

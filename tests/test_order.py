@@ -5,6 +5,7 @@ import pytest
 from metastable import (
     Sampling,
     WindowError,
+    doubling_sampling,
     identity_sampling,
     induced_sampling,
     make_custom_window,
@@ -12,9 +13,10 @@ from metastable import (
     product,
     project_set,
     random_sampling,
+    successor_sampling,
     validate_sampling,
 )
-from oracles import all_samplings
+from oracles import all_samplings, label_chain
 
 
 class TestOmegaWindow:
@@ -67,7 +69,6 @@ class TestCustomWindow:
         join = lambda x, y: x if leq(y, x) else (y if leq(x, y) else "top")
         w = make_custom_window(elements, leq, join)
         assert w.join("a", "b") == "top"
-        assert w.top() == "top"
         assert not w.is_chain()
 
     def test_invalid_order_rejected(self):
@@ -85,6 +86,42 @@ class TestCustomWindow:
         leq = lambda x, y: x <= y
         with pytest.raises(WindowError):
             make_custom_window([0, 1, 2], leq, min)
+
+
+class TestChainFact:
+    def test_omega(self):
+        assert make_omega_window(1).is_chain() and make_omega_window(5).is_chain()
+
+    def test_product_is_chain_only_beside_a_point(self):
+        assert product(make_omega_window(4), make_omega_window(1)).is_chain()
+        assert product(make_omega_window(1), make_omega_window(4)).is_chain()
+        assert not product(make_omega_window(2), make_omega_window(2)).is_chain()
+        diamond = product(make_omega_window(2), make_omega_window(2))
+        assert not product(diamond, make_omega_window(1)).is_chain()
+
+    def test_custom_chain_in_listing_order(self):
+        w = label_chain(["a", "b", "c", "d"])
+        assert w.is_chain()
+        assert w.leq("a", "c") and not w.leq("c", "a")
+        assert w.up_set("b") == ("b", "c", "d")
+
+    def test_custom_chain_out_of_listing_order(self):
+        w = label_chain(["b", "a", "c", "d"])
+        assert not w.is_chain()
+        assert w.leq("a", "b") and not w.leq("b", "a")
+        assert w.up_set("a") == ("b", "a", "c", "d")
+        assert w.up_set("b") == ("b", "c", "d")
+
+    @pytest.mark.parametrize("build", [successor_sampling, doubling_sampling])
+    def test_chain_samplings_reject_other_windows(self, build):
+        for w in (
+            product(make_omega_window(3), make_omega_window(3)),
+            label_chain(["b", "a", "c"]),
+        ):
+            with pytest.raises(WindowError):
+                build(w)
+        chain = label_chain(["a", "b", "c"])
+        assert validate_sampling(build(chain)) == []
 
 
 class TestValidateSampling:

@@ -69,6 +69,17 @@ class TestWindows:
         assert w2.join("a", "b") == "top"
 
 
+    def test_schema_one_ordinal_window_reads_as_omega(self):
+        doc = {"type": "window", "kind": "ordinal-window", "size": 5, "schema_version": SCHEMA_VERSION}
+        assert window_from_dict(doc) == make_omega_window(5)
+
+    def test_unknown_kind_rejected(self):
+        doc = window_to_dict(make_custom_window([0, 1], lambda x, y: x <= y, max))
+        doc["kind"] = "lattice"
+        with pytest.raises(SchemaError):
+            window_from_dict(doc)
+
+
 class TestSamplings:
     def test_roundtrip_random(self):
         rng = random.Random(17)
