@@ -3,21 +3,26 @@
 Builds demo iterate families (Cesaro averages of planar rotations),
 searches for small uniform candidate sets over a grid of tolerances and a
 suite of samplings, and runs the finite-point-set uniform-metastability
-check.  Every reported witness re-validates through the witness checker.
+check.  Every element of a reported cover re-validates through the
+witness checker; per-net witnesses come from the same exact block
+diameters and are checked against brute-force oracles in the tests.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .meta import find_witness, is_witness
-from .net import BINARY, EUCLIDEAN, Net, SpaceError, euclidean_space, window_cauchy_index
+from .meta import is_witness
+from .net import BINARY, EUCLIDEAN, Net, SpaceError, euclidean_space
+from .net import cauchy_indices, eps_floor, window_cauchy_index
 from .order import (
+    WindowError,
     doubling_sampling,
     identity_sampling,
     make_omega_window,
@@ -139,21 +144,67 @@ class AnalysisReport:
     refuted: bool  # some cell left a net without any witness
 
 
-def _greedy_cover(nets, eps, eta):
+def block_diameters(nets, eta):
+    """Nets x indices matrix of the diameter of each net on each block of ``eta``.
+
+    Index p witnesses net m at eps iff entry (m, p) is <= eps, for every
+    eps.  Scalar spaces take block max minus block min (``reduceat`` over
+    one flattened index array) with no distance calls; others one
+    distance per pair in each block.
+    """
     window = eta.window
-    witness_sets = [{i for i in window.elements if is_witness(a, eps, eta, i)} for a in nets]
-    uncovered = {m for m, ws in enumerate(witness_sets) if ws}
-    no_witness = tuple(m for m, ws in enumerate(witness_sets) if not ws)
+    sizes = [len(block) for block in eta.assign]
+    if len(sizes) != len(window) or not all(sizes):
+        raise WindowError("sampling needs one nonempty candidate set per index")
+    flat = np.fromiter(
+        map(window.index, itertools.chain.from_iterable(eta.assign)), dtype=np.intp, count=sum(sizes)
+    )
+    starts = np.cumsum(sizes) - sizes
+    rows = []
+    for a in nets:
+        if a.window != window:
+            raise WindowError("sampling and net live on different windows")
+        if a.space.is_scalar():
+            x = np.asarray(a.values, dtype=float)[flat]
+            rows.append(np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts))
+        else:
+            rows.append([
+                max((a.dist(j, k) for j, k in itertools.combinations(block, 2)), default=0.0)
+                for block in eta.assign
+            ])
+    return np.array(rows, dtype=float)
+
+
+def _matrix_cover(witness, window):
+    """Greedy cover of the nets (rows) by indices (columns) of a witness matrix.
+
+    Each round takes the index witnessing most uncovered nets; ``argmax``
+    breaks ties toward the lowest position.  Returns the cover in
+    enumeration order and the nets no index witnesses.
+    """
+    has = witness.any(axis=1)
+    live = has.copy()
     cover = []
-    while uncovered:
-        best, best_gain = None, 0
-        for i in window.elements:  # enumeration order breaks ties deterministically
-            gain = sum(1 for m in uncovered if i in witness_sets[m])
-            if gain > best_gain:
-                best, best_gain = i, gain
+    while live.any():
+        best = int(witness[live].sum(axis=0).argmax())
         cover.append(best)
-        uncovered -= {m for m in uncovered if best in witness_sets[m]}
-    return tuple(sorted(cover, key=window.index)), no_witness
+        live &= ~witness[:, best]
+    cover = tuple(window.elements[p] for p in sorted(cover))
+    return cover, tuple(int(m) for m in np.flatnonzero(~has))
+
+
+def _cells(nets, eps_grid, sampling_suite):
+    """(eps, sampling id, witness matrix ``diameters <= eps``) per cell, in grid order."""
+    window = nets[0].window
+    diameters = {}
+    for sid, eta in sampling_suite.items():
+        if eta.window != window:
+            raise ValueError(f"sampling {sid!r} lives on a different window")
+        diameters[sid] = block_diameters(nets, eta)
+    for eps in eps_grid:
+        bound = eps_floor(eps)
+        for sid, d in diameters.items():
+            yield eps, sid, d <= bound
 
 
 def empirical_rate(family, eps_grid, sampling_suite):
@@ -163,6 +214,14 @@ def empirical_rate(family, eps_grid, sampling_suite):
     window.  Finding a true minimal set is set-cover-hard; the greedy
     cover is deterministic and every element of it is certified by
     re-validation against the witness checker.
+
+    Each net's tail diameters (for the Cauchy indices) and each
+    sampling's block diameters are computed once and shared by every
+    tolerance.  The answers are those of the pairwise checks, exactly:
+    binary64 subtraction is monotone, so fl(max - min) over a block or
+    tail of scalar values equals the largest fl|x - y| over its pairs,
+    and with no NaN distances (points are finite) the largest distance
+    is <= eps exactly when every distance is.
     """
     family = list(family)
     if not family:
@@ -172,18 +231,16 @@ def empirical_rate(family, eps_grid, sampling_suite):
     window = family[0].window
     eps_grid = tuple(sorted(eps_grid, reverse=True))
     cells = []
-    for eps in eps_grid:
-        for sid, eta in sampling_suite.items():
-            if eta.window != window:
-                raise ValueError(f"sampling {sid!r} lives on a different window")
-            witnesses = tuple(find_witness(a, eps, eta) for a in family)
-            cover, no_witness = _greedy_cover(family, eps, eta)
-            for i in cover:  # certify the cover
-                assert any(is_witness(a, eps, eta, i) for a in family)
-            cells.append(AnalysisCell(eps, sid, witnesses, cover, no_witness))
-    cauchy = tuple(
-        tuple((eps, window_cauchy_index(a, eps)) for eps in eps_grid) for a in family
-    )
+    for eps, sid, witness in _cells(family, eps_grid, sampling_suite):
+        eta = sampling_suite[sid]
+        witnesses = tuple(
+            window.elements[int(row.argmax())] if row.any() else None for row in witness
+        )
+        cover, no_witness = _matrix_cover(witness, window)
+        for i in cover:  # certify the cover
+            assert any(is_witness(a, eps, eta, i) for a in family)
+        cells.append(AnalysisCell(eps, sid, witnesses, cover, no_witness))
+    cauchy = tuple(tuple(zip(eps_grid, cauchy_indices(a, eps_grid))) for a in family)
     return AnalysisReport(
         window_size=len(window),
         eps_grid=eps_grid,
@@ -228,13 +285,13 @@ def finite_space_ump_check(nets_by_point, eps_grid, sampling_suite):
     if failures:
         return UmpVerdict(False, failures, (), len(window))
     sets = []
-    for eps in sorted(eps_grid, reverse=True):
-        for sid, eta in sampling_suite.items():
-            cover, no_witness = _greedy_cover(nets, eps, eta)
-            assert not no_witness, "window-Cauchy nets always have a witness"
-            for a in nets:  # re-validate: the cover serves every net
-                assert any(is_witness(a, eps, eta, i) for i in cover)
-            sets.append(((eps, sid), cover))
+    for eps, sid, witness in _cells(nets, sorted(eps_grid, reverse=True), sampling_suite):
+        eta = sampling_suite[sid]
+        cover, no_witness = _matrix_cover(witness, window)
+        assert not no_witness, "window-Cauchy nets always have a witness"
+        for a in nets:  # re-validate: the cover serves every net
+            assert any(is_witness(a, eps, eta, i) for i in cover)
+        sets.append(((eps, sid), cover))
     return UmpVerdict(True, (), tuple(sets), len(window))
 
 

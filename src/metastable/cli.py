@@ -46,7 +46,7 @@ def _load_family(path):
     doc = _load_json(path)
     if isinstance(doc, list):
         return [_ser.net_from_dict(d) for d in doc]
-    if doc.get("type") == "family-spec":
+    if isinstance(doc, dict) and doc.get("type") == "family-spec":
         return _ser.family_spec_from_dict(doc)
     raise _ser.SchemaError("family file must be a family-spec or a list of nets")
 
@@ -91,9 +91,12 @@ def cmd_verify(args):
 def cmd_refute(args):
     family = _load_family(args.family)
     candidate_sets = _load_json(args.candidates)
-    if not isinstance(candidate_sets, list):
+    if not isinstance(candidate_sets, list) or not all(isinstance(s, list) for s in candidate_sets):
         raise _ser.SchemaError("candidates file must be a JSON list of candidate sets")
-    sets = [frozenset(tuple(i) if isinstance(i, list) else i for i in s) for s in candidate_sets]
+    try:
+        sets = [frozenset(tuple(i) if isinstance(i, list) else i for i in s) for s in candidate_sets]
+    except TypeError:  # an object among the candidates is not hashable
+        raise _ser.SchemaError("candidates must be window labels") from None
     cert = _meta.refute_uniform(
         family,
         sets,

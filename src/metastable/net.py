@@ -5,8 +5,11 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .order import DirectedWindow, product
 
@@ -48,6 +51,26 @@ def require_eps(eps):
     return eps
 
 
+def eps_floor(eps):
+    """Check ``eps`` and return the largest float e <= eps.
+
+    For a float d, ``d <= eps`` iff ``d <= e``, so numpy can compare float
+    arrays against an int or Fraction tolerance exactly instead of
+    rounding the tolerance to the nearest float.
+    """
+    e = float(min(require_eps(eps), sys.float_info.max))
+    return math.nextafter(e, -math.inf) if e > eps else e
+
+
+def _is_real(x):
+    # A finite binary64 value: a float, or an int of magnitude <= 2**53.
+    # Beyond that, exact int subtraction can disagree with binary64 even
+    # between representable ints (2**60 - 255 rounds as a float).
+    if isinstance(x, float):
+        return math.isfinite(x)
+    return isinstance(x, int) and not isinstance(x, bool) and abs(x) <= 2**53
+
+
 @dataclass(frozen=True)
 class MetricSpace:
     """One of a small family of concrete metric spaces.
@@ -65,15 +88,21 @@ class MetricSpace:
     diameter_bound: Optional[float] = None
 
     def contains(self, x):
+        """Whether ``x`` is a point.  Real coordinates must be finite binary64
+        values, so every distance is binary64 arithmetic and never NaN."""
         if self.kind == BINARY:
             return x in (0, 1)
         if self.kind == UNIT_INTERVAL:
-            return isinstance(x, (int, float)) and 0.0 <= x <= 1.0
+            return _is_real(x) and 0.0 <= x <= 1.0
         if self.kind == HALF_LINE:
-            return isinstance(x, (int, float)) and x >= 0.0
+            return _is_real(x) and x >= 0.0
         if self.kind == EUCLIDEAN:
-            return isinstance(x, tuple) and len(x) == self.dim
+            return isinstance(x, tuple) and len(x) == self.dim and all(_is_real(c) for c in x)
         return x in self.symbols
+
+    def is_scalar(self):
+        """Whether points are reals at distance |x - y| (binary, unit interval, half-line)."""
+        return self.kind in (BINARY, UNIT_INTERVAL, HALF_LINE)
 
     def require(self, x):
         if not self.contains(x):
@@ -205,31 +234,38 @@ def distance_to_point(a, b):
     return Net(a.window, _distance_space(a.space), values, target=0.0)
 
 
-def window_cauchy_index(a, eps):
-    """Smallest index i0 with d(a_j, a_k) <= eps for all j, k above i0.
+def tail_diameters(a):
+    """Diameters of the tails {a_p, ..., a_(n-1)} of a net on a chain window.
 
-    Only indices with a non-trivial tail count: an element whose up-set is
-    just itself (the window top) would qualify vacuously for every net,
-    which carries no stability evidence on a truncation.  Returns None
-    when no window element has the tail property.  Comparisons are exact
-    <= on binary64; there is no tolerance slack.
+    A float array over positions p; the last entry is 0.  Scalar spaces
+    take suffix max minus suffix min, O(n) with no distance calls; other
+    spaces fold the largest distance in from the top, O(n^2).
     """
-    require_eps(eps)
+    if not a.window.is_chain():
+        raise ValueError("tail diameters are defined only on chain windows")
+    if a.space.is_scalar():
+        rev = np.asarray(a.values[::-1], dtype=float)
+        return (np.maximum.accumulate(rev) - np.minimum.accumulate(rev))[::-1]
+    v, dist = a.values, a.space.unchecked_dist
+    tails = [0.0] * len(v)
+    for p in range(len(v) - 2, -1, -1):
+        tails[p] = max(tails[p + 1], max(dist(v[p], y) for y in v[p + 1:]))
+    return np.array(tails)
+
+
+def cauchy_indices(a, eps_grid):
+    """:func:`window_cauchy_index` at each tolerance; a chain's tails are computed once."""
+    bounds = [eps_floor(eps) for eps in eps_grid]  # checks every eps on both paths
     w = a.window
-    if w.is_chain():
-        # Tails are nested on a chain: fold the max pairwise distance in
-        # from the top, O(n^2) overall instead of O(n^3).
-        n = len(w)
-        values = a.values
-        dist = a.space.unchecked_dist
-        tail_max = [0.0] * n
-        for p in range(n - 2, -1, -1):
-            worst = max(dist(values[p], values[q]) for q in range(p + 1, n))
-            tail_max[p] = max(tail_max[p + 1], worst)
-        for p in range(n - 1):
-            if tail_max[p] <= eps:
-                return w.elements[p]
-        return None
+    if not w.is_chain():
+        return tuple(_scan_up_sets(a, eps) for eps in eps_grid)
+    tails = tail_diameters(a)[:-1]  # the top's tail is trivial
+    hits = [np.flatnonzero(tails <= e) for e in bounds]
+    return tuple(w.elements[h[0]] if h.size else None for h in hits)
+
+
+def _scan_up_sets(a, eps):
+    w = a.window
     for i0 in w.elements:
         tail = w.up_set(i0)
         if len(tail) < 2:
@@ -237,3 +273,21 @@ def window_cauchy_index(a, eps):
         if all(a.dist(j, k) <= eps for j, k in itertools.combinations_with_replacement(tail, 2)):
             return i0
     return None
+
+
+def window_cauchy_index(a, eps):
+    """Smallest index i0 with d(a_j, a_k) <= eps for all j, k above i0.
+
+    Only indices with a non-trivial tail count: an element whose up-set is
+    just itself (the window top) would qualify vacuously for every net,
+    which carries no stability evidence on a truncation.  Returns None
+    when no window element has the tail property.
+
+    Comparisons are exact <= on binary64; there is no tolerance slack.
+    On a chain the answer is read off :func:`tail_diameters`, and that is
+    exact too: binary64 subtraction is monotone, so for scalar values
+    fl(max - min) equals the largest fl|x - y| over the tail's pairs, and
+    because no distance is NaN (points are finite), the largest distance
+    is <= eps exactly when every distance is.
+    """
+    return cauchy_indices(a, (eps,))[0]

@@ -8,6 +8,7 @@ deterministic (collections are emitted in canonical enumeration order) and
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .families import FamilySpec
@@ -53,8 +54,25 @@ class SchemaError(ValueError):
 
 
 def dumps(doc):
-    """Canonical JSON text: sorted keys, stable separators, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: sorted keys, stable separators, trailing newline.
+
+    NaN and infinities raise ValueError: they are not JSON.
+    """
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _decoder(fn):
+    """Report a document of the wrong shape (a missing key, a value of the
+    wrong type) as a SchemaError rather than the error it raises inside."""
+
+    @functools.wraps(fn)
+    def decode(doc):
+        try:
+            return fn(doc)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise SchemaError(f"malformed document for {fn.__name__}: {exc!r}") from None
+
+    return decode
 
 
 def _versioned(doc):
@@ -98,6 +116,7 @@ def window_to_dict(w):
     return _versioned(doc)
 
 
+@_decoder
 def window_from_dict(doc):
     _expect(doc, "window")
     kind = doc["kind"]
@@ -124,6 +143,7 @@ def sampling_to_dict(s):
     return _versioned({"type": "sampling", "window": window_to_dict(w), "assign": assign})
 
 
+@_decoder
 def sampling_from_dict(doc):
     _expect(doc, "sampling")
     w = window_from_dict(doc["window"])
@@ -144,6 +164,7 @@ def space_to_dict(space):
     return _versioned(doc)
 
 
+@_decoder
 def space_from_dict(doc):
     _expect(doc, "space")
     kind = doc["kind"]
@@ -184,6 +205,7 @@ def net_to_dict(a):
     )
 
 
+@_decoder
 def net_from_dict(doc):
     _expect(doc, "net")
     w = window_from_dict(doc["window"])
@@ -217,6 +239,7 @@ def rate_to_dict(rate):
     )
 
 
+@_decoder
 def rate_from_dict(doc):
     _expect(doc, "rate")
     samplings = {sid: sampling_from_dict(s) for sid, s in doc["samplings"].items()}
@@ -261,6 +284,7 @@ def certificate_to_dict(cert):
     )
 
 
+@_decoder
 def certificate_from_dict(doc):
     _expect(doc, "refutation-certificate")
     member = net_from_dict(doc["member"])
@@ -288,6 +312,7 @@ def family_spec_to_dict(spec):
     )
 
 
+@_decoder
 def family_spec_from_dict(doc):
     _expect(doc, "family-spec")
     return FamilySpec(doc["tag"], window_from_dict(doc["window"]), doc.get("parameters", {}))

@@ -33,6 +33,36 @@ def brute_witness(a, eps, eta):
     return None
 
 
+def brute_greedy_cover(nets, eps, eta):
+    """Set-based greedy cover: (cover in enumeration order, nets with no witness).
+
+    Witness sets come from raw pairwise loops.  Each round scans the
+    window in enumeration order and keeps the first index with a strictly
+    larger gain, so ties go to the lowest index.
+    """
+    window = eta.window
+    witness_sets = [
+        {
+            i
+            for i in window.elements
+            if all(a.space.dist(a.value(j), a.value(k)) <= eps for j in eta.at(i) for k in eta.at(i))
+        }
+        for a in nets
+    ]
+    uncovered = {m for m, ws in enumerate(witness_sets) if ws}
+    no_witness = tuple(m for m, ws in enumerate(witness_sets) if not ws)
+    cover = []
+    while uncovered:
+        best, best_gain = None, 0
+        for i in window.elements:
+            gain = sum(1 for m in uncovered if i in witness_sets[m])
+            if gain > best_gain:
+                best, best_gain = i, gain
+        cover.append(best)
+        uncovered -= {m for m in uncovered if best in witness_sets[m]}
+    return tuple(sorted(cover, key=window.index)), no_witness
+
+
 def brute_pointed_witness(a, b, eps, eta):
     for i in a.window.elements:
         if all(a.space.dist(a.value(j), b) <= eps for j in eta.at(i)):

@@ -55,6 +55,22 @@ class TestVerify:
         )
         assert code == 4
 
+    def test_rate_without_samplings_exits_four(self, omega6_b, tmp_path, capsys):
+        fam, rate = omega6_b
+        doc = json.loads(rate.read_text())
+        del doc["samplings"]
+        bad = tmp_path / "no_samplings.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["verify", "--family", str(fam), "--rate", str(bad), "--eps", "0.5"])
+        assert code == 4
+        assert "samplings" in capsys.readouterr().err
+
+    def test_family_file_of_wrong_type_exits_four(self, omega6_b, tmp_path):
+        _, rate = omega6_b
+        fam = tmp_path / "number.json"
+        fam.write_text("3\n")
+        assert main(["verify", "--family", str(fam), "--rate", str(rate), "--eps", "0.5"]) == 4
+
     def test_unknown_sampling_exits_three(self, omega6_b):
         fam, rate = omega6_b
         code = main(
@@ -97,6 +113,16 @@ class TestRefute:
         fam = self._family_file(tmp_path)
         cands = tmp_path / "cands.json"
         cands.write_text(json.dumps({"not": "a list"}))
+        code = main(
+            ["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--seed", "1"]
+        )
+        assert code == 4
+
+    @pytest.mark.parametrize("doc", [[3], [[{"a": 1}]], [[[0, [1]]]]])
+    def test_malformed_candidate_set_exits_four(self, tmp_path, doc):
+        fam = self._family_file(tmp_path)
+        cands = tmp_path / "cands.json"
+        cands.write_text(json.dumps(doc))
         code = main(
             ["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--seed", "1"]
         )
@@ -175,6 +201,28 @@ class TestAnalyze:
         code = main(["analyze", "--family", str(fam), "--suite", suite, "--out", str(out)])
         assert code == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["inf", "nan", "-inf"])
+    def test_non_finite_csv_cell_exits_three(self, tmp_path, cell):
+        csv_file = tmp_path / "data.csv"
+        csv_file.write_text(f"0.5\n{cell}\n0.5\n")
+        out = tmp_path / "report.json"
+        code = main(["analyze", "--csv", str(csv_file), "--space", "half-line", "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+
+    def test_non_finite_euclidean_net_exits_three(self, tmp_path):
+        net = {
+            "type": "net",
+            "schema_version": 1,
+            "window": {"type": "window", "schema_version": 1, "kind": "omega-window", "size": 2},
+            "space": {"type": "space", "schema_version": 1, "kind": "euclidean", "dim": 2},
+            "values": [[0.0, 0.0], [float("nan"), 1.0]],
+            "target": None,
+        }
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps([net]))  # writes the NaN literal Python's json reads back
+        assert main(["analyze", "--family", str(fam), "--space", "euclidean", "--dim", "2"]) == 3
 
     def test_missing_input_exits_three(self):
         assert main(["analyze", "--eps-grid", "0.5"]) == 3

@@ -10,6 +10,7 @@ from metastable import (
     binary_space,
     distance_to_point,
     euclidean_space,
+    half_line_space,
     make_omega_window,
     mutual_distance,
     product,
@@ -55,6 +56,42 @@ class TestSpaces:
     def test_table_asymmetry(self):
         with pytest.raises(SpaceError):
             table_space(["x", "y"], [[0, 1], [2, 0]])
+
+    @pytest.mark.parametrize(
+        "space, point",
+        [
+            (unit_interval_space(), True),
+            (unit_interval_space(), math.nan),
+            (half_line_space(), math.inf),
+            (half_line_space(), math.nan),
+            (half_line_space(), "1"),
+            (half_line_space(), 2**53 + 1),  # not a binary64 value
+            # A binary64 value, but int subtraction from it is not binary64:
+            # 2**60 - 255 is exact as an int and rounds as a float.
+            (half_line_space(), 2**60),
+            (euclidean_space(2), (math.nan, 0.0)),
+            (euclidean_space(2), (0.0, -math.inf)),
+            (euclidean_space(2), ("a", 0.0)),
+            (euclidean_space(2), (False, 0.0)),
+            (euclidean_space(2), [0.0, 0.0]),
+        ],
+    )
+    def test_rejects_points_that_are_not_finite_binary64(self, space, point):
+        assert not space.contains(point)
+        with pytest.raises(SpaceError):
+            Net(make_omega_window(1), space, (point,))
+
+    @pytest.mark.parametrize(
+        "space, point",
+        [
+            (unit_interval_space(), 1),
+            (half_line_space(), 2**53),
+            (half_line_space(), 1e300),
+            (euclidean_space(2), (-3, 0.5)),
+        ],
+    )
+    def test_accepts_finite_binary64_points(self, space, point):
+        assert space.contains(point)
 
 
 class TestNet:

@@ -160,7 +160,32 @@ class TestRatesReportsCertificates:
         assert list(back.parameters["alphas"]) == [0, 1, 2]
 
 
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "decode, doc",
+        [
+            (window_from_dict, []),
+            (window_from_dict, {"type": "window", "schema_version": SCHEMA_VERSION, "kind": "omega-window"}),
+            (sampling_from_dict, {**sampling_to_dict(identity_sampling(make_omega_window(2))), "assign": 3}),
+            (space_from_dict, {"type": "space", "schema_version": SCHEMA_VERSION, "kind": "euclidean"}),
+            (net_from_dict, {k: v for k, v in net_to_dict(Net(make_omega_window(1), binary_space(), (0,))).items() if k != "values"}),
+            (rate_from_dict, {"type": "rate", "schema_version": SCHEMA_VERSION, "thresholds": [0.5], "table": [], "pointed": False}),
+            (rate_from_dict, {"type": "rate", "schema_version": SCHEMA_VERSION, "thresholds": [0.5], "table": [], "pointed": False, "samplings": []}),
+            (certificate_from_dict, {"type": "refutation-certificate", "schema_version": SCHEMA_VERSION}),
+            (family_spec_from_dict, {"type": "family-spec", "schema_version": SCHEMA_VERSION}),
+        ],
+    )
+    def test_wrong_shape_is_a_schema_error(self, decode, doc):
+        with pytest.raises(SchemaError):
+            decode(doc)
+
+
 class TestDumps:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_numbers_rejected(self, value):
+        with pytest.raises(ValueError):
+            dumps({"eps": value})
+
     def test_deterministic_text(self):
         w = make_omega_window(4)
         s = identity_sampling(w)
