@@ -9,6 +9,7 @@ identical inputs and seed yield byte-identical JSON output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -25,6 +26,10 @@ EXIT_OK = 0
 EXIT_REFUTED = 2
 EXIT_PRECONDITION = 3
 EXIT_IO = 4
+
+#: Most members a family spec may enumerate to.  Family C has 2**(n-1)
+#: members on an n-element chain, so this refuses it above n = 13.
+FAMILY_MEMBER_CAP = 4096
 
 
 def _load_json(path):
@@ -52,9 +57,14 @@ def _load_family(path):
 
 
 def _family_nets(family):
-    if isinstance(family, _families.FamilySpec):
-        return list(_families.enumerate_family(family))
-    return family
+    if not isinstance(family, _families.FamilySpec):
+        return family
+    members = list(itertools.islice(_families.enumerate_family(family), FAMILY_MEMBER_CAP + 1))
+    if len(members) > FAMILY_MEMBER_CAP:
+        raise ValueError(
+            f"family {family.tag} on this window has more than FAMILY_MEMBER_CAP = {FAMILY_MEMBER_CAP} members"
+        )
+    return members
 
 
 def _space_from_args(args):
@@ -71,8 +81,8 @@ def _space_from_args(args):
 
 
 def cmd_verify(args):
-    family = _family_nets(_load_family(args.family))
     rate = _ser.rate_from_dict(_load_json(args.rate))
+    family = _family_nets(_load_family(args.family))
     sids = [args.sampling] if args.sampling else sorted(rate.samplings)
     reports = [
         _ser.report_to_dict(_meta.verify_rate(family, rate, args.eps, sid)) for sid in sids

@@ -254,25 +254,46 @@ def tail_diameters(a):
 
 
 def cauchy_indices(a, eps_grid):
-    """:func:`window_cauchy_index` at each tolerance; a chain's tails are computed once."""
+    """:func:`window_cauchy_index` at each tolerance; a chain's tails are computed once,
+    and off chains one scan of the up-sets serves every tolerance."""
+    eps_grid = tuple(eps_grid)
     bounds = [eps_floor(eps) for eps in eps_grid]  # checks every eps on both paths
     w = a.window
     if not w.is_chain():
-        return tuple(_scan_up_sets(a, eps) for eps in eps_grid)
+        return _scan_up_sets(a, eps_grid)
     tails = tail_diameters(a)[:-1]  # the top's tail is trivial
     hits = [np.flatnonzero(tails <= e) for e in bounds]
     return tuple(w.elements[h[0]] if h.size else None for h in hits)
 
 
-def _scan_up_sets(a, eps):
-    w = a.window
+def _scan_up_sets(a, eps_grid):
+    # One pass over enumeration order serves every tolerance, largest first:
+    # an up-set within a smaller eps is within every larger one, so the
+    # first index for a smaller eps never comes before that of a larger.
+    # An up-set is checked against the largest open eps and abandoned at
+    # its first pair above it; a full pass gives its diameter, which
+    # settles every open eps it is <= to.
+    w, dist = a.window, a.space.unchecked_dist
+    value = dict(zip(w.elements, a.values))
+    pending = sorted(range(len(eps_grid)), key=lambda t: eps_grid[t], reverse=True)
+    found = [None] * len(eps_grid)
     for i0 in w.elements:
-        tail = w.up_set(i0)
+        if not pending:
+            break
+        tail = [value[j] for j in w.up_set(i0)]
         if len(tail) < 2:
             continue
-        if all(a.dist(j, k) <= eps for j, k in itertools.combinations_with_replacement(tail, 2)):
-            return i0
-    return None
+        eps, diam = eps_grid[pending[0]], 0.0
+        for x, y in itertools.combinations(tail, 2):
+            d = dist(x, y)
+            if d > eps:
+                break
+            if d > diam:
+                diam = d
+        else:
+            while pending and diam <= eps_grid[pending[0]]:
+                found[pending.pop(0)] = i0
+    return tuple(found)
 
 
 def window_cauchy_index(a, eps):

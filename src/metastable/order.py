@@ -132,14 +132,24 @@ class DirectedWindow:
         return reduce(self.join, ordered)
 
     def up_set(self, a):
-        """All elements ``b`` with ``a`` <= ``b``, in enumeration order."""
+        """All elements ``b`` with ``a`` <= ``b``, in enumeration order.
+
+        Read off the structure, with no ``leq`` calls: a tail on a chain,
+        the product of the factors' up-sets on a product (enumeration runs
+        over the same ``itertools.product``, so the order agrees), and the
+        stored order row on a custom window.
+        """
+        p = self.index(a)
         if self._chain:
-            return self._elements[self.index(a):]
-        return tuple(b for b in self._elements if self.leq(a, b))
+            return self._elements[p:]
+        if self.kind == PRODUCT:
+            d, e = self._factors
+            return tuple(itertools.product(d.up_set(a[0]), e.up_set(a[1])))
+        return tuple(itertools.compress(self._elements, self._leq[p]))
 
     def strictly_above(self, a):
         """Elements strictly above ``a``, in enumeration order."""
-        return tuple(b for b in self._elements if b != a and self.leq(a, b))
+        return tuple(b for b in self.up_set(a) if b != a)
 
     def is_chain(self):
         """Whether the window is a chain listed in its own order.

@@ -19,6 +19,19 @@ def label_chain(listing):
     return make_custom_window(listing, lambda x, y: x <= y, max)
 
 
+def diamond():
+    """Custom window bot < a, b < top with a and b incomparable."""
+    pairs = {("bot", "a"), ("bot", "b"), ("bot", "top"), ("a", "top"), ("b", "top")}
+    leq = lambda x, y: x == y or (x, y) in pairs
+    join = lambda x, y: x if leq(y, x) else (y if leq(x, y) else "top")
+    return make_custom_window(["bot", "a", "b", "top"], leq, join)
+
+
+def brute_up_set(window, a):
+    """Elements ``b`` with ``a`` <= ``b``, by filtering the window through ``leq``."""
+    return tuple(b for b in window.elements if window.leq(a, b))
+
+
 def brute_witness(a, eps, eta):
     """First index whose sampled block has all pairwise distances <= eps."""
     for i in a.window.elements:
@@ -72,7 +85,7 @@ def brute_pointed_witness(a, b, eps, eta):
 
 def brute_cauchy_index(a, eps):
     for i0 in a.window.elements:
-        tail = [j for j in a.window.elements if a.window.leq(i0, j)]
+        tail = brute_up_set(a.window, i0)
         if len(tail) < 2:
             continue
         ok = True
@@ -89,7 +102,7 @@ def all_samplings(window, max_size=2):
     """Every sampling whose candidate sets have at most ``max_size`` elements."""
     per_element = []
     for i in window.elements:
-        ups = window.up_set(i)
+        ups = brute_up_set(window, i)
         choices = []
         for size in range(1, max_size + 1):
             choices.extend(frozenset(c) for c in itertools.combinations(ups, size))

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from metastable import build_rate, make_omega_window, product, random_sampling, identity_sampling
-from metastable.cli import main
+from metastable.cli import FAMILY_MEMBER_CAP, _family_nets, main
 from metastable.families import FamilySpec, rate_B
 from metastable.serialize import dumps, family_spec_to_dict, rate_to_dict
 
@@ -77,6 +77,25 @@ class TestVerify:
             ["verify", "--family", str(fam), "--rate", str(rate), "--eps", "0.5", "--sampling", "nope"]
         )
         assert code == 3
+
+    def test_exponential_family_spec_exits_three(self, tmp_path, capsys):
+        # C on a 40-chain has 2**39 members; enumeration stops at the cap.
+        w = make_omega_window(40)
+        fam = tmp_path / "c40.json"
+        fam.write_text(dumps(family_spec_to_dict(FamilySpec("C", w))))
+        rate_file = tmp_path / "rate.json"
+        rate_file.write_text(dumps(rate_to_dict(build_rate({"id": identity_sampling(w)}, lambda t, e: {0}))))
+        code = main(["verify", "--family", str(fam), "--rate", str(rate_file), "--eps", "0.5"])
+        assert code == 3
+        assert "FAMILY_MEMBER_CAP" in capsys.readouterr().err
+        # The rate is read first, so a bad rate file fails before any enumeration.
+        assert main(["verify", "--family", str(fam), "--rate", str(tmp_path / "no.json"), "--eps", "0.5"]) == 4
+
+    def test_member_cap_boundary(self):
+        # C on an n-chain has 2**(n-1) members: 4096 at n = 13, 8192 at n = 14.
+        assert len(_family_nets(FamilySpec("C", make_omega_window(13)))) == FAMILY_MEMBER_CAP
+        with pytest.raises(ValueError, match="FAMILY_MEMBER_CAP"):
+            _family_nets(FamilySpec("C", make_omega_window(14)))
 
 
 class TestRefute:

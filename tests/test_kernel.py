@@ -29,7 +29,8 @@ from metastable import (
 )
 from metastable.analyze import block_diameters
 from metastable.net import MetricSpace, cauchy_indices, eps_floor, tail_diameters
-from oracles import brute_cauchy_index, brute_greedy_cover, brute_witness, label_chain
+from metastable.order import DirectedWindow
+from oracles import brute_cauchy_index, brute_greedy_cover, brute_up_set, brute_witness, diamond, label_chain
 
 _COORD = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0, 1, -1, 0.5]))
 
@@ -55,12 +56,19 @@ WINDOWS = {
     "grid": lambda n: product(make_omega_window(2), make_omega_window(n)),
 }
 
+# Windows that are not chains: the up-set scan, not tail diameters.
+NON_CHAIN_WINDOWS = {
+    "square": lambda n: product(make_omega_window(n // 2 + 1), make_omega_window(n // 2 + 1)),
+    "top-first": lambda n: label_chain([f"x{n - 1:02d}"] + [f"x{p:02d}" for p in range(n - 1)]),
+    "diamond-column": lambda n: product(diamond(), make_omega_window(n // 2 + 1)),
+}
+
 
 @st.composite
-def families(draw):
+def families(draw, windows=WINDOWS):
     """One to four nets on a shared window and space, valued in a small pool."""
     space, points = SPACES[draw(st.sampled_from(sorted(SPACES)))]
-    window = WINDOWS[draw(st.sampled_from(sorted(WINDOWS)))](draw(st.integers(1, 8)))
+    window = windows[draw(st.sampled_from(sorted(windows)))](draw(st.integers(1, 8)))
     pool = draw(st.lists(points, min_size=1, max_size=6))
     rows = draw(
         st.lists(
@@ -73,12 +81,13 @@ def families(draw):
 
 
 @st.composite
-def tolerances(draw, nets):
+def tolerances(draw, nets, unique=True, max_size=3):
     """A tolerance grid drawn from the nets' own positive distances plus fixed values."""
     space = nets[0].space
     values = {v for a in nets for v in a.values}
     exact = {space.dist(x, y) for x in values for y in values} - {0}
-    return draw(st.lists(st.sampled_from(sorted(exact | {0.1, 0.5})), min_size=1, max_size=3, unique=True))
+    pool = st.sampled_from(sorted(exact | {0.1, 0.5}))
+    return draw(st.lists(pool, min_size=1, max_size=max_size, unique=unique))
 
 
 def _suite(window, seed):
@@ -103,6 +112,17 @@ def test_cauchy_indices_match_oracle(data):
         expected = tuple(brute_cauchy_index(a, eps) for eps in grid)
         assert cauchy_indices(a, grid) == expected
         assert tuple(window_cauchy_index(a, eps) for eps in grid) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_non_chain_cauchy_indices_match_oracle(data):
+    # One scan serves the whole grid, so the grid comes unsorted and with repeats.
+    nets = data.draw(families(NON_CHAIN_WINDOWS))
+    grid = data.draw(tolerances(nets, unique=False, max_size=6))
+    assert not nets[0].window.is_chain() or len(nets[0].window) == 1
+    for a in nets:
+        assert cauchy_indices(a, grid) == tuple(brute_cauchy_index(a, eps) for eps in grid)
 
 
 @settings(max_examples=200, deadline=None)
@@ -178,6 +198,28 @@ def test_scalar_kernels_make_no_distance_calls(monkeypatch):
     # The counter does see the pairwise path: 4 points have 6 pairs.
     tail_diameters(Net(make_omega_window(4), euclidean_space(1), tuple((v,) for v in a.values[:4])))
     assert len(calls) == 6
+
+
+def test_non_chain_order_makes_no_leq_calls(monkeypatch):
+    calls = []
+    original = DirectedWindow.leq
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(DirectedWindow, "leq", counting)
+    rng = random.Random(6)
+    w = product(make_omega_window(6), make_omega_window(6))
+    a = Net(w, euclidean_space(2), tuple((rng.random(), rng.random()) for _ in w))
+    for _ in range(8):
+        random_sampling(w, rng)
+    cauchy_indices(a, [0.5, 0.1, 2.0])
+    assert calls == []
+    # The counter does see leq: the oracle filters the window through it,
+    # one call per element plus one into each factor.
+    brute_up_set(w, (0, 0))
+    assert len(calls) == 3 * 36
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 3), 2**60 + 200, 0.1, 3, 10**400])

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metastable import (
     Sampling,
@@ -16,7 +17,7 @@ from metastable import (
     successor_sampling,
     validate_sampling,
 )
-from oracles import all_samplings, label_chain
+from oracles import all_samplings, brute_up_set, diamond, label_chain
 
 
 class TestOmegaWindow:
@@ -62,12 +63,7 @@ class TestProductWindow:
 
 class TestCustomWindow:
     def test_diamond(self):
-        # bottom < a, b < top with a, b incomparable
-        elements = ["bot", "a", "b", "top"]
-        pairs = {("bot", "a"), ("bot", "b"), ("bot", "top"), ("a", "top"), ("b", "top")}
-        leq = lambda x, y: x == y or (x, y) in pairs
-        join = lambda x, y: x if leq(y, x) else (y if leq(x, y) else "top")
-        w = make_custom_window(elements, leq, join)
+        w = diamond()
         assert w.join("a", "b") == "top"
         assert not w.is_chain()
 
@@ -122,6 +118,37 @@ class TestChainFact:
                 build(w)
         chain = label_chain(["a", "b", "c"])
         assert validate_sampling(build(chain)) == []
+
+
+def _windows():
+    """Omega and label chains, an out-of-order chain, a diamond, and k x m
+    products of these, with products nested as factors."""
+    size = st.integers(1, 5)
+    base = st.one_of(
+        size.map(make_omega_window),
+        size.map(lambda n: label_chain([f"x{p}" for p in range(n)])),
+        st.permutations(["a", "b", "c", "d"]).map(label_chain),
+        st.just(diamond()),
+    )
+    return st.recursive(base, lambda inner: st.tuples(inner, inner).map(lambda de: product(*de)), max_leaves=3)
+
+
+class TestUpSet:
+    @settings(max_examples=300, deadline=None)
+    @given(_windows())
+    def test_up_set_matches_leq_filter(self, w):
+        for a in w.elements:
+            ups = brute_up_set(w, a)
+            assert w.up_set(a) == ups
+            assert w.strictly_above(a) == tuple(b for b in ups if b != a)
+
+    def test_non_element_raises_window_error(self):
+        for w in (product(make_omega_window(2), make_omega_window(3)), diamond(), make_omega_window(3)):
+            for a in (5, (0, 7), "top!"):
+                with pytest.raises(WindowError):
+                    w.up_set(a)
+                with pytest.raises(WindowError):
+                    w.strictly_above(a)
 
 
 class TestValidateSampling:
