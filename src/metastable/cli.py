@@ -240,7 +240,8 @@ def build_parser():
     v.set_defaults(fn=cmd_verify)
 
     r = sub.add_parser("refute", help="search for a certificate defeating candidate sets")
-    r.add_argument("--family", required=True)
+    r.add_argument("--family", required=True, help=f"family-spec JSON or a list of net JSON docs; only the first "
+                   f"{_meta.REFUTE_MEMBER_CAP} members are searched, and 'exhausted' is a claim about those")
     r.add_argument("--candidates", required=True, help="JSON list of candidate sets")
     r.add_argument("--eps", type=float, required=True)
     r.add_argument("--seed", type=int, required=True)

@@ -66,8 +66,15 @@ class FamilySpec:
     parameters: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
+        # A parameter of the wrong type raises TypeError (a schema error when
+        # decoded), one out of range FamilyError.
         if self.tag not in TAGS:
             raise FamilyError(f"unknown family tag {self.tag!r}")
+        alphas, n_points = self.parameters.get("alphas", ()), self.parameters.get("n_points", 1)
+        if not isinstance(alphas, (list, tuple, range)) or any(type(v) is not int for v in (*alphas, n_points)):
+            raise TypeError("alphas must be a list of ints and n_points an int")
+        if n_points < 1 or any(not 0 <= a < len(self.window) for a in alphas):
+            raise FamilyError("n_points must be positive and alphas positions of the window")
 
 
 def _threshold_net(window, cutoff):
@@ -78,20 +85,17 @@ def _threshold_net(window, cutoff):
 
 
 def _nonincreasing(window, values):
-    pos = {e: p for p, e in enumerate(window.elements)}
-    return all(
-        values[pos[i]] >= values[pos[j]]
-        for i, j in itertools.permutations(window.elements, 2)
-        if window.leq(i, j)
-    )
+    # Adjacent positions on a chain; elsewhere each element against its up-set.
+    if window.is_chain():
+        return all(x >= y for x, y in zip(values, values[1:]))
+    index = window.index
+    return all(values[p] >= values[index(j)] for p, i in enumerate(window.elements) for j in window.up_set(i))
 
 
 def _eventually_zero(window, values):
-    pos = {e: p for p, e in enumerate(window.elements)}
-    for i in window.elements:
-        if all(values[pos[j]] == 0 for j in window.up_set(i)):
-            return True
-    return False
+    # Zero on some up-set iff zero at the greatest element, whose up-set is itself.
+    top = window.elements[-1] if window.is_chain() else window.join_all(window.elements)
+    return values[window.index(top)] == 0
 
 
 def d_member(window, alpha):

@@ -46,6 +46,8 @@ __all__ = [
 
 #: Default dyadic threshold grid 1, 1/2, ..., 2^-10 (descending).
 DEFAULT_THRESHOLDS = tuple(2.0 ** -i for i in range(11))
+#: Most members :func:`refute_uniform` searches by default.
+REFUTE_MEMBER_CAP = 512
 
 
 class RateError(ValueError):
@@ -329,14 +331,6 @@ def replay_certificate(cert):
     return True
 
 
-def _materialize(family, member_cap):
-    # FamilySpec is handled by the caller; here family is an iterable or a
-    # zero-argument callable producing one.
-    if callable(family):
-        family = family()
-    return list(itertools.islice(iter(family), member_cap))
-
-
 def refute_uniform(
     family,
     candidate_sets,
@@ -344,17 +338,19 @@ def refute_uniform(
     search_budget=200,
     seed=0,
     pointed=False,
-    member_cap=512,
+    member_cap=REFUTE_MEMBER_CAP,
 ):
     """Search for one (sampling, member) pair defeating every candidate set.
 
     ``family`` may be a FamilySpec (closed-form constructions are replayed
     for the tags that have one), an iterable of nets, or a callable
-    returning one.  A certificate defeats a candidate set when the set
+    returning one; only its first ``member_cap`` members (512 by default)
+    are searched.  A certificate defeats a candidate set when the set
     contains no (pointed) witness; defeating the union defeats every
     listed set at once.  The search is deterministic for a fixed seed.
     Returns None when the budget is exhausted without a refutation, which
-    is not a claim that none exists.
+    is not a claim that none exists, and says nothing of members past
+    the cap.
     """
     require_eps(eps)
     candidate_sets = [frozenset(s) for s in candidate_sets]
@@ -368,21 +364,29 @@ def refute_uniform(
         cert = _families.closed_form_refutation(family, union, eps, pointed=pointed)
         if cert is not None and replay_certificate(cert):
             return cert
-        members = _materialize(_families.enumerate_family(family), member_cap)
-    else:
-        members = _materialize(family, member_cap)
-
+        family = _families.enumerate_family(family)
+    elif callable(family):
+        family = family()
+    members = list(itertools.islice(family, member_cap))
     if not members:
         return None
     window = members[0].window
+    for a in members if pointed else ():
+        if a.target is None:
+            raise RateError("pointed refutation needs declared targets")
+        a.space.require(a.target)
+    # A member on another window, or a union reaching outside the window,
+    # can never replay.
+    members = [(a, a.target if pointed else None) for a in members if a.window == window]
+    if not all(i in window for i in union):
+        return None
     rng = random.Random(seed)
     for _ in range(search_budget):
-        eta = random_sampling(window, rng)
-        for a in members:
-            target = a.target if pointed else None
-            if pointed and target is None:
-                raise RateError("pointed refutation needs declared targets")
-            cert = RefutationCertificate(eps, eta, a, union, pointed_target=target)
-            if replay_certificate(cert):
-                return cert
+        eta = require_valid_sampling(random_sampling(window, rng))
+        blocks = [eta.at(i) for i in union]
+        for a, target in members:
+            if not any(_near(a, target, eps, b) if pointed else _close(a, eps, b) for b in blocks):
+                cert = RefutationCertificate(eps, eta, a, union, pointed_target=target)
+                if replay_certificate(cert):
+                    return cert
     return None

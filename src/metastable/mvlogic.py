@@ -17,6 +17,7 @@ one-sided (never exceeds x/2).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 __all__ = [
@@ -76,11 +77,15 @@ def approx_half(x, n):
     _check_unit(x)
     if n < 1:
         raise ValueError("n must be at least 1")
-    best = 0.0
-    for i in range(1, n + 1):
-        t = i / n
-        best = max(best, min(t, max(x - t, 0.0)))
-    return best
+    # i/n rises and max(x - i/n, 0) falls with i (binary64 division and
+    # subtraction are monotone), so the largest term sits at the first i
+    # where they cross, found by bisection, or just before it.
+    n = operator.index(n)
+    lo, hi = 1, n + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mid / n >= max(x - mid / n, 0.0) else (mid + 1, hi)
+    return max([0.0] + [min(i / n, max(x - i / n, 0.0)) for i in (lo - 1, lo) if 1 <= i <= n])
 
 
 def _dyadic_bits(r):

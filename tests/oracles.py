@@ -6,8 +6,22 @@ the library is a two-route check rather than a tautology.
 """
 
 import itertools
+import random
 
-from metastable import Net, Sampling, binary_space, make_custom_window, unit_interval_space
+from hypothesis import strategies as st
+
+from metastable import (
+    Net,
+    RefutationCertificate,
+    Sampling,
+    binary_space,
+    make_custom_window,
+    make_omega_window,
+    product,
+    random_sampling,
+    replay_certificate,
+    unit_interval_space,
+)
 
 
 def label_chain(listing):
@@ -25,6 +39,19 @@ def diamond():
     leq = lambda x, y: x == y or (x, y) in pairs
     join = lambda x, y: x if leq(y, x) else (y if leq(x, y) else "top")
     return make_custom_window(["bot", "a", "b", "top"], leq, join)
+
+
+def windows():
+    """Hypothesis strategy: omega and label chains, an out-of-order chain, a
+    diamond, and k x m products of these, with products nested as factors."""
+    size = st.integers(1, 5)
+    base = st.one_of(
+        size.map(make_omega_window),
+        size.map(lambda n: label_chain([f"x{p}" for p in range(n)])),
+        st.permutations(["a", "b", "c", "d"]).map(label_chain),
+        st.just(diamond()),
+    )
+    return st.recursive(base, lambda inner: st.tuples(inner, inner).map(lambda de: product(*de)), max_leaves=3)
 
 
 def brute_up_set(window, a):
@@ -136,3 +163,45 @@ def eventually_constant_net(window, rng, limit=None):
         rng.random() if p < cutoff else limit for p in range(n)
     )
     return Net(window, unit_interval_space(), values, target=limit)
+
+
+def brute_nonincreasing(window, values):
+    """Whether ``values`` never rises along the order: every ``leq`` pair, by filter."""
+    pos = {e: p for p, e in enumerate(window.elements)}
+    return all(
+        values[pos[i]] >= values[pos[j]]
+        for i, j in itertools.permutations(window.elements, 2)
+        if window.leq(i, j)
+    )
+
+
+def brute_eventually_zero(window, values):
+    """Whether some element's whole up-set (by ``leq`` filter) carries 0."""
+    pos = {e: p for p, e in enumerate(window.elements)}
+    return any(all(values[pos[j]] == 0 for j in brute_up_set(window, i)) for i in window.elements)
+
+
+def brute_approx_half(x, n):
+    """max over i = 1..n of min(i/n, max(x - i/n, 0)), term by term."""
+    best = 0.0
+    for i in range(1, n + 1):
+        t = i / n
+        best = max(best, min(t, max(x - t, 0.0)))
+    return best
+
+
+def brute_refute_uniform(members, candidate_sets, eps, search_budget=200, seed=0, pointed=False, member_cap=512):
+    """Random search over a list of nets: every (sampling, member) pair, in
+    draw and list order, goes through the full ``replay_certificate``."""
+    union = frozenset().union(*map(frozenset, candidate_sets))
+    members = list(members)[:member_cap]
+    if not members:
+        return None
+    rng = random.Random(seed)
+    for _ in range(search_budget):
+        eta = random_sampling(members[0].window, rng)
+        for a in members:
+            cert = RefutationCertificate(eps, eta, a, union, pointed_target=a.target if pointed else None)
+            if replay_certificate(cert):
+                return cert
+    return None

@@ -173,6 +173,51 @@ class TestRefute:
         assert outs[0] == outs[1]
 
 
+class TestFamilySpecParameters:
+    def _run(self, tmp_path, tag, parameters):
+        doc = family_spec_to_dict(FamilySpec(tag, make_omega_window(8)))
+        doc["parameters"] = parameters
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps(doc))
+        cands = tmp_path / "cands.json"
+        cands.write_text(json.dumps([[0, 1]]))
+        out = tmp_path / "out.json"
+        code = main(
+            ["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--seed", "1", "--budget", "5", "--out", str(out)]
+        )
+        return code, out
+
+    @pytest.mark.parametrize(
+        "tag, parameters",
+        [
+            ("D", {"alphas": 3}),
+            ("D", {"alphas": [1.5]}),
+            ("D", {"alphas": [True]}),
+            ("D", {"alphas": {"0": 1}}),
+            ("paracompact", {"n_points": "x"}),
+            ("paracompact", {"n_points": 2.0}),
+            ("paracompact", {"n_points": True}),
+            ("D", 3),
+        ],
+    )
+    def test_wrong_type_exits_four(self, tmp_path, capsys, tag, parameters):
+        code, out = self._run(tmp_path, tag, parameters)
+        assert code == 4 and not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tag, parameters",
+        [("D", {"alphas": [-1]}), ("D", {"alphas": [0, 8]}), ("paracompact", {"n_points": 0})],
+    )
+    def test_out_of_range_exits_three(self, tmp_path, tag, parameters):
+        code, out = self._run(tmp_path, tag, parameters)
+        assert code == 3 and not out.exists()
+
+    def test_valid_parameters_refute(self, tmp_path):
+        code, out = self._run(tmp_path, "D", {"alphas": [0, 3, 5]})
+        assert code in (0, 2) and out.exists()
+
+
 class TestAnalyze:
     def test_csv_report_and_summary(self, tmp_path):
         csv_file = tmp_path / "data.csv"

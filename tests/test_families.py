@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metastable import (
+    DirectedWindow,
     Net,
     binary_space,
     build_rate,
@@ -31,8 +33,10 @@ from metastable.families import (
     rate_B,
     refute_C,
     refute_D_pointed,
+    _eventually_zero,
+    _nonincreasing,
 )
-from oracles import all_binary_nets, label_chain
+from oracles import all_binary_nets, brute_eventually_zero, brute_nonincreasing, label_chain, windows
 
 
 def members(tag, window, **params):
@@ -285,3 +289,60 @@ class TestDMember:
     def test_unknown_tag_rejected(self):
         with pytest.raises(FamilyError):
             FamilySpec("X", make_omega_window(3))
+
+
+class TestInvariantFastPaths:
+    @settings(max_examples=300, deadline=None)
+    @given(windows(), st.data())
+    def test_invariants_match_oracles(self, w, data):
+        # Zero on the up-closure of a random set is non-increasing (and
+        # eventually zero when the set is nonempty); a flip may break that.
+        seeds = data.draw(st.sets(st.sampled_from(w.elements)))
+        zeros = {j for i in seeds for j in w.up_set(i)}
+        values = [0 if e in zeros else 1 for e in w.elements]
+        if data.draw(st.booleans()):
+            p = data.draw(st.integers(0, len(w) - 1))
+            values[p] = 1 - values[p]
+        values = tuple(values)
+        assert _nonincreasing(w, values) == brute_nonincreasing(w, values)
+        assert _eventually_zero(w, values) == brute_eventually_zero(w, values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(windows(), st.data())
+    def test_invariants_match_oracles_on_random_values(self, w, data):
+        values = tuple(data.draw(st.lists(st.integers(0, 1), min_size=len(w), max_size=len(w))))
+        assert _nonincreasing(w, values) == brute_nonincreasing(w, values)
+        assert _eventually_zero(w, values) == brute_eventually_zero(w, values)
+
+    def test_chain_B_enumeration_makes_no_leq_calls(self, monkeypatch):
+        calls = []
+        original = DirectedWindow.leq
+
+        def counting(self, a, b):
+            calls.append((a, b))
+            return original(self, a, b)
+
+        monkeypatch.setattr(DirectedWindow, "leq", counting)
+        got = members("B", make_omega_window(128))
+        assert len(got) == 129 and calls == []
+        brute_nonincreasing(make_omega_window(4), (1, 1, 0, 0))
+        assert len(calls) == 12  # the counter does see the oracle's filter
+
+
+class TestSpecParameters:
+    @pytest.mark.parametrize(
+        "params", [{"alphas": 3}, {"alphas": [1.5]}, {"alphas": [True]}, {"alphas": "01"}, {"n_points": "x"}, {"n_points": 2.0}, {"n_points": False}]
+    )
+    def test_wrong_type_raises_type_error(self, params):
+        with pytest.raises(TypeError):
+            FamilySpec("D", make_omega_window(4), params)
+
+    @pytest.mark.parametrize("params", [{"alphas": [-1]}, {"alphas": [0, 4]}, {"n_points": 0}])
+    def test_out_of_range_raises_family_error(self, params):
+        with pytest.raises(FamilyError):
+            FamilySpec("paracompact", make_omega_window(4), params)
+
+    def test_valid_parameters_accepted(self):
+        w = make_omega_window(4)
+        assert [m.values for m in members("D", w, alphas=(0, 3))] == [(0, 1, 1, 1), (0, 1, 0, 1)]
+        assert len(members("paracompact", w, n_points=7)) == 7

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metastable import (
     Net,
@@ -33,11 +34,13 @@ from metastable import (
     unit_interval_space,
     verify_rate,
 )
-from metastable.families import FamilySpec, rate_B, refute_C, refute_D_pointed
+from metastable import meta, order
+from metastable.families import FamilySpec, d_member, enumerate_family, rate_B, refute_C, refute_D_pointed
 from oracles import (
     all_binary_nets,
     all_samplings,
     brute_pointed_witness,
+    brute_refute_uniform,
     brute_witness,
     eventually_constant_net,
     random_binary_net,
@@ -383,6 +386,54 @@ class TestRefuteUniform:
         w = make_omega_window(4)
         with pytest.raises(ValueError):
             refute_uniform([constant_net(w)], [], 0.5, seed=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["B", "C", "D"]), st.integers(3, 9), st.booleans(), st.data())
+    def test_matches_per_member_replay(self, tag, n, pointed, data):
+        # Seeded lists of family members, with one net on another window
+        # mixed in; candidate sets sometimes reach past the window top.
+        w = make_omega_window(n)
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        if tag == "D":
+            family = [d_member(w, rng.randrange(n)) for _ in range(rng.randint(1, 6))]
+        else:
+            family = list(enumerate_family(FamilySpec(tag, w)))
+            family = rng.sample(family, min(len(family), rng.randint(1, 6)))
+        foreign = random_binary_net(make_omega_window(n + 1), rng, target=0)
+        family.insert(rng.randint(0, len(family)), foreign)
+        labels = list(range(n + 1 if rng.random() < 0.1 else n))
+        sets = [rng.sample(labels, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        eps = rng.choice([0.25, 0.5, 1.0])
+        budget, seed = rng.randint(0, 30), rng.randint(0, 99)
+        got = refute_uniform(family, sets, eps, search_budget=budget, seed=seed, pointed=pointed)
+        want = brute_refute_uniform(family, sets, eps, search_budget=budget, seed=seed, pointed=pointed)
+        assert got == want
+
+    def test_validates_each_drawn_sampling_once(self, monkeypatch):
+        draws, validations = [], []
+        monkeypatch.setattr(meta, "random_sampling", lambda *a: draws.append(1) or random_sampling(*a))
+        original = order.validate_sampling
+        monkeypatch.setattr(order, "validate_sampling", lambda s: validations.append(1) or original(s))
+        # The union holds the chain top, so B's search exhausts its budget.
+        w = make_omega_window(16)
+        family = list(enumerate_family(FamilySpec("B", w)))
+        assert refute_uniform(family, [{0, 15}], 0.5, search_budget=30, seed=3) is None
+        assert len(draws) == len(validations) == 30
+        # A found certificate costs one more validation: its final replay.
+        draws.clear()
+        validations.clear()
+        family = [
+            Net(w, binary_space(), tuple(1 if p == m else 0 for p in range(16)), target=0)
+            for m in range(16)
+        ]
+        assert refute_uniform(family, [{0}], 0.5, search_budget=200, seed=11) is not None
+        assert len(validations) == len(draws) + 1 and len(draws) >= 1
+
+    def test_pointed_needs_every_target_up_front(self):
+        w = make_omega_window(6)
+        family = [d_member(w, 3), Net(w, binary_space(), (0,) * 6)]
+        with pytest.raises(RateError):
+            refute_uniform(family, [{0}], 0.5, search_budget=0, seed=0, pointed=True)
 
 
 class TestReplay:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from metastable.mvlogic import (
     and_,
@@ -13,6 +13,7 @@ from metastable.mvlogic import (
     scaled_error_bound,
     truncated_sum,
 )
+from oracles import brute_approx_half
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 SLACK = 2.0 ** -40
@@ -76,6 +77,24 @@ class TestApproxHalf:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             approx_half(0.5, 0)
+        for n in (2.5, Fraction(3), "3"):
+            with pytest.raises(TypeError):
+                approx_half(0.5, n)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 5000), st.data())
+    def test_bisection_equals_term_by_term(self, n, data):
+        x = data.draw(
+            st.one_of(
+                st.integers(0, n).map(lambda i: i / n),
+                st.integers(0, 2 * n).map(lambda j: j / (2 * n)),
+                st.sampled_from([0.0, 1.0, 0, 1, 5e-324, 2.0 ** -1070, 2.0 ** -1022]),
+                st.floats(min_value=0.0, max_value=2.0 ** -1022),
+                unit,
+            )
+        )
+        got, want = approx_half(x, n), brute_approx_half(x, n)
+        assert got == want and type(got) is type(want) and repr(got) == repr(want)
 
 
 class TestApproxScaled:

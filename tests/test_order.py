@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from metastable import (
     Sampling,
@@ -17,7 +17,7 @@ from metastable import (
     successor_sampling,
     validate_sampling,
 )
-from oracles import all_samplings, brute_up_set, diamond, label_chain
+from oracles import all_samplings, brute_up_set, diamond, label_chain, windows
 
 
 class TestOmegaWindow:
@@ -120,22 +120,9 @@ class TestChainFact:
         assert validate_sampling(build(chain)) == []
 
 
-def _windows():
-    """Omega and label chains, an out-of-order chain, a diamond, and k x m
-    products of these, with products nested as factors."""
-    size = st.integers(1, 5)
-    base = st.one_of(
-        size.map(make_omega_window),
-        size.map(lambda n: label_chain([f"x{p}" for p in range(n)])),
-        st.permutations(["a", "b", "c", "d"]).map(label_chain),
-        st.just(diamond()),
-    )
-    return st.recursive(base, lambda inner: st.tuples(inner, inner).map(lambda de: product(*de)), max_leaves=3)
-
-
 class TestUpSet:
     @settings(max_examples=300, deadline=None)
-    @given(_windows())
+    @given(windows())
     def test_up_set_matches_leq_filter(self, w):
         for a in w.elements:
             ups = brute_up_set(w, a)
