@@ -23,6 +23,7 @@ from .order import (
     project_set,
 )
 from .net import (
+    CheckError,
     MetricSpace,
     Net,
     SpaceError,
@@ -52,6 +53,7 @@ from .meta import (
     selfdist_rate_to_net_rate,
     sampling_independent_bound,
     replay_certificate,
+    require_replay,
     refute_uniform,
 )
 from .families import (

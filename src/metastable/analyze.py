@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meta import is_witness
-from .net import BINARY, EUCLIDEAN, Net, SpaceError, euclidean_space
-from .net import cauchy_indices, eps_floor, window_cauchy_index
+from .net import BINARY, EUCLIDEAN, CheckError, Net, SpaceError, euclidean_space
+from .net import cauchy_indices, eps_floor, run_diameters, window_cauchy_index
 from .order import (
     WindowError,
     doubling_sampling,
@@ -144,35 +144,30 @@ class AnalysisReport:
     refuted: bool  # some cell left a net without any witness
 
 
-def block_diameters(nets, eta):
-    """Nets x indices matrix of the diameter of each net on each block of ``eta``.
+def block_diameters(nets, *samplings):
+    """Nets x blocks matrix of the diameter of each net on each sampled block.
 
-    Index p witnesses net m at eps iff entry (m, p) is <= eps, for every
-    eps.  Scalar spaces take block max minus block min (``reduceat`` over
-    one flattened index array) with no distance calls; others one
-    distance per pair in each block.
+    Columns run over the indices of each sampling in turn, so with one
+    sampling index p witnesses net m at eps iff entry (m, p) is <= eps,
+    for every eps.  All blocks are read by position, as one flat position
+    array cut into runs, so each net takes one
+    :func:`~metastable.net.run_diameters` call.
     """
-    window = eta.window
-    sizes = [len(block) for block in eta.assign]
-    if len(sizes) != len(window) or not all(sizes):
-        raise WindowError("sampling needs one nonempty candidate set per index")
-    flat = np.fromiter(
-        map(window.index, itertools.chain.from_iterable(eta.assign)), dtype=np.intp, count=sum(sizes)
-    )
-    starts = np.cumsum(sizes) - sizes
+    window = samplings[0].window
+    for eta in samplings:
+        if eta.window != window:
+            raise WindowError("samplings live on different windows")
+        if len(eta.assign) != len(window) or not all(eta.assign):
+            raise WindowError("sampling needs one nonempty candidate set per index")
+    blocks = [block for eta in samplings for block in eta.assign]
+    sizes = list(map(len, blocks))
+    flat = np.fromiter(map(window.index, itertools.chain.from_iterable(blocks)), dtype=np.intp, count=sum(sizes))
     rows = []
     for a in nets:
         if a.window != window:
             raise WindowError("sampling and net live on different windows")
-        if a.space.is_scalar():
-            x = np.asarray(a.values, dtype=float)[flat]
-            rows.append(np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts))
-        else:
-            rows.append([
-                max((a.dist(j, k) for j, k in itertools.combinations(block, 2)), default=0.0)
-                for block in eta.assign
-            ])
-    return np.array(rows, dtype=float)
+        rows.append(run_diameters(a, flat, sizes))
+    return np.array(rows, dtype=float).reshape(len(rows), len(sizes))
 
 
 def _matrix_cover(witness, window):
@@ -195,12 +190,8 @@ def _matrix_cover(witness, window):
 
 def _cells(nets, eps_grid, sampling_suite):
     """(eps, sampling id, witness matrix ``diameters <= eps``) per cell, in grid order."""
-    window = nets[0].window
-    diameters = {}
-    for sid, eta in sampling_suite.items():
-        if eta.window != window:
-            raise ValueError(f"sampling {sid!r} lives on a different window")
-        diameters[sid] = block_diameters(nets, eta)
+    stacked = block_diameters(nets, *sampling_suite.values())
+    diameters = dict(zip(sampling_suite, np.split(stacked, len(sampling_suite), axis=1)))
     for eps in eps_grid:
         bound = eps_floor(eps)
         for sid, d in diameters.items():
@@ -238,7 +229,8 @@ def empirical_rate(family, eps_grid, sampling_suite):
         )
         cover, no_witness = _matrix_cover(witness, window)
         for i in cover:  # certify the cover
-            assert any(is_witness(a, eps, eta, i) for a in family)
+            if not any(is_witness(a, eps, eta, i) for a in family):
+                raise CheckError(f"cover element {i!r} witnesses no net at eps={eps}, sampling {sid!r}")
         cells.append(AnalysisCell(eps, sid, witnesses, cover, no_witness))
     cauchy = tuple(tuple(zip(eps_grid, cauchy_indices(a, eps_grid))) for a in family)
     return AnalysisReport(
@@ -288,9 +280,11 @@ def finite_space_ump_check(nets_by_point, eps_grid, sampling_suite):
     for eps, sid, witness in _cells(nets, sorted(eps_grid, reverse=True), sampling_suite):
         eta = sampling_suite[sid]
         cover, no_witness = _matrix_cover(witness, window)
-        assert not no_witness, "window-Cauchy nets always have a witness"
-        for a in nets:  # re-validate: the cover serves every net
-            assert any(is_witness(a, eps, eta, i) for i in cover)
+        if no_witness:
+            raise CheckError(f"window-Cauchy nets {no_witness} have no witness at eps={eps}, sampling {sid!r}")
+        for m, a in enumerate(nets):  # re-validate: the cover serves every net
+            if not any(is_witness(a, eps, eta, i) for i in cover):
+                raise CheckError(f"cover misses net {m} at eps={eps}, sampling {sid!r}")
         sets.append(((eps, sid), cover))
     return UmpVerdict(True, (), tuple(sets), len(window))
 

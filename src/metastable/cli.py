@@ -1,7 +1,9 @@
 """Command-line front end: verify, refute, analyze, demo.
 
 Exit codes: 0 verified / report written; 2 refutation found (or a verify
-report with failures); 3 precondition violation; 4 I/O or schema error.
+report with failures); 3 precondition violation; 4 I/O or schema error;
+5 an answer failed its own re-check (a certificate that does not replay,
+a cover that does not re-validate), so nothing was written.
 All randomized paths require an explicit --seed and are reproducible:
 identical inputs and seed yield byte-identical JSON output.
 """
@@ -9,6 +11,7 @@ identical inputs and seed yield byte-identical JSON output.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -19,17 +22,15 @@ from . import families as _families
 from . import meta as _meta
 from . import mvlogic as _mvlogic
 from . import serialize as _ser
-from .net import SpaceError, euclidean_space, half_line_space, unit_interval_space, binary_space
+from .families import FAMILY_MEMBER_CAP
+from .net import CheckError, SpaceError, euclidean_space, half_line_space, unit_interval_space, binary_space
 from .order import WindowError, make_omega_window
 
 EXIT_OK = 0
 EXIT_REFUTED = 2
 EXIT_PRECONDITION = 3
 EXIT_IO = 4
-
-#: Most members a family spec may enumerate to.  Family C has 2**(n-1)
-#: members on an n-element chain, so this refuses it above n = 13.
-FAMILY_MEMBER_CAP = 4096
+EXIT_CHECK = 5
 
 
 def _load_json(path):
@@ -121,8 +122,7 @@ def cmd_refute(args):
             args.out,
         )
         return EXIT_OK
-    assert _meta.replay_certificate(cert)
-    doc = _ser.certificate_to_dict(cert)
+    doc = _ser.certificate_to_dict(_meta.require_replay(cert))
     _write(doc, args.out)
     return EXIT_REFUTED
 
@@ -173,13 +173,11 @@ def _demo_doc(scenario, size, seed):
         }
     if scenario == "c-refute":
         window = make_omega_window(size)
-        cert = _families.refute_C(set(range(size // 2)), window, 0.5)
-        assert _meta.replay_certificate(cert)
+        cert = _meta.require_replay(_families.refute_C(set(range(size // 2)), window, 0.5))
         return {"scenario": scenario, "certificate": _ser.certificate_to_dict(cert)}
     if scenario == "d-refute":
         window = make_omega_window(size)
-        cert = _families.refute_D_pointed(set(range(size // 2)), window)
-        assert _meta.replay_certificate(cert)
+        cert = _meta.require_replay(_families.refute_D_pointed(set(range(size // 2)), window))
         return {"scenario": scenario, "certificate": _ser.certificate_to_dict(cert)}
     if scenario == "paracompact":
         n_points = max(2, size // 4)
@@ -274,8 +272,14 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    # Built on the first call, not at import; parse_args leaves it unchanged.
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (OSError, json.JSONDecodeError, _ser.SchemaError) as exc:
@@ -284,6 +288,9 @@ def main(argv=None):
     except (ValueError, WindowError, SpaceError, _meta.RateError, _families.FamilyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except CheckError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .net import Net, binary_space, require_eps, unit_interval_space
+from .net import CheckError, Net, binary_space, require_eps, unit_interval_space
 from .order import (
     DirectedWindow,
     Sampling,
@@ -45,10 +45,15 @@ __all__ = [
     "paracompact_nets",
     "closed_form_refutation",
     "BRUTE_FORCE_CAP",
+    "FAMILY_MEMBER_CAP",
 ]
 
 #: Largest non-chain window brute-force family enumeration will attempt.
 BRUTE_FORCE_CAP = 16
+#: Most members a family spec may enumerate to.  Family C has 2**(n-1)
+#: members on an n-element chain, so the CLI refuses it above n = 13, and
+#: a paracompact spec may ask for at most this many points.
+FAMILY_MEMBER_CAP = 4096
 
 TAGS = ("B", "B0", "C", "D", "paracompact")
 
@@ -75,6 +80,15 @@ class FamilySpec:
             raise TypeError("alphas must be a list of ints and n_points an int")
         if n_points < 1 or any(not 0 <= a < len(self.window) for a in alphas):
             raise FamilyError("n_points must be positive and alphas positions of the window")
+        if self.tag == "paracompact" and self.n_points > FAMILY_MEMBER_CAP:
+            raise FamilyError(
+                f"paracompact n_points = {self.n_points} exceeds FAMILY_MEMBER_CAP = {FAMILY_MEMBER_CAP}"
+            )
+
+    @property
+    def n_points(self):
+        """Points of a paracompact family: the ``n_points`` parameter, else the window size."""
+        return self.parameters.get("n_points", len(self.window))
 
 
 def _threshold_net(window, cutoff):
@@ -96,6 +110,11 @@ def _eventually_zero(window, values):
     # Zero on some up-set iff zero at the greatest element, whose up-set is itself.
     top = window.elements[-1] if window.is_chain() else window.join_all(window.elements)
     return values[window.index(top)] == 0
+
+
+def _require(invariant, values):
+    if not invariant:
+        raise CheckError(f"constructed member {values} breaks its family invariant")
 
 
 def d_member(window, alpha):
@@ -124,8 +143,7 @@ def enumerate_family(spec):
     window = spec.window
     tag = spec.tag
     if tag == "paracompact":
-        n_points = spec.parameters.get("n_points", len(window))
-        yield from paracompact_nets(n_points, len(window))
+        yield from paracompact_nets(spec.n_points, len(window))
         return
     if tag == "D":
         if not window.is_chain():
@@ -141,13 +159,13 @@ def enumerate_family(spec):
             cutoffs = range(n, -1, -1) if tag == "B" else range(n - 1, -1, -1)
             for cutoff in cutoffs:
                 member = _threshold_net(window, cutoff)
-                assert _nonincreasing(window, member.values)
+                _require(_nonincreasing(window, member.values), member.values)
                 yield member
             return
         # C on a chain: all binary nets with a zero tail.
         for head in itertools.product((0, 1), repeat=n - 1):
             values = head + (0,)
-            assert _eventually_zero(window, values)
+            _require(_eventually_zero(window, values), values)
             yield Net(window, binary_space(), values, target=0)
         return
 
@@ -220,7 +238,7 @@ def refute_C(s, window, eps):
     )
     values = tuple(1 if e == k else 0 for e in window.elements)
     member = Net(window, binary_space(), values, target=0)
-    assert _eventually_zero(window, member.values)
+    _require(_eventually_zero(window, member.values), member.values)
     return RefutationCertificate(eps, eta, member, s, pointed_target=None)
 
 
@@ -306,7 +324,7 @@ def _refute_paracompact(spec, s, eps):
     # past the last of s: the successor pair of each i in s contains an odd
     # index <= alpha, where the iterate is 0 while the target is 1.
     window = spec.window
-    n_points = spec.parameters.get("n_points", len(window))
+    n_points = spec.n_points
     _require_refutation_eps(eps)
     if not window.is_chain():
         raise FamilyError("closed-form paracompact refutation needs a chain window")

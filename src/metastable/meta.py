@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping
 
-from .net import Net, require_eps
+from .net import CheckError, Net, require_eps
 from .order import (
     Sampling,
     WindowError,
@@ -41,6 +41,7 @@ __all__ = [
     "selfdist_rate_to_net_rate",
     "sampling_independent_bound",
     "replay_certificate",
+    "require_replay",
     "refute_uniform",
 ]
 
@@ -198,7 +199,8 @@ class WitnessReport:
     overall: bool
 
     def __post_init__(self):
-        assert self.overall == all(o is not None for o in self.outcomes)
+        if self.overall != all(o is not None for o in self.outcomes):
+            raise CheckError("report overall disagrees with its outcomes")
 
 
 def verify_rate(family, rate, eps, eta):
@@ -329,6 +331,13 @@ def replay_certificate(cert):
         if _close(member, eps, block) if target is None else _near(member, target, eps, block):
             return False
     return True
+
+
+def require_replay(cert):
+    """Return ``cert`` if it replays, else raise :class:`CheckError`."""
+    if not replay_certificate(cert):
+        raise CheckError("certificate does not replay")
+    return cert
 
 
 def refute_uniform(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -27,6 +28,7 @@ __all__ = [
     "distance_to_point",
     "window_cauchy_index",
     "require_eps",
+    "CheckError",
 ]
 
 BINARY = "binary-discrete"
@@ -38,6 +40,14 @@ TABLE = "custom-table"
 
 class SpaceError(ValueError):
     """Raised for points outside a space or malformed distance tables."""
+
+
+class CheckError(RuntimeError):
+    """Raised when an answer fails its own re-check, in place of emitting it.
+
+    Certificates, covers and enumerated members are re-validated before
+    they leave the library; a failure here is a defect, not bad input.
+    """
 
 
 def require_eps(eps):
@@ -192,6 +202,23 @@ class Net:
         if self.target is not None:
             self.space.require(self.target)
 
+    @functools.cached_property
+    def array(self):
+        """The values as one read-only numpy array, built on first use.
+
+        Floats for scalar spaces, one row of coordinates per axis for
+        Euclidean spaces, symbol positions for table spaces.
+        """
+        space, values = self.space, self.values
+        if space.kind == EUCLIDEAN:
+            array = np.array(values, dtype=float).reshape(len(values), space.dim).T.copy()
+        elif space.kind == TABLE:
+            array = np.array([space.symbols.index(v) for v in values], dtype=np.intp)
+        else:
+            array = np.array(values, dtype=float)
+        array.flags.writeable = False
+        return array
+
     def value(self, i):
         return self.values[self.window.index(i)]
 
@@ -234,66 +261,184 @@ def distance_to_point(a, b):
     return Net(a.window, _distance_space(a.space), values, target=0.0)
 
 
-def tail_diameters(a):
-    """Diameters of the tails {a_p, ..., a_(n-1)} of a net on a chain window.
+#: Position pairs per kernel chunk; bounds the kernel's temporaries.
+PAIR_CHUNK = 2**13
 
-    A float array over positions p; the last entry is 0.  Scalar spaces
-    take suffix max minus suffix min, O(n) with no distance calls; other
-    spaces fold the largest distance in from the top, O(n^2).
+
+def _run_pairs(sizes):
+    """Chunks ``(p, q, run)``: every p < q inside one run of a flat array.
+
+    The flat array is cut into consecutive runs of ``sizes``; ``run`` is
+    the run of each pair.  A chunk holds whole rows (one p and every later
+    q of its run), about :data:`PAIR_CHUNK` pairs, so memory stays
+    O(len(flat) + chunk + longest run).
     """
-    if not a.window.is_chain():
-        raise ValueError("tail diameters are defined only on chain windows")
+    sizes = np.asarray(sizes, dtype=np.intp)
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    later = (np.cumsum(sizes) - 1)[run] - np.arange(len(run))  # pairs in each row
+    ends = np.cumsum(later)
+    lo = 0
+    while lo < len(run):
+        done = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + PAIR_CHUNK, side="right")))
+        counts = later[lo:hi]
+        p = np.repeat(np.arange(lo, hi), counts)
+        q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(counts) - counts, counts)
+        if len(p):
+            yield p, q, run[p]
+        lo = hi
+
+
+def group_max_distances(a, pairs, n_groups):
+    """Largest distance d(a_i, a_j) in each group of position pairs of a net.
+
+    ``pairs`` yields chunks ``(i, j, group)`` of integer arrays: positions
+    into ``a.values`` (``i`` and ``j`` broadcast against each other) and,
+    in their broadcast shape, a group id in ``range(n_groups)`` per pair.
+    Entry g of the result is bit-identical to the ``max`` of
+    ``a.space.unchecked_dist`` over group g's pairs, and 0.0 for a group
+    without pairs.  Memory is O(n + n_groups + chunk).
+
+    Scalar spaces take ``abs`` of the differences, and custom-table
+    spaces gather from the table: both exact.  Euclidean distances go
+    through a semi-static floating-point filter (Fortune & Van Wyk 1993;
+    Shewchuk 1997): numpy estimates e = fl(sqrt(sum fl(fl(x - y)^2))),
+    and only pairs whose estimate could belong to their group's maximum
+    are re-evaluated with ``math.dist``, whose values are the answers.
+
+    Why that is exact.  Let u = 2^-53, d the dimension and t the true
+    distance.  Call a pair safe when its computed sum of squares s lies
+    in [2^-900, 2^900]: no square overflowed, and squares that underflow
+    shift s by a relative d * 2^-122 at most.  On a safe pair each
+    difference, square and the square root rounds once (relative u), and
+    the d - 1 additions, in any order, add at most (d - 1)u / (1 - (d - 1)u)
+    to s, so |e - t| <= ((d + 4) / 2) u t up to O(u^2).  ``math.dist`` is
+    within one ulp, 2u t, of t.  Let q be the safe pair with the group's
+    largest estimate E.  A safe pair p with dist(p) >= dist(q) then has
+    e_p >= E (1 - (d + 8) u - O(u^2)); the filter keeps every safe pair
+    with e_p >= E (1 - 8 (d + 8) u), where the factor 8 covers the O(u^2)
+    terms, the underflow term and the rounding of the product.  Unsafe
+    pairs never set E and are always re-evaluated, except pairs of
+    identical points, whose distance 0.0 is the initial value.  So the
+    pair attaining the exact maximum is re-evaluated, and the maximum
+    over re-evaluated pairs is the maximum over the group.  Chunks keep a
+    running E, which is at most the final one, so they keep a superset.
+    """
+    out = np.zeros(n_groups)
+    space, values, array = a.space, a.values, a.array
+    if space.kind == EUCLIDEAN:
+        keep = 1.0 - 8 * (space.dim + 8) * 2.0**-53
+        estimates = np.zeros(n_groups)
+        for i, j, g in pairs:
+            with np.errstate(over="ignore"):  # overflowing pairs are re-evaluated
+                squares = sum((x[i] - x[j]) ** 2 for x in array)
+            if 2.0**-900 <= squares.min(initial=2.0**-900) and squares.max(initial=0.0) <= 2.0**900:
+                unsafe, e = None, np.sqrt(squares)
+            else:
+                unsafe = (squares < 2.0**-900) | (squares > 2.0**900)
+                e = np.sqrt(squares, out=np.zeros_like(squares), where=~unsafe)
+            np.maximum.at(estimates, g.ravel(), e.ravel())
+            redo = e >= estimates[g] * keep
+            if unsafe is not None:
+                redo |= unsafe
+            redo = np.nonzero(redo)
+            i, j = (v[redo] for v in np.broadcast_arrays(i, j))
+            g = g[redo]
+            if unsafe is not None:  # identical points are at distance 0, the initial value
+                differ = sum(x[i] != x[j] for x in array) > 0
+                i, j, g = i[differ], j[differ], g[differ]
+            exact = map(math.dist, map(values.__getitem__, i.tolist()), map(values.__getitem__, j.tolist()))
+            np.maximum.at(out, g, np.fromiter(exact, float, len(g)))
+        return out
+    if space.is_scalar():
+
+        def dist(i, j):
+            return np.abs(array[i] - array[j])
+    else:
+        table = np.array(space.table, dtype=float)
+
+        def dist(i, j):
+            return table[array[i], array[j]]
+    for i, j, g in pairs:
+        np.maximum.at(out, g.ravel(), dist(i, j).ravel())
+    return out
+
+
+def run_diameters(a, flat, sizes):
+    """Diameter of ``a`` on each run of positions.
+
+    ``flat`` is an integer array of positions cut into consecutive
+    nonempty runs of ``sizes``.  Scalar spaces take run max minus run min
+    (``reduceat``), which is exact: binary64 subtraction is monotone, so
+    fl(max - min) is the largest fl|x - y| over the run's pairs.  Other
+    spaces take every pair of a run through :func:`group_max_distances`.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
     if a.space.is_scalar():
-        rev = np.asarray(a.values[::-1], dtype=float)
-        return (np.maximum.accumulate(rev) - np.minimum.accumulate(rev))[::-1]
-    v, dist = a.values, a.space.unchecked_dist
-    tails = [0.0] * len(v)
-    for p in range(len(v) - 2, -1, -1):
-        tails[p] = max(tails[p + 1], max(dist(v[p], y) for y in v[p + 1:]))
-    return np.array(tails)
+        x = a.array[flat]
+        starts = np.cumsum(sizes) - sizes
+        return np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
+    chunks = ((flat[p], flat[q], run) for p, q, run in _run_pairs(sizes))
+    return group_max_distances(a, chunks, len(sizes))
+
+
+def _suffix(ufunc, x):
+    # ufunc accumulated over the orthant above each entry, along every axis.
+    for axis in range(x.ndim):
+        x = np.flip(ufunc.accumulate(np.flip(x, axis), axis=axis), axis)
+    return x
+
+
+def tail_diameters(a):
+    """Diameter of the tail (up-set) of every window element, by position.
+
+    On a grid window (see ``DirectedWindow.grid_shape``) every tail is an
+    orthant.  Scalar spaces take the orthant's max minus its min; other
+    spaces group all pairs by their meet (componentwise minimum), take
+    each group's largest distance with :func:`group_max_distances`, and
+    take the maximum over the orthant above each element, since a pair
+    lies in the tail of i exactly when its meet does.  A chain is the 1-D
+    case, where the meet of p < q is p.  On other windows every element's
+    tail goes through :func:`run_diameters`.
+    """
+    w = a.window
+    shape = w.grid_shape()
+    if shape is None:
+        tails = [list(map(w.index, w.up_set(i))) for i in w.elements]
+        flat = np.fromiter(itertools.chain.from_iterable(tails), np.intp)
+        return run_diameters(a, flat, list(map(len, tails)))
+    if a.space.is_scalar():
+        x = a.array.reshape(shape)
+        return (_suffix(np.maximum, x) - _suffix(np.minimum, x)).ravel()
+    # A position is the sum of its coordinates' shares (coordinate times
+    # stride), so a meet's position sums the smaller share on each axis.
+    # Positions are cut into bands; each band is paired with every later
+    # position, and the pairs inside each band come last.
+    n = len(w)
+    strides = np.cumprod((*shape[1:], 1)[::-1])[::-1]
+    shares = np.indices(shape).reshape(len(shape), -1) * strides[:, None]
+    positions = np.arange(n)
+    step = max(1, PAIR_CHUNK // n)
+
+    def meet(p, q):
+        return sum(np.minimum(c[p], c[q]) for c in shares)
+
+    bands = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    across = ((positions[lo:hi, None], positions[None, hi:]) for lo, hi in bands if hi < n)
+    within = ((p, q) for p, q, _ in _run_pairs([hi - lo for lo, hi in bands]))
+    chunks = ((p, q, meet(p, q)) for p, q in itertools.chain(across, within))
+    return _suffix(np.maximum, group_max_distances(a, chunks, len(w)).reshape(shape)).ravel()
 
 
 def cauchy_indices(a, eps_grid):
-    """:func:`window_cauchy_index` at each tolerance; a chain's tails are computed once,
-    and off chains one scan of the up-sets serves every tolerance."""
-    eps_grid = tuple(eps_grid)
-    bounds = [eps_floor(eps) for eps in eps_grid]  # checks every eps on both paths
+    """:func:`window_cauchy_index` at each tolerance, from one :func:`tail_diameters`."""
+    bounds = [eps_floor(eps) for eps in eps_grid]
     w = a.window
-    if not w.is_chain():
-        return _scan_up_sets(a, eps_grid)
-    tails = tail_diameters(a)[:-1]  # the top's tail is trivial
+    tails = tail_diameters(a)
+    # The top's tail is itself; it carries no stability evidence.
+    tails[len(w) - 1 if w.grid_shape() else w.index(w.join_all(w.elements))] = np.inf
     hits = [np.flatnonzero(tails <= e) for e in bounds]
     return tuple(w.elements[h[0]] if h.size else None for h in hits)
-
-
-def _scan_up_sets(a, eps_grid):
-    # One pass over enumeration order serves every tolerance, largest first:
-    # an up-set within a smaller eps is within every larger one, so the
-    # first index for a smaller eps never comes before that of a larger.
-    # An up-set is checked against the largest open eps and abandoned at
-    # its first pair above it; a full pass gives its diameter, which
-    # settles every open eps it is <= to.
-    w, dist = a.window, a.space.unchecked_dist
-    value = dict(zip(w.elements, a.values))
-    pending = sorted(range(len(eps_grid)), key=lambda t: eps_grid[t], reverse=True)
-    found = [None] * len(eps_grid)
-    for i0 in w.elements:
-        if not pending:
-            break
-        tail = [value[j] for j in w.up_set(i0)]
-        if len(tail) < 2:
-            continue
-        eps, diam = eps_grid[pending[0]], 0.0
-        for x, y in itertools.combinations(tail, 2):
-            d = dist(x, y)
-            if d > eps:
-                break
-            if d > diam:
-                diam = d
-        else:
-            while pending and diam <= eps_grid[pending[0]]:
-                found[pending.pop(0)] = i0
-    return tuple(found)
 
 
 def window_cauchy_index(a, eps):
@@ -305,10 +450,9 @@ def window_cauchy_index(a, eps):
     when no window element has the tail property.
 
     Comparisons are exact <= on binary64; there is no tolerance slack.
-    On a chain the answer is read off :func:`tail_diameters`, and that is
-    exact too: binary64 subtraction is monotone, so for scalar values
-    fl(max - min) equals the largest fl|x - y| over the tail's pairs, and
-    because no distance is NaN (points are finite), the largest distance
-    is <= eps exactly when every distance is.
+    The answer is read off :func:`tail_diameters`, whose entries are
+    exact maxima of the tail's distances; because no distance is NaN
+    (points are finite), the largest distance is <= eps exactly when
+    every distance is.
     """
     return cauchy_indices(a, (eps,))[0]

@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 
+import numpy as np
+
 __all__ = [
     "DirectedWindow",
     "Sampling",
@@ -50,7 +52,7 @@ class DirectedWindow:
     upper bound lying inside the window).
     """
 
-    __slots__ = ("kind", "_elements", "_index", "_factors", "_leq", "_join", "_chain")
+    __slots__ = ("kind", "_elements", "_index", "_factors", "_leq", "_join", "_chain", "_shape")
 
     def __init__(self, kind, elements, factors=None, leq_matrix=None, join_table=None):
         self.kind = kind
@@ -68,10 +70,14 @@ class DirectedWindow:
             # it follows a chain's order only when the other factor is a point.
             d, e = factors
             self._chain = (len(d) == 1 and e.is_chain()) or (len(e) == 1 and d.is_chain())
-        elif leq_matrix is not None:
-            self._chain = all(v == (p <= q) for p, row in enumerate(leq_matrix) for q, v in enumerate(row))
+            shapes = d.grid_shape(), e.grid_shape()
+            self._shape = shapes[0] + shapes[1] if None not in shapes else None
         else:
-            self._chain = True
+            if leq_matrix is not None:
+                self._chain = all(v == (p <= q) for p, row in enumerate(leq_matrix) for q, v in enumerate(row))
+            else:
+                self._chain = True
+            self._shape = (len(self._elements),) if self._chain else None
 
     # -- structure ---------------------------------------------------------
 
@@ -160,6 +166,16 @@ class DirectedWindow:
         enumeration positions.
         """
         return self._chain
+
+    def grid_shape(self):
+        """Leaf sizes of a grid window, else None; fixed at construction.
+
+        A grid is a chain or a product whose leaves are chains.  Its
+        enumeration is C order over the leaf positions, so the element at
+        leaf coordinates c sits at ``numpy.ravel_multi_index(c, shape)``
+        and its up-set is the orthant of coordinates >= c.
+        """
+        return self._shape
 
     def validate(self):
         """Re-verify the partial-order and majorization invariants.
@@ -348,13 +364,39 @@ def doubling_sampling(window):
 
 
 def random_sampling(window, rng, max_size=3):
-    """Random valid sampling: each eta_i a nonempty subset of the up-set of i."""
-    assign = []
-    for i in window.elements:
-        ups = window.up_set(i)
-        size = rng.randint(1, min(max_size, len(ups)))
-        assign.append(frozenset(rng.sample(ups, size)))
-    return Sampling(window, tuple(assign))
+    """Random valid sampling: each eta_i a nonempty subset of the up-set of i.
+
+    Draws ranks inside each up-set and decodes only the drawn ones: p + q
+    on a chain, mixed radix over the orthant's sides on a grid, and an
+    index into the built up-set elsewhere.  ``random.sample`` reads only
+    the length and indexing of its population, so sampling
+    ``range(len(up_set(i)))`` consumes the random stream exactly as
+    sampling the up-set itself would.
+    """
+    randint, sample = rng.randint, rng.sample
+    els, shape = window.elements, window.grid_shape()
+
+    def ranks(m):
+        return sample(range(m), randint(1, min(max_size, m)))
+
+    if window.is_chain():
+        n = len(els)
+        return Sampling(window, tuple(frozenset([els[p + q] for q in ranks(n - p)]) for p in range(n)))
+    if shape is None:
+        ups = map(window.up_set, els)
+        return Sampling(window, tuple(frozenset([u[q] for q in ranks(len(u))]) for u in ups))
+    sides = np.array(shape)[:, None] - np.indices(shape).reshape(len(shape), -1)  # orthant sides
+    drawn = [ranks(m) for m in sides.prod(axis=0).tolist()]
+    counts = np.fromiter(map(len, drawn), np.intp, len(drawn))
+    q = np.fromiter(itertools.chain.from_iterable(drawn), np.intp, counts.sum())
+    owner = np.repeat(np.arange(len(els)), counts)
+    at, stride = owner.copy(), 1
+    for axis in reversed(range(len(shape))):  # least significant axis first
+        q, r = np.divmod(q, sides[axis][owner])
+        at += r * stride
+        stride *= shape[axis]
+    picked = map(els.__getitem__, at.tolist())
+    return Sampling(window, tuple(frozenset(itertools.islice(picked, c)) for c in counts.tolist()))
 
 
 def induced_sampling(eta, d):

@@ -15,6 +15,7 @@ from .families import FamilySpec
 from .meta import Rate, RefutationCertificate
 from .net import (
     Net,
+    SpaceError,
     binary_space,
     euclidean_space,
     half_line_space,
@@ -186,10 +187,12 @@ def _point_to_json(p):
 
 
 def _point_from_json(p, space):
+    # Binary points are the JSON integers 0 and 1 as they stand: 1.5, 0.9
+    # or true are not points, rather than values to round.
     if isinstance(p, list):
         return tuple(p)
-    if space.kind == "binary-discrete" and p is not None:
-        return int(p)
+    if space.kind == "binary-discrete" and type(p) is not int:
+        raise SpaceError(f"{p!r} is not a point of binary-discrete space")
     return p
 
 

@@ -110,6 +110,16 @@ def brute_pointed_witness(a, b, eps, eta):
     return None
 
 
+def brute_random_sampling(window, rng, max_size=3):
+    """Random sampling drawn from each materialised up-set, as a slice or tuple."""
+    assign = []
+    for i in window.elements:
+        ups = window.up_set(i)
+        size = rng.randint(1, min(max_size, len(ups)))
+        assign.append(frozenset(rng.sample(ups, size)))
+    return Sampling(window, tuple(assign))
+
+
 def brute_cauchy_index(a, eps):
     for i0 in a.window.elements:
         tail = brute_up_set(a.window, i0)

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from metastable import analyze, meta
 from metastable import build_rate, make_omega_window, product, random_sampling, identity_sampling
 from metastable.cli import FAMILY_MEMBER_CAP, _family_nets, main
 from metastable.families import FamilySpec, rate_B
@@ -217,6 +219,87 @@ class TestFamilySpecParameters:
         code, out = self._run(tmp_path, "D", {"alphas": [0, 3, 5]})
         assert code in (0, 2) and out.exists()
 
+    @pytest.mark.parametrize("n_points", [FAMILY_MEMBER_CAP + 1, 10**7])
+    def test_paracompact_points_over_the_cap_exit_three(self, tmp_path, capsys, n_points):
+        start = time.perf_counter()
+        code, out = self._run(tmp_path, "paracompact", {"n_points": n_points})
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and not out.exists()
+        assert "FAMILY_MEMBER_CAP" in capsys.readouterr().err
+
+    def test_paracompact_points_at_the_cap_refute(self, tmp_path):
+        code, out = self._run(tmp_path, "paracompact", {"n_points": FAMILY_MEMBER_CAP})
+        assert code == 2 and out.exists()
+
+
+def _binary_net_doc(values):
+    return {
+        "type": "net",
+        "schema_version": 1,
+        "window": {"type": "window", "schema_version": 1, "kind": "omega-window", "size": len(values)},
+        "space": {"type": "space", "schema_version": 1, "kind": "binary-discrete"},
+        "values": values,
+        "target": 0,
+    }
+
+
+class TestBinaryDecoding:
+    def _refute(self, tmp_path, values):
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps([_binary_net_doc(values)]))
+        cands = tmp_path / "cands.json"
+        cands.write_text(json.dumps([[0]]))
+        out = tmp_path / "out.json"
+        code = main(["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--seed", "1", "--out", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("value", [1.5, 0.9, True, "x"])
+    def test_non_integer_values_exit_three(self, tmp_path, capsys, value):
+        code, out = self._refute(tmp_path, [1, value, 0, 0])
+        assert code == 3 and not out.exists()
+        err = capsys.readouterr().err
+        assert "not a point" in err and "Traceback" not in err
+
+    def test_zero_and_one_decode_as_before(self, tmp_path):
+        code, out = self._refute(tmp_path, [1, 1, 0, 0])
+        assert code == 2
+        assert json.loads(out.read_text())["member"]["values"] == [1, 1, 0, 0]
+
+
+class TestChecksBeforeWriting:
+    """An answer that fails its own re-check exits 5 and writes nothing."""
+
+    @pytest.mark.parametrize("scenario", ["c-refute", "d-refute"])
+    def test_demo_certificate_that_does_not_replay(self, monkeypatch, tmp_path, capsys, scenario):
+        monkeypatch.setattr(meta, "replay_certificate", lambda cert: False)
+        out = tmp_path / "demo.json"
+        assert main(["demo", scenario, "--size", "12", "--out", str(out)]) == 5
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "does not replay" in err and "Traceback" not in err
+
+    def test_refute_certificate_that_does_not_replay(self, monkeypatch, tmp_path, capsys):
+        # The search's own replay passes; the CLI's re-check before writing fails.
+        verdicts = iter([True])
+        monkeypatch.setattr(meta, "replay_certificate", lambda cert: next(verdicts, False))
+        fam = tmp_path / "family.json"
+        fam.write_text(dumps(family_spec_to_dict(FamilySpec("C", make_omega_window(8)))))
+        cands = tmp_path / "cands.json"
+        cands.write_text(json.dumps([[0, 1, 2]]))
+        out = tmp_path / "cert.json"
+        code = main(["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--seed", "1", "--out", str(out)])
+        assert code == 5 and not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_cover_that_does_not_revalidate(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(analyze, "is_witness", lambda *args: False)
+        csv_file = tmp_path / "data.csv"
+        csv_file.write_text("0.5\n0.5\n0.5\n")
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--csv", str(csv_file), "--out", str(out)]) == 5
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_csv_report_and_summary(self, tmp_path):
@@ -242,6 +325,14 @@ class TestAnalyze:
             ["analyze", "--csv", str(csv_file), "--suite", "random-k"]
         )
         assert code == 3
+
+    def test_in_process_calls_do_not_share_arguments(self, tmp_path):
+        # The parser is built once per process; a second call must not see
+        # the first call's --seed.
+        csv_file = tmp_path / "data.csv"
+        csv_file.write_text("0.5\n0.25\n0.5\n")
+        assert main(["analyze", "--csv", str(csv_file), "--suite", "random-k", "--seed", "1"]) == 0
+        assert main(["analyze", "--csv", str(csv_file), "--suite", "random-k"]) == 3
 
     def test_byte_identical_reruns(self, tmp_path):
         csv_file = tmp_path / "data.csv"

@@ -24,6 +24,7 @@ from metastable import (
 )
 from metastable.families import (
     BRUTE_FORCE_CAP,
+    FAMILY_MEMBER_CAP,
     FamilyError,
     FamilySpec,
     closed_form_refutation,
@@ -113,6 +114,17 @@ class TestEnumeration:
         w = make_custom_window(elements, leq, join)
         with pytest.raises(FamilyError):
             members("B", w)
+
+    def test_paracompact_points_are_capped_before_enumeration(self):
+        w = make_omega_window(4)
+        assert len(members("paracompact", w, n_points=FAMILY_MEMBER_CAP)) == FAMILY_MEMBER_CAP
+        for n_points in (FAMILY_MEMBER_CAP + 1, 10**7):
+            with pytest.raises(FamilyError, match="FAMILY_MEMBER_CAP"):
+                FamilySpec("paracompact", w, {"n_points": n_points})
+        # Without the parameter a paracompact family has one point per index.
+        with pytest.raises(FamilyError, match="FAMILY_MEMBER_CAP"):
+            FamilySpec("paracompact", make_omega_window(FAMILY_MEMBER_CAP + 1))
+        assert FamilySpec("B", make_omega_window(FAMILY_MEMBER_CAP + 1)).tag == "B"
 
 
 class TestRateB:

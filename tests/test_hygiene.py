@@ -32,6 +32,13 @@ def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 
 
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips asserts; checks that guard answers must raise instead.
+    tree = ast.parse(path.read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
 def test_scan_flags_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Mapping, Optional\nx: Mapping = os.sep\n")
     assert unused_imports(tree) == [(2, "Optional")]

@@ -8,7 +8,9 @@ including on tied values, int values and tolerances equal to a distance.
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,16 +23,29 @@ from metastable import (
     finite_space_ump_check,
     half_line_space,
     identity_sampling,
+    is_witness,
     make_omega_window,
     product,
     random_sampling,
+    Sampling,
+    table_space,
     unit_interval_space,
     window_cauchy_index,
 )
+from metastable import net
 from metastable.analyze import block_diameters
-from metastable.net import MetricSpace, cauchy_indices, eps_floor, tail_diameters
+from metastable.net import MetricSpace, cauchy_indices, eps_floor, group_max_distances, tail_diameters
 from metastable.order import DirectedWindow
-from oracles import brute_cauchy_index, brute_greedy_cover, brute_up_set, brute_witness, diamond, label_chain
+from oracles import (
+    brute_cauchy_index,
+    brute_greedy_cover,
+    brute_random_sampling,
+    brute_up_set,
+    brute_witness,
+    diamond,
+    label_chain,
+    windows,
+)
 
 _COORD = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0, 1, -1, 0.5]))
 
@@ -195,8 +210,12 @@ def test_scalar_kernels_make_no_distance_calls(monkeypatch):
     for eta in build_sampling_suite(w, ["identity", "successor", "doubling", "random-k"], seed=1).values():
         block_diameters([a], eta)
     assert calls == []
-    # The counter does see the pairwise path: 4 points have 6 pairs.
-    tail_diameters(Net(make_omega_window(4), euclidean_space(1), tuple((v,) for v in a.values[:4])))
+    # The counter does see the pairwise witness check on a custom-table
+    # net, whose kernel gathers from the table: a block of 4 points has 6 pairs.
+    b = Net(make_omega_window(4), table_space("wxyz", [[0 if p == q else 1 for q in range(4)] for p in range(4)]), tuple("wxyz"))
+    tail_diameters(b)
+    assert calls == []
+    is_witness(b, 1.0, Sampling.from_function(b.window, lambda i: b.window.elements), 0)
     assert len(calls) == 6
 
 
@@ -243,3 +262,122 @@ def test_non_float_tolerance_is_compared_exactly(space, top, eps):
     assert brute_cauchy_index(a, eps) is None
     report = empirical_rate([a], [eps], {"id": identity_sampling(a.window)})
     assert report.cauchy_indices == (((eps, None),),)
+
+
+# -- the filtered kernel against math.dist ----------------------------------
+
+# Coordinates where the numpy estimate is least trustworthy: near the
+# overflow and underflow limits, subnormals, ties and exact ints.
+_EXTREME = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, 3, -2**53, 1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+     1e-300, -1e-300, 5e-324, 2.0**-537, 2.0**-450, 2.0**450, 1e154, 1e-154]
+)
+_ANY_COORD = st.one_of(_EXTREME, st.floats(allow_nan=False, allow_infinity=False), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def kernel_nets(draw, window):
+    """A net on ``window`` in a Euclidean space of dimension 1-8 (or a
+    table or scalar space), valued in a small pool so ties are common."""
+    kind = draw(st.sampled_from(["euclidean", "euclidean", "table", "half-line"]))
+    if kind == "euclidean":
+        dim = draw(st.integers(1, 8))
+        space, points = euclidean_space(dim), st.tuples(*[_ANY_COORD] * dim)
+    elif kind == "table":
+        k = draw(st.integers(1, 4))
+        # symbols at integer points of a line: |p - q| is an exact metric
+        coords = draw(st.lists(st.integers(0, 10), min_size=k, max_size=k, unique=True))
+        space = table_space(range(k), [[abs(x - y) for y in coords] for x in coords])
+        points = st.integers(0, k - 1)
+    else:
+        space, points = half_line_space(), st.one_of(st.floats(0.0, 1e308), st.integers(0, 2**53))
+    pool = draw(st.lists(points, min_size=1, max_size=5))
+    return Net(window, space, tuple(draw(st.sampled_from(pool)) for _ in window.elements))
+
+
+def _oracle_maxima(a, i, j, g, n_groups):
+    out = [0.0] * n_groups
+    for p, q, k in zip(i, j, g):
+        out[k] = max(out[k], a.space.unchecked_dist(a.values[p], a.values[q]))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_group_maxima_are_bit_identical_to_unchecked_dist(data):
+    n = data.draw(st.integers(1, 12))
+    a = data.draw(kernel_nets(make_omega_window(n)))
+    n_groups = data.draw(st.integers(1, 4))
+    triples = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, n_groups - 1)), max_size=40))
+    i, j, g = (np.array([t[c] for t in triples], dtype=np.intp) for c in range(3))
+    # Streamed in random chunks: a running group maximum must give the same answer.
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(triples)), max_size=3)))
+    bounds = [0, *cuts, len(triples)]
+    chunks = [(i[lo:hi], j[lo:hi], g[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    got = group_max_distances(a, chunks, n_groups)
+    assert got.tolist() == _oracle_maxima(a, i, j, g, n_groups)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # |a| > |b| by one ulp, yet numpy's estimate orders them the other way.
+        ((-0.9241669388028388, 0.6388282212255945), (1.0919345106270197, -0.2643199794041268)),
+        # Squares in the subnormal range: |a| > |b|, yet a's estimate is 2% lower.
+        ((math.sqrt(10.49) * 2.0**-537,) * 2, (math.sqrt(20.6) * 2.0**-537, 0.0)),
+    ],
+)
+def test_filter_keeps_pairs_whose_estimates_misorder(a, b):
+    net_ab = Net(make_omega_window(3), euclidean_space(2), ((0.0, 0.0), a, b))
+    assert math.dist((0.0, 0.0), a) > math.dist((0.0, 0.0), b)
+    pairs = [(np.array([0, 0]), np.array([1, 2]), np.array([0, 0]))]
+    assert group_max_distances(net_ab, pairs, 1).tolist() == [math.dist((0.0, 0.0), a)]
+
+
+def _grids():
+    """Omega and label chains and products of them, products nested as factors."""
+    size = st.integers(1, 5)
+    chain = st.one_of(size.map(make_omega_window), size.map(lambda n: label_chain([f"x{p}" for p in range(n)])))
+    return st.recursive(chain, lambda inner: st.tuples(inner, inner).map(lambda de: product(*de)), max_leaves=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_grid_tail_diameters_and_cauchy_indices_match_oracles(data):
+    w = data.draw(_grids())
+    assert w.grid_shape() is not None
+    a = data.draw(kernel_nets(w))
+    expected = [
+        max(a.space.unchecked_dist(a.value(j), a.value(k)) for j in brute_up_set(w, i) for k in brute_up_set(w, i))
+        for i in w.elements
+    ]
+    # Chunks of a few pairs exercise the banded pairing and the running maxima.
+    with mock.patch.object(net, "PAIR_CHUNK", data.draw(st.sampled_from([1, 3, 7, net.PAIR_CHUNK]))):
+        tails = tail_diameters(a)
+        distances = sorted({d for d in expected if 0 < d < math.inf})
+        grid = data.draw(st.lists(st.sampled_from(distances or [0.5]), min_size=1, max_size=4))
+        grid += [math.nextafter(e, 0) for e in grid]  # just below a distance
+        indices = cauchy_indices(a, grid)
+    assert tails.tolist() == expected
+    assert indices == tuple(brute_cauchy_index(a, eps) for eps in grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_custom_window_tails_read_the_kernel(data):
+    w = data.draw(windows())
+    a = data.draw(kernel_nets(w))
+    expected = [
+        max(a.space.unchecked_dist(a.value(j), a.value(k)) for j in brute_up_set(w, i) for k in brute_up_set(w, i))
+        for i in w.elements
+    ]
+    assert tail_diameters(a).tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows(), st.integers(0, 2**32), st.integers(1, 5))
+def test_random_sampling_matches_the_materialised_draw(w, seed, max_size):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert random_sampling(w, ours, max_size) == brute_random_sampling(w, theirs, max_size)
+    assert ours.getstate() == theirs.getstate()

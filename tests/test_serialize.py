@@ -6,6 +6,7 @@ import pytest
 from metastable import (
     Net,
     Rate,
+    SpaceError,
     binary_space,
     build_rate,
     euclidean_space,
@@ -122,6 +123,26 @@ class TestSpacesAndNets:
         w = make_omega_window(2)
         a = Net(w, euclidean_space(2), ((1.0, 0.0), (0.0, 1.0)), target=(0.0, 0.0))
         assert net_from_dict(json.loads(dumps(net_to_dict(a)))) == a
+
+    @pytest.mark.parametrize("value", [1.5, 0.9, True, False, 1.0, "x", None])
+    def test_binary_values_are_not_coerced(self, value):
+        doc = net_to_dict(Net(make_omega_window(2), binary_space(), (0, 1)))
+        doc["values"][1] = value
+        with pytest.raises(SpaceError, match="not a point"):
+            net_from_dict(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("target", [0.5, True, "x"])
+    def test_binary_targets_are_not_coerced(self, target):
+        doc = net_to_dict(Net(make_omega_window(2), binary_space(), (0, 1), target=1))
+        doc["target"] = target
+        with pytest.raises(SpaceError, match="not a point"):
+            net_from_dict(json.loads(json.dumps(doc)))
+
+    def test_binary_zero_and_one_decode_as_ints(self):
+        doc = json.loads(dumps(net_to_dict(Net(make_omega_window(3), binary_space(), (1, 0, 1), target=1))))
+        a = net_from_dict(doc)
+        assert a.values == (1, 0, 1) and a.target == 1
+        assert all(type(v) is int for v in (*a.values, a.target))
 
     def test_bad_version_rejected(self):
         doc = net_to_dict(Net(make_omega_window(1), binary_space(), (0,)))
