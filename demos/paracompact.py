@@ -7,8 +7,8 @@ re-validates them) -- yet every pointed candidate set with fewer than m
 elements is defeated by the iterate at a deeper point.
 """
 
-from metastable import build_sampling_suite, finite_space_ump_check, replay_certificate
-from metastable.families import FamilySpec, closed_form_refutation, paracompact_nets
+from metastable import build_sampling_suite, finite_space_ump_check, refute_uniform, replay_certificate
+from metastable.families import FamilySpec, paracompact_nets
 from metastable.order import make_omega_window
 
 
@@ -29,7 +29,7 @@ def main():
 
     spec = FamilySpec("paracompact", make_omega_window(horizon), {"n_points": m})
     s = {0, 1, 2}
-    cert = closed_form_refutation(spec, s, 0.5, pointed=True)
+    cert = refute_uniform(spec, [s], 0.5, pointed=True)
     print(f"\npointed candidate set {sorted(s)} (size < {m}) is refuted:")
     print(f"  defeating member (point x{int(max(s)) + 1}): {cert.member.values}")
     print(f"  replay: {replay_certificate(cert)}")

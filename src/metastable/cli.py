@@ -5,7 +5,8 @@ report with failures); 3 precondition violation; 4 I/O or schema error;
 5 an answer failed its own re-check (a certificate that does not replay,
 a cover that does not re-validate), so nothing was written.
 All randomized paths require an explicit --seed and are reproducible:
-identical inputs and seed yield byte-identical JSON output.
+identical inputs and seed yield byte-identical JSON output.  refute is
+exact and draws nothing: it accepts --seed and ignores it.
 """
 
 from __future__ import annotations
@@ -108,14 +109,7 @@ def cmd_refute(args):
         sets = [frozenset(tuple(i) if isinstance(i, list) else i for i in s) for s in candidate_sets]
     except TypeError:  # an object among the candidates is not hashable
         raise _ser.SchemaError("candidates must be window labels") from None
-    cert = _meta.refute_uniform(
-        family,
-        sets,
-        args.eps,
-        search_budget=args.budget,
-        seed=args.seed,
-        pointed=args.pointed,
-    )
+    cert = _meta.refute_uniform(family, sets, args.eps, pointed=args.pointed)
     if cert is None:
         _write(
             {"type": "refute-result", "schema_version": _ser.SCHEMA_VERSION, "result": "exhausted"},
@@ -183,9 +177,9 @@ def _demo_doc(scenario, size, seed):
         n_points = max(2, size // 4)
         window = make_omega_window(size)
         spec = _families.FamilySpec("paracompact", window, {"n_points": n_points})
-        cert = _meta.refute_uniform(
-            spec, [set(range(n_points - 1))], 0.5, seed=seed or 0, pointed=True
-        )
+        cert = _meta.refute_uniform(spec, [set(range(n_points - 1))], 0.5, pointed=True)
+        if cert is None:
+            raise _families.FamilyError("window too small: no point defeats the candidate set")
         nets = _families.paracompact_nets(n_points, size)
         suite = _analyze.build_sampling_suite(window, ["identity", "successor"])
         verdict = _analyze.finite_space_ump_check(
@@ -237,13 +231,12 @@ def build_parser():
     v.add_argument("--out", help="write the verify-result JSON here (default: stdout)")
     v.set_defaults(fn=cmd_verify)
 
-    r = sub.add_parser("refute", help="search for a certificate defeating candidate sets")
+    r = sub.add_parser("refute", help="find the first member a sampling defeats on every candidate set")
     r.add_argument("--family", required=True, help=f"family-spec JSON or a list of net JSON docs; only the first "
-                   f"{_meta.REFUTE_MEMBER_CAP} members are searched, and 'exhausted' is a claim about those")
+                   f"{FAMILY_MEMBER_CAP} members are examined, and 'exhausted' proves that no sampling defeats any of them")
     r.add_argument("--candidates", required=True, help="JSON list of candidate sets")
     r.add_argument("--eps", type=float, required=True)
-    r.add_argument("--seed", type=int, required=True)
-    r.add_argument("--budget", type=int, default=200)
+    r.add_argument("--seed", type=int, help="ignored: the search is exact and deterministic")
     r.add_argument("--pointed", action="store_true")
     r.add_argument("--out")
     r.set_defaults(fn=cmd_refute)

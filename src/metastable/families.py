@@ -29,7 +29,6 @@ from .order import (
     DirectedWindow,
     Sampling,
     WindowError,
-    identity_sampling,
     make_omega_window,
     successor_sampling,
 )
@@ -143,7 +142,9 @@ def enumerate_family(spec):
     window = spec.window
     tag = spec.tag
     if tag == "paracompact":
-        yield from paracompact_nets(spec.n_points, len(window))
+        omega = make_omega_window(len(window))
+        for p in range(spec.n_points):
+            yield _paracompact_net(omega, p)
         return
     if tag == "D":
         if not window.is_chain():
@@ -276,19 +277,22 @@ def paracompact_nets(n_points, horizon):
     if n_points < 1 or horizon < 1:
         raise FamilyError("counts must be positive")
     window = make_omega_window(horizon)
-    nets = []
-    for p in range(n_points):
-        values = tuple(
-            1.0 if (i % 2 == 0 or i > p) else 0.0 for i in range(horizon)
-        )
-        nets.append(Net(window, unit_interval_space(), values, target=1.0))
-    return nets
+    return [_paracompact_net(window, p) for p in range(n_points)]
+
+
+def _paracompact_net(window, p):
+    # The iterate net at point x_p: 0 exactly at the odd steps i <= p.
+    values = tuple(1.0 if (i % 2 == 0 or i > p) else 0.0 for i in range(len(window)))
+    return Net(window, unit_interval_space(), values, target=1.0)
 
 
 def closed_form_refutation(spec, union, eps, pointed=False):
-    """Replay the paper-style construction for a tagged family, if one applies.
+    """Replay the paper-style construction for C (plain) or D (pointed).
 
-    Returns a certificate or None (meaning: fall back to generic search).
+    Returns a certificate or None (meaning: fall back to the exact search
+    over the enumeration).  These two stay closed forms: C has 2**(n-1)
+    members, and D's defeating cutoff lies one past the union, so the
+    search would build every member below it.
     """
     window = spec.window
     try:
@@ -296,44 +300,6 @@ def closed_form_refutation(spec, union, eps, pointed=False):
             return refute_C(union, window, eps)
         if spec.tag == "D" and pointed:
             return refute_D_pointed(union, window, eps)
-        if spec.tag == "B0" and pointed:
-            return _refute_B0_pointed(union, window, eps)
-        if spec.tag == "paracompact" and pointed:
-            return _refute_paracompact(spec, union, eps)
     except FamilyError:
         return None
     return None
-
-
-def _refute_B0_pointed(s, window, eps):
-    # The member constant 1 on (the down-closure of) s defeats any pointed
-    # rate near 0: under the identity sampling each i in s samples a 1.
-    _require_refutation_eps(eps)
-    if not window.is_chain():
-        raise FamilyError("closed-form B0 refutation needs a chain window")
-    cutoff = window.index(window.join_all(s)) + 1
-    if cutoff >= len(window):
-        raise FamilyError("candidate set reaches the top: the defeating member would be constant 1")
-    member = _threshold_net(window, cutoff)
-    eta = identity_sampling(window)
-    return RefutationCertificate(eps, eta, member, frozenset(s), pointed_target=0)
-
-
-def _refute_paracompact(spec, s, eps):
-    # Mirror of the D refutation at the point x_alpha, alpha one position
-    # past the last of s: the successor pair of each i in s contains an odd
-    # index <= alpha, where the iterate is 0 while the target is 1.
-    window = spec.window
-    n_points = spec.n_points
-    _require_refutation_eps(eps)
-    if not window.is_chain():
-        raise FamilyError("closed-form paracompact refutation needs a chain window")
-    s = _candidate_set(s, window)
-    alpha = max(window.index(i) for i in s) + 1
-    if alpha >= n_points:
-        raise FamilyError("no point deep enough to defeat this candidate set")
-    if alpha + 1 > len(window) - 1:
-        raise FamilyError("window too small for the successor sampling to bite")
-    member = paracompact_nets(n_points, len(window))[alpha]
-    eta = successor_sampling(window)
-    return RefutationCertificate(eps, eta, member, s, pointed_target=1.0)

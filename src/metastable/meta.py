@@ -11,17 +11,15 @@ promised to contain a witness for every member of some family of nets.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Mapping
 
-from .net import CheckError, Net, require_eps
+from .net import CheckError, Net, eps_floor, require_eps, tail_diameters
 from .order import (
     Sampling,
     WindowError,
     induced_sampling,
     project_set,
-    random_sampling,
     require_valid_sampling,
 )
 
@@ -47,8 +45,6 @@ __all__ = [
 
 #: Default dyadic threshold grid 1, 1/2, ..., 2^-10 (descending).
 DEFAULT_THRESHOLDS = tuple(2.0 ** -i for i in range(11))
-#: Most members :func:`refute_uniform` searches by default.
-REFUTE_MEMBER_CAP = 512
 
 
 class RateError(ValueError):
@@ -340,26 +336,22 @@ def require_replay(cert):
     return cert
 
 
-def refute_uniform(
-    family,
-    candidate_sets,
-    eps,
-    search_budget=200,
-    seed=0,
-    pointed=False,
-    member_cap=REFUTE_MEMBER_CAP,
-):
-    """Search for one (sampling, member) pair defeating every candidate set.
+def refute_uniform(family, candidate_sets, eps, pointed=False):
+    """First member defeated on every candidate set, with its certificate.
 
     ``family`` may be a FamilySpec (closed-form constructions are replayed
-    for the tags that have one), an iterable of nets, or a callable
-    returning one; only its first ``member_cap`` members (512 by default)
-    are searched.  A certificate defeats a candidate set when the set
-    contains no (pointed) witness; defeating the union defeats every
-    listed set at once.  The search is deterministic for a fixed seed.
-    Returns None when the budget is exhausted without a refutation, which
-    is not a claim that none exists, and says nothing of members past
-    the cap.
+    for C and pointed D, and its enumeration is read lazily otherwise), an
+    iterable of nets, or a callable returning one; only its first
+    ``families.FAMILY_MEMBER_CAP`` (4096) members are examined, in order.
+    A certificate defeats a candidate set when the set contains no
+    (pointed) witness; defeating the union defeats every listed set.
+
+    Samplings are chosen index by index, so the question is exact per
+    member: ``a`` is defeated on the union iff the up-set of each of its
+    indices has a pair at distance > eps (pointed: a point at distance
+    > eps from the target), and that pair (point) is the index's block in
+    the certificate; other indices get {i}.  Returns None when no
+    sampling defeats any examined member.
     """
     require_eps(eps)
     candidate_sets = [frozenset(s) for s in candidate_sets]
@@ -373,29 +365,50 @@ def refute_uniform(
         cert = _families.closed_form_refutation(family, union, eps, pointed=pointed)
         if cert is not None and replay_certificate(cert):
             return cert
-        family = _families.enumerate_family(family)
-    elif callable(family):
-        family = family()
-    members = list(itertools.islice(family, member_cap))
-    if not members:
-        return None
-    window = members[0].window
-    for a in members if pointed else ():
-        if a.target is None:
+        # Enumerated members share one window and carry targets; read lazily.
+        members = _families.enumerate_family(family)
+    else:
+        members = list(itertools.islice(family() if callable(family) else family, _families.FAMILY_MEMBER_CAP))
+        if pointed and any(a.target is None for a in members):
             raise RateError("pointed refutation needs declared targets")
-        a.space.require(a.target)
-    # A member on another window, or a union reaching outside the window,
-    # can never replay.
-    members = [(a, a.target if pointed else None) for a in members if a.window == window]
+    members = itertools.islice(members, _families.FAMILY_MEMBER_CAP)
+    first = next(members, None)
+    if first is None:
+        return None
+    window = first.window
+    # A union reaching outside the window can never replay; in the plain
+    # case neither can one holding the greatest element, whose up-set is itself.
     if not all(i in window for i in union):
         return None
-    rng = random.Random(seed)
-    for _ in range(search_budget):
-        eta = require_valid_sampling(random_sampling(window, rng))
-        blocks = [eta.at(i) for i in union]
-        for a, target in members:
-            if not any(_near(a, target, eps, b) if pointed else _close(a, eps, b) for b in blocks):
-                cert = RefutationCertificate(eps, eta, a, union, pointed_target=target)
-                if replay_certificate(cert):
-                    return cert
+    if not pointed and window.join_all(window.elements) in union:
+        return None
+    bound, positions = eps_floor(eps), [window.index(i) for i in union]
+    for a in itertools.chain((first,), members):
+        if a.window != window:
+            continue
+        if pointed:
+            blocks = {i: _first_far(a, eps, i) for i in union}
+            if None in blocks.values():
+                continue
+        elif all(d > bound for d in tail_diameters(a)[positions]):
+            blocks = {i: _far_pair(a, eps, i) for i in union}
+        else:
+            continue
+        eta = Sampling.from_function(window, lambda i: blocks.get(i, {i}))
+        return require_replay(RefutationCertificate(eps, eta, a, union, pointed_target=a.target if pointed else None))
     return None
+
+
+def _first_far(a, eps, i):
+    # {j} for the first j above i with d(a_j, target) > eps, else None.
+    dist, target = a.space.unchecked_dist, a.target
+    return next(({j} for j in a.window.up_set(i) if dist(a.value(j), target) > eps), None)
+
+
+def _far_pair(a, eps, i):
+    # A pair of i's up-set at distance > eps, its diameter being > eps: the
+    # largest and smallest value on scalar spaces, else the first such pair.
+    up = a.window.up_set(i)
+    if a.space.is_scalar():
+        return {max(up, key=a.value), min(up, key=a.value)}
+    return next({j, k} for j, k in itertools.combinations(up, 2) if a.dist(j, k) > eps)

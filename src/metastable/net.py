@@ -101,7 +101,7 @@ class MetricSpace:
         """Whether ``x`` is a point.  Real coordinates must be finite binary64
         values, so every distance is binary64 arithmetic and never NaN."""
         if self.kind == BINARY:
-            return x in (0, 1)
+            return type(x) is int and x in (0, 1)
         if self.kind == UNIT_INTERVAL:
             return _is_real(x) and 0.0 <= x <= 1.0
         if self.kind == HALF_LINE:

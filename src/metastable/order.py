@@ -257,9 +257,11 @@ def make_custom_window(elements, leq, join):
             join_table.append(tuple(row))
         join_table = tuple(join_table)
     else:
-        join_table = tuple(tuple(int(v) for v in row) for row in join)
+        join_table = tuple(tuple(row) for row in join)
         if len(join_table) != n or any(len(r) != n for r in join_table):
             raise WindowError("join table shape mismatch")
+        if any(type(v) is not int or not 0 <= v < n for row in join_table for v in row):
+            raise WindowError(f"join table entries must be element positions in range({n})")
     w = DirectedWindow(CUSTOM, elements, leq_matrix=leq_matrix, join_table=join_table)
     w.validate()
     return w

@@ -15,7 +15,6 @@ from .families import FamilySpec
 from .meta import Rate, RefutationCertificate
 from .net import (
     Net,
-    SpaceError,
     binary_space,
     euclidean_space,
     half_line_space,
@@ -186,14 +185,8 @@ def _point_to_json(p):
     return _label_to_json(p)
 
 
-def _point_from_json(p, space):
-    # Binary points are the JSON integers 0 and 1 as they stand: 1.5, 0.9
-    # or true are not points, rather than values to round.
-    if isinstance(p, list):
-        return tuple(p)
-    if space.kind == "binary-discrete" and type(p) is not int:
-        raise SpaceError(f"{p!r} is not a point of binary-discrete space")
-    return p
+def _point_from_json(p):
+    return tuple(p) if isinstance(p, list) else p
 
 
 def net_to_dict(a):
@@ -213,9 +206,9 @@ def net_from_dict(doc):
     _expect(doc, "net")
     w = window_from_dict(doc["window"])
     space = space_from_dict(doc["space"])
-    values = tuple(_point_from_json(v, space) for v in doc["values"])
+    values = tuple(_point_from_json(v) for v in doc["values"])
     target = doc.get("target")
-    return Net(w, space, values, target=_point_from_json(target, space) if target is not None else None)
+    return Net(w, space, values, target=_point_from_json(target) if target is not None else None)
 
 
 # -- rates -----------------------------------------------------------------
@@ -297,7 +290,7 @@ def certificate_from_dict(doc):
         sampling=sampling_from_dict(doc["sampling"]),
         member=member,
         candidate_set=frozenset(_label_from_json(i) for i in doc["candidate_set"]),
-        pointed_target=_point_from_json(target, member.space) if target is not None else None,
+        pointed_target=_point_from_json(target) if target is not None else None,
     )
 
 

@@ -6,7 +6,6 @@ the library is a two-route check rather than a tautology.
 """
 
 import itertools
-import random
 
 from hypothesis import strategies as st
 
@@ -18,7 +17,6 @@ from metastable import (
     make_custom_window,
     make_omega_window,
     product,
-    random_sampling,
     replay_certificate,
     unit_interval_space,
 )
@@ -200,17 +198,18 @@ def brute_approx_half(x, n):
     return best
 
 
-def brute_refute_uniform(members, candidate_sets, eps, search_budget=200, seed=0, pointed=False, member_cap=512):
-    """Random search over a list of nets: every (sampling, member) pair, in
-    draw and list order, goes through the full ``replay_certificate``."""
+def brute_refute_uniform(members, candidate_sets, eps, pointed=False):
+    """Exhaustive search over a list of nets: member by member, in list
+    order, every sampling of ``all_samplings(window, max_size=2)`` on the
+    first member's window goes through ``replay_certificate``; the first
+    pair that replays is returned, else None."""
     union = frozenset().union(*map(frozenset, candidate_sets))
-    members = list(members)[:member_cap]
+    members = list(members)
     if not members:
         return None
-    rng = random.Random(seed)
-    for _ in range(search_budget):
-        eta = random_sampling(members[0].window, rng)
-        for a in members:
+    samplings = list(all_samplings(members[0].window))
+    for a in members:
+        for eta in samplings:
             cert = RefutationCertificate(eps, eta, a, union, pointed_target=a.target if pointed else None)
             if replay_certificate(cert):
                 return cert

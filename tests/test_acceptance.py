@@ -35,6 +35,7 @@ from metastable import (
     product,
     project_set,
     random_sampling,
+    refute_uniform,
     replay_certificate,
     self_distance,
     distance_to_point,
@@ -43,7 +44,6 @@ from metastable import (
 )
 from metastable.families import (
     FamilySpec,
-    closed_form_refutation,
     enumerate_family,
     paracompact_nets,
     rate_B,
@@ -280,7 +280,7 @@ def test_criterion_6_paracompact_construction():
         # every nonempty candidate set inside {0..m-2} has size < m
         for size in range(1, m):
             for s in itertools.combinations(range(m - 1), size):
-                cert = closed_form_refutation(spec, set(s), 0.5, pointed=True)
+                cert = refute_uniform(spec, [set(s)], 0.5, pointed=True)
                 certs += 1
                 if cert is None or not replay_certificate(cert):
                     failures += 1

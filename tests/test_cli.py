@@ -125,7 +125,7 @@ class TestRefute:
         cands.write_text(json.dumps([[0, 7]]))
         out = tmp_path / "res.json"
         code = main(
-            ["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--seed", "1", "--budget", "50", "--out", str(out)]
+            ["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--seed", "1", "--out", str(out)]
         )
         assert code == 0
         assert json.loads(out.read_text())["result"] == "exhausted"
@@ -174,6 +174,19 @@ class TestRefute:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("tag, cands", [("C", [[0, 1]]), ("B", [[0, 1]]), ("B", [[0, 7]])])
+    def test_seed_is_ignored(self, tmp_path, tag, cands):
+        # The search is exact: --seed is accepted, optional and changes nothing.
+        fam = self._family_file(tmp_path, tag=tag)
+        cands_file = tmp_path / "cands.json"
+        cands_file.write_text(json.dumps(cands))
+        outs = []
+        for name, seed in (("a.json", ["--seed", "9"]), ("b.json", []), ("c.json", ["--seed", "12345"])):
+            out = tmp_path / name
+            argv = ["refute", "--family", str(fam), "--candidates", str(cands_file), "--eps", "0.5", *seed]
+            outs.append((main(argv + ["--out", str(out)]), out.read_bytes()))
+        assert outs[0] == outs[1] == outs[2]
+
 
 class TestFamilySpecParameters:
     def _run(self, tmp_path, tag, parameters):
@@ -185,7 +198,7 @@ class TestFamilySpecParameters:
         cands.write_text(json.dumps([[0, 1]]))
         out = tmp_path / "out.json"
         code = main(
-            ["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--seed", "1", "--budget", "5", "--out", str(out)]
+            ["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--seed", "1", "--out", str(out)]
         )
         return code, out
 
@@ -381,6 +394,18 @@ class TestAnalyze:
 
     def test_missing_input_exits_three(self):
         assert main(["analyze", "--eps-grid", "0.5"]) == 3
+
+    @pytest.mark.parametrize("join", [[[0, 99], [1, 1]], [[0, -1], [1, 1]], [[0, 1.0], [1, 1]]])
+    def test_join_entry_outside_the_window_exits_three(self, tmp_path, capsys, join):
+        window = {"type": "window", "schema_version": 1, "kind": "custom", "elements": [0, 1],
+                  "leq": [[1, 1], [0, 1]], "join": join}
+        net = {"type": "net", "schema_version": 1, "window": window,
+               "space": {"type": "space", "schema_version": 1, "kind": "binary-discrete"},
+               "values": [1, 0], "target": None}
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps([net]))
+        assert main(["analyze", "--family", str(fam)]) == 3
+        assert "join table" in capsys.readouterr().err
 
 
 class TestDemo:

@@ -17,6 +17,7 @@ from metastable import (
     make_omega_window,
     product,
     random_sampling,
+    refute_uniform,
     replay_certificate,
     successor_sampling,
     verify_rate,
@@ -257,14 +258,17 @@ class TestParacompact:
             assert i is not None
 
     def test_closed_form_refutation(self):
+        # The exact search finds the construction's member: the point one
+        # past the candidate set, whose iterate is 0 at step 3.
         spec = FamilySpec("paracompact", make_omega_window(12), {"n_points": 6})
-        cert = closed_form_refutation(spec, {0, 1, 2}, 0.5, pointed=True)
+        cert = refute_uniform(spec, [{0, 1, 2}], 0.5, pointed=True)
         assert cert is not None and replay_certificate(cert)
         assert cert.pointed_target == 1.0
+        assert cert.member == paracompact_nets(6, 12)[3]
 
     def test_refutation_needs_deep_point(self):
         spec = FamilySpec("paracompact", make_omega_window(12), {"n_points": 2})
-        assert closed_form_refutation(spec, {3, 4}, 0.5, pointed=True) is None
+        assert refute_uniform(spec, [{3, 4}], 0.5, pointed=True) is None
 
 
 class TestClosedFormDispatch:
@@ -278,8 +282,10 @@ class TestClosedFormDispatch:
         assert closed_form_refutation(spec, {0, 1}, 0.5) is None
 
     def test_B0_pointed(self):
+        # No closed form: the exact search over the enumeration refutes.
         spec = FamilySpec("B0", make_omega_window(6))
-        cert = closed_form_refutation(spec, {0, 1}, 0.5, pointed=True)
+        assert closed_form_refutation(spec, {0, 1}, 0.5, pointed=True) is None
+        cert = refute_uniform(spec, [{0, 1}], 0.5, pointed=True)
         assert cert is not None and replay_certificate(cert)
         assert cert.member.values in {m.values for m in members("B0", spec.window)}
 

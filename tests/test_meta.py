@@ -15,6 +15,7 @@ from metastable import (
     binary_space,
     build_rate,
     distance_to_point,
+    euclidean_space,
     find_pointed_witness,
     find_witness,
     identity_sampling,
@@ -28,6 +29,7 @@ from metastable import (
     random_sampling,
     refute_uniform,
     replay_certificate,
+    require_replay,
     sampling_independent_bound,
     self_distance,
     selfdist_rate_to_net_rate,
@@ -42,7 +44,9 @@ from oracles import (
     brute_pointed_witness,
     brute_refute_uniform,
     brute_witness,
+    diamond,
     eventually_constant_net,
+    label_chain,
     random_binary_net,
     random_unit_net,
 )
@@ -340,10 +344,31 @@ class TestPointedDistanceTransfer:
                 assert is_pointed_witness(a, b, 0.3, eta, i)
 
 
+def spikes(w):
+    """Eventually-zero binary nets, the m-th with its one 1 at position m."""
+    n = len(w)
+    return [Net(w, binary_space(), tuple(1 if p == m else 0 for p in range(n)), target=0) for m in range(n)]
+
+
+def refute_members(window, rng, kind):
+    """A few nets on ``window`` with targets, values on a grid that puts
+    distances exactly on the tolerances."""
+    if kind == "binary":
+        space, point = binary_space(), lambda: rng.randint(0, 1)
+    elif kind == "unit":
+        space, point = unit_interval_space(), lambda: rng.choice((0.0, 0.25, 0.5, 0.75, 1.0))
+    else:
+        space, point = euclidean_space(2), lambda: (rng.choice((0.0, 0.3, 0.5)), rng.choice((0.0, 0.4, 1.0)))
+    return [
+        Net(window, space, tuple(point() for _ in window.elements), target=point())
+        for _ in range(rng.randint(1, 4))
+    ]
+
+
 class TestRefuteUniform:
     def test_family_C_closed_form(self):
         w = make_omega_window(6)
-        cert = refute_uniform(FamilySpec("C", w), [{0, 1, 2}], 0.5, seed=0)
+        cert = refute_uniform(FamilySpec("C", w), [{0, 1, 2}], 0.5)
         assert cert is not None
         assert replay_certificate(cert)
         assert cert.sampling.at(0) == frozenset({3, 4})
@@ -352,43 +377,48 @@ class TestRefuteUniform:
     def test_constant_family_exhausts(self):
         w = make_omega_window(4)
         family = [constant_net(w)]
-        assert refute_uniform(family, [{0}], 0.5, search_budget=50, seed=1) is None
+        assert refute_uniform(family, [{0}], 0.5) is None
+        assert brute_refute_uniform(family, [{0}], 0.5) is None
 
     def test_B0_pointed_closed_form(self):
         w = make_omega_window(6)
-        cert = refute_uniform(FamilySpec("B0", w), [{0, 1}], 0.5, seed=0, pointed=True)
+        cert = refute_uniform(FamilySpec("B0", w), [{0, 1}], 0.5, pointed=True)
         assert cert is not None and replay_certificate(cert)
         assert cert.pointed_target == 0
-        # the defeating member is constant 1 on the candidate set
+        # the defeating member is constant 1 on the candidate set: the first
+        # member of B0's enumeration, cutoff n - 1, under the identity sampling
         assert all(cert.member.value(i) == 1 for i in {0, 1})
+        assert cert.member.values == (1, 1, 1, 1, 1, 0)
+        assert cert.sampling == identity_sampling(w)
 
-    def test_random_search_finds_refutation(self):
-        # eventually-zero nets without the closed form: plain list input
+    def test_exact_search_finds_refutation(self):
+        # Plain lists have no closed form.  The first spike's up-set at 0
+        # holds its largest and smallest value, 1 at 0 and 0 at 1.
         w = make_omega_window(8)
-        family = [
-            Net(w, binary_space(), tuple(1 if p == m else 0 for p in range(8)), target=0)
-            for m in range(8)
-        ]
-        cert = refute_uniform(family, [{0}], 0.5, search_budget=200, seed=11)
+        family = spikes(w)
+        cert = refute_uniform(family, [{0}], 0.5)
         assert cert is not None and replay_certificate(cert)
+        assert cert.member is family[0]
+        assert cert.sampling.at(0) == frozenset({0, 1})
+        assert all(cert.sampling.at(i) == {i} for i in range(1, 8))
 
-    def test_deterministic_given_seed(self):
+    def test_returns_first_defeated_member(self):
+        # Spike 0 is constant on the up-set of 1, so spike 1 is the first
+        # member defeated on {0, 1}; reversed, the last spike comes first.
         w = make_omega_window(8)
-        family = [
-            Net(w, binary_space(), tuple(1 if p == m else 0 for p in range(8)), target=0)
-            for m in range(8)
-        ]
-        a = refute_uniform(family, [{0, 1}], 0.5, search_budget=100, seed=5)
-        b = refute_uniform(family, [{0, 1}], 0.5, search_budget=100, seed=5)
-        assert a == b
+        family = spikes(w)
+        cert = refute_uniform(family, [{0}, {1}], 0.5)
+        assert cert.member is family[1]
+        assert cert == refute_uniform(family, [{0}, {1}], 0.5)
+        assert refute_uniform(family[::-1], [{0}, {1}], 0.5).member is family[-1]
 
     def test_empty_candidates_rejected(self):
         w = make_omega_window(4)
         with pytest.raises(ValueError):
-            refute_uniform([constant_net(w)], [], 0.5, seed=0)
+            refute_uniform([constant_net(w)], [], 0.5)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(["B", "C", "D"]), st.integers(3, 9), st.booleans(), st.data())
+    @given(st.sampled_from(["B", "C", "D"]), st.integers(2, 5), st.booleans(), st.data())
     def test_matches_per_member_replay(self, tag, n, pointed, data):
         # Seeded lists of family members, with one net on another window
         # mixed in; candidate sets sometimes reach past the window top.
@@ -399,41 +429,82 @@ class TestRefuteUniform:
         else:
             family = list(enumerate_family(FamilySpec(tag, w)))
             family = rng.sample(family, min(len(family), rng.randint(1, 6)))
-        foreign = random_binary_net(make_omega_window(n + 1), rng, target=0)
+        foreign = random_binary_net(make_omega_window(n - 1), rng, target=0)
         family.insert(rng.randint(0, len(family)), foreign)
         labels = list(range(n + 1 if rng.random() < 0.1 else n))
-        sets = [rng.sample(labels, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        sets = [rng.sample(labels, rng.randint(1, min(3, len(labels)))) for _ in range(rng.randint(1, 3))]
         eps = rng.choice([0.25, 0.5, 1.0])
-        budget, seed = rng.randint(0, 30), rng.randint(0, 99)
-        got = refute_uniform(family, sets, eps, search_budget=budget, seed=seed, pointed=pointed)
-        want = brute_refute_uniform(family, sets, eps, search_budget=budget, seed=seed, pointed=pointed)
-        assert got == want
+        got = refute_uniform(family, sets, eps, pointed=pointed)
+        want = brute_refute_uniform(family, sets, eps, pointed=pointed)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.member is want.member and require_replay(got) is got
 
-    def test_validates_each_drawn_sampling_once(self, monkeypatch):
-        draws, validations = [], []
-        monkeypatch.setattr(meta, "random_sampling", lambda *a: draws.append(1) or random_sampling(*a))
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(1, 5).map(make_omega_window),
+            st.integers(1, 5).map(lambda n: label_chain([f"x{p}" for p in range(n)])),
+            st.just(diamond()),
+            st.just(product(make_omega_window(2), make_omega_window(2))),
+        ),
+        st.sampled_from(["binary", "unit", "euclidean"]),
+        st.booleans(),
+        st.sampled_from([0.25, 0.5, 1.0]),
+        st.data(),
+    )
+    def test_matches_exhaustive_oracle(self, window, kind, pointed, eps, data):
+        # On windows of at most 5 elements every sampling with blocks of
+        # at most two elements is tried, so agreement on the member (or
+        # None) checks that the per-index rule is exact.
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        family = refute_members(window, rng, kind)
+        # The last element is the top; a union holding it is rarely defeated.
+        elements = list(window.elements)[: None if rng.random() < 0.2 else -1] or [window.elements[0]]
+        sets = [rng.sample(elements, rng.randint(1, min(2, len(elements)))) for _ in range(rng.randint(1, 2))]
+        got = refute_uniform(family, sets, eps, pointed=pointed)
+        want = brute_refute_uniform(family, sets, eps, pointed=pointed)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.member is want.member and require_replay(got) is got
+            assert all(len(got.sampling.at(i)) == (1 if pointed else 2) for i in got.candidate_set)
+
+    def test_validates_only_the_certificate(self, monkeypatch):
+        # No random draws at all; the one sampling validated is the
+        # returned certificate's, in its final replay.
+        def no_draws(*args):
+            raise AssertionError("refute_uniform drew a random number")
+
+        monkeypatch.setattr(random.Random, "randint", no_draws)
+        monkeypatch.setattr(random.Random, "sample", no_draws)
+        validations = []
         original = order.validate_sampling
         monkeypatch.setattr(order, "validate_sampling", lambda s: validations.append(1) or original(s))
-        # The union holds the chain top, so B's search exhausts its budget.
         w = make_omega_window(16)
-        family = list(enumerate_family(FamilySpec("B", w)))
-        assert refute_uniform(family, [{0, 15}], 0.5, search_budget=30, seed=3) is None
-        assert len(draws) == len(validations) == 30
-        # A found certificate costs one more validation: its final replay.
-        draws.clear()
-        validations.clear()
-        family = [
-            Net(w, binary_space(), tuple(1 if p == m else 0 for p in range(16)), target=0)
-            for m in range(16)
-        ]
-        assert refute_uniform(family, [{0}], 0.5, search_budget=200, seed=11) is not None
-        assert len(validations) == len(draws) + 1 and len(draws) >= 1
+        family = [constant_net(w, 0), constant_net(w, 1)]
+        assert refute_uniform(family, [{0, 3}], 0.5) is None
+        assert refute_uniform(FamilySpec("B", w), [{0, 15}], 0.5) is None
+        assert validations == []
+        assert refute_uniform(spikes(w), [{0}], 0.5) is not None
+        assert refute_uniform(FamilySpec("B0", w), [{0}], 0.5, pointed=True) is not None
+        assert len(validations) == 2
+
+    def test_paracompact_enumeration_is_lazy(self, monkeypatch):
+        # Point 3 is the first whose iterate is 0 above 2; later points
+        # are never built.
+        built = []
+        original = Net.__post_init__
+        monkeypatch.setattr(Net, "__post_init__", lambda a: built.append(1) or original(a))
+        spec = FamilySpec("paracompact", make_omega_window(64), {"n_points": 4096})
+        cert = refute_uniform(spec, [{0, 1, 2}], 0.5, pointed=True)
+        assert cert is not None and cert.member.values[:5] == (1.0, 0.0, 1.0, 0.0, 1.0)
+        assert len(built) <= 5
 
     def test_pointed_needs_every_target_up_front(self):
         w = make_omega_window(6)
         family = [d_member(w, 3), Net(w, binary_space(), (0,) * 6)]
         with pytest.raises(RateError):
-            refute_uniform(family, [{0}], 0.5, search_budget=0, seed=0, pointed=True)
+            refute_uniform(family, [{0}], 0.5, pointed=True)
 
 
 class TestReplay:
@@ -465,7 +536,7 @@ class TestTrustedInputs:
             lambda: is_witness(a, eps, eta, 0),
             lambda: is_pointed_witness(a, 0, eps, eta, 0),
             lambda: find_witness(a, eps, eta),
-            lambda: refute_uniform([a], [{0}], eps, seed=0),
+            lambda: refute_uniform([a], [{0}], eps),
         ):
             with pytest.raises(ValueError):
                 check()

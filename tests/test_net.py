@@ -103,6 +103,14 @@ class TestNet:
         with pytest.raises(SpaceError):
             Net(make_omega_window(2), binary_space(), (0, 2))
 
+    @pytest.mark.parametrize("values", [(True, 0), (0.0, 1), (1, 1.0), (False, True)])
+    def test_binary_points_are_the_ints_0_and_1(self, values):
+        # The decoder reads binary points as they stand, so a net built with
+        # bools or floats would encode to a document it cannot decode.
+        assert not binary_space().contains(values[0]) or not binary_space().contains(values[1])
+        with pytest.raises(SpaceError):
+            Net(make_omega_window(2), binary_space(), values)
+
 
 class TestSelfDistance:
     def test_constant_net_is_zero(self):

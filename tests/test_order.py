@@ -78,6 +78,13 @@ class TestCustomWindow:
         with pytest.raises(WindowError):
             make_custom_window([0, 1], w, lambda x, y: max(x, y) + 1)
 
+    @pytest.mark.parametrize("join", [[[0, 2], [1, 1]], [[0, -1], [1, 1]], [[0, 1.0], [1, 1]], [[0, True], [1, 1]]])
+    def test_join_table_entries_are_positions(self, join):
+        # An entry past the end indexed out of the element tuple, and a
+        # negative one wrapped round to another element.
+        with pytest.raises(WindowError):
+            make_custom_window([0, 1], [[1, 1], [0, 1]], join)
+
     def test_join_not_upper_bound_rejected(self):
         leq = lambda x, y: x <= y
         with pytest.raises(WindowError):
