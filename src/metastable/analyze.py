@@ -20,7 +20,7 @@ import numpy as np
 
 from .meta import is_witness
 from .net import BINARY, EUCLIDEAN, CheckError, Net, SpaceError, euclidean_space
-from .net import cauchy_indices, eps_floor, run_diameters, window_cauchy_index
+from .net import cauchy_indices, eps_floor, run_diameters
 from .order import (
     WindowError,
     doubling_sampling,
@@ -102,12 +102,12 @@ def cesaro_envelope(theta, n):
     return 2.0 / (n * c)
 
 
-def cesaro_envelope_ok(net, theta, slack=FLOAT_SLACK):
+def cesaro_envelope_ok(net, theta):
     """Whether every value at n >= 1 respects the geometric-series envelope.
 
-    Compared in squared form with a documented relative slack: the bound
-    is exact in real arithmetic; the slack only absorbs binary64 rounding
-    of the stored averages.
+    Compared in squared form with the relative slack :data:`FLOAT_SLACK`:
+    the bound is exact in real arithmetic; the slack only absorbs binary64
+    rounding of the stored averages.
     """
     c2 = (1.0 - math.cos(theta)) ** 2 + math.sin(theta) ** 2
     if c2 == 0.0:
@@ -115,7 +115,7 @@ def cesaro_envelope_ok(net, theta, slack=FLOAT_SLACK):
     for n, (x, y) in enumerate(net.values):
         if n == 0:
             continue
-        if (x * x + y * y) * (n * n) * c2 > 4.0 * (1.0 + slack):
+        if (x * x + y * y) * (n * n) * c2 > 4.0 * (1.0 + FLOAT_SLACK):
             return False
     return True
 
@@ -188,16 +188,6 @@ def _matrix_cover(witness, window):
     return cover, tuple(int(m) for m in np.flatnonzero(~has))
 
 
-def _cells(nets, eps_grid, sampling_suite):
-    """(eps, sampling id, witness matrix ``diameters <= eps``) per cell, in grid order."""
-    stacked = block_diameters(nets, *sampling_suite.values())
-    diameters = dict(zip(sampling_suite, np.split(stacked, len(sampling_suite), axis=1)))
-    for eps in eps_grid:
-        bound = eps_floor(eps)
-        for sid, d in diameters.items():
-            yield eps, sid, d <= bound
-
-
 def empirical_rate(family, eps_grid, sampling_suite):
     """Per-(eps, sampling) witness tables plus greedy minimal covering sets.
 
@@ -221,17 +211,21 @@ def empirical_rate(family, eps_grid, sampling_suite):
         raise ValueError("empty tolerance grid or sampling suite")
     window = family[0].window
     eps_grid = tuple(sorted(eps_grid, reverse=True))
+    stacked = block_diameters(family, *sampling_suite.values())
+    diameters = dict(zip(sampling_suite, np.split(stacked, len(sampling_suite), axis=1)))
     cells = []
-    for eps, sid, witness in _cells(family, eps_grid, sampling_suite):
-        eta = sampling_suite[sid]
-        witnesses = tuple(
-            window.elements[int(row.argmax())] if row.any() else None for row in witness
-        )
-        cover, no_witness = _matrix_cover(witness, window)
-        for i in cover:  # certify the cover
-            if not any(is_witness(a, eps, eta, i) for a in family):
-                raise CheckError(f"cover element {i!r} witnesses no net at eps={eps}, sampling {sid!r}")
-        cells.append(AnalysisCell(eps, sid, witnesses, cover, no_witness))
+    for eps in eps_grid:
+        bound = eps_floor(eps)
+        for sid, d in diameters.items():
+            eta, witness = sampling_suite[sid], d <= bound
+            witnesses = tuple(
+                window.elements[int(row.argmax())] if row.any() else None for row in witness
+            )
+            cover, no_witness = _matrix_cover(witness, window)
+            for i in cover:  # certify the cover
+                if not any(is_witness(a, eps, eta, i) for a in family):
+                    raise CheckError(f"cover element {i!r} witnesses no net at eps={eps}, sampling {sid!r}")
+            cells.append(AnalysisCell(eps, sid, witnesses, cover, no_witness))
     cauchy = tuple(tuple(zip(eps_grid, cauchy_indices(a, eps_grid))) for a in family)
     return AnalysisReport(
         window_size=len(window),
@@ -258,35 +252,31 @@ def finite_space_ump_check(nets_by_point, eps_grid, sampling_suite):
 
     A finite point set is compact, so once every per-point net is
     window-Cauchy at the finest tolerance a uniform candidate set exists
-    for each (eps, sampling) cell; the greedy cover finds one and each
-    returned set is re-validated.  Nets failing the Cauchy precondition
-    are reported per point and no sets are computed.
+    for each (eps, sampling) cell.  Both facts are read off
+    :func:`empirical_rate`'s report (its Cauchy indices and greedy
+    covers), and each cover is re-validated against every net.  Nets
+    failing the Cauchy precondition are reported per point and no sets
+    are returned.
     """
     nets_by_point = dict(nets_by_point)
     if not nets_by_point or not eps_grid or not sampling_suite:
         raise ValueError("empty family, tolerance grid, or sampling suite")
-    finest = min(eps_grid)
-    failures = tuple(
-        (label, finest)
-        for label, a in nets_by_point.items()
-        if window_cauchy_index(a, finest) is None
-    )
-    labels = list(nets_by_point)
-    nets = [nets_by_point[label] for label in labels]
-    window = nets[0].window
+    labels, nets = list(nets_by_point), list(nets_by_point.values())
+    report = empirical_rate(nets, eps_grid, sampling_suite)
+    finest = report.eps_grid[-1]
+    failures = tuple((label, finest) for label, c in zip(labels, report.cauchy_indices) if c[-1][1] is None)
     if failures:
-        return UmpVerdict(False, failures, (), len(window))
+        return UmpVerdict(False, failures, (), report.window_size)
     sets = []
-    for eps, sid, witness in _cells(nets, sorted(eps_grid, reverse=True), sampling_suite):
-        eta = sampling_suite[sid]
-        cover, no_witness = _matrix_cover(witness, window)
-        if no_witness:
-            raise CheckError(f"window-Cauchy nets {no_witness} have no witness at eps={eps}, sampling {sid!r}")
+    for cell in report.cells:
+        eps, sid, eta, cover = cell.eps, cell.sampling_id, sampling_suite[cell.sampling_id], cell.cover_set
+        if cell.uncovered:
+            raise CheckError(f"window-Cauchy nets {cell.uncovered} have no witness at eps={eps}, sampling {sid!r}")
         for m, a in enumerate(nets):  # re-validate: the cover serves every net
             if not any(is_witness(a, eps, eta, i) for i in cover):
                 raise CheckError(f"cover misses net {m} at eps={eps}, sampling {sid!r}")
         sets.append(((eps, sid), cover))
-    return UmpVerdict(True, (), tuple(sets), len(window))
+    return UmpVerdict(True, (), tuple(sets), report.window_size)
 
 
 # -- ingestion and suites --------------------------------------------------

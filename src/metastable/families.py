@@ -47,11 +47,11 @@ __all__ = [
     "FAMILY_MEMBER_CAP",
 ]
 
-#: Largest non-chain window brute-force family enumeration will attempt.
+#: Largest non-chain window on which B and B0 filter every binary assignment.
 BRUTE_FORCE_CAP = 16
-#: Most members a family spec may enumerate to.  Family C has 2**(n-1)
-#: members on an n-element chain, so the CLI refuses it above n = 13, and
-#: a paracompact spec may ask for at most this many points.
+#: Most members :func:`enumerate_family` yields before raising FamilyError.
+#: Family C has 2**(n-1) members on n elements, so it is refused above
+#: n = 13, and a paracompact spec may ask for at most this many points.
 FAMILY_MEMBER_CAP = 4096
 
 TAGS = ("B", "B0", "C", "D", "paracompact")
@@ -107,8 +107,7 @@ def _nonincreasing(window, values):
 
 def _eventually_zero(window, values):
     # Zero on some up-set iff zero at the greatest element, whose up-set is itself.
-    top = window.elements[-1] if window.is_chain() else window.join_all(window.elements)
-    return values[window.index(top)] == 0
+    return values[window.index(window.top())] == 0
 
 
 def _require(invariant, values):
@@ -134,11 +133,22 @@ def d_member(window, alpha):
 def enumerate_family(spec):
     """Yield exactly the members of the tagged family on the spec's window.
 
-    Chain windows use closed-form enumerations; other windows fall back to
-    filtering all binary assignments, capped at :data:`BRUTE_FORCE_CAP`
-    elements.  Each yielded member is re-checked against its family
-    invariant.
+    Members are built one at a time, and each is re-checked against its
+    family invariant.  Asking for member ``FAMILY_MEMBER_CAP + 1`` raises
+    FamilyError, so every caller sees the same cap.
     """
+    for count, member in enumerate(_members(spec), 1):
+        if count > FAMILY_MEMBER_CAP:
+            raise FamilyError(
+                f"family {spec.tag} on this window has more than FAMILY_MEMBER_CAP = {FAMILY_MEMBER_CAP} members"
+            )
+        yield member
+
+
+def _members(spec):
+    # B and B0 by cutoff on chains, else by filtering every binary
+    # assignment (at most BRUTE_FORCE_CAP elements); C as 0 at the top and
+    # every other position in lexicographic order, on every window.
     window = spec.window
     tag = spec.tag
     if tag == "paracompact":
@@ -153,21 +163,21 @@ def enumerate_family(spec):
         for alpha in alphas:
             yield d_member(window, alpha)
         return
+    if tag == "C":
+        t = window.index(window.top())
+        for rest in itertools.product((0, 1), repeat=len(window) - 1):
+            values = rest[:t] + (0,) + rest[t:]
+            _require(_eventually_zero(window, values), values)
+            yield Net(window, binary_space(), values, target=0)
+        return
 
     if window.is_chain():
         n = len(window)
-        if tag in ("B", "B0"):
-            cutoffs = range(n, -1, -1) if tag == "B" else range(n - 1, -1, -1)
-            for cutoff in cutoffs:
-                member = _threshold_net(window, cutoff)
-                _require(_nonincreasing(window, member.values), member.values)
-                yield member
-            return
-        # C on a chain: all binary nets with a zero tail.
-        for head in itertools.product((0, 1), repeat=n - 1):
-            values = head + (0,)
-            _require(_eventually_zero(window, values), values)
-            yield Net(window, binary_space(), values, target=0)
+        cutoffs = range(n, -1, -1) if tag == "B" else range(n - 1, -1, -1)
+        for cutoff in cutoffs:
+            member = _threshold_net(window, cutoff)
+            _require(_nonincreasing(window, member.values), member.values)
+            yield member
         return
 
     if len(window) > BRUTE_FORCE_CAP:
@@ -175,16 +185,9 @@ def enumerate_family(spec):
             f"enumeration of {tag} on a non-chain window is capped at {BRUTE_FORCE_CAP} elements"
         )
     for values in itertools.product((0, 1), repeat=len(window)):
-        if tag in ("B", "B0"):
-            if not _nonincreasing(window, values):
-                continue
-            if tag == "B0" and all(v == 1 for v in values):
-                continue
-            target = 1 if all(v == 1 for v in values) else 0
-            yield Net(window, binary_space(), values, target=target)
-        elif tag == "C":
-            if _eventually_zero(window, values):
-                yield Net(window, binary_space(), values, target=0)
+        ones = all(v == 1 for v in values)
+        if _nonincreasing(window, values) and not (tag == "B0" and ones):
+            yield Net(window, binary_space(), values, target=1 if ones else 0)
 
 
 def _require_refutation_eps(eps):

@@ -113,10 +113,11 @@ class Rate:
     """Finite-grid rate of (pointed) metastability.
 
     ``thresholds`` is a strictly descending tuple of finite positive reals;
-    ``samplings`` maps sampling ids to the samplings the rate is indexed
-    by; ``table`` maps (threshold, sampling id) to a nonempty candidate
-    set.  Lookup at an arbitrary eps uses the largest listed threshold
-    <= eps: a rate valid at a finer tolerance is valid at any coarser one.
+    ``samplings`` maps sampling ids to the valid samplings the rate is
+    indexed by (checked here, so decoded rates are too); ``table`` maps
+    (threshold, sampling id) to a nonempty candidate set.  Lookup at an
+    arbitrary eps uses the largest listed threshold <= eps: a rate valid
+    at a finer tolerance is valid at any coarser one.
     """
 
     thresholds: tuple
@@ -134,6 +135,8 @@ class Rate:
         windows = {eta.window for eta in self.samplings.values()}
         if len(windows) > 1:
             raise RateError("rate samplings live on different windows")
+        for eta in self.samplings.values():
+            require_valid_sampling(eta)
         for (t, sid), candidates in self.table.items():
             if t not in self.thresholds:
                 raise RateError(f"table threshold {t} not in the grid")
@@ -174,8 +177,6 @@ class Rate:
 def build_rate(samplings, fn, thresholds=DEFAULT_THRESHOLDS, pointed=False):
     """Tabulate a rate from a function (threshold, sampling) -> candidate set."""
     samplings = dict(samplings)
-    for eta in samplings.values():
-        require_valid_sampling(eta)
     table = {
         (t, sid): frozenset(fn(t, eta))
         for t in thresholds
@@ -339,19 +340,20 @@ def require_replay(cert):
 def refute_uniform(family, candidate_sets, eps, pointed=False):
     """First member defeated on every candidate set, with its certificate.
 
-    ``family`` may be a FamilySpec (closed-form constructions are replayed
-    for C and pointed D, and its enumeration is read lazily otherwise), an
-    iterable of nets, or a callable returning one; only its first
-    ``families.FAMILY_MEMBER_CAP`` (4096) members are examined, in order.
-    A certificate defeats a candidate set when the set contains no
-    (pointed) witness; defeating the union defeats every listed set.
+    ``family`` is a FamilySpec (closed forms are replayed for C and pointed
+    D; otherwise its enumeration is read lazily, up to
+    ``families.FAMILY_MEMBER_CAP`` members) or an iterable of nets, read in
+    order; members on another window than the first are skipped, and a
+    candidate outside that window raises WindowError.  A certificate
+    defeats a set holding no (pointed) witness; defeating the union
+    defeats every listed set.
 
     Samplings are chosen index by index, so the question is exact per
     member: ``a`` is defeated on the union iff the up-set of each of its
     indices has a pair at distance > eps (pointed: a point at distance
     > eps from the target), and that pair (point) is the index's block in
     the certificate; other indices get {i}.  Returns None when no
-    sampling defeats any examined member.
+    sampling defeats any member.
     """
     require_eps(eps)
     candidate_sets = [frozenset(s) for s in candidate_sets]
@@ -363,24 +365,25 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
 
     if isinstance(family, _families.FamilySpec):
         cert = _families.closed_form_refutation(family, union, eps, pointed=pointed)
-        if cert is not None and replay_certificate(cert):
-            return cert
+        if cert is not None:
+            return require_replay(cert)
         # Enumerated members share one window and carry targets; read lazily.
         members = _families.enumerate_family(family)
     else:
-        members = list(itertools.islice(family() if callable(family) else family, _families.FAMILY_MEMBER_CAP))
+        members = list(family)
         if pointed and any(a.target is None for a in members):
             raise RateError("pointed refutation needs declared targets")
-    members = itertools.islice(members, _families.FAMILY_MEMBER_CAP)
+        members = iter(members)
     first = next(members, None)
     if first is None:
         return None
     window = first.window
-    # A union reaching outside the window can never replay; in the plain
-    # case neither can one holding the greatest element, whose up-set is itself.
-    if not all(i in window for i in union):
-        return None
-    if not pointed and window.join_all(window.elements) in union:
+    outside = [i for s in candidate_sets for i in s if i not in window]
+    if outside:
+        raise WindowError(f"candidate {outside[0]!r} is not an element of the window")
+    # In the plain case a union holding the greatest element, whose up-set
+    # is itself, is never defeated.
+    if not pointed and window.top() in union:
         return None
     bound, positions = eps_floor(eps), [window.index(i) for i in union]
     for a in itertools.chain((first,), members):

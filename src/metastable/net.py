@@ -53,10 +53,10 @@ class CheckError(RuntimeError):
 def require_eps(eps):
     """Return ``eps`` if it is a usable tolerance, else raise ValueError.
 
-    A tolerance is a finite real strictly above 0.  NaN would make every
-    ``<=`` test fail and an infinite tolerance every one pass.
+    A tolerance is a finite real strictly above 0, not a bool.  NaN would
+    make every ``<=`` test fail and an infinite tolerance every one pass.
     """
-    if not (isinstance(eps, numbers.Real) and 0 < eps < math.inf):
+    if isinstance(eps, bool) or not (isinstance(eps, numbers.Real) and 0 < eps < math.inf):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
     return eps
 
@@ -156,18 +156,19 @@ def euclidean_space(dim):
 
 
 def table_space(symbols, table):
-    """Finite metric space from an explicit distance table, fully checked."""
+    """Finite metric space from an explicit table of finite real distances, fully checked."""
     symbols = tuple(symbols)
-    table = tuple(tuple(float(v) for v in row) for row in table)
+    table = tuple(tuple(row) for row in table)
     n = len(symbols)
     if len(table) != n or any(len(row) != n for row in table):
         raise SpaceError("distance table shape mismatch")
+    if not all(_is_real(v) and v >= 0 for row in table for v in row):
+        raise SpaceError("distance table entries must be finite reals >= 0")
+    table = tuple(tuple(map(float, row)) for row in table)
     for i in range(n):
         if table[i][i] != 0.0:
             raise SpaceError(f"nonzero self-distance at {symbols[i]!r}")
         for j in range(n):
-            if table[i][j] < 0.0:
-                raise SpaceError("negative distance")
             if table[i][j] != table[j][i]:
                 raise SpaceError(f"asymmetric distances at {symbols[i]!r}, {symbols[j]!r}")
     for i, j, k in itertools.product(range(n), repeat=3):
@@ -436,7 +437,7 @@ def cauchy_indices(a, eps_grid):
     w = a.window
     tails = tail_diameters(a)
     # The top's tail is itself; it carries no stability evidence.
-    tails[len(w) - 1 if w.grid_shape() else w.index(w.join_all(w.elements))] = np.inf
+    tails[w.index(w.top())] = np.inf
     hits = [np.flatnonzero(tails <= e) for e in bounds]
     return tuple(w.elements[h[0]] if h.size else None for h in hits)
 

@@ -52,7 +52,7 @@ class DirectedWindow:
     upper bound lying inside the window).
     """
 
-    __slots__ = ("kind", "_elements", "_index", "_factors", "_leq", "_join", "_chain", "_shape")
+    __slots__ = ("kind", "_elements", "_index", "_factors", "_leq", "_join", "_chain", "_shape", "_top")
 
     def __init__(self, kind, elements, factors=None, leq_matrix=None, join_table=None):
         self.kind = kind
@@ -78,6 +78,7 @@ class DirectedWindow:
             else:
                 self._chain = True
             self._shape = (len(self._elements),) if self._chain else None
+        self._top = self._elements[-1] if self._shape else self.join_all(self._elements)
 
     # -- structure ---------------------------------------------------------
 
@@ -177,6 +178,10 @@ class DirectedWindow:
         """
         return self._shape
 
+    def top(self):
+        """The greatest element: the last on a grid, else the join of all; fixed at construction."""
+        return self._top
+
     def validate(self):
         """Re-verify the partial-order and majorization invariants.
 
@@ -223,6 +228,8 @@ class DirectedWindow:
 
 def make_omega_window(n):
     """Chain window 0 < 1 < ... < n-1 with join = max."""
+    if type(n) is not int:
+        raise TypeError(f"omega window size must be an int, got {n!r}")
     if n < 1:
         raise WindowError("omega window needs at least one element")
     return DirectedWindow(OMEGA, range(n))
@@ -231,37 +238,28 @@ def make_omega_window(n):
 def make_custom_window(elements, leq, join):
     """Build a fully validated window from explicit order data.
 
-    ``leq`` is a predicate or a boolean matrix indexed by element position;
-    ``join`` is a binary callable on elements or a matrix of element
-    positions.  Construction fails unless the order is a partial order and
-    ``join`` is an upper-bound operation closed over the window.
+    ``leq`` is a predicate or a matrix of 0, 1, True or False indexed by
+    element position; ``join`` is a binary callable on elements or a
+    matrix of element positions.  Callables are tabulated first, so both
+    forms take one check.  Construction fails unless the order is a
+    partial order and ``join`` is an upper-bound operation closed over
+    the window.
     """
     elements = tuple(elements)
     n = len(elements)
-    pos = {e: p for p, e in enumerate(elements)}
     if callable(leq):
-        leq_matrix = tuple(tuple(bool(leq(a, b)) for b in elements) for a in elements)
-    else:
-        leq_matrix = tuple(tuple(bool(v) for v in row) for row in leq)
-        if len(leq_matrix) != n or any(len(r) != n for r in leq_matrix):
-            raise WindowError("leq matrix shape mismatch")
+        leq = [[bool(leq(a, b)) for b in elements] for a in elements]
     if callable(join):
-        join_table = []
-        for a in elements:
-            row = []
-            for b in elements:
-                j = join(a, b)
-                if j not in pos:
-                    raise WindowError(f"join({a!r},{b!r}) leaves the window")
-                row.append(pos[j])
-            join_table.append(tuple(row))
-        join_table = tuple(join_table)
-    else:
-        join_table = tuple(tuple(row) for row in join)
-        if len(join_table) != n or any(len(r) != n for r in join_table):
-            raise WindowError("join table shape mismatch")
-        if any(type(v) is not int or not 0 <= v < n for row in join_table for v in row):
-            raise WindowError(f"join table entries must be element positions in range({n})")
+        pos = {e: p for p, e in enumerate(elements)}
+        join = [[pos.get(join(a, b)) for b in elements] for a in elements]  # None: leaves the window
+    leq_matrix, join_table = (tuple(tuple(row) for row in m) for m in (leq, join))
+    if any(len(m) != n or any(len(r) != n for r in m) for m in (leq_matrix, join_table)):
+        raise WindowError("leq matrix or join table shape mismatch")
+    if any(type(v) not in (int, bool) or v not in (0, 1) for row in leq_matrix for v in row):
+        raise WindowError("leq matrix entries must be 0, 1, True or False")
+    if any(type(v) is not int or not 0 <= v < n for row in join_table for v in row):
+        raise WindowError(f"join table entries must be element positions in range({n})")
+    leq_matrix = tuple(tuple(map(bool, row)) for row in leq_matrix)
     w = DirectedWindow(CUSTOM, elements, leq_matrix=leq_matrix, join_table=join_table)
     w.validate()
     return w
@@ -287,10 +285,6 @@ class Sampling:
 
     window: DirectedWindow
     assign: tuple
-
-    @classmethod
-    def from_mapping(cls, window, mapping):
-        return cls(window, tuple(frozenset(mapping[e]) for e in window.elements))
 
     @classmethod
     def from_function(cls, window, fn):
@@ -365,13 +359,17 @@ def doubling_sampling(window):
     return Sampling(window, tuple(frozenset({els[p], els[min(2 * p, n - 1)]}) for p in range(n)))
 
 
-def random_sampling(window, rng, max_size=3):
+#: Most elements :func:`random_sampling` puts in one candidate set.
+RANDOM_BLOCK_MAX = 3
+
+
+def random_sampling(window, rng):
     """Random valid sampling: each eta_i a nonempty subset of the up-set of i.
 
-    Draws ranks inside each up-set and decodes only the drawn ones: p + q
-    on a chain, mixed radix over the orthant's sides on a grid, and an
-    index into the built up-set elsewhere.  ``random.sample`` reads only
-    the length and indexing of its population, so sampling
+    Draws ranks inside each up-set and decodes only the drawn ones: mixed
+    radix over the orthant's sides on a grid (a chain is the 1-D grid),
+    and an index into the built up-set elsewhere.  ``random.sample`` reads
+    only the length and indexing of its population, so sampling
     ``range(len(up_set(i)))`` consumes the random stream exactly as
     sampling the up-set itself would.
     """
@@ -379,11 +377,8 @@ def random_sampling(window, rng, max_size=3):
     els, shape = window.elements, window.grid_shape()
 
     def ranks(m):
-        return sample(range(m), randint(1, min(max_size, m)))
+        return sample(range(m), randint(1, min(RANDOM_BLOCK_MAX, m)))
 
-    if window.is_chain():
-        n = len(els)
-        return Sampling(window, tuple(frozenset([els[p + q] for q in ranks(n - p)]) for p in range(n)))
     if shape is None:
         ups = map(window.up_set, els)
         return Sampling(window, tuple(frozenset([u[q] for q in ranks(len(u))]) for u in ups))

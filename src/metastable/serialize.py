@@ -41,6 +41,7 @@ __all__ = [
     "report_to_dict",
     "certificate_to_dict",
     "certificate_from_dict",
+    "candidate_sets_from_json",
     "family_spec_to_dict",
     "family_spec_from_dict",
     "analysis_report_to_dict",
@@ -181,10 +182,6 @@ def space_from_dict(doc):
     raise SchemaError(f"unknown space kind {kind!r}")
 
 
-def _point_to_json(p):
-    return _label_to_json(p)
-
-
 def _point_from_json(p):
     return tuple(p) if isinstance(p, list) else p
 
@@ -195,8 +192,8 @@ def net_to_dict(a):
             "type": "net",
             "window": window_to_dict(a.window),
             "space": space_to_dict(a.space),
-            "values": [_point_to_json(v) for v in a.values],
-            "target": None if a.target is None else _point_to_json(a.target),
+            "values": [_label_to_json(v) for v in a.values],
+            "target": None if a.target is None else _label_to_json(a.target),
         }
     )
 
@@ -251,6 +248,14 @@ def rate_from_dict(doc):
 # -- reports and certificates ---------------------------------------------
 
 
+@_decoder
+def candidate_sets_from_json(doc):
+    """A candidates document: a JSON list of candidate sets (lists of window labels)."""
+    if not isinstance(doc, list) or not all(isinstance(s, list) for s in doc):
+        raise SchemaError("candidates file must be a JSON list of candidate sets")
+    return [frozenset(map(_label_from_json, s)) for s in doc]  # unhashable labels: TypeError
+
+
 def report_to_dict(report):
     return _versioned(
         {
@@ -275,7 +280,7 @@ def certificate_to_dict(cert):
             "candidate_set": [_label_to_json(i) for i in sorted(cert.candidate_set, key=w.index)],
             "pointed_target": None
             if cert.pointed_target is None
-            else _point_to_json(cert.pointed_target),
+            else _label_to_json(cert.pointed_target),
         }
     )
 

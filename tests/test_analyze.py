@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -21,6 +22,8 @@ from metastable import (
     paracompact_nets,
     unit_interval_space,
 )
+from metastable import analyze
+from metastable.net import CheckError
 from oracles import brute_witness
 
 
@@ -147,6 +150,24 @@ class TestFiniteSpaceUmp:
         assert not verdict.ok
         assert verdict.non_cauchy_points == (("q", 0.25),)
         assert verdict.sets == ()
+
+    @pytest.mark.parametrize("cells", [
+        lambda c: dataclasses.replace(c, cover_set=()),  # a cover that serves no net
+        lambda c: dataclasses.replace(c, uncovered=(0,)),  # a net left without any witness
+    ], ids=["empty-cover", "uncovered-net"])
+    def test_each_cell_of_the_report_is_rechecked(self, monkeypatch, cells):
+        # The verdict reads empirical_rate's report but re-checks each cell itself.
+        real = analyze.empirical_rate
+
+        def doctored(*args):
+            report = real(*args)
+            return dataclasses.replace(report, cells=tuple(map(cells, report.cells)))
+
+        monkeypatch.setattr(analyze, "empirical_rate", doctored)
+        nets = paracompact_nets(3, 8)
+        suite = build_sampling_suite(nets[0].window, ["identity", "successor"])
+        with pytest.raises(CheckError):
+            finite_space_ump_check({f"x{p}": a for p, a in enumerate(nets)}, [0.5], suite)
 
 
 class TestIngestCsv:

@@ -7,7 +7,7 @@ from metastable import analyze, meta
 from metastable import build_rate, make_omega_window, product, random_sampling, identity_sampling
 from metastable.cli import FAMILY_MEMBER_CAP, _family_nets, main
 from metastable.families import FamilySpec, rate_B
-from metastable.serialize import dumps, family_spec_to_dict, rate_to_dict
+from metastable.serialize import certificate_from_dict, dumps, family_spec_to_dict, rate_to_dict
 
 
 @pytest.fixture
@@ -93,6 +93,27 @@ class TestVerify:
         # The rate is read first, so a bad rate file fails before any enumeration.
         assert main(["verify", "--family", str(fam), "--rate", str(tmp_path / "no.json"), "--eps", "0.5"]) == 4
 
+    @pytest.mark.parametrize("block", [[], [0]])
+    def test_rate_with_an_invalid_sampling_exits_three(self, omega6_b, tmp_path, capsys, block):
+        # An empty block, or one below its index (index 3 sampling 0).
+        fam, rate = omega6_b
+        doc = json.loads(rate.read_text())
+        doc["samplings"]["identity"]["assign"][3] = block
+        bad = tmp_path / "bad_sampling.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "result.json"
+        code = main(["verify", "--family", str(fam), "--rate", str(bad), "--eps", "0.5", "--out", str(out)])
+        assert code == 3 and not out.exists()
+        assert "invalid sampling" in capsys.readouterr().err
+
+    def test_rate_threshold_true_exits_three(self, omega6_b, tmp_path):
+        fam, rate = omega6_b
+        doc = json.loads(rate.read_text())
+        doc["thresholds"][0] = True
+        bad = tmp_path / "bool_threshold.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", "--family", str(fam), "--rate", str(bad), "--eps", "0.5"]) == 3
+
     def test_member_cap_boundary(self):
         # C on an n-chain has 2**(n-1) members: 4096 at n = 13, 8192 at n = 14.
         assert len(_family_nets(FamilySpec("C", make_omega_window(13)))) == FAMILY_MEMBER_CAP
@@ -139,7 +160,7 @@ class TestRefute:
         )
         assert code == 4
 
-    @pytest.mark.parametrize("doc", [[3], [[{"a": 1}]], [[[0, [1]]]]])
+    @pytest.mark.parametrize("doc", [[3], [[{"a": 1}]]])
     def test_malformed_candidate_set_exits_four(self, tmp_path, doc):
         fam = self._family_file(tmp_path)
         cands = tmp_path / "cands.json"
@@ -148,6 +169,40 @@ class TestRefute:
             ["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--seed", "1"]
         )
         assert code == 4
+
+    @pytest.mark.parametrize("tag, doc", [("C", [[[0, [1]]]]), ("B", [[0, 99]]), ("B", [[0, 1], [None]])])
+    def test_candidate_outside_the_window_exits_three(self, tmp_path, capsys, tag, doc):
+        # [0, [1]] is a well-formed nested label, but not one of this window.
+        fam = self._family_file(tmp_path, tag=tag)
+        cands = tmp_path / "cands.json"
+        cands.write_text(json.dumps(doc))
+        out = tmp_path / "res.json"
+        code = main(["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--out", str(out)])
+        assert code == 3 and not out.exists()
+        assert "not an element of the window" in capsys.readouterr().err
+
+    def test_nested_product_labels_are_decoded(self, tmp_path):
+        w = product(product(make_omega_window(2), make_omega_window(2)), make_omega_window(2))
+        fam = tmp_path / "family.json"
+        fam.write_text(dumps(family_spec_to_dict(FamilySpec("C", w))))
+        cands = tmp_path / "cands.json"
+        cands.write_text(json.dumps([[[[0, 0], 0]]]))
+        out = tmp_path / "cert.json"
+        code = main(["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--out", str(out)])
+        assert code == 2
+        cert = certificate_from_dict(json.loads(out.read_text()))
+        assert cert.candidate_set == {((0, 0), 0)} and meta.replay_certificate(cert)
+
+    def test_spec_past_the_member_cap_exits_three(self, tmp_path, capsys):
+        # Pointed C has no closed form, and no member is defeated at the top,
+        # so the search would need member 4097 of the 8192.
+        fam = self._family_file(tmp_path, n=14)
+        cands = tmp_path / "cands.json"
+        cands.write_text(json.dumps([[13]]))
+        out = tmp_path / "res.json"
+        argv = ["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--out", str(out)]
+        assert main(argv + ["--pointed"]) == 3 and not out.exists()
+        assert "FAMILY_MEMBER_CAP" in capsys.readouterr().err
 
     @pytest.mark.parametrize("eps", ["nan", "-1"])
     def test_invalid_eps_exits_three(self, tmp_path, eps):
@@ -290,6 +345,19 @@ class TestChecksBeforeWriting:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "does not replay" in err and "Traceback" not in err
+
+    def test_closed_form_certificate_that_does_not_replay(self, monkeypatch, tmp_path, capsys):
+        # The closed form's own replay fails: no fall-through to the search.
+        verdicts = iter([False])
+        monkeypatch.setattr(meta, "replay_certificate", lambda cert: next(verdicts, True))
+        fam = tmp_path / "family.json"
+        fam.write_text(dumps(family_spec_to_dict(FamilySpec("C", make_omega_window(8)))))
+        cands = tmp_path / "cands.json"
+        cands.write_text(json.dumps([[0, 1, 2]]))
+        out = tmp_path / "cert.json"
+        code = main(["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--out", str(out)])
+        assert code == 5 and not out.exists()
+        assert "does not replay" in capsys.readouterr().err
 
     def test_refute_certificate_that_does_not_replay(self, monkeypatch, tmp_path, capsys):
         # The search's own replay passes; the CLI's re-check before writing fails.

@@ -87,6 +87,29 @@ class TestEnumeration:
         assert sorted(m.values for m in members("B", w)) == sorted(nonincreasing)
         assert sorted(m.values for m in members("C", w)) == sorted(eventually_zero)
 
+    @settings(max_examples=150, deadline=None)
+    @given(windows().filter(lambda w: len(w) <= 8))
+    def test_C_is_the_filter_in_lexicographic_order(self, w):
+        # One path on every window: 0 at the top, the other positions in
+        # lexicographic order, which is the order of the filtered assignments.
+        want = [a.values for a in all_binary_nets(w) if brute_eventually_zero(w, a.values)]
+        assert [m.values for m in members("C", w)] == want
+
+    def test_enumeration_raises_at_member_cap_plus_one(self):
+        got = enumerate_family(FamilySpec("C", make_omega_window(14)))
+        assert len(list(itertools.islice(got, FAMILY_MEMBER_CAP))) == FAMILY_MEMBER_CAP
+        with pytest.raises(FamilyError, match="FAMILY_MEMBER_CAP"):
+            next(got)
+
+    def test_C_on_a_large_non_chain_window_is_lazy(self):
+        # No brute-force cap for C: members come one at a time, up to the member cap.
+        w = product(make_omega_window(3), label_chain([f"x{p}" for p in range(6)]))
+        assert len(w) > BRUTE_FORCE_CAP and not w.is_chain()
+        first = next(enumerate_family(FamilySpec("C", w)))
+        assert first.values == (0,) * len(w)
+        with pytest.raises(FamilyError, match="FAMILY_MEMBER_CAP"):
+            members("C", w)
+
     def test_D_needs_chain_in_listing_order(self):
         with pytest.raises(FamilyError):
             members("D", label_chain(["b", "a", "c", "d"]))

@@ -421,7 +421,8 @@ class TestRefuteUniform:
     @given(st.sampled_from(["B", "C", "D"]), st.integers(2, 5), st.booleans(), st.data())
     def test_matches_per_member_replay(self, tag, n, pointed, data):
         # Seeded lists of family members, with one net on another window
-        # mixed in; candidate sets sometimes reach past the window top.
+        # mixed in; candidate sets sometimes reach past the window top,
+        # which raises WindowError (the first member's window counts).
         w = make_omega_window(n)
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         if tag == "D":
@@ -434,6 +435,10 @@ class TestRefuteUniform:
         labels = list(range(n + 1 if rng.random() < 0.1 else n))
         sets = [rng.sample(labels, rng.randint(1, min(3, len(labels)))) for _ in range(rng.randint(1, 3))]
         eps = rng.choice([0.25, 0.5, 1.0])
+        if any(i not in family[0].window for s in sets for i in s):
+            with pytest.raises(order.WindowError, match="not an element of the window"):
+                refute_uniform(family, sets, eps, pointed=pointed)
+            return
         got = refute_uniform(family, sets, eps, pointed=pointed)
         want = brute_refute_uniform(family, sets, eps, pointed=pointed)
         assert (got is None) == (want is None)
@@ -499,6 +504,25 @@ class TestRefuteUniform:
         cert = refute_uniform(spec, [{0, 1, 2}], 0.5, pointed=True)
         assert cert is not None and cert.member.values[:5] == (1.0, 0.0, 1.0, 0.0, 1.0)
         assert len(built) <= 5
+
+    def test_net_lists_are_not_capped(self):
+        # Only enumeration is capped; member 4097 of a list is examined.
+        w = make_omega_window(3)
+        family = [Net(w, binary_space(), (0, 0, 0), target=0)] * 4096 + [Net(w, binary_space(), (1, 0, 0), target=0)]
+        cert = refute_uniform(family, [{0}], 0.5)
+        assert cert is not None and cert.member is family[-1]
+
+    def test_closed_form_that_fails_replay_raises(self, monkeypatch):
+        # A broken closed form is a defect, not a cue to search on.
+        from metastable import families
+        from metastable.net import CheckError
+
+        w = make_omega_window(8)
+        good = refute_C({0, 1}, w, 0.5)
+        bad = dataclasses.replace(good, member=Net(w, binary_space(), (0,) * 8, target=0))
+        monkeypatch.setattr(families, "closed_form_refutation", lambda *args, **kwargs: bad)
+        with pytest.raises(CheckError, match="does not replay"):
+            refute_uniform(FamilySpec("C", w), [{0, 1}], 0.5)
 
     def test_pointed_needs_every_target_up_front(self):
         w = make_omega_window(6)

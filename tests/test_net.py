@@ -57,6 +57,19 @@ class TestSpaces:
         with pytest.raises(SpaceError):
             table_space(["x", "y"], [[0, 1], [2, 0]])
 
+    @pytest.mark.parametrize("entry", ["1.5", False, True, math.nan, math.inf, None])
+    def test_table_entries_are_finite_reals(self, entry):
+        # Strings and bools were coerced by float(); NaN broke the checks.
+        with pytest.raises(SpaceError, match="finite reals"):
+            table_space(["x", "y"], [[0, entry], [entry, 0]])
+
+    @pytest.mark.parametrize("eps", [True, False, 0, -1.0, math.nan, math.inf, "0.5"])
+    def test_require_eps_rejects_bools_and_non_tolerances(self, eps):
+        from metastable.net import require_eps
+
+        with pytest.raises(ValueError, match="eps must be"):
+            require_eps(eps)
+
     @pytest.mark.parametrize(
         "space, point",
         [

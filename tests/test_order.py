@@ -85,10 +85,34 @@ class TestCustomWindow:
         with pytest.raises(WindowError):
             make_custom_window([0, 1], [[1, 1], [0, 1]], join)
 
+    @pytest.mark.parametrize("entry", ["no", [0], 2, 1.0, None])
+    def test_leq_matrix_entries_are_0_1_or_bools(self, entry):
+        # "no" and [0] were read as true by bool().
+        with pytest.raises(WindowError, match="leq matrix entries"):
+            make_custom_window([0, 1], [[1, entry], [0, 1]], [[0, 1], [1, 1]])
+
+    def test_leq_matrix_accepts_ints_and_bools(self):
+        for one, zero in ((1, 0), (True, False)):
+            w = make_custom_window([0, 1], [[one, one], [zero, one]], [[0, 1], [1, 1]])
+            assert w.leq(0, 1) and not w.leq(1, 0) and w.is_chain()
+
     def test_join_not_upper_bound_rejected(self):
         leq = lambda x, y: x <= y
         with pytest.raises(WindowError):
             make_custom_window([0, 1, 2], leq, min)
+
+
+class TestTop:
+    @settings(max_examples=200, deadline=None)
+    @given(windows())
+    def test_top_is_the_greatest_element(self, w):
+        greatest = [g for g in w.elements if all(w.leq(a, g) for a in w.elements)]
+        assert greatest == [w.top()]
+
+    def test_examples(self):
+        assert make_omega_window(5).top() == 4
+        assert product(make_omega_window(2), diamond()).top() == (1, "top")
+        assert label_chain(["b", "a", "c"]).top() == "c"
 
 
 class TestChainFact:

@@ -70,6 +70,15 @@ class TestWindows:
         assert w2.join("a", "b") == "top"
 
 
+    @pytest.mark.parametrize("size", [True, 2.0, "2"])
+    def test_omega_size_must_be_an_int(self, size):
+        # "size": true decoded as a 1-element window.
+        doc = {"type": "window", "kind": "omega-window", "size": size, "schema_version": SCHEMA_VERSION}
+        with pytest.raises(SchemaError):
+            window_from_dict(doc)
+        with pytest.raises(TypeError):
+            make_omega_window(size)
+
     def test_schema_one_ordinal_window_reads_as_omega(self):
         doc = {"type": "window", "kind": "ordinal-window", "size": 5, "schema_version": SCHEMA_VERSION}
         assert window_from_dict(doc) == make_omega_window(5)
