@@ -7,9 +7,10 @@ a cover that does not re-validate), so nothing was written.
 All randomized paths require an explicit --seed and are reproducible:
 identical inputs and seed yield byte-identical JSON output.  refute is
 exact and draws nothing: it accepts --seed and ignores it.
-A family spec with more than FAMILY_MEMBER_CAP (4096) members exits 3,
-so refute's "exhausted" covers every member; so does a refute candidate
-outside the window.
+A family file is a family spec or a nonempty list of nets on one window and
+one space, decoded once.  An empty or mixed list exits 3 in every command, as
+does a spec with more than FAMILY_MEMBER_CAP (4096) members, so refute's
+"exhausted" covers every member; so does a refute candidate outside the window.
 """
 
 from __future__ import annotations
@@ -50,16 +51,6 @@ def _write(doc, out):
         sys.stdout.write(text)
 
 
-def _load_family(path):
-    """A family file is either a family-spec document or a list of net documents."""
-    doc = _load_json(path)
-    if isinstance(doc, list):
-        return [_ser.net_from_dict(d) for d in doc]
-    if isinstance(doc, dict) and doc.get("type") == "family-spec":
-        return _ser.family_spec_from_dict(doc)
-    raise _ser.SchemaError("family file must be a family-spec or a list of nets")
-
-
 def _family_nets(family):
     if isinstance(family, _families.FamilySpec):
         return list(_families.enumerate_family(family))
@@ -81,7 +72,7 @@ def _space_from_args(args):
 
 def cmd_verify(args):
     rate = _ser.rate_from_dict(_load_json(args.rate))
-    family = _family_nets(_load_family(args.family))
+    family = _family_nets(_ser.family_from_dict(_load_json(args.family)))
     sids = [args.sampling] if args.sampling else sorted(rate.samplings)
     reports = [
         _ser.report_to_dict(_meta.verify_rate(family, rate, args.eps, sid)) for sid in sids
@@ -98,7 +89,7 @@ def cmd_verify(args):
 
 
 def cmd_refute(args):
-    family = _load_family(args.family)
+    family = _ser.family_from_dict(_load_json(args.family))
     sets = _ser.candidate_sets_from_json(_load_json(args.candidates))
     cert = _meta.refute_uniform(family, sets, args.eps, pointed=args.pointed)
     if cert is None:
@@ -115,11 +106,9 @@ def cmd_analyze(args):
     if args.csv:
         family = _analyze.ingest_csv(args.csv, _space_from_args(args))
     elif args.family:
-        family = _family_nets(_load_family(args.family))
+        family = _family_nets(_ser.family_from_dict(_load_json(args.family)))
     else:
         raise ValueError("analyze needs --csv or --family")
-    if not family:
-        raise ValueError("empty family")
     window = family[0].window
     eps_grid = [float(t) for t in args.eps_grid.split(",")]
     names = args.suite.split(",")
@@ -222,8 +211,8 @@ def build_parser():
     v.set_defaults(fn=cmd_verify)
 
     r = sub.add_parser("refute", help="find the first member a sampling defeats on every candidate set")
-    r.add_argument("--family", required=True, help=f"family-spec JSON or a list of net JSON docs; a spec with more "
-                   f"than {FAMILY_MEMBER_CAP} members exits 3, and 'exhausted' proves that no sampling defeats any member")
+    r.add_argument("--family", required=True, help=f"family-spec JSON or a nonempty list of net JSON docs on one window and one "
+                   f"space (else exit 3, as for a spec past {FAMILY_MEMBER_CAP} members); 'exhausted' covers every member")
     r.add_argument("--candidates", required=True, help="JSON list of candidate sets of window labels; "
                    "a candidate outside the window exits 3")
     r.add_argument("--eps", type=float, required=True)

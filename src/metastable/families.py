@@ -63,7 +63,7 @@ class FamilyError(ValueError):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family tag plus the window (and tag-specific parameters) it lives on."""
+    """A family tag, the window all its members live on (a chain for D and paracompact), and parameters."""
 
     tag: str
     window: DirectedWindow
@@ -71,14 +71,16 @@ class FamilySpec:
 
     def __post_init__(self):
         # A parameter of the wrong type raises TypeError (a schema error when
-        # decoded), one out of range FamilyError.
+        # decoded), one out of range FamilyError, so every spec has a member.
         if self.tag not in TAGS:
             raise FamilyError(f"unknown family tag {self.tag!r}")
-        alphas, n_points = self.parameters.get("alphas", ()), self.parameters.get("n_points", 1)
+        alphas, n_points = self.parameters.get("alphas", (0,)), self.parameters.get("n_points", 1)
         if not isinstance(alphas, (list, tuple, range)) or any(type(v) is not int for v in (*alphas, n_points)):
             raise TypeError("alphas must be a list of ints and n_points an int")
-        if n_points < 1 or any(not 0 <= a < len(self.window) for a in alphas):
-            raise FamilyError("n_points must be positive and alphas positions of the window")
+        if n_points < 1 or not alphas or any(not 0 <= a < len(self.window) for a in alphas):
+            raise FamilyError("n_points must be positive and alphas nonempty positions of the window")
+        if self.tag in ("D", "paracompact") and not self.window.is_chain():
+            raise FamilyError(f"family {self.tag} needs a chain window")
         if self.tag == "paracompact" and self.n_points > FAMILY_MEMBER_CAP:
             raise FamilyError(
                 f"paracompact n_points = {self.n_points} exceeds FAMILY_MEMBER_CAP = {FAMILY_MEMBER_CAP}"
@@ -152,13 +154,10 @@ def _members(spec):
     window = spec.window
     tag = spec.tag
     if tag == "paracompact":
-        omega = make_omega_window(len(window))
         for p in range(spec.n_points):
-            yield _paracompact_net(omega, p)
+            yield _paracompact_net(window, p)
         return
     if tag == "D":
-        if not window.is_chain():
-            raise FamilyError("family D needs a chain window")
         alphas = spec.parameters.get("alphas", range(len(window)))
         for alpha in alphas:
             yield d_member(window, alpha)

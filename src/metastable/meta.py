@@ -342,11 +342,12 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
 
     ``family`` is a FamilySpec (closed forms are replayed for C and pointed
     D; otherwise its enumeration is read lazily, up to
-    ``families.FAMILY_MEMBER_CAP`` members) or an iterable of nets, read in
-    order; members on another window than the first are skipped, and a
-    candidate outside that window raises WindowError.  A certificate
-    defeats a set holding no (pointed) witness; defeating the union
-    defeats every listed set.
+    ``families.FAMILY_MEMBER_CAP`` members) or a nonempty iterable of nets
+    on one window, read whole and in order.  The members live on the
+    spec's window (a list's first member's); a list member on another
+    window, or a candidate outside the window, raises WindowError.  A
+    certificate defeats a set holding no (pointed) witness; defeating the
+    union defeats every listed set.
 
     Samplings are chosen index by index, so the question is exact per
     member: ``a`` is defeated on the union iff the up-set of each of its
@@ -367,17 +368,17 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
         cert = _families.closed_form_refutation(family, union, eps, pointed=pointed)
         if cert is not None:
             return require_replay(cert)
-        # Enumerated members share one window and carry targets; read lazily.
-        members = _families.enumerate_family(family)
+        # Enumerated members live on the spec's window and carry targets; read lazily.
+        window, members = family.window, _families.enumerate_family(family)
     else:
         members = list(family)
+        if not members:
+            raise ValueError("empty family")
+        window = members[0].window
+        if any(a.window != window for a in members):
+            raise WindowError("family members live on different windows")
         if pointed and any(a.target is None for a in members):
             raise RateError("pointed refutation needs declared targets")
-        members = iter(members)
-    first = next(members, None)
-    if first is None:
-        return None
-    window = first.window
     outside = [i for s in candidate_sets for i in s if i not in window]
     if outside:
         raise WindowError(f"candidate {outside[0]!r} is not an element of the window")
@@ -386,9 +387,7 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
     if not pointed and window.top() in union:
         return None
     bound, positions = eps_floor(eps), [window.index(i) for i in union]
-    for a in itertools.chain((first,), members):
-        if a.window != window:
-            continue
+    for a in members:
         if pointed:
             blocks = {i: _first_far(a, eps, i) for i in union}
             if None in blocks.values():

@@ -215,6 +215,8 @@ class DirectedWindow:
         return (self.kind, self._elements, self._leq, self._join)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, DirectedWindow):
             return NotImplemented
         return self._key() == other._key()

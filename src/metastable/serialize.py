@@ -11,17 +11,18 @@ from __future__ import annotations
 import functools
 import json
 
-from .families import FamilySpec
+from .families import FamilyError, FamilySpec
 from .meta import Rate, RefutationCertificate
 from .net import (
     Net,
+    SpaceError,
     binary_space,
     euclidean_space,
     half_line_space,
     table_space,
     unit_interval_space,
 )
-from .order import Sampling, make_custom_window, make_omega_window, product
+from .order import Sampling, WindowError, make_custom_window, make_omega_window, product
 
 SCHEMA_VERSION = 1
 
@@ -44,6 +45,7 @@ __all__ = [
     "candidate_sets_from_json",
     "family_spec_to_dict",
     "family_spec_from_dict",
+    "family_from_dict",
     "analysis_report_to_dict",
     "ump_verdict_to_dict",
     "dumps",
@@ -124,8 +126,9 @@ def window_from_dict(doc):
     if kind in ("omega-window", "ordinal-window"):  # schema 1 also wrote ordinal chains
         return make_omega_window(doc["size"])
     if kind == "product-window":
-        d, e = (window_from_dict(f) for f in doc["factors"])
-        return product(d, e)
+        if len(doc["factors"]) != 2:
+            raise SchemaError("a product window's factors must be a list of two windows")
+        return product(*map(window_from_dict, doc["factors"]))
     if kind == "custom":
         elements = [_label_from_json(e) for e in doc["elements"]]
         return make_custom_window(elements, doc["leq"], doc["join"])
@@ -178,12 +181,8 @@ def space_from_dict(doc):
     if kind == "euclidean":
         return euclidean_space(doc["dim"])
     if kind == "custom-table":
-        return table_space(doc["symbols"], doc["table"])
+        return table_space(map(_label_from_json, doc["symbols"]), doc["table"])
     raise SchemaError(f"unknown space kind {kind!r}")
-
-
-def _point_from_json(p):
-    return tuple(p) if isinstance(p, list) else p
 
 
 def net_to_dict(a):
@@ -200,12 +199,24 @@ def net_to_dict(a):
 
 @_decoder
 def net_from_dict(doc):
-    _expect(doc, "net")
-    w = window_from_dict(doc["window"])
-    space = space_from_dict(doc["space"])
-    values = tuple(_point_from_json(v) for v in doc["values"])
-    target = doc.get("target")
-    return Net(w, space, values, target=_point_from_json(target) if target is not None else None)
+    return _nets_from_dicts([doc])[0]
+
+
+def _nets_from_dicts(docs):
+    # One window and one space for the whole list, decoded from its first
+    # member; another member's documents may differ only in spelling.
+    first = _expect(docs[0], "net")
+    window, space = window_from_dict(first["window"]), space_from_dict(first["space"])
+    nets = []
+    for doc in docs:
+        _expect(doc, "net")
+        if doc["window"] != first["window"] and window_from_dict(doc["window"]) != window:
+            raise WindowError("family members live on different windows")
+        if doc["space"] != first["space"] and space_from_dict(doc["space"]) != space:
+            raise SpaceError("family members take values in different spaces")
+        values = tuple(map(_label_from_json, doc["values"]))
+        nets.append(Net(window, space, values, target=_label_from_json(doc.get("target"))))
+    return nets
 
 
 # -- rates -----------------------------------------------------------------
@@ -288,14 +299,12 @@ def certificate_to_dict(cert):
 @_decoder
 def certificate_from_dict(doc):
     _expect(doc, "refutation-certificate")
-    member = net_from_dict(doc["member"])
-    target = doc.get("pointed_target")
     return RefutationCertificate(
         eps=doc["eps"],
         sampling=sampling_from_dict(doc["sampling"]),
-        member=member,
+        member=net_from_dict(doc["member"]),
         candidate_set=frozenset(_label_from_json(i) for i in doc["candidate_set"]),
-        pointed_target=_point_from_json(target) if target is not None else None,
+        pointed_target=_label_from_json(doc.get("pointed_target")),
     )
 
 
@@ -317,6 +326,18 @@ def family_spec_to_dict(spec):
 def family_spec_from_dict(doc):
     _expect(doc, "family-spec")
     return FamilySpec(doc["tag"], window_from_dict(doc["window"]), doc.get("parameters", {}))
+
+
+@_decoder
+def family_from_dict(doc):
+    """A family-spec, or a nonempty list of nets on one window and one space, each decoded once."""
+    if isinstance(doc, dict) and doc.get("type") == "family-spec":
+        return family_spec_from_dict(doc)
+    if not isinstance(doc, list):
+        raise SchemaError("a family must be a family-spec or a list of nets")
+    if not doc:
+        raise FamilyError("empty family")
+    return _nets_from_dicts(doc)
 
 
 # -- one-way report encodings ---------------------------------------------

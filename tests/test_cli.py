@@ -277,7 +277,7 @@ class TestFamilySpecParameters:
 
     @pytest.mark.parametrize(
         "tag, parameters",
-        [("D", {"alphas": [-1]}), ("D", {"alphas": [0, 8]}), ("paracompact", {"n_points": 0})],
+        [("D", {"alphas": [-1]}), ("D", {"alphas": [0, 8]}), ("paracompact", {"n_points": 0}), ("D", {"alphas": []})],
     )
     def test_out_of_range_exits_three(self, tmp_path, tag, parameters):
         code, out = self._run(tmp_path, tag, parameters)
@@ -309,6 +309,36 @@ def _binary_net_doc(values):
         "values": values,
         "target": 0,
     }
+
+
+def _unit_net_doc(values):
+    return {**_binary_net_doc(values), "space": {"type": "space", "schema_version": 1, "kind": "unit-interval"}}
+
+
+class TestOneWindowPerFamily:
+    """A net list is nonempty and lives on one window and one space, in every command."""
+
+    FAMILIES = {
+        # refute skipped the spike on omega_5 and wrote "exhausted"
+        "mixed-windows": [_binary_net_doc([0, 0, 0, 0]), _binary_net_doc([1, 0, 0, 0, 0])],
+        "mixed-spaces": [_binary_net_doc([0, 0, 0, 0]), _unit_net_doc([1.0, 0.0, 0.0, 0.0])],
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("command", ["verify", "refute", "analyze"])
+    def test_exits_three(self, tmp_path, capsys, command, family):
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps(self.FAMILIES[family]))
+        rate = tmp_path / "rate.json"
+        w = make_omega_window(4)
+        rate.write_text(dumps(rate_to_dict(build_rate({"id": identity_sampling(w)}, lambda t, e: {0}))))
+        cands = tmp_path / "cands.json"
+        cands.write_text("[[0]]")
+        extra = {"verify": ["--rate", str(rate), "--eps", "0.5"], "refute": ["--candidates", str(cands), "--eps", "0.5"], "analyze": []}
+        out = tmp_path / "out.json"
+        assert main([command, "--family", str(fam), *extra[command], "--out", str(out)]) == 3
+        assert not out.exists() and "Traceback" not in capsys.readouterr().err
 
 
 class TestBinaryDecoding:

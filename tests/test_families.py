@@ -114,6 +114,18 @@ class TestEnumeration:
         with pytest.raises(FamilyError):
             members("D", label_chain(["b", "a", "c", "d"]))
 
+    def test_paracompact_needs_a_chain(self):
+        # Its members were built on a private omega window, so the spec's
+        # own labels were rejected as candidates and positions 0..5 accepted.
+        with pytest.raises(FamilyError, match="needs a chain window"):
+            FamilySpec("paracompact", product(make_omega_window(2), make_omega_window(3)))
+
+    def test_paracompact_members_live_on_the_spec_window(self):
+        spec = FamilySpec("paracompact", label_chain(["a", "b", "c", "d"]), {"n_points": 3})
+        got = list(enumerate_family(spec))
+        assert all(a.window is spec.window for a in got)
+        assert [a.values for a in got] == [a.values for a in paracompact_nets(3, 4)]
+
     def test_nonchain_brute_force_matches_invariants(self):
         # diamond window: enumeration must respect the partial order
         elements = [0, 1, 2, 3]

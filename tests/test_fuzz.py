@@ -35,6 +35,7 @@ from metastable.families import FamilySpec, rate_B, refute_C
 from metastable.serialize import (
     certificate_from_dict,
     certificate_to_dict,
+    family_from_dict,
     family_spec_from_dict,
     family_spec_to_dict,
     net_from_dict,
@@ -98,6 +99,10 @@ DOCUMENTS = {
         family_spec_to_dict(FamilySpec("paracompact", make_omega_window(6), {"n_points": 3})),
         family_spec_to_dict(FamilySpec("C", CUSTOM)),
     ],
+    family_from_dict: [
+        family_spec_to_dict(FamilySpec("B", W4)),
+        [net_to_dict(Net(W4, binary_space(), (1, 1, 0, 0), target=0)), net_to_dict(Net(W4, binary_space(), (1, 0, 0, 0), target=0))],
+    ],
 }
 DOCUMENTS = {decode: [_json(d) for d in docs] for decode, docs in DOCUMENTS.items()}
 
@@ -149,15 +154,18 @@ def test_decoders_raise_only_documented_errors(decode, data):
 
 B_FAMILY = [net_to_dict(a) for a in (Net(W4, binary_space(), (1, 0, 0, 0), target=0), Net(W4, binary_space(), (1, 1, 1, 1), target=1))]
 GRID_FAMILY = [net_to_dict(Net(product(make_omega_window(2), CUSTOM), unit_interval_space(), (0.5, 0.25, 0.0, 1.0, 0.75, 0.5)))]
+# A family lives on one window and one space; these two lists break that rule.
+MIXED_WINDOWS = [B_FAMILY[0], net_to_dict(Net(make_omega_window(5), binary_space(), (1, 0, 0, 0, 0), target=0))]
+MIXED_SPACES = [B_FAMILY[0], net_to_dict(Net(W4, unit_interval_space(), (1.0, 0.0, 0.0, 0.0), target=0.0))]
 
 COMMANDS = {
     "verify": (["verify", "--family", "@family", "--rate", "@rate", "--eps", "0.5"],
-               {"family": [family_spec_to_dict(FamilySpec("B", W4)), B_FAMILY], "rate": [rate_to_dict(B_RATE)]}),
+               {"family": [family_spec_to_dict(FamilySpec("B", W4)), B_FAMILY, MIXED_WINDOWS, MIXED_SPACES], "rate": [rate_to_dict(B_RATE)]}),
     "refute": (["refute", "--family", "@family", "--candidates", "@candidates", "--eps", "0.5"],
-               {"family": [family_spec_to_dict(FamilySpec("C", make_omega_window(6))), B_FAMILY], "candidates": [[[0, 1], [2]]]}),
+               {"family": [family_spec_to_dict(FamilySpec("C", make_omega_window(6))), B_FAMILY, MIXED_WINDOWS, MIXED_SPACES], "candidates": [[[0, 1], [2]]]}),
     "refute-pointed": (["refute", "--family", "@family", "--candidates", "@candidates", "--eps", "0.5", "--pointed"],
-                       {"family": [family_spec_to_dict(FamilySpec("D", make_omega_window(6))), B_FAMILY], "candidates": [[[0, 1]]]}),
-    "analyze": (["analyze", "--family", "@family"], {"family": [B_FAMILY, GRID_FAMILY]}),
+                       {"family": [family_spec_to_dict(FamilySpec("D", make_omega_window(6))), B_FAMILY, MIXED_WINDOWS], "candidates": [[[0, 1]]]}),
+    "analyze": (["analyze", "--family", "@family"], {"family": [B_FAMILY, GRID_FAMILY, MIXED_WINDOWS, MIXED_SPACES]}),
 }
 
 

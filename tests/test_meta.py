@@ -420,9 +420,9 @@ class TestRefuteUniform:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["B", "C", "D"]), st.integers(2, 5), st.booleans(), st.data())
     def test_matches_per_member_replay(self, tag, n, pointed, data):
-        # Seeded lists of family members, with one net on another window
-        # mixed in; candidate sets sometimes reach past the window top,
-        # which raises WindowError (the first member's window counts).
+        # Seeded lists of family members; candidate sets sometimes reach
+        # past the window top, which raises WindowError.  The same list
+        # with one net on another window inserted anywhere raises it too.
         w = make_omega_window(n)
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         if tag == "D":
@@ -431,11 +431,14 @@ class TestRefuteUniform:
             family = list(enumerate_family(FamilySpec(tag, w)))
             family = rng.sample(family, min(len(family), rng.randint(1, 6)))
         foreign = random_binary_net(make_omega_window(n - 1), rng, target=0)
-        family.insert(rng.randint(0, len(family)), foreign)
+        mixed = family[:]
+        mixed.insert(rng.randint(0, len(family)), foreign)
         labels = list(range(n + 1 if rng.random() < 0.1 else n))
         sets = [rng.sample(labels, rng.randint(1, min(3, len(labels)))) for _ in range(rng.randint(1, 3))]
         eps = rng.choice([0.25, 0.5, 1.0])
-        if any(i not in family[0].window for s in sets for i in s):
+        with pytest.raises(order.WindowError):
+            refute_uniform(mixed, sets, eps, pointed=pointed)
+        if any(i not in w for s in sets for i in s):
             with pytest.raises(order.WindowError, match="not an element of the window"):
                 refute_uniform(family, sets, eps, pointed=pointed)
             return
@@ -523,6 +526,19 @@ class TestRefuteUniform:
         monkeypatch.setattr(families, "closed_form_refutation", lambda *args, **kwargs: bad)
         with pytest.raises(CheckError, match="does not replay"):
             refute_uniform(FamilySpec("C", w), [{0, 1}], 0.5)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_a_member_on_another_window_raises(self, position):
+        # Even behind a member that would be defeated: the list is read whole.
+        w = make_omega_window(4)
+        family = [Net(w, binary_space(), (1, 0, 0, 0), target=0), constant_net(w)]
+        family.insert(position, Net(make_omega_window(5), binary_space(), (1, 0, 0, 0, 0), target=0))
+        with pytest.raises(order.WindowError, match="different windows"):
+            refute_uniform(family, [{0}], 0.5)
+
+    def test_empty_list_raises(self):
+        with pytest.raises(ValueError, match="empty family"):
+            refute_uniform([], [{0}], 0.5)
 
     def test_pointed_needs_every_target_up_front(self):
         w = make_omega_window(6)

@@ -21,6 +21,7 @@ from metastable import (
     unit_interval_space,
     verify_rate,
 )
+from metastable import serialize
 from metastable.families import FamilySpec, refute_C
 from metastable.serialize import (
     SCHEMA_VERSION,
@@ -29,6 +30,7 @@ from metastable.serialize import (
     certificate_from_dict,
     certificate_to_dict,
     dumps,
+    family_from_dict,
     family_spec_from_dict,
     family_spec_to_dict,
     net_from_dict,
@@ -118,10 +120,17 @@ class TestSpacesAndNets:
             unit_interval_space(),
             euclidean_space(3),
             table_space(["x", "y"], [[0, 2], [2, 0]]),
+            table_space([(0, 1), (1, 0)], [[0, 1], [1, 0]]),
         ],
     )
     def test_space_roundtrip(self, space):
         assert space_from_dict(json.loads(dumps(space_to_dict(space)))) == space
+
+    def test_table_net_with_tuple_symbols_roundtrip(self):
+        # Symbols came back as lists, so the space's own points were rejected.
+        space = table_space([(0, 1), (1, 0)], [[0, 1], [1, 0]])
+        a = Net(make_omega_window(3), space, ((0, 1), (1, 0), (1, 0)), target=(1, 0))
+        assert net_from_dict(json.loads(dumps(net_to_dict(a)))) == a
 
     def test_net_roundtrip(self):
         w = make_omega_window(4)
@@ -190,6 +199,25 @@ class TestRatesReportsCertificates:
         assert list(back.parameters["alphas"]) == [0, 1, 2]
 
 
+class TestFamilies:
+    def test_list_members_share_one_window_and_space(self, monkeypatch):
+        w = make_omega_window(12)
+        docs = json.loads(dumps([net_to_dict(Net(w, binary_space(), (m % 2,) * 11 + (0,), target=0)) for m in range(2048)]))
+        calls = []
+        original = serialize.window_from_dict
+        monkeypatch.setattr(serialize, "window_from_dict", lambda doc: calls.append(1) or original(doc))
+        family = family_from_dict(docs)
+        assert len(family) == 2048 and family[0].window == w and len(calls) == 1
+        assert all(a.window is family[0].window and a.space is family[0].space for a in family)
+
+    def test_equal_windows_spelled_differently_decode(self):
+        # Schema 1 wrote chains as ordinal windows; both spellings name omega_3.
+        docs = [net_to_dict(Net(make_omega_window(3), binary_space(), (v, v, 0), target=0)) for v in (0, 1)]
+        docs[1]["window"]["kind"] = "ordinal-window"
+        family = family_from_dict(json.loads(json.dumps(docs)))
+        assert family[1].window is family[0].window == make_omega_window(3)
+
+
 class TestMalformedDocuments:
     @pytest.mark.parametrize(
         "decode, doc",
@@ -203,6 +231,9 @@ class TestMalformedDocuments:
             (rate_from_dict, {"type": "rate", "schema_version": SCHEMA_VERSION, "thresholds": [0.5], "table": [], "pointed": False, "samplings": []}),
             (certificate_from_dict, {"type": "refutation-certificate", "schema_version": SCHEMA_VERSION}),
             (family_spec_from_dict, {"type": "family-spec", "schema_version": SCHEMA_VERSION}),
+            # A product of one or of three factors raised a bare ValueError.
+            (window_from_dict, {**window_to_dict(product(make_omega_window(2), make_omega_window(2))), "factors": [window_to_dict(make_omega_window(2))]}),
+            (window_from_dict, {**window_to_dict(product(make_omega_window(2), make_omega_window(2))), "factors": [window_to_dict(make_omega_window(2))] * 3}),
         ],
     )
     def test_wrong_shape_is_a_schema_error(self, decode, doc):
