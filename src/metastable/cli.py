@@ -21,6 +21,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import analyze as _analyze
 from . import families as _families
 from . import meta as _meta
@@ -176,10 +178,10 @@ def _demo_doc(scenario, size, seed):
         report = _analyze.empirical_rate(nets, [0.5, 0.25, 0.05], suite)
         return {"scenario": scenario, "report": _ser.analysis_report_to_dict(report)}
     if scenario == "lukasiewicz":
-        grid = [i / 1000 for i in range(1001)]
+        grid = np.arange(1001) / 1000
         rows = []
         for n in (4, 8, 16, 32, 64, 128, 256):
-            sup = max(abs(_mvlogic.approx_half(x, n) - x / 2) for x in grid)
+            sup = float(np.max(np.abs(_mvlogic.approx_half(grid, n) - grid / 2)))
             rows.append({"n": n, "sup_error": sup, "bound": 1 / (2 * n)})
         return {"scenario": scenario, "convergence": rows}
     raise ValueError(f"unknown demo scenario {scenario!r}")

@@ -21,6 +21,7 @@ D-pattern.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -95,14 +96,14 @@ class FamilySpec:
 def _threshold_net(window, cutoff):
     # 1 on the first `cutoff` chain positions, 0 after; target is the tail value.
     n = len(window)
-    values = tuple(1 if p < cutoff else 0 for p in range(n))
+    values = (1,) * cutoff + (0,) * (n - cutoff)
     return Net(window, binary_space(), values, target=1 if cutoff == n else 0)
 
 
 def _nonincreasing(window, values):
     # Adjacent positions on a chain; elsewhere each element against its up-set.
     if window.is_chain():
-        return all(x >= y for x, y in zip(values, values[1:]))
+        return all(map(operator.ge, values, values[1:]))
     index = window.index
     return all(values[p] >= values[index(j)] for p, i in enumerate(window.elements) for j in window.up_set(i))
 

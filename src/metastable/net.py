@@ -198,10 +198,12 @@ class Net:
             raise SpaceError(
                 f"net has {len(self.values)} values for a window of {len(self.window)}"
             )
-        for v in self.values:
-            self.space.require(v)
-        if self.target is not None:
-            self.space.require(self.target)
+        points = self.values if self.target is None else (*self.values, self.target)
+        # Exact ints in {0, 1} are binary points, proven in one bulk test;
+        # everything else is checked, and the first non-point named, in order.
+        if not (self.space.kind == BINARY and set(map(type, points)) <= {int} and {0, 1}.issuperset(points)):
+            for v in points:
+                self.space.require(v)
 
     @functools.cached_property
     def array(self):

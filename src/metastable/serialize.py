@@ -214,7 +214,9 @@ def _nets_from_dicts(docs):
             raise WindowError("family members live on different windows")
         if doc["space"] != first["space"] and space_from_dict(doc["space"]) != space:
             raise SpaceError("family members take values in different spaces")
-        values = tuple(map(_label_from_json, doc["values"]))
+        values = doc["values"]
+        # Only a JSON list becomes a tuple label; a list of scalars is copied whole.
+        values = tuple(map(_label_from_json, values) if list in set(map(type, values)) else values)
         nets.append(Net(window, space, values, target=_label_from_json(doc.get("target"))))
     return nets
 

@@ -4,8 +4,10 @@ Valid documents of every kind are mutated (a node replaced by another
 JSON value, a key or list entry deleted) and fed to every
 ``serialize.*_from_dict`` and, as files, to every CLI subcommand.  A
 decoder may return or raise one of the errors the CLI maps to an exit
-code; the CLI must exit 0, 2, 3, 4 or 5 and never raise.  Integers stay
-small, so no document asks for a huge window.
+code; the CLI must exit 0, 2, 3, 4 or 5 and never raise.  Net lists of
+every space kind whose values mix points with bools, non-finite floats,
+ints beyond 2**53, strings, null and nested lists take the same path.
+Integers stay small, so no document asks for a huge window.
 """
 
 import json
@@ -22,6 +24,7 @@ from metastable import (
     binary_space,
     build_rate,
     euclidean_space,
+    half_line_space,
     identity_sampling,
     make_custom_window,
     make_omega_window,
@@ -182,6 +185,63 @@ def test_cli_exits_with_a_documented_code(command, data):
             files[name].write_text(json.dumps(_mutate(doc, data.draw) if name == mutated else doc))
         code = main([str(files[a[1:]]) if a.startswith("@") else a for a in argv] + ["--out", str(pathlib.Path(tmp, "out"))])
     assert code in (0, 2, 3, 4, 5)
+
+
+SPACES = [binary_space(), unit_interval_space(), half_line_space(), euclidean_space(2), table_space(["x", ("p", 1)], [[0, 1], [1, 0]])]
+# Values that a bulk point check must not wave through: bools, non-finite
+# floats, ints beyond 2**53, strings, null and nested lists, next to points.
+ODD_SCALARS = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.integers(2**53 + 1, 2**64) | st.integers(-(2**64), -(2**53 + 1)),
+    st.text(max_size=3),
+    st.none(),
+)
+ODD_VALUES = st.one_of(
+    ODD_SCALARS,
+    st.lists(ODD_SCALARS | st.integers(-1, 2), max_size=3),
+    st.sampled_from([0, 1, 0.5, 2.0, [0.5, 1.0], [3, -4], "x", ["p", 1], ["x"]]),
+)
+
+
+POINTS = {  # JSON points of each space in SPACES
+    "binary-discrete": st.sampled_from([0, 1]),
+    "unit-interval": st.floats(0.0, 1.0),
+    "half-line": st.floats(0.0, 1e300) | st.integers(0, 2**53),
+    "euclidean": st.lists(st.floats(-1e300, 1e300) | st.integers(-(2**53), 2**53), min_size=2, max_size=2),
+    "custom-table": st.sampled_from(["x", ["p", 1]]),
+}
+
+
+def _odd_net(space, draw):
+    # Points of the space with zero to two of them replaced by odd values.
+    values = draw(st.lists(POINTS[space.kind], min_size=4, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.integers(0, 3))] = draw(ODD_VALUES)
+    return {**net_to_dict(Net(W4, binary_space(), (1, 0, 0, 0))), "space": space_to_dict(space),
+            "values": values, "target": draw(st.none() | POINTS[space.kind] | ODD_VALUES)}
+
+
+@FUZZ
+@given(st.sampled_from(SPACES), st.data())
+def test_net_lists_with_odd_values_end_in_a_documented_outcome(space, data):
+    family = _json([_odd_net(space, data.draw) for _ in range(data.draw(st.integers(1, 2)))])
+    try:
+        family_from_dict(family)
+    except ValueError:  # SchemaError, SpaceError
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {name: pathlib.Path(tmp, f"{name}.json") for name in ("family", "rate", "candidates")}
+        files["family"].write_text(json.dumps(family))
+        files["rate"].write_text(json.dumps(rate_to_dict(B_RATE)))
+        files["candidates"].write_text(json.dumps([[0, 1], [2]]))
+        out = ["--out", str(pathlib.Path(tmp, "out"))]
+        for argv in (
+            ["verify", "--family", files["family"], "--rate", files["rate"], "--eps", "0.5"],
+            ["refute", "--family", files["family"], "--candidates", files["candidates"], "--eps", "0.5"],
+            ["analyze", "--family", files["family"]],
+        ):
+            assert main([str(a) for a in argv] + out) in (0, 2, 3, 4, 5)
 
 
 @FUZZ

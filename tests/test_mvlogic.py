@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,24 +79,94 @@ class TestApproxHalf:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             approx_half(0.5, 0)
-        for n in (2.5, Fraction(3), "3"):
+        for n in (2.5, Fraction(3), "3", True, False):
             with pytest.raises(TypeError):
                 approx_half(0.5, n)
+            with pytest.raises(TypeError):
+                approx_scaled(Fraction(1, 2), 0.5, n)
 
     @settings(max_examples=500, deadline=None)
     @given(st.integers(1, 5000), st.data())
     def test_bisection_equals_term_by_term(self, n, data):
-        x = data.draw(
-            st.one_of(
-                st.integers(0, n).map(lambda i: i / n),
-                st.integers(0, 2 * n).map(lambda j: j / (2 * n)),
-                st.sampled_from([0.0, 1.0, 0, 1, 5e-324, 2.0 ** -1070, 2.0 ** -1022]),
-                st.floats(min_value=0.0, max_value=2.0 ** -1022),
-                unit,
-            )
-        )
+        x = data.draw(halving_inputs(n))
         got, want = approx_half(x, n), brute_approx_half(x, n)
         assert got == want and type(got) is type(want) and repr(got) == repr(want)
+
+
+def halving_inputs(n):
+    # Grid points of mesh 1/n and 1/(2n), where the bisection's crossing is
+    # exact, subnormals, and any value in [0, 1].
+    return st.one_of(
+        st.integers(0, n).map(lambda i: i / n),
+        st.integers(0, 2 * n).map(lambda j: j / (2 * n)),
+        st.sampled_from([0.0, 1.0, 0, 1, 5e-324, 2.0 ** -1070, 2.0 ** -1022]),
+        st.floats(min_value=0.0, max_value=2.0 ** -1022),
+        unit,
+    )
+
+
+class TestApproxHalfOverArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5000), st.data())
+    def test_each_entry_equals_term_by_term(self, n, data):
+        xs = data.draw(st.lists(halving_inputs(n), max_size=8))
+        got = approx_half(xs, n)
+        assert isinstance(got, np.ndarray) and got.shape == (len(xs),)
+        assert [repr(float(v)) for v in got] == [repr(brute_approx_half(x, n)) for x in xs]
+
+    def test_scalar_in_gives_python_float_out(self):
+        for x in (0.3, 1, np.float64(0.3)):
+            assert type(approx_half(x, 7)) is float
+            assert type(approx_scaled(Fraction(3, 4), x, 7)) is float
+        assert approx_half(0.3, 7) == approx_half([0.3], 7)[0]
+
+    def test_n_beyond_2_to_the_53_rejected(self):
+        # Above 2**53, numpy's i / n and Python's can differ.
+        assert approx_half(1.0, 2**53) == brute_approx_half(1.0, 2) == 0.5
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            approx_half(0.5, 2**53 + 1)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            approx_half([0.5], 2**53 + 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.25])
+    def test_entry_outside_unit_interval_named(self, bad):
+        with pytest.raises(ValueError, match=f"value {bad!r} at position 2 outside"):
+            approx_half([0.0, 0.5, bad, 1.0], 4)
+
+    @pytest.mark.parametrize(
+        "entry", ["0.5", True, False, None, Fraction(1, 2), np.float64(0.5), 10**400, 1.5], ids=lambda e: repr(e)[:16]
+    )
+    def test_entry_accepted_as_it_would_be_alone(self, entry):
+        # A string, None or a huge int in a sequence fails as it fails alone
+        # (numpy would read "0.5" as 0.5); bools and Fractions pass as alone.
+        try:
+            alone = approx_half(entry, 8)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                approx_half([0.25, entry], 8)
+        else:
+            assert approx_half([0.25, entry], 8)[1] == alone
+
+    def test_not_one_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            approx_half([[0.5]], 4)
+
+    @given(st.integers(0, 16), st.lists(unit, max_size=6), st.integers(1, 100))
+    def test_scaled_equals_composed_term_by_term_halvings(self, m, xs, n):
+        r = Fraction(m, 16)
+        k = r.denominator.bit_length() - 1
+
+        def composed(x):  # halve once per binary digit of r, summing the set ones
+            acc, y = (x if r == 1 else 0.0), x
+            for j in range(1, k + 1):
+                y = brute_approx_half(y, n)
+                if (r.numerator >> (k - j)) & 1:
+                    acc = truncated_sum(acc, y)
+            return acc
+
+        want = [repr(float(composed(x))) for x in xs]
+        assert [repr(float(v)) for v in approx_scaled(r, xs, n)] == want
+        assert [repr(approx_scaled(r, x, n)) for x in xs] == want
 
 
 class TestApproxScaled:
@@ -129,10 +201,10 @@ class TestApproxScaled:
 
     def test_sup_error_shrinks_with_n(self):
         r = Fraction(5, 8)
-        grid = [i / 200 for i in range(201)]
+        grid = np.arange(201) / 200
         sups = []
         for n in (4, 8, 16, 32):
-            sups.append(max(float(r) * x - approx_scaled(r, x, n) for x in grid))
+            sups.append(float(np.max(float(r) * grid - approx_scaled(r, grid, n))))
         assert all(a >= b - SLACK for a, b in zip(sups, sups[1:]))
         for n, s in zip((4, 8, 16, 32), sups):
             assert s <= scaled_error_bound(r, n) + SLACK

@@ -1,8 +1,11 @@
+import collections
 import math
 import random
+import re
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from metastable import (
     Net,
@@ -105,6 +108,81 @@ class TestSpaces:
     )
     def test_accepts_finite_binary64_points(self, space, point):
         assert space.contains(point)
+
+
+class _Int(int):
+    pass
+
+
+_Point = collections.namedtuple("_Point", "x y")
+# Values at the edges of the point check: bools and floats on binary (which
+# the bulk test for exact ints in {0, 1} must leave to ``require``),
+# non-finite floats, ints at and beyond 2**53, signed zero, the least
+# subnormal, float and int subclasses, lists, tuples of the wrong length or
+# type, and unhashable values (which a table space must still look up).
+EDGE_VALUES = [
+    True, False, 1.0, 0.0, 0, 1, -1, 2, 0.5, 1.5, -0.0, 5e-324, 1e300, -1e300,
+    math.nan, math.inf, -math.inf,
+    2**53, -(2**53), 2**53 + 1, -(2**53 + 1), 2**60, 10**400,
+    np.float64(0.25), np.float64(math.nan), np.int64(1), _Int(1), _Int(2**60),
+    "x", "a", None, [1], [0.5, 0.5], {}, {"a": 1},
+    (0.5,), (0.5, 0.25), (0.5, 0.25, 0.0), (1, 2**53 + 1), (True, 0.0), (math.inf, 0.0),
+    ("p", 1), ["p", 1], _Point(0.5, 0.25),
+]
+REAL = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**53), 2**53))
+POINT_SPACES = {
+    "binary": (binary_space(), st.sampled_from([0, 1])),
+    "unit": (unit_interval_space(), st.one_of(st.floats(0.0, 1.0), st.integers(0, 1))),
+    "half-line": (half_line_space(), st.one_of(st.floats(0.0, allow_infinity=False), st.integers(0, 2**53))),
+    "euclidean": (euclidean_space(2), st.tuples(REAL, REAL)),
+    "table": (table_space(["a", ("p", 1), 2], [[0, 1, 2], [1, 0, 1], [2, 1, 0]]), st.sampled_from(["a", ("p", 1), 2])),
+}
+
+
+def _net(space, values, target=None):
+    return Net(make_omega_window(len(values)), space, values, target=target)
+
+
+class TestNetPointCheck:
+    """A net's values and target are accepted exactly when each passes
+    ``require``, and otherwise the first non-point, in order, is named."""
+
+    @pytest.mark.parametrize("kind", sorted(POINT_SPACES))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_accepts_exactly_the_points_and_names_the_first_other(self, kind, data):
+        space, points = POINT_SPACES[kind]
+        values = data.draw(st.lists(points, min_size=1, max_size=5))
+        for v in data.draw(st.lists(st.sampled_from(EDGE_VALUES), max_size=2)):
+            values.insert(data.draw(st.integers(0, len(values))), v)
+        target = data.draw(st.one_of(st.none(), points, st.sampled_from(EDGE_VALUES)))
+        values = tuple(values)
+        try:  # the oracle: one ``require`` per value, in order, then the target
+            for v in values if target is None else (*values, target):
+                space.require(v)
+        except ValueError as exc:  # SpaceError; numpy's own for np.float64 against a tuple symbol
+            with pytest.raises(type(exc)) as err:
+                _net(space, values, target)
+            assert str(err.value) == str(exc)
+        else:
+            assert _net(space, values, target).values is values
+
+    @pytest.mark.parametrize("kind", sorted(POINT_SPACES))
+    def test_every_edge_value_alone_and_behind_points(self, kind):
+        space, _ = POINT_SPACES[kind]
+        point = {"binary": 0, "unit": 0.5, "half-line": 2.0, "euclidean": (0.0, 1.0), "table": "a"}[kind]
+        for v in EDGE_VALUES:
+            try:
+                accepted = space.contains(v)
+            except ValueError:  # np.float64 compared with a tuple symbol
+                continue
+            cases = [((v,), None), ((point, v, point), None)] + [((point,), v)] * (v is not None)
+            for values, target in cases:
+                if accepted:
+                    _net(space, values, target)
+                else:
+                    with pytest.raises(SpaceError, match=f"^{re.escape(repr(v))} is not a point"):
+                        _net(space, values, target)
 
 
 class TestNet:

@@ -210,6 +210,49 @@ class TestFamilies:
         assert len(family) == 2048 and family[0].window == w and len(calls) == 1
         assert all(a.window is family[0].window and a.space is family[0].space for a in family)
 
+    def test_scalar_list_decodes_without_a_call_per_value(self, monkeypatch):
+        from metastable.net import MetricSpace
+
+        w = make_omega_window(12)
+        docs = json.loads(dumps([net_to_dict(Net(w, binary_space(), (m % 2,) * 11 + (0,), target=0)) for m in range(2048)]))
+        counts = {"contains": 0, "labels": 0}
+        contains, label = MetricSpace.contains, serialize._label_from_json
+
+        def counted(key, fn):
+            def call(*args):
+                counts[key] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(MetricSpace, "contains", counted("contains", contains))
+        monkeypatch.setattr(serialize, "_label_from_json", counted("labels", label))
+        family = family_from_dict(docs)
+        assert len(family) == 2048 and family[5].values == (1,) * 11 + (0,)
+        # One label call per member, for its target; none for its 12 values.
+        assert counts == {"contains": 0, "labels": 2048}
+
+    def test_a_list_value_on_a_binary_net_exits_3(self, tmp_path):
+        from metastable.cli import main
+
+        doc = json.loads(dumps(net_to_dict(Net(make_omega_window(3), binary_space(), (1, 0, 0), target=0))))
+        doc["values"][0] = [1]
+        with pytest.raises(SpaceError, match=r"^\(1,\) is not a point"):
+            family_from_dict([doc])
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps([doc]))
+        assert main(["analyze", "--family", str(path), "--out", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize(
+        "space, values",
+        [
+            (euclidean_space(2), [((0.0, 1.0), (0.5, -2)), ((3, 4.5), (0.0, 0.0))]),
+            (table_space(["a", ("p", 1)], [[0, 1], [1, 0]]), [("a", ("p", 1)), (("p", 1), ("p", 1))]),
+        ],
+    )
+    def test_nested_label_lists_round_trip(self, space, values):
+        nets = [Net(make_omega_window(2), space, v) for v in values]
+        assert family_from_dict(json.loads(dumps([net_to_dict(a) for a in nets]))) == nets
+
     def test_equal_windows_spelled_differently_decode(self):
         # Schema 1 wrote chains as ordinal windows; both spellings name omega_3.
         docs = [net_to_dict(Net(make_omega_window(3), binary_space(), (v, v, 0), target=0)) for v in (0, 1)]
