@@ -8,9 +8,11 @@ All randomized paths require an explicit --seed and are reproducible:
 identical inputs and seed yield byte-identical JSON output.  refute is
 exact and draws nothing: it accepts --seed and ignores it.
 A family file is a family spec or a nonempty list of nets on one window and
-one space, decoded once.  An empty or mixed list exits 3 in every command, as
-does a spec with more than FAMILY_MEMBER_CAP (4096) members, so refute's
-"exhausted" covers every member; so does a refute candidate outside the window.
+one space, decoded once.  An empty or mixed list, a window past WINDOW_CAP
+(2**20) elements and a refute candidate outside the window exit 3.  verify
+and analyze list every member of a spec, so one past FAMILY_MEMBER_CAP (4096)
+members exits 3; refute reads members lazily and exits 3 only if its answer
+needs member 4097 (the closed forms, plain C and pointed D, read none).
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def cmd_refute(args):
             args.out,
         )
         return EXIT_OK
-    _write(_ser.certificate_to_dict(_meta.require_replay(cert)), args.out)
+    _write(_ser.certificate_to_dict(cert), args.out)  # refute_uniform replayed it
     return EXIT_REFUTED
 
 
@@ -161,7 +163,7 @@ def _demo_doc(scenario, size, seed):
         cert = _meta.refute_uniform(spec, [set(range(n_points - 1))], 0.5, pointed=True)
         if cert is None:
             raise _families.FamilyError("window too small: no point defeats the candidate set")
-        nets = _families.paracompact_nets(n_points, size)
+        nets = list(_families.enumerate_family(spec))
         suite = _analyze.build_sampling_suite(window, ["identity", "successor"])
         verdict = _analyze.finite_space_ump_check(
             {f"x{p}": a for p, a in enumerate(nets)}, [0.5], suite
@@ -214,7 +216,8 @@ def build_parser():
 
     r = sub.add_parser("refute", help="find the first member a sampling defeats on every candidate set")
     r.add_argument("--family", required=True, help=f"family-spec JSON or a nonempty list of net JSON docs on one window and one "
-                   f"space (else exit 3, as for a spec past {FAMILY_MEMBER_CAP} members); 'exhausted' covers every member")
+                   f"space (else exit 3); members are read lazily, an answer needing member {FAMILY_MEMBER_CAP + 1} exits 3, "
+                   "and 'exhausted' covers every member")
     r.add_argument("--candidates", required=True, help="JSON list of candidate sets of window labels; "
                    "a candidate outside the window exits 3")
     r.add_argument("--eps", type=float, required=True)

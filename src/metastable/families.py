@@ -119,13 +119,11 @@ def _require(invariant, values):
 
 
 def d_member(window, alpha):
-    """The cutoff-alpha chain net: 0 at even indices <= alpha, 1 elsewhere.
+    """The cutoff-alpha net on a chain: 0 at even indices <= alpha, 1 elsewhere.
 
     Index 0 counts as even.  Every value above alpha is 1, so the member
     converges to 1 within the window; its declared target is 1.
     """
-    if not window.is_chain():
-        raise FamilyError("family D needs a chain window")
     n = len(window)
     if not 0 <= alpha < n:
         raise FamilyError(f"alpha={alpha} outside window of size {n}")
@@ -154,9 +152,10 @@ def _members(spec):
     # every other position in lexicographic order, on every window.
     window = spec.window
     tag = spec.tag
-    if tag == "paracompact":
+    if tag == "paracompact":  # the iterate net at point x_p: 0 exactly at the odd steps i <= p
         for p in range(spec.n_points):
-            yield _paracompact_net(window, p)
+            values = tuple(1.0 if (i % 2 == 0 or i > p) else 0.0 for i in range(len(window)))
+            yield Net(window, unit_interval_space(), values, target=1.0)
         return
     if tag == "D":
         alphas = spec.parameters.get("alphas", range(len(window)))
@@ -275,18 +274,10 @@ def paracompact_nets(n_points, horizon):
     sum; the iterates alternate between partial and total sums.  The net
     at x_p has value 1 at step i iff i is even or i > p, so each net is
     eventually constant at 1 while the family reproduces the D-pattern
-    (with the roles of 0 and 1 exchanged across parity).
+    (with the roles of 0 and 1 exchanged across parity).  They are the
+    members of the paracompact spec on ``make_omega_window(horizon)``.
     """
-    if n_points < 1 or horizon < 1:
-        raise FamilyError("counts must be positive")
-    window = make_omega_window(horizon)
-    return [_paracompact_net(window, p) for p in range(n_points)]
-
-
-def _paracompact_net(window, p):
-    # The iterate net at point x_p: 0 exactly at the odd steps i <= p.
-    values = tuple(1.0 if (i % 2 == 0 or i > p) else 0.0 for i in range(len(window)))
-    return Net(window, unit_interval_space(), values, target=1.0)
+    return list(enumerate_family(FamilySpec("paracompact", make_omega_window(horizon), {"n_points": n_points})))
 
 
 def closed_form_refutation(spec, union, eps, pointed=False):

@@ -207,26 +207,24 @@ def verify_rate(family, rate, eps, eta):
     then measured against it.  The report records one witness (or None)
     per net, in family order.
     """
-    family = list(family)
     sid = rate.sampling_id(eta)
     sampling = rate.samplings[sid]
-    candidates = rate.lookup(eps, sid)
+    window, pointed, candidates = sampling.window, rate.pointed, rate.lookup(eps, sid)
+    require_eps(eps)
+    blocks = [(i, sampling.at(i)) for i in sorted(candidates, key=window.index)]
     outcomes = []
     for a in family:
-        if a.window != sampling.window:
+        if a.window != window:
             raise WindowError("family nets and rate live on different windows")
-        if rate.pointed:
-            if a.target is None:
-                raise RateError("pointed verification needs a declared target on every net")
-            outcomes.append(find_pointed_witness(a, a.target, eps, sampling, candidates))
-        else:
-            outcomes.append(find_witness(a, eps, sampling, candidates))
-    outcomes = tuple(outcomes)
+        if pointed and a.target is None:
+            raise RateError("pointed verification needs a declared target on every net")
+        hits = (i for i, block in blocks if (_near(a, a.target, eps, block) if pointed else _close(a, eps, block)))
+        outcomes.append(next(hits, None))
     return WitnessReport(
         eps=eps,
         sampling_id=sid,
-        window_size=len(sampling.window),
-        outcomes=outcomes,
+        window_size=len(window),
+        outcomes=tuple(outcomes),
         overall=all(o is not None for o in outcomes),
     )
 
@@ -345,7 +343,7 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
     ``families.FAMILY_MEMBER_CAP`` members) or a nonempty iterable of nets
     on one window, read whole and in order.  The members live on the
     spec's window (a list's first member's); a list member on another
-    window, or a candidate outside the window, raises WindowError.  A
+    window, or a candidate outside it, raises WindowError up front.  A
     certificate defeats a set holding no (pointed) witness; defeating the
     union defeats every listed set.
 
@@ -364,10 +362,8 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
 
     from . import families as _families
 
-    if isinstance(family, _families.FamilySpec):
-        cert = _families.closed_form_refutation(family, union, eps, pointed=pointed)
-        if cert is not None:
-            return require_replay(cert)
+    is_spec = isinstance(family, _families.FamilySpec)
+    if is_spec:
         # Enumerated members live on the spec's window and carry targets; read lazily.
         window, members = family.window, _families.enumerate_family(family)
     else:
@@ -382,6 +378,8 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
     outside = [i for s in candidate_sets for i in s if i not in window]
     if outside:
         raise WindowError(f"candidate {outside[0]!r} is not an element of the window")
+    if is_spec and (cert := _families.closed_form_refutation(family, union, eps, pointed=pointed)):
+        return require_replay(cert)
     # In the plain case a union holding the greatest element, whose up-set
     # is itself, is never defeated.
     if not pointed and window.top() in union:

@@ -108,7 +108,13 @@ class MetricSpace:
             return _is_real(x) and x >= 0.0
         if self.kind == EUCLIDEAN:
             return isinstance(x, tuple) and len(x) == self.dim and all(_is_real(c) for c in x)
-        return x in self.symbols
+        return self._position(x) is not None
+
+    def _position(self, x):
+        # Position of the first symbol equal to ``x``, else None.  A comparison
+        # that yields an array (numpy against a tuple symbol) is no match.
+        matches = (p for p, s in enumerate(self.symbols) if s is x or isinstance(eq := s == x, (bool, np.bool_)) and eq)
+        return next(matches, None)
 
     def is_scalar(self):
         """Whether points are reals at distance |x - y| (binary, unit interval, half-line)."""
@@ -132,9 +138,7 @@ class MetricSpace:
             return abs(x - y)
         if self.kind == EUCLIDEAN:
             return math.dist(x, y)
-        i = self.symbols.index(x)
-        j = self.symbols.index(y)
-        return self.table[i][j]
+        return self.table[self._position(x)][self._position(y)]
 
 
 def binary_space():
@@ -216,7 +220,7 @@ class Net:
         if space.kind == EUCLIDEAN:
             array = np.array(values, dtype=float).reshape(len(values), space.dim).T.copy()
         elif space.kind == TABLE:
-            array = np.array([space.symbols.index(v) for v in values], dtype=np.intp)
+            array = np.array([space._position(v) for v in values], dtype=np.intp)
         else:
             array = np.array(values, dtype=float)
         array.flags.writeable = False

@@ -43,6 +43,15 @@ class WindowError(ValueError):
     """Raised when a window or sampling is structurally invalid."""
 
 
+#: Most elements of an omega or product window, checked before any is built.
+WINDOW_CAP = 2**20
+
+
+def _require_window_size(n):
+    if n > WINDOW_CAP:
+        raise WindowError(f"a window of {n} elements exceeds WINDOW_CAP = {WINDOW_CAP}")
+
+
 class DirectedWindow:
     """Finite fragment of a directed set with order and explicit join.
 
@@ -234,6 +243,7 @@ def make_omega_window(n):
         raise TypeError(f"omega window size must be an int, got {n!r}")
     if n < 1:
         raise WindowError("omega window needs at least one element")
+    _require_window_size(n)
     return DirectedWindow(OMEGA, range(n))
 
 
@@ -269,6 +279,7 @@ def make_custom_window(elements, leq, join):
 
 def product(d, e):
     """Product window: pairs under the componentwise order and join."""
+    _require_window_size(len(d) * len(e))
     elements = tuple(itertools.product(d.elements, e.elements))
     return DirectedWindow(PRODUCT, elements, factors=(d, e))
 

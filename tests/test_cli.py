@@ -1,13 +1,15 @@
 import json
 import time
+import tracemalloc
 
 import pytest
 
 from metastable import analyze, meta
 from metastable import build_rate, make_omega_window, product, random_sampling, identity_sampling
-from metastable.cli import FAMILY_MEMBER_CAP, _family_nets, main
-from metastable.families import FamilySpec, rate_B
-from metastable.serialize import certificate_from_dict, dumps, family_spec_to_dict, rate_to_dict
+from metastable.cli import FAMILY_MEMBER_CAP, _family_nets, _parser, main
+from metastable.families import FamilySpec, enumerate_family, rate_B
+from metastable.order import WINDOW_CAP
+from metastable.serialize import certificate_from_dict, dumps, family_spec_to_dict, net_to_dict, rate_to_dict
 
 
 @pytest.fixture
@@ -150,6 +152,23 @@ class TestRefute:
         )
         assert code == 0
         assert json.loads(out.read_text())["result"] == "exhausted"
+
+    @pytest.mark.parametrize("source", ["spec", "list"])
+    def test_one_replay_per_certificate(self, monkeypatch, tmp_path, source):
+        # refute_uniform replays what it returns (the spec by its closed
+        # form, the list by the search); the CLI writes it as it stands.
+        spec = FamilySpec("C", make_omega_window(8))
+        doc = family_spec_to_dict(spec) if source == "spec" else [net_to_dict(a) for a in enumerate_family(spec)]
+        fam = tmp_path / "family.json"
+        fam.write_text(dumps(doc))
+        cands = tmp_path / "cands.json"
+        cands.write_text(json.dumps([[0, 1, 2]]))
+        calls, replay = [], meta.replay_certificate
+        monkeypatch.setattr(meta, "replay_certificate", lambda cert: calls.append(cert) or replay(cert))
+        out = tmp_path / "cert.json"
+        assert main(["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--out", str(out)]) == 2
+        assert len(calls) == 1
+        assert json.loads(out.read_text())["type"] == "refutation-certificate"
 
     def test_bad_candidates_schema_exits_four(self, tmp_path):
         fam = self._family_file(tmp_path)
@@ -390,17 +409,17 @@ class TestChecksBeforeWriting:
         assert "does not replay" in capsys.readouterr().err
 
     def test_refute_certificate_that_does_not_replay(self, monkeypatch, tmp_path, capsys):
-        # The search's own replay passes; the CLI's re-check before writing fails.
-        verdicts = iter([True])
-        monkeypatch.setattr(meta, "replay_certificate", lambda cert: next(verdicts, False))
+        # A net list has no closed form: the search's own replay fails.
+        monkeypatch.setattr(meta, "replay_certificate", lambda cert: False)
         fam = tmp_path / "family.json"
-        fam.write_text(dumps(family_spec_to_dict(FamilySpec("C", make_omega_window(8)))))
+        fam.write_text(dumps([net_to_dict(a) for a in enumerate_family(FamilySpec("C", make_omega_window(8)))]))
         cands = tmp_path / "cands.json"
         cands.write_text(json.dumps([[0, 1, 2]]))
         out = tmp_path / "cert.json"
         code = main(["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--seed", "1", "--out", str(out)])
         assert code == 5 and not out.exists()
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "does not replay" in err and "Traceback" not in err
 
     def test_cover_that_does_not_revalidate(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(analyze, "is_witness", lambda *args: False)
@@ -410,6 +429,51 @@ class TestChecksBeforeWriting:
         assert main(["analyze", "--csv", str(csv_file), "--out", str(out)]) == 5
         assert not out.exists()
         assert "Traceback" not in capsys.readouterr().err
+
+
+def _omega_doc(size):
+    return {"type": "window", "schema_version": 1, "kind": "omega-window", "size": size}
+
+
+class TestWindowCap:
+    """A window past WINDOW_CAP exits 3, naming the cap, before any element is built."""
+
+    WINDOWS = {
+        "omega-10**9": _omega_doc(10**9),
+        "omega-cap+1": _omega_doc(WINDOW_CAP + 1),
+        "product-1025x1024": {
+            "type": "window", "schema_version": 1, "kind": "product-window",
+            "factors": [_omega_doc(2**10 + 1), _omega_doc(2**10)],
+        },
+    }
+
+    @staticmethod
+    def _run(argv):
+        # The exit code and the peak traced allocation of one in-process run.
+        _parser()  # built once, outside the measurement
+        tracemalloc.start()
+        try:
+            return main(argv), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    def test_family_window_exits_three(self, tmp_path, capsys, window):
+        doc = {**family_spec_to_dict(FamilySpec("B", make_omega_window(4))), "window": self.WINDOWS[window]}
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps(doc))
+        cands = tmp_path / "cands.json"
+        cands.write_text("[[0]]")
+        out = tmp_path / "out.json"
+        code, peak = self._run(["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--out", str(out)])
+        assert code == 3 and not out.exists() and peak < 2**20
+        assert f"exceeds WINDOW_CAP = {WINDOW_CAP}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", [WINDOW_CAP + 1, 10**9])
+    def test_demo_size_exits_three(self, capsys, size):
+        code, peak = self._run(["demo", "c-refute", "--size", str(size)])
+        assert code == 3 and peak < 2**20
+        assert "WINDOW_CAP" in capsys.readouterr().err
 
 
 class TestAnalyze:

@@ -305,6 +305,24 @@ class TestParacompact:
         spec = FamilySpec("paracompact", make_omega_window(12), {"n_points": 2})
         assert refute_uniform(spec, [{3, 4}], 0.5, pointed=True) is None
 
+    def test_points_past_the_member_cap_raise(self):
+        with pytest.raises(FamilyError, match="FAMILY_MEMBER_CAP = 4096"):
+            paracompact_nets(FAMILY_MEMBER_CAP + 1, 8)
+
+    @pytest.mark.parametrize("m, horizon", [(1, 1), (3, 4), (6, 12), (9, 5), (0, 4), (3, 0), (FAMILY_MEMBER_CAP + 1, 8)])
+    def test_nets_are_the_spec_members(self, m, horizon):
+        # Values, targets and window agree, and so does any error.
+        def outcome(build):
+            try:
+                return [(a.values, a.target, a.window) for a in build()]
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        def spec_members():
+            return enumerate_family(FamilySpec("paracompact", make_omega_window(horizon), {"n_points": m}))
+
+        assert outcome(lambda: paracompact_nets(m, horizon)) == outcome(spec_members)
+
 
 class TestClosedFormDispatch:
     def test_C_plain(self):

@@ -36,7 +36,7 @@ from metastable import (
     unit_interval_space,
     verify_rate,
 )
-from metastable import meta, order
+from metastable import families, meta, order
 from metastable.families import FamilySpec, d_member, enumerate_family, rate_B, refute_C, refute_D_pointed
 from oracles import (
     all_binary_nets,
@@ -192,6 +192,44 @@ class TestVerifyRate:
         rate = build_rate({"id": identity_sampling(w)}, lambda t, e: {0}, pointed=True)
         with pytest.raises(RateError):
             verify_rate([Net(w, binary_space(), (0, 0))], rate, 0.5, "id")
+
+    def test_infinite_eps_raises_on_an_empty_family(self):
+        # eps is checked once per call, not once per member, so an empty
+        # family no longer gets a vacuous report at eps = inf.
+        w = make_omega_window(4)
+        rate = build_rate({"id": identity_sampling(w)}, lambda t, e: {0})
+        with pytest.raises(ValueError, match="eps must be") as err:
+            verify_rate([], rate, math.inf, "id")
+        assert not isinstance(err.value, RateError)
+
+    @pytest.mark.parametrize("eps", [math.nan, 0, -1.0])
+    def test_eps_below_the_grid_raises_rate_error(self, eps):
+        # The lookup comes first, so these keep their RateError.
+        w = make_omega_window(4)
+        rate = build_rate({"id": identity_sampling(w)}, lambda t, e: {0})
+        with pytest.raises(RateError, match="no rate entry"):
+            verify_rate([constant_net(w)], rate, eps, "id")
+
+    @pytest.mark.parametrize("pointed", [False, True])
+    def test_one_eps_check_per_call_and_one_window_comparison_per_member(self, monkeypatch, pointed):
+        w = make_omega_window(32)
+        family = list(enumerate_family(FamilySpec("B", w)))
+        suite = {"id": identity_sampling(w), "r": random_sampling(w, random.Random(3))}
+        rate = build_rate(suite, lambda t, eta: rate_B(eta, w), pointed=pointed)
+        counts = {"eps": 0, "window": 0}
+
+        def counting(key, fn):
+            def wrapped(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(meta, "require_eps", counting("eps", meta.require_eps))
+        monkeypatch.setattr(order.DirectedWindow, "__eq__", counting("window", order.DirectedWindow.__eq__))
+        report = verify_rate(family, rate, 0.5, "r")
+        assert counts == {"eps": 1, "window": len(family)}
+        assert report.overall or pointed
 
 
 class TestPointedToPlain:
@@ -411,6 +449,15 @@ class TestRefuteUniform:
         assert cert.member is family[1]
         assert cert == refute_uniform(family, [{0}, {1}], 0.5)
         assert refute_uniform(family[::-1], [{0}, {1}], 0.5).member is family[-1]
+
+    @pytest.mark.parametrize("tag, pointed", [("C", False), ("D", True)])
+    def test_candidate_outside_the_window_never_reaches_a_closed_form(self, monkeypatch, tag, pointed):
+        # The spec path checks the candidates before it decides, as the list path does.
+        calls = []
+        monkeypatch.setattr(families, "closed_form_refutation", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(order.WindowError, match="99 is not an element"):
+            refute_uniform(FamilySpec(tag, make_omega_window(8)), [{0, 1}, {99}], 0.5, pointed=pointed)
+        assert calls == []
 
     def test_empty_candidates_rejected(self):
         w = make_omega_window(4)

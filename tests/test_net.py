@@ -160,7 +160,7 @@ class TestNetPointCheck:
         try:  # the oracle: one ``require`` per value, in order, then the target
             for v in values if target is None else (*values, target):
                 space.require(v)
-        except ValueError as exc:  # SpaceError; numpy's own for np.float64 against a tuple symbol
+        except SpaceError as exc:
             with pytest.raises(type(exc)) as err:
                 _net(space, values, target)
             assert str(err.value) == str(exc)
@@ -172,10 +172,7 @@ class TestNetPointCheck:
         space, _ = POINT_SPACES[kind]
         point = {"binary": 0, "unit": 0.5, "half-line": 2.0, "euclidean": (0.0, 1.0), "table": "a"}[kind]
         for v in EDGE_VALUES:
-            try:
-                accepted = space.contains(v)
-            except ValueError:  # np.float64 compared with a tuple symbol
-                continue
+            accepted = space.contains(v)
             cases = [((v,), None), ((point, v, point), None)] + [((point,), v)] * (v is not None)
             for values, target in cases:
                 if accepted:
@@ -183,6 +180,22 @@ class TestNetPointCheck:
                 else:
                     with pytest.raises(SpaceError, match=f"^{re.escape(repr(v))} is not a point"):
                         _net(space, values, target)
+
+
+class TestTableSymbols:
+    SPACE = table_space(["a", ("p", 1), 2], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
+    @pytest.mark.parametrize("point", [np.float64(0.25), np.float64(math.nan), np.int64(1), np.array([1.0, 2.0])])
+    def test_numpy_value_against_a_tuple_symbol_is_no_point(self, point):
+        # Comparing it with ("p", 1) gives an array; that is no match.
+        assert not self.SPACE.contains(point)
+        with pytest.raises(SpaceError, match="is not a point"):
+            Net(make_omega_window(1), self.SPACE, (point,))
+
+    def test_numpy_value_equal_to_a_symbol_still_matches(self):
+        a = Net(make_omega_window(2), self.SPACE, (np.float64(2.0), "a"))
+        assert self.SPACE.contains(np.float64(2.0)) and self.SPACE.contains(np.int64(2))
+        assert a.dist(0, 1) == 2.0 and a.array.tolist() == [2, 0]
 
 
 class TestNet:

@@ -17,6 +17,8 @@ from metastable import (
     successor_sampling,
     validate_sampling,
 )
+from metastable import order
+from metastable.order import WINDOW_CAP
 from oracles import all_samplings, brute_up_set, diamond, label_chain, windows
 
 
@@ -59,6 +61,19 @@ class TestProductWindow:
 
     def test_validate_passes(self):
         product(make_omega_window(3), make_omega_window(4)).validate()
+
+
+class TestWindowCap:
+    def test_cap_fits_the_self_distance_net_of_omega_1024(self):
+        assert WINDOW_CAP == 1024 * 1024
+
+    def test_checked_at_the_cap_before_building(self, monkeypatch):
+        monkeypatch.setattr(order, "WINDOW_CAP", 12)
+        assert len(make_omega_window(12)) == 12
+        assert len(product(make_omega_window(3), make_omega_window(4))) == 12
+        for build in (lambda: make_omega_window(13), lambda: product(make_omega_window(3), make_omega_window(5))):
+            with pytest.raises(WindowError, match=r"^a window of (13|15) elements exceeds WINDOW_CAP = 12$"):
+                build()
 
 
 class TestCustomWindow:
