@@ -9,9 +9,10 @@ identical inputs and seed yield byte-identical JSON output.  refute is
 exact and draws nothing: it accepts --seed and ignores it.
 A family file is a family spec or a nonempty list of nets on one window and
 one space, decoded once.  An empty or mixed list, a window past WINDOW_CAP
-(2**20) elements and a refute candidate outside the window exit 3.  verify
-and analyze list every member of a spec, so one past FAMILY_MEMBER_CAP (4096)
-members exits 3; refute reads members lazily and exits 3 only if its answer
+(2**20) elements and a refute candidate outside the window exit 3.  verify,
+analyze and the b-rate and paracompact demos list every member of a spec, so
+a spec of more than FAMILY_MEMBER_CAP (4096) members exits 3 before any
+member is built; refute reads members lazily and exits 3 only if its answer
 needs member 4097 (the closed forms, plain C and pointed D, read none).
 """
 
@@ -56,7 +57,9 @@ def _write(doc, out):
 
 
 def _family_nets(family):
+    # A spec's member count (None: bounded by BRUTE_FORCE_CAP) meets the cap before any member is built.
     if isinstance(family, _families.FamilySpec):
+        _families.require_member_cap(family, family.member_count or 0)
         return list(_families.enumerate_family(family))
     return family
 
@@ -113,12 +116,8 @@ def cmd_analyze(args):
         family = _family_nets(_ser.family_from_dict(_load_json(args.family)))
     else:
         raise ValueError("analyze needs --csv or --family")
-    window = family[0].window
     eps_grid = [float(t) for t in args.eps_grid.split(",")]
-    names = args.suite.split(",")
-    if "random-k" in names and args.seed is None:
-        raise ValueError("--seed is required when the suite includes random-k")
-    suite = _analyze.build_sampling_suite(window, names, seed=args.seed)
+    suite = _analyze.build_sampling_suite(family[0].window, args.suite.split(","), seed=args.seed)
     report = _analyze.empirical_rate(family, eps_grid, suite)
     _write(_ser.analysis_report_to_dict(report), args.out)
     if args.summary_csv:
@@ -134,11 +133,11 @@ def cmd_analyze(args):
 def _demo_doc(scenario, size, seed):
     if scenario == "b-rate":
         window = make_omega_window(size)
+        family = _family_nets(_families.FamilySpec("B", window))
         suite = _analyze.build_sampling_suite(
             window, ["identity", "successor", "doubling", "random-k"], seed=seed
         )
         rate = _meta.build_rate(suite, lambda t, eta: _families.rate_B(eta, window))
-        family = list(_families.enumerate_family(_families.FamilySpec("B", window)))
         reports = [
             _ser.report_to_dict(_meta.verify_rate(family, rate, 0.5, sid)) for sid in sorted(suite)
         ]
@@ -148,13 +147,10 @@ def _demo_doc(scenario, size, seed):
             "reports": reports,
             "overall": all(r["overall"] for r in reports),
         }
-    if scenario == "c-refute":
+    if scenario in ("c-refute", "d-refute"):
         window = make_omega_window(size)
-        cert = _meta.require_replay(_families.refute_C(set(range(size // 2)), window, 0.5))
-        return {"scenario": scenario, "certificate": _ser.certificate_to_dict(cert)}
-    if scenario == "d-refute":
-        window = make_omega_window(size)
-        cert = _meta.require_replay(_families.refute_D_pointed(set(range(size // 2)), window))
+        refute = _families.refute_C if scenario == "c-refute" else _families.refute_D_pointed
+        cert = _meta.require_replay(refute(set(range(size // 2)), window, 0.5))
         return {"scenario": scenario, "certificate": _ser.certificate_to_dict(cert)}
     if scenario == "paracompact":
         n_points = max(2, size // 4)
@@ -163,7 +159,7 @@ def _demo_doc(scenario, size, seed):
         cert = _meta.refute_uniform(spec, [set(range(n_points - 1))], 0.5, pointed=True)
         if cert is None:
             raise _families.FamilyError("window too small: no point defeats the candidate set")
-        nets = list(_families.enumerate_family(spec))
+        nets = _family_nets(spec)
         suite = _analyze.build_sampling_suite(window, ["identity", "successor"])
         verdict = _analyze.finite_space_ump_check(
             {f"x{p}": a for p, a in enumerate(nets)}, [0.5], suite

@@ -92,6 +92,23 @@ class FamilySpec:
         """Points of a paracompact family: the ``n_points`` parameter, else the window size."""
         return self.parameters.get("n_points", len(self.window))
 
+    @property
+    def alphas(self):
+        """Cutoffs of a D family: the ``alphas`` parameter, else every window position."""
+        return self.parameters.get("alphas", range(len(self.window)))
+
+    @property
+    def member_count(self):
+        """Members, counted without building one; None for B and B0 off chains (see BRUTE_FORCE_CAP)."""
+        n = len(self.window)
+        if self.tag == "C":
+            return 2 ** (n - 1)
+        if self.tag == "D":
+            return len(self.alphas)
+        if self.tag == "paracompact":
+            return self.n_points
+        return (n + 1 if self.tag == "B" else n) if self.window.is_chain() else None
+
 
 def _threshold_net(window, cutoff):
     # 1 on the first `cutoff` chain positions, 0 after; target is the tail value.
@@ -139,11 +156,14 @@ def enumerate_family(spec):
     FamilyError, so every caller sees the same cap.
     """
     for count, member in enumerate(_members(spec), 1):
-        if count > FAMILY_MEMBER_CAP:
-            raise FamilyError(
-                f"family {spec.tag} on this window has more than FAMILY_MEMBER_CAP = {FAMILY_MEMBER_CAP} members"
-            )
+        require_member_cap(spec, count)
         yield member
+
+
+def require_member_cap(spec, count):
+    """Raise FamilyError, naming FAMILY_MEMBER_CAP, if ``count`` members of ``spec`` exceed it."""
+    if count > FAMILY_MEMBER_CAP:
+        raise FamilyError(f"family {spec.tag} on this window has more than FAMILY_MEMBER_CAP = {FAMILY_MEMBER_CAP} members")
 
 
 def _members(spec):
@@ -158,9 +178,7 @@ def _members(spec):
             yield Net(window, unit_interval_space(), values, target=1.0)
         return
     if tag == "D":
-        alphas = spec.parameters.get("alphas", range(len(window)))
-        for alpha in alphas:
-            yield d_member(window, alpha)
+        yield from (d_member(window, alpha) for alpha in spec.alphas)
         return
     if tag == "C":
         t = window.index(window.top())
@@ -286,14 +304,17 @@ def closed_form_refutation(spec, union, eps, pointed=False):
     Returns a certificate or None (meaning: fall back to the exact search
     over the enumeration).  These two stay closed forms: C has 2**(n-1)
     members, and D's defeating cutoff lies one past the union, so the
-    search would build every member below it.
+    search would build every member below it.  D's certificate counts only
+    if its member is listed: cutoffs alpha and alpha ^ 1 give the same net.
     """
     window = spec.window
     try:
         if spec.tag == "C" and not pointed:
             return refute_C(union, window, eps)
         if spec.tag == "D" and pointed:
-            return refute_D_pointed(union, window, eps)
+            cert = refute_D_pointed(union, window, eps)
+            cutoff = max(map(window.index, union)) + 1
+            return cert if cutoff in spec.alphas or cutoff ^ 1 in spec.alphas else None
     except FamilyError:
         return None
     return None

@@ -45,6 +45,7 @@ __all__ = [
 
 #: Default dyadic threshold grid 1, 1/2, ..., 2^-10 (descending).
 DEFAULT_THRESHOLDS = tuple(2.0 ** -i for i in range(11))
+_PAIRWISE = object()  # the target of a plain witness test, which compares every pair (None can be a point)
 
 
 class RateError(ValueError):
@@ -53,41 +54,37 @@ class RateError(ValueError):
 
 def is_witness(a, eps, eta, i):
     """Whether ``i`` witnesses plain [eps, eta]-metastability of ``a``."""
-    require_eps(eps)
-    return _close(a, eps, eta.at(i))
+    return _within(a, require_eps(eps), eta.at(i))
 
 
 def is_pointed_witness(a, b, eps, eta, i):
     """Whether ``i`` witnesses [eps, eta]-metastability of ``a`` near ``b``."""
     require_eps(eps)
-    a.space.require(b)
-    return _near(a, b, eps, eta.at(i))
+    return _within(a, eps, eta.at(i), a.space.require(b))
 
 
-# Unchecked cores of the two tests above: callers validate eps and b once.
-def _close(a, eps, block):
-    return all(
-        a.dist(j, k) <= eps for j, k in itertools.combinations(sorted(block, key=a.window.index), 2)
-    )
+def _within(a, eps, block, target=_PAIRWISE):
+    # The one witness test, unchecked: every pair of the block's values (each
+    # read by position, once) within eps, or every value within eps of target.
+    dist, values, index = a.space.unchecked_dist, a.values, a.window.index
+    if target is _PAIRWISE:
+        points = [values[index(j)] for j in block]
+        return all(dist(x, y) <= eps for x, y in itertools.combinations(points, 2))
+    return all(dist(values[index(j)], target) <= eps for j in block)
 
 
-def _near(a, b, eps, block):
-    dist = a.space.unchecked_dist
-    return all(dist(a.value(j), b) <= eps for j in block)
+def _first_witness(a, eps, blocks, target=_PAIRWISE):
+    # First index of the ordered (index, block) pairs whose block passes _within.
+    return next((i for i, block in blocks if _within(a, eps, block, target)), None)
 
 
-def _scan(a, eps, eta, candidates, check):
-    require_eps(eps)
+def _blocks(a, eta, candidates):
+    # (index, eta_i) over the window, or over ``candidates``, in enumeration order.
     if eta.window != a.window:
         raise WindowError("sampling and net live on different windows")
     if candidates is None:
-        pool = a.window.elements
-    else:
-        pool = sorted(candidates, key=a.window.index)
-    for i in pool:
-        if check(i):
-            return i
-    return None
+        return eta.items()
+    return [(i, eta.at(i)) for i in sorted(candidates, key=a.window.index)]
 
 
 def find_witness(a, eps, eta, candidates=None):
@@ -96,13 +93,13 @@ def find_witness(a, eps, eta, candidates=None):
     Scans the whole window, or just ``candidates`` when given.  Returns
     None when no scanned index is a witness.
     """
-    return _scan(a, eps, eta, candidates, lambda i: _close(a, eps, eta.at(i)))
+    return _first_witness(a, require_eps(eps), _blocks(a, eta, candidates))
 
 
 def find_pointed_witness(a, b, eps, eta, candidates=None):
     """Pointed analogue of :func:`find_witness`, measured against ``b``."""
     a.space.require(b)
-    return _scan(a, eps, eta, candidates, lambda i: _near(a, b, eps, eta.at(i)))
+    return _first_witness(a, require_eps(eps), _blocks(a, eta, candidates), b)
 
 
 # -- rates -----------------------------------------------------------------
@@ -218,8 +215,7 @@ def verify_rate(family, rate, eps, eta):
             raise WindowError("family nets and rate live on different windows")
         if pointed and a.target is None:
             raise RateError("pointed verification needs a declared target on every net")
-        hits = (i for i, block in blocks if (_near(a, a.target, eps, block) if pointed else _close(a, eps, block)))
-        outcomes.append(next(hits, None))
+        outcomes.append(_first_witness(a, eps, blocks, a.target if pointed else _PAIRWISE))
     return WitnessReport(
         eps=eps,
         sampling_id=sid,
@@ -311,21 +307,20 @@ class RefutationCertificate:
     pointed_target: object = None
 
 
+# Bound once, after RefutationCertificate, which families imports from here.
+from . import families as _families  # noqa: E402
+
+
 def replay_certificate(cert):
     """Re-run a certificate through the witness checker; True iff it holds."""
     eps, member, target = require_eps(cert.eps), cert.member, cert.pointed_target
     require_valid_sampling(cert.sampling)
     if target is not None:
         member.space.require(target)
-    if cert.sampling.window != member.window:
+    if cert.sampling.window != member.window or any(i not in member.window for i in cert.candidate_set):
         return False
-    for i in cert.candidate_set:
-        if i not in member.window:
-            return False
-        block = cert.sampling.at(i)
-        if _close(member, eps, block) if target is None else _near(member, target, eps, block):
-            return False
-    return True
+    blocks = ((i, cert.sampling.at(i)) for i in cert.candidate_set)
+    return _first_witness(member, eps, blocks, _PAIRWISE if target is None else target) is None
 
 
 def require_replay(cert):
@@ -359,9 +354,6 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
     if not candidate_sets or any(not s for s in candidate_sets):
         raise ValueError("candidate sets must be given and nonempty")
     union = frozenset().union(*candidate_sets)
-
-    from . import families as _families
-
     is_spec = isinstance(family, _families.FamilySpec)
     if is_spec:
         # Enumerated members live on the spec's window and carry targets; read lazily.
@@ -386,29 +378,24 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
         return None
     bound, positions = eps_floor(eps), [window.index(i) for i in union]
     for a in members:
-        if pointed:
-            blocks = {i: _first_far(a, eps, i) for i in union}
-            if None in blocks.values():
-                continue
-        elif all(d > bound for d in tail_diameters(a)[positions]):
-            blocks = {i: _far_pair(a, eps, i) for i in union}
-        else:
+        if not pointed and any(d <= bound for d in tail_diameters(a)[positions]):
+            continue
+        far = ((i, _far_block(a, eps, i, pointed)) for i in union)  # up to the first index without one
+        blocks = dict(itertools.takewhile(lambda pair: pair[1] is not None, far))
+        if len(blocks) < len(union):
             continue
         eta = Sampling.from_function(window, lambda i: blocks.get(i, {i}))
         return require_replay(RefutationCertificate(eps, eta, a, union, pointed_target=a.target if pointed else None))
     return None
 
 
-def _first_far(a, eps, i):
-    # {j} for the first j above i with d(a_j, target) > eps, else None.
-    dist, target = a.space.unchecked_dist, a.target
-    return next(({j} for j in a.window.up_set(i) if dist(a.value(j), target) > eps), None)
-
-
-def _far_pair(a, eps, i):
-    # A pair of i's up-set at distance > eps, its diameter being > eps: the
-    # largest and smallest value on scalar spaces, else the first such pair.
+def _far_block(a, eps, i, pointed):
+    # Pointed: {j} for the first j above i farther than eps from the target,
+    # else None.  Plain, i's tail diameter being > eps: a pair that far apart,
+    # the largest and smallest value on scalar spaces, else the first such pair.
     up = a.window.up_set(i)
+    if pointed:
+        return next(({j} for j in up if not _within(a, eps, (j,), a.target)), None)
     if a.space.is_scalar():
         return {max(up, key=a.value), min(up, key=a.value)}
-    return next({j, k} for j, k in itertools.combinations(up, 2) if a.dist(j, k) > eps)
+    return next({j, k} for j, k in itertools.combinations(up, 2) if not _within(a, eps, (j, k)))

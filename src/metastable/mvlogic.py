@@ -139,16 +139,14 @@ def _halve(xs, n):
 
 
 def approx_half(x, n):
-    """Grid approximation of x/2; error within [-1/(2n), 0].
+    """Grid approximation of x/2, error within [-1/(2n), 0]: :func:`approx_scaled`
+    at r = 1/2, whose one halving stage is added to +0.0 below the clamp at 1.
 
     ``x`` is a float, giving a float, or a 1-D sequence of floats, giving
     a numpy array with one approximation per entry.  ``n`` is an int with
     1 <= n <= 2**53.
     """
-    n = _check_n(n)
-    xs, scalar = _unit_values(x)
-    half = _halve(xs, n)
-    return float(half[0]) if scalar else half
+    return approx_scaled(Fraction(1, 2), x, n)
 
 
 def _dyadic_bits(r):
@@ -174,8 +172,8 @@ def approx_scaled(r, x, n):
     :func:`scaled_error_bound`.  All errors are one-sided (below r*x).
     ``x``, ``n`` and the result are as for :func:`approx_half`.
     """
-    xs, scalar = _unit_values(x)
     n = _check_n(n)
+    xs, scalar = _unit_values(x)
     _, bits = _dyadic_bits(r)
     acc = xs if Fraction(r) == 1 else np.zeros(len(xs))
     y = xs

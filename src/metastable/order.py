@@ -351,25 +351,21 @@ def identity_sampling(window):
     return Sampling.from_function(window, lambda i: {i})
 
 
-def _require_chain(window):
+def _chain_sampling(window, step):
     if not window.is_chain():
         raise WindowError("this sampling is defined only on chain windows")
+    els, top = window.elements, len(window) - 1
+    return Sampling(window, tuple(frozenset({e, els[min(step(p), top)]}) for p, e in enumerate(els)))
 
 
 def successor_sampling(window):
     """On chains: eta_i = {i, i+1}, clipped at the top element."""
-    _require_chain(window)
-    els = window.elements
-    n = len(els)
-    return Sampling(window, tuple(frozenset({els[p], els[min(p + 1, n - 1)]}) for p in range(n)))
+    return _chain_sampling(window, lambda p: p + 1)
 
 
 def doubling_sampling(window):
     """On chains: eta_i = {i, 2i}, clipped at the top element."""
-    _require_chain(window)
-    els = window.elements
-    n = len(els)
-    return Sampling(window, tuple(frozenset({els[p], els[min(2 * p, n - 1)]}) for p in range(n)))
+    return _chain_sampling(window, lambda p: 2 * p)
 
 
 #: Most elements :func:`random_sampling` puts in one candidate set.

@@ -476,6 +476,36 @@ class TestWindowCap:
         assert "WINDOW_CAP" in capsys.readouterr().err
 
 
+class TestMemberCapBeforeBuilding:
+    """A spec listed whole, of more than FAMILY_MEMBER_CAP members, exits 3 before any member is built."""
+
+    @pytest.mark.parametrize("command", ["verify", "analyze", "demo"])
+    def test_spec_past_the_cap_exits_three(self, tmp_path, capsys, command):
+        # B on omega_5000 has 5001 members of 5000 values each.
+        fam = tmp_path / "b5000.json"
+        fam.write_text(dumps(family_spec_to_dict(FamilySpec("B", make_omega_window(5000)))))
+        rate = tmp_path / "rate.json"  # read before the family; its window is not what is measured
+        w = make_omega_window(4)
+        rate.write_text(dumps(rate_to_dict(build_rate({"id": identity_sampling(w)}, lambda t, e: {0}))))
+        argv = {
+            "verify": ["verify", "--family", str(fam), "--rate", str(rate), "--eps", "0.5"],
+            "analyze": ["analyze", "--family", str(fam)],
+            "demo": ["demo", "b-rate", "--size", "5000", "--seed", "1"],
+        }[command]
+        out = tmp_path / "out.json"
+        code, peak = TestWindowCap._run(argv + ["--out", str(out)])
+        assert code == 3 and not out.exists() and peak < 8 * 2**20
+        assert "FAMILY_MEMBER_CAP = 4096" in capsys.readouterr().err
+
+    def test_refute_reads_the_same_spec_lazily(self, tmp_path):
+        fam = tmp_path / "b5000.json"
+        fam.write_text(dumps(family_spec_to_dict(FamilySpec("B", make_omega_window(5000)))))
+        cands = tmp_path / "cands.json"
+        cands.write_text("[[0, 7]]")
+        argv = ["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5"]
+        assert main(argv + ["--out", str(tmp_path / "cert.json")]) == 2
+
+
 class TestAnalyze:
     def test_csv_report_and_summary(self, tmp_path):
         csv_file = tmp_path / "data.csv"

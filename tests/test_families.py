@@ -95,6 +95,21 @@ class TestEnumeration:
         want = [a.values for a in all_binary_nets(w) if brute_eventually_zero(w, a.values)]
         assert [m.values for m in members("C", w)] == want
 
+    @settings(max_examples=150, deadline=None)
+    @given(windows().filter(lambda w: len(w) <= 8), st.sampled_from(["B", "B0", "C", "D", "paracompact"]), st.data())
+    def test_member_count_is_the_enumeration_length(self, w, tag, data):
+        # Counted off the parameters, or None for B and B0 off chains.
+        if tag in ("D", "paracompact") and not w.is_chain():
+            tag = "C"
+        params = {}
+        if tag == "D" and data.draw(st.booleans()):
+            params = {"alphas": data.draw(st.lists(st.integers(0, len(w) - 1), min_size=1, max_size=5))}
+        if tag == "paracompact" and data.draw(st.booleans()):
+            params = {"n_points": data.draw(st.integers(1, 9))}
+        count = FamilySpec(tag, w, params).member_count
+        assert (count is None) == (tag in ("B", "B0") and not w.is_chain())
+        assert count in (None, len(members(tag, w, **params)))
+
     def test_enumeration_raises_at_member_cap_plus_one(self):
         got = enumerate_family(FamilySpec("C", make_omega_window(14)))
         assert len(list(itertools.islice(got, FAMILY_MEMBER_CAP))) == FAMILY_MEMBER_CAP

@@ -42,3 +42,35 @@ def test_no_assert_statements(path):
 def test_scan_flags_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Mapping, Optional\nx: Mapping = os.sep\n")
     assert unused_imports(tree) == [(2, "Optional")]
+
+
+def imports_inside_functions(tree):
+    """Lines of the imports of package modules (relative, or from ``metastable``) inside a function body."""
+
+    def sibling(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.level > 0 or (node.module or "").split(".")[0] == "metastable"
+        return isinstance(node, ast.Import) and any(a.name.split(".")[0] == "metastable" for a in node.names)
+
+    functions = (f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return sorted({node.lineno for f in functions for node in ast.walk(f) if sibling(node)})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_imports_a_sibling_module(path):
+    # A module bound at call time can come from a later import of the
+    # package than its caller, so siblings are bound once, at import.
+    assert imports_inside_functions(ast.parse(path.read_text())) == []
+
+
+def test_scan_flags_imports_inside_functions():
+    tree = ast.parse(
+        "from . import a\n"
+        "def f():\n"
+        "    from . import b\n"
+        "    import os\n"
+        "    def g():\n"
+        "        import metastable.c\n"
+        "        from metastable.d import x\n"
+    )
+    assert imports_inside_functions(tree) == [3, 6, 7]

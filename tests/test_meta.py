@@ -33,6 +33,7 @@ from metastable import (
     sampling_independent_bound,
     self_distance,
     selfdist_rate_to_net_rate,
+    table_space,
     unit_interval_space,
     verify_rate,
 )
@@ -54,6 +55,15 @@ from oracles import (
 
 def constant_net(window, v=0):
     return Net(window, binary_space(), (v,) * len(window), target=v)
+
+
+#: A custom-table space with a tuple symbol, its distances on the tolerances
+#: the tests use; witness checks read its points by position.
+TABLE = table_space(["p", (0, 1), 2], [[0, 0.5, 1.0], [0.5, 0, 0.5], [1.0, 0.5, 0]])
+
+
+def random_table_net(window, rng):
+    return Net(window, TABLE, tuple(rng.choice(TABLE.symbols) for _ in window.elements), target=rng.choice(TABLE.symbols))
 
 
 class TestFindWitness:
@@ -83,7 +93,7 @@ class TestFindWitness:
         rng = random.Random(1234)
         for _ in range(300):
             w = make_omega_window(rng.randint(1, 12))
-            a = random_binary_net(w, rng) if rng.random() < 0.5 else random_unit_net(w, rng)
+            a = rng.choice((random_binary_net, random_unit_net, random_table_net))(w, rng)
             eta = random_sampling(w, rng)
             eps = rng.choice((0.05, 0.2, 0.5, 0.8))
             assert find_witness(a, eps, eta) == brute_witness(a, eps, eta)
@@ -122,10 +132,13 @@ class TestFindPointedWitness:
         rng = random.Random(555)
         for _ in range(200):
             w = make_omega_window(rng.randint(1, 10))
-            a = random_unit_net(w, rng)
-            b = rng.random()
+            if rng.random() < 0.3:
+                a = random_table_net(w, rng)
+                b, eps = rng.choice(TABLE.symbols), rng.choice((0.25, 0.5, 1.0))
+            else:
+                a = random_unit_net(w, rng)
+                b, eps = rng.random(), rng.choice((0.1, 0.4, 0.7))
             eta = random_sampling(w, rng)
-            eps = rng.choice((0.1, 0.4, 0.7))
             assert find_pointed_witness(a, b, eps, eta) == brute_pointed_witness(a, b, eps, eta)
 
 
@@ -395,6 +408,8 @@ def refute_members(window, rng, kind):
         space, point = binary_space(), lambda: rng.randint(0, 1)
     elif kind == "unit":
         space, point = unit_interval_space(), lambda: rng.choice((0.0, 0.25, 0.5, 0.75, 1.0))
+    elif kind == "table":
+        space, point = TABLE, lambda: rng.choice(TABLE.symbols)
     else:
         space, point = euclidean_space(2), lambda: (rng.choice((0.0, 0.3, 0.5)), rng.choice((0.0, 0.4, 1.0)))
     return [
@@ -459,6 +474,31 @@ class TestRefuteUniform:
             refute_uniform(FamilySpec(tag, make_omega_window(8)), [{0, 1}, {99}], 0.5, pointed=pointed)
         assert calls == []
 
+    def test_D_closed_form_only_for_a_listed_member(self):
+        # The closed form's cutoff 2 net (0, 1, 0, 1, 1, ...) is not the cutoff-0
+        # net, which no sampling defeats at 1: its up-set there is all 1.
+        w = make_omega_window(8)
+        assert refute_uniform(FamilySpec("D", w, {"alphas": [0]}), [{0, 1}], 0.5, pointed=True) is None
+        assert refute_uniform([d_member(w, 0)], [{0, 1}], 0.5, pointed=True) is None
+        for alpha in (2, 3):  # both cutoffs give the closed form's net, so it answers
+            cert = refute_uniform(FamilySpec("D", w, {"alphas": [alpha]}), [{0, 1}], 0.5, pointed=True)
+            assert cert.member == d_member(w, alpha) == d_member(w, 2)
+            assert cert.sampling == order.successor_sampling(w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.data())
+    def test_D_spec_answers_as_its_member_list(self, n, data):
+        w = make_omega_window(n)
+        positions = st.integers(0, n - 1)
+        spec = FamilySpec("D", w, {"alphas": data.draw(st.lists(positions, min_size=1, max_size=4))})
+        sets = data.draw(st.lists(st.lists(positions, min_size=1, max_size=3), min_size=1, max_size=3))
+        eps = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
+        members = list(enumerate_family(spec))
+        got = refute_uniform(spec, sets, eps, pointed=True)
+        assert (got is None) == (refute_uniform(members, sets, eps, pointed=True) is None)
+        if got is not None:
+            assert got.member in members
+
     def test_empty_candidates_rejected(self):
         w = make_omega_window(4)
         with pytest.raises(ValueError):
@@ -503,7 +543,7 @@ class TestRefuteUniform:
             st.just(diamond()),
             st.just(product(make_omega_window(2), make_omega_window(2))),
         ),
-        st.sampled_from(["binary", "unit", "euclidean"]),
+        st.sampled_from(["binary", "unit", "euclidean", "table"]),
         st.booleans(),
         st.sampled_from([0.25, 0.5, 1.0]),
         st.data(),

@@ -176,6 +176,18 @@ class TestApproxScaled:
 
     def test_half_matches_approx_half(self):
         assert approx_scaled(Fraction(1, 2), 0.8, 7) == approx_half(0.8, 7)
+        grid = np.arange(1001) / 1000  # the lukasiewicz demo's grid, at each of its n
+        for n in (4, 8, 16, 32, 64, 128, 256):
+            half = list(map(repr, approx_half(grid, n).tolist()))
+            assert list(map(repr, approx_scaled(Fraction(1, 2), grid, n).tolist())) == half
+            assert [repr(brute_approx_half(x, n)) for x in grid.tolist()] == half
+
+    @pytest.mark.parametrize(
+        "fn", [approx_half, lambda x, n: approx_scaled(Fraction(1, 2), x, n)], ids=["approx_half", "approx_scaled"]
+    )
+    def test_n_is_checked_before_x(self, fn):
+        with pytest.raises(ValueError, match="n must lie"):
+            fn(2.0, 0)
 
     @given(
         st.integers(min_value=0, max_value=16),
