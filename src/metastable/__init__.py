@@ -19,6 +19,7 @@ from .order import (
     successor_sampling,
     doubling_sampling,
     random_sampling,
+    random_samplings,
     induced_sampling,
     project_set,
 )

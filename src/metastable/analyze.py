@@ -26,7 +26,7 @@ from .order import (
     doubling_sampling,
     identity_sampling,
     make_omega_window,
-    random_sampling,
+    random_samplings,
     successor_sampling,
 )
 
@@ -345,9 +345,8 @@ def build_sampling_suite(window, names, seed=None, random_count=8):
         elif name == "random-k":
             if seed is None:
                 raise ValueError("the random-k suite needs a seed")
-            rng = random.Random(seed)
-            for r in range(random_count):
-                suite[f"random-k-{r}"] = random_sampling(window, rng)
+            drawn = random_samplings(window, random.Random(seed), random_count)
+            suite.update((f"random-k-{r}", eta) for r, eta in enumerate(drawn))
         else:
             raise ValueError(f"unknown sampling suite name {name!r}")
     return suite

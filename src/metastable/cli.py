@@ -13,7 +13,7 @@ one space, decoded once.  An empty or mixed list, a window past WINDOW_CAP
 analyze and the b-rate and paracompact demos list every member of a spec, so
 a spec of more than FAMILY_MEMBER_CAP (4096) members exits 3 before any
 member is built; refute reads members lazily and exits 3 only if its answer
-needs member 4097 (the closed forms, plain C and pointed D, read none).
+needs member 4097 (plain C, pointed D, and pointed C on the window top read none).
 """
 
 from __future__ import annotations

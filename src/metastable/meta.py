@@ -215,7 +215,13 @@ def verify_rate(family, rate, eps, eta):
             raise WindowError("family nets and rate live on different windows")
         if pointed and a.target is None:
             raise RateError("pointed verification needs a declared target on every net")
-        outcomes.append(_first_witness(a, eps, blocks, a.target if pointed else _PAIRWISE))
+        target = a.target if pointed else _PAIRWISE
+        for i, block in blocks:
+            if _within(a, eps, block, target):
+                break
+        else:
+            i = None
+        outcomes.append(i)
     return WitnessReport(
         eps=eps,
         sampling_id=sid,
@@ -372,13 +378,16 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
         raise WindowError(f"candidate {outside[0]!r} is not an element of the window")
     if is_spec and (cert := _families.closed_form_refutation(family, union, eps, pointed=pointed)):
         return require_replay(cert)
-    # In the plain case a union holding the greatest element, whose up-set
-    # is itself, is never defeated.
-    if not pointed and window.top() in union:
+    # The top's up-set is itself, so a union holding it defeats no member in
+    # the plain case, and pointed only one far from its target there: no C member.
+    top = window.top()
+    if top in union and (not pointed or is_spec and family.tag == "C"):
         return None
     bound, positions = eps_floor(eps), [window.index(i) for i in union]
     for a in members:
         if not pointed and any(d <= bound for d in tail_diameters(a)[positions]):
+            continue
+        if pointed and top in union and _within(a, eps, (top,), a.target):
             continue
         far = ((i, _far_block(a, eps, i, pointed)) for i in union)  # up to the first index without one
         blocks = dict(itertools.takewhile(lambda pair: pair[1] is not None, far))

@@ -30,6 +30,7 @@ __all__ = [
     "successor_sampling",
     "doubling_sampling",
     "random_sampling",
+    "random_samplings",
     "induced_sampling",
     "project_set",
 ]
@@ -368,41 +369,77 @@ def doubling_sampling(window):
     return _chain_sampling(window, lambda p: 2 * p)
 
 
-#: Most elements :func:`random_sampling` puts in one candidate set.
+#: Most elements :func:`random_sampling` puts in one candidate set: at most 5,
+#: where ``random.sample`` switches from pool to set above 21 (a test pins it).
 RANDOM_BLOCK_MAX = 3
+_BITS = tuple(b.bit_length() for b in range(22))  # pool-method bounds
+
+
+def _draw_ranks(rng, sizes):
+    """Ranks of ``rng.sample(range(m), rng.randint(1, min(RANDOM_BLOCK_MAX, m)))`` per m, flat, and counts.
+
+    CPython's rule, on the same MT19937 words: ``_randbelow(b)`` is
+    ``getrandbits(b.bit_length())``, the top bits of one 32-bit word, drawn
+    again while >= b; ``sample`` swaps through a pool for up to 21
+    elements, else redraws duplicates.
+    """
+    kmax, bits, getrandbits, ranks, counts = RANDOM_BLOCK_MAX, _BITS, rng.getrandbits, [], []
+    for m in sizes:
+        b = m if m < kmax else kmax
+        k = getrandbits(bits[b]) + 1
+        while k > b:
+            k = getrandbits(bits[b]) + 1
+        counts.append(k)
+        if m <= 21:
+            pool = list(range(m))
+            for b in range(m, m - k, -1):
+                j = getrandbits(bits[b])
+                while j >= b:
+                    j = getrandbits(bits[b])
+                ranks.append(pool[j])
+                pool[j] = pool[b - 1]
+        else:
+            s, picked = m.bit_length(), []
+            for _ in range(k):
+                j = getrandbits(s)
+                while j >= m or j in picked:
+                    j = getrandbits(s)
+                picked.append(j)
+            ranks += picked
+    return ranks, counts
+
+
+def random_samplings(window, rng, count):
+    """The ``count`` random valid samplings that ``count`` calls of :func:`random_sampling` would draw.
+
+    Each eta_i is a nonempty subset of the up-set of i, decoded from ranks
+    by mixed radix over the orthant's sides on a grid (a chain is the 1-D
+    grid), and by index into the built up-set elsewhere.
+    """
+    els, shape, n = window.elements, window.grid_shape(), len(window)
+    if shape is None:
+        ups = [window.up_set(e) for e in els]
+        ranks, counts = _draw_ranks(rng, list(map(len, ups)) * count)
+        drawn = iter(ranks)
+        picked = (u[q] for u, c in zip(itertools.cycle(ups), counts) for q in itertools.islice(drawn, c))
+    else:
+        # Orthant sides; int32 and rebinding the rank list keep the suite's transients small.
+        sides = np.array(shape, np.int32)[:, None] - np.indices(shape, np.int32).reshape(len(shape), -1)
+        q, counts = _draw_ranks(rng, sides.prod(axis=0).tolist() * count)
+        owner = np.repeat(np.arange(len(counts), dtype=np.int32) % n, counts)
+        q, at, stride = np.array(q, np.int32), owner.copy(), 1
+        for axis in reversed(range(len(shape))):  # least significant axis first
+            q, r = np.divmod(q, sides[axis][owner])
+            at += r * stride
+            stride *= shape[axis]
+        picked = iter(np.fromiter(els, object, n)[at])
+    assign = [frozenset(itertools.islice(picked, c)) for c in counts]
+    return [Sampling(window, tuple(assign[r * n:(r + 1) * n])) for r in range(count)]
 
 
 def random_sampling(window, rng):
-    """Random valid sampling: each eta_i a nonempty subset of the up-set of i.
-
-    Draws ranks inside each up-set and decodes only the drawn ones: mixed
-    radix over the orthant's sides on a grid (a chain is the 1-D grid),
-    and an index into the built up-set elsewhere.  ``random.sample`` reads
-    only the length and indexing of its population, so sampling
-    ``range(len(up_set(i)))`` consumes the random stream exactly as
-    sampling the up-set itself would.
-    """
-    randint, sample = rng.randint, rng.sample
-    els, shape = window.elements, window.grid_shape()
-
-    def ranks(m):
-        return sample(range(m), randint(1, min(RANDOM_BLOCK_MAX, m)))
-
-    if shape is None:
-        ups = map(window.up_set, els)
-        return Sampling(window, tuple(frozenset([u[q] for q in ranks(len(u))]) for u in ups))
-    sides = np.array(shape)[:, None] - np.indices(shape).reshape(len(shape), -1)  # orthant sides
-    drawn = [ranks(m) for m in sides.prod(axis=0).tolist()]
-    counts = np.fromiter(map(len, drawn), np.intp, len(drawn))
-    q = np.fromiter(itertools.chain.from_iterable(drawn), np.intp, counts.sum())
-    owner = np.repeat(np.arange(len(els)), counts)
-    at, stride = owner.copy(), 1
-    for axis in reversed(range(len(shape))):  # least significant axis first
-        q, r = np.divmod(q, sides[axis][owner])
-        at += r * stride
-        stride *= shape[axis]
-    picked = map(els.__getitem__, at.tolist())
-    return Sampling(window, tuple(frozenset(itertools.islice(picked, c)) for c in counts.tolist()))
+    """One random valid sampling: :func:`random_samplings` with a count of 1."""
+    return random_samplings(window, rng, 1)[0]
 
 
 def induced_sampling(eta, d):

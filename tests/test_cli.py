@@ -213,11 +213,14 @@ class TestRefute:
         assert cert.candidate_set == {((0, 0), 0)} and meta.replay_certificate(cert)
 
     def test_spec_past_the_member_cap_exits_three(self, tmp_path, capsys):
-        # Pointed C has no closed form, and no member is defeated at the top,
-        # so the search would need member 4097 of the 8192.
-        fam = self._family_file(tmp_path, n=14)
+        # Pointed C has no closed form.  On omega_2 x omega_14 the up-set of
+        # (0, 13) is it and the top, where every member is at its target, so
+        # only a 1 at (0, 13), enumeration position 13, defeats a member; the
+        # enumeration first sets it in member 8193, past member 4097.
+        fam = tmp_path / "family.json"
+        fam.write_text(dumps(family_spec_to_dict(FamilySpec("C", product(make_omega_window(2), make_omega_window(14))))))
         cands = tmp_path / "cands.json"
-        cands.write_text(json.dumps([[13]]))
+        cands.write_text(json.dumps([[[0, 13]]]))
         out = tmp_path / "res.json"
         argv = ["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--out", str(out)]
         assert main(argv + ["--pointed"]) == 3 and not out.exists()
@@ -504,6 +507,18 @@ class TestMemberCapBeforeBuilding:
         cands.write_text("[[0, 7]]")
         argv = ["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5"]
         assert main(argv + ["--out", str(tmp_path / "cert.json")]) == 2
+
+    def test_pointed_C_refute_holding_the_top_is_exhausted_without_members(self, tmp_path):
+        # Every C member is 0, its target, at the top, so no sampling defeats
+        # that index; C on omega_5000 has 2**4999 members to not build.
+        fam = tmp_path / "c5000.json"
+        fam.write_text(dumps(family_spec_to_dict(FamilySpec("C", make_omega_window(5000)))))
+        cands = tmp_path / "cands.json"
+        cands.write_text("[[0, 7], [4999]]")
+        out = tmp_path / "out.json"
+        argv = ["refute", "--pointed", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text())["result"] == "exhausted"
 
 
 class TestAnalyze:

@@ -74,3 +74,28 @@ def test_scan_flags_imports_inside_functions():
         "        from metastable.d import x\n"
     )
     assert imports_inside_functions(tree) == [3, 6, 7]
+
+
+def rng_draw_calls(tree):
+    """Lines of calls to a ``sample``, ``randint`` or ``randrange`` attribute, on any object."""
+    draws = {"sample", "randint", "randrange"}
+    calls = (n for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute))
+    return sorted(node.lineno for node in calls if node.func.attr in draws)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_draws_through_the_stdlib_sampling_calls(path):
+    # The random-k stream is defined by MT19937 words and the rule in
+    # order._draw_ranks; random.sample and randint are its oracle, in tests.
+    assert rng_draw_calls(ast.parse(path.read_text())) == []
+
+
+def test_scan_flags_rng_draw_calls():
+    tree = ast.parse(
+        "import random\n"
+        "rng = random.Random(1)\n"
+        "rng.sample(range(4), 2)\n"
+        "x = rng.randint(1, 3) + random.randrange(5)\n"
+        "y = rng.getrandbits(32) + rng.random()\n"
+    )
+    assert rng_draw_calls(tree) == [3, 4, 4]

@@ -27,6 +27,7 @@ from metastable import (
     make_omega_window,
     product,
     random_sampling,
+    random_samplings,
     Sampling,
     table_space,
     unit_interval_space,
@@ -376,10 +377,22 @@ def test_custom_window_tails_read_the_kernel(data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(windows(), st.integers(0, 2**32), st.integers(1, 5))
-def test_random_sampling_matches_the_materialised_draw(w, seed, max_size):
+@given(windows(), st.integers(0, 2**32), st.integers(1, 5), st.integers(1, 4))
+def test_random_sampling_matches_the_materialised_draw(w, seed, max_size, count):
+    # One sampling at a time, then a batch of ``count``, from one stream.
     ours, theirs = random.Random(seed), random.Random(seed)
     with mock.patch.object(order, "RANDOM_BLOCK_MAX", max_size):
         for _ in range(3):
             assert random_sampling(w, ours) == brute_random_sampling(w, theirs, max_size)
+        assert random_samplings(w, ours, count) == [brute_random_sampling(w, theirs, max_size) for _ in range(count)]
     assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("window", [make_omega_window(200), product(make_omega_window(9), make_omega_window(7))])
+def test_random_suite_is_eight_sequential_stdlib_draws(window):
+    # Same sets, each in the same selection order, so encoded reports agree.
+    suite = build_sampling_suite(window, ["random-k"], seed=29)
+    rng = random.Random(29)
+    expected = [brute_random_sampling(window, rng) for _ in range(8)]
+    assert list(suite) == [f"random-k-{r}" for r in range(8)]
+    assert [[tuple(s) for s in eta.assign] for eta in suite.values()] == [[tuple(s) for s in eta.assign] for eta in expected]

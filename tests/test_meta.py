@@ -680,3 +680,33 @@ class TestTrustedInputs:
         w = make_omega_window(2)
         with pytest.raises(ValueError):
             Rate((math.inf, 0.5), {"id": identity_sampling(w)}, {})
+
+
+class TestPointedTop:
+    """A union holding the window top defeats, pointed, only members far from their target there."""
+
+    def test_C_spec_is_exhausted_without_enumerating(self, monkeypatch):
+        # Every C member is 0, its target, at the top, at any window size.
+        monkeypatch.setattr(families, "_members", lambda spec: pytest.fail("C was enumerated"))
+        for sets in ([{4999}], [{0, 7}, {4999}], [{4998, 4999}]):
+            assert refute_uniform(FamilySpec("C", make_omega_window(5000)), sets, 0.5, pointed=True) is None
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_C_spec_answers_as_its_member_list(self, n):
+        w = make_omega_window(n)
+        members = list(enumerate_family(FamilySpec("C", w)))
+        for sets in ([{n - 1}], [{0}, {n - 1}], [set(range(n))]):
+            assert refute_uniform(members, sets, 0.5, pointed=True) is None
+            assert refute_uniform(FamilySpec("C", w), sets, 0.5, pointed=True) is None
+
+    def test_members_at_their_target_on_top_are_skipped_before_any_far_block(self, monkeypatch):
+        # Spikes are 1 at one index and 0, their target, at the top; only the
+        # member far from its target at the top is searched.
+        w = make_omega_window(8)
+        far = Net(w, binary_space(), (0,) * 7 + (1,), target=0)
+        calls = []
+        original = meta._far_block
+        monkeypatch.setattr(meta, "_far_block", lambda a, *args: calls.append(a) or original(a, *args))
+        cert = refute_uniform(spikes(w)[:7] + [far], [{2, 7}], 0.5, pointed=True)
+        assert cert.member is far and require_replay(cert) is cert
+        assert set(map(id, calls)) == {id(far)}

@@ -256,3 +256,37 @@ class TestProjectSet:
     def test_foreign_pair_rejected(self):
         with pytest.raises(WindowError):
             project_set({(1, 9)}, make_omega_window(3))
+
+
+def stdlib_ranks(rng, sizes, max_size):
+    # The draw rule's oracle: CPython's own calls, one up-set size at a time.
+    ranks, counts = [], []
+    for m in sizes:
+        drawn = rng.sample(range(m), rng.randint(1, min(max_size, m)))
+        ranks += drawn
+        counts.append(len(drawn))
+    return ranks, counts
+
+
+class TestRankDraw:
+    """``order._draw_ranks`` replays ``random.sample``/``randint`` on the same MT19937 words."""
+
+    def test_block_bound_is_where_the_rule_is_exact(self):
+        # random.sample's small-set size is 21 only for samples of at most 5;
+        # past that its pool/set switch moves and the replay would diverge.
+        assert 1 <= order.RANDOM_BLOCK_MAX <= 5
+
+    @pytest.mark.parametrize("max_size", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "sizes",
+        [[1] * 300, [2, 3, 4, 5] * 40, [21] * 60, [22] * 60, [20, 21, 22, 23] * 20, [2**20, 2**20 - 1, 2**16 + 1]],
+        ids=["size-1", "small", "pool-21", "set-22", "switch", "wide"],
+    )
+    def test_sizes_match_the_stdlib(self, sizes, max_size, monkeypatch):
+        # Size 1 draws randint(1, 1), which rejects half of all words; 21 is
+        # the last pool-method size and 22 the first set-method one.
+        monkeypatch.setattr(order, "RANDOM_BLOCK_MAX", max_size)
+        for seed in range(5):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert order._draw_ranks(ours, sizes) == stdlib_ranks(theirs, sizes, max_size)
+            assert ours.getstate() == theirs.getstate()
