@@ -64,17 +64,18 @@ def _family_nets(family):
     return family
 
 
+# The --space choices other than "euclidean", which also reads --dim.
+_SPACES = {
+    "unit-interval": unit_interval_space,
+    "half-line": half_line_space,
+    "binary": binary_space,
+}
+
+
 def _space_from_args(args):
-    kind = args.space
-    if kind == "unit-interval":
-        return unit_interval_space()
-    if kind == "half-line":
-        return half_line_space()
-    if kind == "binary":
-        return binary_space()
-    if kind == "euclidean":
+    if args.space == "euclidean":
         return euclidean_space(args.dim)
-    raise ValueError(f"unknown space {kind!r}")
+    return _SPACES[args.space]()
 
 
 def cmd_verify(args):
@@ -225,7 +226,7 @@ def build_parser():
     a = sub.add_parser("analyze", help="empirical metastability report for a numeric family")
     a.add_argument("--csv", help="rectangular numeric CSV, one row per index")
     a.add_argument("--family", help="family JSON (alternative to --csv)")
-    a.add_argument("--space", default="unit-interval", choices=["unit-interval", "half-line", "binary", "euclidean"])
+    a.add_argument("--space", default="unit-interval", choices=[*_SPACES, "euclidean"])
     a.add_argument("--dim", type=int, default=1, help="dimension for euclidean space")
     a.add_argument("--eps-grid", default="0.5,0.25,0.1")
     a.add_argument("--suite", default="identity,successor,doubling")

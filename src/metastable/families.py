@@ -33,7 +33,6 @@ from .order import (
     make_omega_window,
     successor_sampling,
 )
-from .meta import RefutationCertificate
 
 __all__ = [
     "FamilySpec",
@@ -44,6 +43,7 @@ __all__ = [
     "refute_D_pointed",
     "paracompact_nets",
     "closed_form_refutation",
+    "RefutationCertificate",
     "BRUTE_FORCE_CAP",
     "FAMILY_MEMBER_CAP",
 ]
@@ -108,6 +108,22 @@ class FamilySpec:
         if self.tag == "paracompact":
             return self.n_points
         return (n + 1 if self.tag == "B" else n) if self.window.is_chain() else None
+
+
+@dataclass(frozen=True)
+class RefutationCertificate:
+    """Self-contained evidence that a candidate set contains no witness.
+
+    Replaying the certificate re-checks, index by index, that no element
+    of ``candidate_set`` witnesses the (pointed) [eps, eta]-metastability
+    of ``member``.
+    """
+
+    eps: float
+    sampling: Sampling
+    member: Net
+    candidate_set: frozenset
+    pointed_target: object = None
 
 
 def _threshold_net(window, cutoff):

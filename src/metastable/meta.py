@@ -14,7 +14,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .net import CheckError, Net, eps_floor, require_eps, tail_diameters
+from . import families as _families
+from .families import RefutationCertificate
+from .net import CheckError, eps_floor, require_eps, tail_diameters
 from .order import (
     Sampling,
     WindowError,
@@ -78,28 +80,22 @@ def _first_witness(a, eps, blocks, target=_PAIRWISE):
     return next((i for i, block in blocks if _within(a, eps, block, target)), None)
 
 
-def _blocks(a, eta, candidates):
-    # (index, eta_i) over the window, or over ``candidates``, in enumeration order.
+def _blocks(a, eta):
+    # (index, eta_i) over the window, in enumeration order.
     if eta.window != a.window:
         raise WindowError("sampling and net live on different windows")
-    if candidates is None:
-        return eta.items()
-    return [(i, eta.at(i)) for i in sorted(candidates, key=a.window.index)]
+    return eta.items()
 
 
-def find_witness(a, eps, eta, candidates=None):
-    """First index (enumeration order) witnessing [eps, eta]-metastability.
-
-    Scans the whole window, or just ``candidates`` when given.  Returns
-    None when no scanned index is a witness.
-    """
-    return _first_witness(a, require_eps(eps), _blocks(a, eta, candidates))
+def find_witness(a, eps, eta):
+    """First index (enumeration order) witnessing [eps, eta]-metastability, else None."""
+    return _first_witness(a, require_eps(eps), _blocks(a, eta))
 
 
-def find_pointed_witness(a, b, eps, eta, candidates=None):
+def find_pointed_witness(a, b, eps, eta):
     """Pointed analogue of :func:`find_witness`, measured against ``b``."""
     a.space.require(b)
-    return _first_witness(a, require_eps(eps), _blocks(a, eta, candidates), b)
+    return _first_witness(a, require_eps(eps), _blocks(a, eta), b)
 
 
 # -- rates -----------------------------------------------------------------
@@ -110,11 +106,11 @@ class Rate:
     """Finite-grid rate of (pointed) metastability.
 
     ``thresholds`` is a strictly descending tuple of finite positive reals;
-    ``samplings`` maps sampling ids to the valid samplings the rate is
-    indexed by (checked here, so decoded rates are too); ``table`` maps
-    (threshold, sampling id) to a nonempty candidate set.  Lookup at an
-    arbitrary eps uses the largest listed threshold <= eps: a rate valid
-    at a finer tolerance is valid at any coarser one.
+    ``samplings`` maps sampling ids to the rate's valid samplings, at least
+    one and all on one window (checked here, so decoded rates are too);
+    ``table`` maps (threshold, sampling id) to a nonempty candidate set.
+    Lookup at an arbitrary eps uses the largest listed threshold <= eps: a
+    rate valid at a finer tolerance is valid at any coarser one.
     """
 
     thresholds: tuple
@@ -130,8 +126,8 @@ class Rate:
         if list(self.thresholds) != sorted(set(self.thresholds), reverse=True):
             raise RateError("thresholds must be strictly descending")
         windows = {eta.window for eta in self.samplings.values()}
-        if len(windows) > 1:
-            raise RateError("rate samplings live on different windows")
+        if len(windows) != 1:
+            raise RateError("rate needs at least one sampling, all on one window")
         for eta in self.samplings.values():
             require_valid_sampling(eta)
         for (t, sid), candidates in self.table.items():
@@ -150,23 +146,12 @@ class Rate:
     def window(self):
         return next(iter(self.samplings.values())).window
 
-    def sampling_id(self, eta):
-        """Resolve a sampling (or id) to its registered id."""
-        if isinstance(eta, str):
-            if eta not in self.samplings:
-                raise RateError(f"sampling id {eta!r} is unregistered")
-            return eta
-        for sid, s in self.samplings.items():
-            if s == eta:
-                return sid
-        raise RateError("sampling is not registered with this rate")
-
-    def lookup(self, eps, eta):
-        """Candidate set for ``eps`` under ``eta`` (largest threshold <= eps)."""
-        sid = self.sampling_id(eta)
-        usable = [t for t in self.thresholds if t <= eps]
-        for t in usable:  # thresholds are descending: first usable is largest
-            if (t, sid) in self.table:
+    def lookup(self, eps, sid):
+        """Candidate set for ``eps`` under sampling id ``sid`` (largest threshold <= eps)."""
+        if sid not in self.samplings:
+            raise RateError(f"sampling id {sid!r} is unregistered")
+        for t in self.thresholds:  # descending: the first usable one is the largest
+            if t <= eps and (t, sid) in self.table:
                 return self.table[(t, sid)]
         raise RateError(f"no rate entry for eps={eps} under sampling {sid!r}")
 
@@ -197,16 +182,15 @@ class WitnessReport:
             raise CheckError("report overall disagrees with its outcomes")
 
 
-def verify_rate(family, rate, eps, eta):
-    """Check that the rate's candidate set covers every net in the family.
+def verify_rate(family, rate, eps, sid):
+    """Check that the rate's candidate set under sampling id ``sid`` covers every net in the family.
 
     In pointed mode every net must carry a declared target; witnesses are
     then measured against it.  The report records one witness (or None)
     per net, in family order.
     """
-    sid = rate.sampling_id(eta)
-    sampling = rate.samplings[sid]
-    window, pointed, candidates = sampling.window, rate.pointed, rate.lookup(eps, sid)
+    candidates, sampling = rate.lookup(eps, sid), rate.samplings[sid]
+    window, pointed = sampling.window, rate.pointed
     require_eps(eps)
     blocks = [(i, sampling.at(i)) for i in sorted(candidates, key=window.index)]
     outcomes = []
@@ -297,26 +281,6 @@ def sampling_independent_bound(rate):
 # -- refutation ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RefutationCertificate:
-    """Self-contained evidence that a candidate set contains no witness.
-
-    Replaying the certificate re-checks, index by index, that no element
-    of ``candidate_set`` witnesses the (pointed) [eps, eta]-metastability
-    of ``member``.
-    """
-
-    eps: float
-    sampling: Sampling
-    member: Net
-    candidate_set: frozenset
-    pointed_target: object = None
-
-
-# Bound once, after RefutationCertificate, which families imports from here.
-from . import families as _families  # noqa: E402
-
-
 def replay_certificate(cert):
     """Re-run a certificate through the witness checker; True iff it holds."""
     eps, member, target = require_eps(cert.eps), cert.member, cert.pointed_target
@@ -344,7 +308,8 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
     ``families.FAMILY_MEMBER_CAP`` members) or a nonempty iterable of nets
     on one window, read whole and in order.  The members live on the
     spec's window (a list's first member's); a list member on another
-    window, or a candidate outside it, raises WindowError up front.  A
+    window, or a candidate that is not one of its elements as given
+    (``True`` and ``1.0`` name no int), raises WindowError up front.  A
     certificate defeats a set holding no (pointed) witness; defeating the
     union defeats every listed set.
 
@@ -356,10 +321,9 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
     sampling defeats any member.
     """
     require_eps(eps)
-    candidate_sets = [frozenset(s) for s in candidate_sets]
+    candidate_sets = [tuple(s) for s in candidate_sets]  # as given: a set would merge True into 1
     if not candidate_sets or any(not s for s in candidate_sets):
         raise ValueError("candidate sets must be given and nonempty")
-    union = frozenset().union(*candidate_sets)
     is_spec = isinstance(family, _families.FamilySpec)
     if is_spec:
         # Enumerated members live on the spec's window and carry targets; read lazily.
@@ -373,9 +337,11 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
             raise WindowError("family members live on different windows")
         if pointed and any(a.target is None for a in members):
             raise RateError("pointed refutation needs declared targets")
-    outside = [i for s in candidate_sets for i in s if i not in window]
+    labels = [i for s in candidate_sets for i in s]
+    outside = [i for i in labels if i not in window] or window.misnamed(labels)
     if outside:
         raise WindowError(f"candidate {outside[0]!r} is not an element of the window")
+    union = frozenset().union(*candidate_sets)
     if is_spec and (cert := _families.closed_form_refutation(family, union, eps, pointed=pointed)):
         return require_replay(cert)
     # The top's up-set is itself, so a union holding it defeats no member in

@@ -44,9 +44,9 @@ __all__ = [
 ]
 
 
-def _check_unit(x, name="value"):
+def _check_unit(x):
     if not 0.0 <= x <= 1.0:
-        raise ValueError(f"{name} {x!r} outside [0, 1]")
+        raise ValueError(f"value {x!r} outside [0, 1]")
     return x
 
 

@@ -154,6 +154,8 @@ def half_line_space():
 
 
 def euclidean_space(dim):
+    if type(dim) is not int:
+        raise TypeError(f"dimension must be an int, got {dim!r}")
     if dim < 1:
         raise SpaceError("dimension must be positive")
     return MetricSpace(EUCLIDEAN, dim=dim)

@@ -59,7 +59,7 @@ class DirectedWindow:
     Instances are immutable.  Omega windows and product windows are valid
     by construction; custom windows are fully validated when built
     (reflexivity, antisymmetry, transitivity, and that ``join`` is an
-    upper bound lying inside the window).
+    upper bound; its table holds element positions, so it stays inside).
     """
 
     __slots__ = ("kind", "_elements", "_index", "_factors", "_leq", "_join", "_chain", "_shape", "_top")
@@ -118,6 +118,14 @@ class DirectedWindow:
     def __contains__(self, a):
         return a in self._index
 
+    def misnamed(self, labels):
+        """Those of ``labels`` equal to an element but not it as written: a bool names only a bool,
+        a float only a float, through tuples, so ``True`` and ``1.0`` name no omega element."""
+        if self.kind == OMEGA and {int}.issuperset(map(type, labels)):
+            return []  # every omega element is an int; one type scan replaces the per-label test
+        index, els = self._index, self._elements
+        return [a for a in labels if a in index and not _same_kind(a, els[index[a]])]
+
     def leq(self, a, b):
         """Whether ``a`` precedes (or equals) ``b`` in the window order."""
         if self._chain:
@@ -128,10 +136,9 @@ class DirectedWindow:
         return self._leq[self.index(a)][self.index(b)]
 
     def join(self, a, b):
-        """The chosen explicit upper bound of ``a`` and ``b``."""
+        """The chosen explicit upper bound of ``a`` and ``b``, an element of the window."""
         if self.kind == OMEGA:
-            self.index(a), self.index(b)
-            return max(a, b)
+            return self._elements[max(self.index(a), self.index(b))]
         if self.kind == PRODUCT:
             d, e = self._factors
             return (d.join(a[0], b[0]), e.join(a[1], b[1]))
@@ -210,8 +217,6 @@ class DirectedWindow:
                 raise WindowError(f"order not transitive on {a!r}, {b!r}, {c!r}")
         for a, b in itertools.product(els, repeat=2):
             j = self.join(a, b)
-            if j not in self:
-                raise WindowError(f"join({a!r},{b!r}) leaves the window")
             if not (self.leq(a, j) and self.leq(b, j)):
                 raise WindowError(f"join({a!r},{b!r}) = {j!r} is not an upper bound")
 
@@ -236,6 +241,13 @@ class DirectedWindow:
 
     def __repr__(self):
         return f"DirectedWindow({self.kind}, n={len(self)})"
+
+
+def _same_kind(x, e):
+    # For equal labels: whether bools meet only bools and floats only floats, through tuples.
+    if type(e) is tuple:
+        return all(map(_same_kind, x, e))
+    return isinstance(x, bool) is isinstance(e, bool) and isinstance(x, float) is isinstance(e, float)
 
 
 def make_omega_window(n):

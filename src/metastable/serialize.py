@@ -12,8 +12,13 @@ import functools
 import json
 
 from .families import FamilyError, FamilySpec
-from .meta import Rate, RefutationCertificate
+from .meta import Rate, RateError, RefutationCertificate
 from .net import (
+    BINARY,
+    EUCLIDEAN,
+    HALF_LINE,
+    TABLE,
+    UNIT_INTERVAL,
     Net,
     SpaceError,
     binary_space,
@@ -22,7 +27,8 @@ from .net import (
     table_space,
     unit_interval_space,
 )
-from .order import Sampling, WindowError, make_custom_window, make_omega_window, product
+from .order import CUSTOM, OMEGA, PRODUCT, Sampling, WindowError
+from .order import make_custom_window, make_omega_window, product
 
 SCHEMA_VERSION = 1
 
@@ -103,14 +109,30 @@ def _label_from_json(label):
     return label
 
 
+def _labels(items):
+    # Labels from a JSON list; a string is no list of characters.  Only a JSON
+    # list becomes a tuple label, so a list of scalars is returned as it is.
+    if type(items) is not list:
+        raise SchemaError(f"expected a JSON list of labels, got {items!r}")
+    return list(map(_label_from_json, items)) if list in set(map(type, items)) else items
+
+
+def _named(window, labels):
+    # Labels from a document: one equal to an element must be it as written (true is not 1).
+    misnamed = window.misnamed(labels)
+    if misnamed:
+        raise WindowError(f"label {misnamed[0]!r} is not an element of the window")
+    return labels
+
+
 # -- windows ---------------------------------------------------------------
 
 
 def window_to_dict(w):
     doc = {"type": "window", "kind": w.kind}
-    if w.kind == "omega-window":
+    if w.kind == OMEGA:
         doc["size"] = len(w)
-    elif w.kind == "product-window":
+    elif w.kind == PRODUCT:
         doc["factors"] = [window_to_dict(f) for f in w.factors]
     else:
         doc["elements"] = [_label_to_json(e) for e in w.elements]
@@ -123,15 +145,14 @@ def window_to_dict(w):
 def window_from_dict(doc):
     _expect(doc, "window")
     kind = doc["kind"]
-    if kind in ("omega-window", "ordinal-window"):  # schema 1 also wrote ordinal chains
+    if kind in (OMEGA, "ordinal-window"):  # schema 1 also wrote ordinal chains
         return make_omega_window(doc["size"])
-    if kind == "product-window":
+    if kind == PRODUCT:
         if len(doc["factors"]) != 2:
             raise SchemaError("a product window's factors must be a list of two windows")
         return product(*map(window_from_dict, doc["factors"]))
-    if kind == "custom":
-        elements = [_label_from_json(e) for e in doc["elements"]]
-        return make_custom_window(elements, doc["leq"], doc["join"])
+    if kind == CUSTOM:
+        return make_custom_window(_labels(doc["elements"]), doc["leq"], doc["join"])
     raise SchemaError(f"unknown window kind {kind!r}")
 
 
@@ -151,8 +172,11 @@ def sampling_to_dict(s):
 def sampling_from_dict(doc):
     _expect(doc, "sampling")
     w = window_from_dict(doc["window"])
-    assign = tuple(frozenset(_label_from_json(j) for j in row) for row in doc["assign"])
-    return Sampling(w, assign)
+    if type(doc["assign"]) is not list:
+        raise SchemaError("a sampling's assign must be a JSON list of label lists")
+    rows = [_labels(row) for row in doc["assign"]]
+    _named(w, [j for row in rows for j in row])
+    return Sampling(w, tuple(map(frozenset, rows)))
 
 
 # -- spaces and nets -------------------------------------------------------
@@ -172,16 +196,16 @@ def space_to_dict(space):
 def space_from_dict(doc):
     _expect(doc, "space")
     kind = doc["kind"]
-    if kind == "binary-discrete":
+    if kind == BINARY:
         return binary_space()
-    if kind == "unit-interval":
+    if kind == UNIT_INTERVAL:
         return unit_interval_space()
-    if kind == "half-line":
+    if kind == HALF_LINE:
         return half_line_space()
-    if kind == "euclidean":
+    if kind == EUCLIDEAN:
         return euclidean_space(doc["dim"])
-    if kind == "custom-table":
-        return table_space(map(_label_from_json, doc["symbols"]), doc["table"])
+    if kind == TABLE:
+        return table_space(_labels(doc["symbols"]), doc["table"])
     raise SchemaError(f"unknown space kind {kind!r}")
 
 
@@ -192,7 +216,7 @@ def net_to_dict(a):
             "window": window_to_dict(a.window),
             "space": space_to_dict(a.space),
             "values": [_label_to_json(v) for v in a.values],
-            "target": None if a.target is None else _label_to_json(a.target),
+            "target": _label_to_json(a.target),
         }
     )
 
@@ -249,13 +273,16 @@ def rate_to_dict(rate):
 def rate_from_dict(doc):
     _expect(doc, "rate")
     samplings = {sid: sampling_from_dict(s) for sid, s in doc["samplings"].items()}
-    table = {
-        (entry["threshold"], entry["sampling_id"]): frozenset(
-            _label_from_json(i) for i in entry["candidates"]
-        )
-        for entry in doc["table"]
-    }
-    return Rate(tuple(doc["thresholds"]), samplings, table, pointed=doc["pointed"])
+    table = {}
+    for entry in doc["table"]:
+        key = (entry["threshold"], entry["sampling_id"])
+        if key in table:
+            raise RateError(f"duplicate rate entry at {key}")
+        table[key] = _labels(entry["candidates"])
+    candidates = {key: frozenset(labels) for key, labels in table.items()}
+    rate = Rate(tuple(doc["thresholds"]), samplings, candidates, pointed=doc["pointed"])
+    _named(rate.window, [i for labels in table.values() for i in labels])
+    return rate
 
 
 # -- reports and certificates ---------------------------------------------
@@ -263,10 +290,13 @@ def rate_from_dict(doc):
 
 @_decoder
 def candidate_sets_from_json(doc):
-    """A candidates document: a JSON list of candidate sets (lists of window labels)."""
-    if not isinstance(doc, list) or not all(isinstance(s, list) for s in doc):
+    """A candidates document: a JSON list of candidate sets, each a list of window labels,
+    returned as written for ``meta.refute_uniform`` to check against the family's window."""
+    if not isinstance(doc, list):
         raise SchemaError("candidates file must be a JSON list of candidate sets")
-    return [frozenset(map(_label_from_json, s)) for s in doc]  # unhashable labels: TypeError
+    sets = [_labels(s) for s in doc]
+    hash(tuple(map(tuple, sets)))  # unhashable labels: TypeError
+    return sets
 
 
 def report_to_dict(report):
@@ -276,7 +306,7 @@ def report_to_dict(report):
             "eps": report.eps,
             "sampling_id": report.sampling_id,
             "window_size": report.window_size,
-            "outcomes": [None if o is None else _label_to_json(o) for o in report.outcomes],
+            "outcomes": [_label_to_json(o) for o in report.outcomes],
             "overall": report.overall,
         }
     )
@@ -291,9 +321,7 @@ def certificate_to_dict(cert):
             "sampling": sampling_to_dict(cert.sampling),
             "member": net_to_dict(cert.member),
             "candidate_set": [_label_to_json(i) for i in sorted(cert.candidate_set, key=w.index)],
-            "pointed_target": None
-            if cert.pointed_target is None
-            else _label_to_json(cert.pointed_target),
+            "pointed_target": _label_to_json(cert.pointed_target),
         }
     )
 
@@ -301,11 +329,12 @@ def certificate_to_dict(cert):
 @_decoder
 def certificate_from_dict(doc):
     _expect(doc, "refutation-certificate")
+    sampling = sampling_from_dict(doc["sampling"])
     return RefutationCertificate(
         eps=doc["eps"],
-        sampling=sampling_from_dict(doc["sampling"]),
+        sampling=sampling,
         member=net_from_dict(doc["member"]),
-        candidate_set=frozenset(_label_from_json(i) for i in doc["candidate_set"]),
+        candidate_set=frozenset(_named(sampling.window, _labels(doc["candidate_set"]))),
         pointed_target=_label_from_json(doc.get("pointed_target")),
     )
 
@@ -356,14 +385,14 @@ def analysis_report_to_dict(report):
                 {
                     "eps": c.eps,
                     "sampling_id": c.sampling_id,
-                    "witnesses": [None if w is None else _label_to_json(w) for w in c.witnesses],
+                    "witnesses": [_label_to_json(w) for w in c.witnesses],
                     "cover_set": [_label_to_json(i) for i in c.cover_set],
                     "uncovered": list(c.uncovered),
                 }
                 for c in report.cells
             ],
             "cauchy_indices": [
-                [[eps, None if i is None else _label_to_json(i)] for eps, i in per_net]
+                [[eps, _label_to_json(i)] for eps, i in per_net]
                 for per_net in report.cauchy_indices
             ],
             "refuted": report.refuted,

@@ -9,7 +9,7 @@ from metastable import build_rate, make_omega_window, product, random_sampling, 
 from metastable.cli import FAMILY_MEMBER_CAP, _family_nets, _parser, main
 from metastable.families import FamilySpec, enumerate_family, rate_B
 from metastable.order import WINDOW_CAP
-from metastable.serialize import certificate_from_dict, dumps, family_spec_to_dict, net_to_dict, rate_to_dict
+from metastable.serialize import certificate_from_dict, dumps, family_spec_to_dict, net_to_dict, rate_to_dict, sampling_to_dict
 
 
 @pytest.fixture
@@ -613,6 +613,109 @@ class TestAnalyze:
         fam.write_text(json.dumps([net]))
         assert main(["analyze", "--family", str(fam)]) == 3
         assert "join table" in capsys.readouterr().err
+
+
+class TestDocumentsAsWritten:
+    """Documents are not coerced: labels keep their JSON kind, collections are JSON lists."""
+
+    def _rate_file(self, tmp_path, edit, n=4):
+        doc = json.loads(dumps(rate_to_dict(build_rate({"id": identity_sampling(make_omega_window(n))}, lambda t, e: {0}))))
+        edit(doc)
+        path = tmp_path / "rate.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def _verify(self, tmp_path, edit, tag="B", n=4):
+        fam = tmp_path / "family.json"
+        fam.write_text(dumps(family_spec_to_dict(FamilySpec(tag, make_omega_window(n)))))
+        out = tmp_path / "out.json"
+        code = main(["verify", "--family", str(fam), "--rate", str(self._rate_file(tmp_path, edit, n)), "--eps", "0.5", "--out", str(out)])
+        return code, out
+
+    def test_rate_without_samplings_exits_three(self, tmp_path, capsys):
+        # It verified C, which has no uniform rate, with "overall": true.
+        code, out = self._verify(tmp_path, lambda doc: doc.update(samplings={}, table=[]), tag="C")
+        assert code == 3 and not out.exists()
+        assert "at least one sampling" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["samplings"]["id"]["assign"].__setitem__(0, [0, True]),
+            lambda doc: doc["table"].append(dict(doc["table"][0])),
+            lambda doc: doc.update(thresholds=[]),
+            lambda doc: doc["samplings"].update(other=sampling_to_dict(identity_sampling(make_omega_window(5)))),
+        ],
+        ids=["bool-label", "duplicate-entry", "no-thresholds", "two-windows"],
+    )
+    def test_bad_rate_exits_three(self, tmp_path, capsys, edit):
+        code, out = self._verify(tmp_path, edit)
+        assert code == 3 and not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_candidates_as_a_string_exit_four(self, tmp_path):
+        code, out = self._verify(tmp_path, lambda doc: doc["table"][0].update(candidates="0"))
+        assert code == 4 and not out.exists()
+
+    @pytest.mark.parametrize("cands, named", [([[True, 2.0]], "True"), ([[1, True]], "True"), ([[1.0]], "1.0")])
+    def test_refute_candidate_of_another_kind_exits_three(self, tmp_path, capsys, cands, named):
+        # [[true, 2.0]] wrote a certificate with "candidate_set": [true, 2.0].
+        fam = tmp_path / "family.json"
+        fam.write_text(dumps(family_spec_to_dict(FamilySpec("C", make_omega_window(8)))))
+        cands_file = tmp_path / "cands.json"
+        cands_file.write_text(json.dumps(cands))
+        out = tmp_path / "out.json"
+        assert main(["refute", "--family", str(fam), "--candidates", str(cands_file), "--eps", "0.5", "--out", str(out)]) == 3
+        assert not out.exists() and f"candidate {named} is not an element" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", [True, 2.0])
+    def test_euclidean_dim_of_another_kind_exits_four(self, tmp_path, dim):
+        net = {"type": "net", "schema_version": 1, "window": _omega_doc(2),
+               "space": {"type": "space", "schema_version": 1, "kind": "euclidean", "dim": dim},
+               "values": [[0.0, 0.0], [1.0, 1.0]], "target": None}
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps([net]))
+        assert main(["analyze", "--family", str(fam), "--out", str(tmp_path / "out.json")]) == 4
+
+    @pytest.mark.parametrize("elements, message", [([], "window must be nonempty"), ([0, 0], "duplicate window elements")])
+    def test_custom_window_without_distinct_elements_exits_three(self, tmp_path, capsys, elements, message):
+        n = len(elements)
+        window = {"type": "window", "schema_version": 1, "kind": "custom", "elements": elements,
+                  "leq": [[1] * n] * n, "join": [[0] * n] * n}
+        net = {"type": "net", "schema_version": 1, "window": window,
+               "space": {"type": "space", "schema_version": 1, "kind": "binary-discrete"},
+               "values": [0] * n, "target": None}
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps([net]))
+        assert main(["analyze", "--family", str(fam), "--out", str(tmp_path / "out.json")]) == 3
+        assert message in capsys.readouterr().err
+
+
+class TestAnalyzeCsv:
+    @pytest.mark.parametrize(
+        "space, text, nets",
+        [(["--space", "binary"], "1,0\n0,0\n0,0\n", 2), (["--space", "euclidean", "--dim", "2"], "0,0\n0.5,0.5\n0.5,0.5\n", 1)],
+    )
+    def test_space_options(self, tmp_path, space, text, nets):
+        csv_file = tmp_path / "data.csv"
+        csv_file.write_text(text)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--csv", str(csv_file), *space, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["window_size"] == 3 and len(doc["cauchy_indices"]) == nets
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        csv_file = tmp_path / "data.csv"
+        csv_file.write_text("0.5\n\n0.25\n\n")
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--csv", str(csv_file), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["window_size"] == 2
+
+    def test_empty_csv_exits_three(self, tmp_path, capsys):
+        csv_file = tmp_path / "data.csv"
+        csv_file.write_text("\n\n")
+        assert main(["analyze", "--csv", str(csv_file), "--out", str(tmp_path / "report.json")]) == 3
+        assert "empty CSV" in capsys.readouterr().err
 
 
 class TestDemo:

@@ -1,6 +1,7 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+import graphlib
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,55 @@ def test_scan_flags_imports_inside_functions():
         "        from metastable.d import x\n"
     )
     assert imports_inside_functions(tree) == [3, 6, 7]
+
+
+def sibling_imports(tree):
+    """Package modules a module imports: ``from . import x`` and ``from .x import y`` both name x."""
+    nodes = (n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level == 1)
+    return sorted({name for n in nodes for name in ([n.module] if n.module else [a.name for a in n.names])})
+
+
+def import_cycle(graph):
+    """A cycle of the import graph (its first module repeated at the end), else None."""
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        return exc.args[1]
+    return None
+
+
+def test_sibling_imports_form_no_cycle():
+    # A cycle binds one of its modules half-initialised, so the import order decides what the other sees.
+    graph = {p.stem: sibling_imports(ast.parse(p.read_text())) for p in MODULES}
+    assert graph["meta"] and import_cycle(graph) is None
+
+
+def test_scan_finds_an_import_cycle():
+    trees = {
+        "a": "from . import b as _b\nfrom .c import x\n",
+        "b": "from .a import y\nimport os\n",
+        "c": "from .. import d\n",
+    }
+    graph = {name: sibling_imports(ast.parse(text)) for name, text in trees.items()}
+    assert graph == {"a": ["b", "c"], "b": ["a"], "c": []}
+    assert sorted(import_cycle(graph)[:-1]) == ["a", "b"]
+    assert import_cycle({"a": ["c"], "b": ["a"], "c": []}) is None
+
+
+def late_imports(tree):
+    """Lines of module-level imports that follow the module's first function or class."""
+    body = tree.body
+    first = next((k for k, n in enumerate(body) if isinstance(n, (ast.FunctionDef, ast.ClassDef))), len(body))
+    return [n.lineno for n in body[first:] if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_precede_definitions(path):
+    assert late_imports(ast.parse(path.read_text())) == []
+
+
+def test_scan_flags_a_late_import():
+    assert late_imports(ast.parse("import os\nclass A:\n    pass\nfrom . import b  # noqa: E402\n")) == [4]
 
 
 def rng_draw_calls(tree):

@@ -168,6 +168,28 @@ class TestRate:
             Rate((0.25, 0.5), {"id": identity_sampling(w)}, {})
 
 
+    def test_no_samplings_rejected(self):
+        # Such a rate verified every family, C included, and had no window.
+        with pytest.raises(RateError, match="at least one sampling"):
+            Rate((0.5,), {}, {})
+        with pytest.raises(RateError, match="at least one sampling"):
+            build_rate({}, lambda t, eta: {0})
+
+    def test_samplings_on_different_windows_rejected(self):
+        suite = {"a": identity_sampling(make_omega_window(3)), "b": identity_sampling(make_omega_window(4))}
+        with pytest.raises(RateError, match="one window"):
+            Rate((0.5,), suite, {})
+
+    def test_lookup_and_verify_take_a_registered_id(self):
+        w = make_omega_window(3)
+        rate = build_rate({"id": identity_sampling(w)}, lambda t, eta: {0}, thresholds=(0.5,))
+        for sid in ("nope", identity_sampling(w)):
+            with pytest.raises(RateError, match="unregistered"):
+                rate.lookup(0.5, sid)
+            with pytest.raises(RateError, match="unregistered"):
+                verify_rate([constant_net(w)], rate, 0.5, sid)
+
+
 class TestVerifyRate:
     def test_constant_family(self):
         w = make_omega_window(4)
@@ -652,6 +674,33 @@ class TestReplay:
         cert = refute_D_pointed({0, 1}, make_omega_window(6))
         with pytest.raises(SpaceError):
             replay_certificate(dataclasses.replace(cert, pointed_target=2))
+
+
+    def test_sampling_on_another_window_does_not_replay(self):
+        cert = refute_C({0, 1}, make_omega_window(6), 0.5)
+        assert not replay_certificate(dataclasses.replace(cert, sampling=identity_sampling(make_omega_window(7))))
+
+    def test_candidate_outside_the_window_does_not_replay(self):
+        cert = refute_C({0, 1}, make_omega_window(6), 0.5)
+        assert not replay_certificate(dataclasses.replace(cert, candidate_set=frozenset({0, 6})))
+
+
+class TestCandidatesAsGiven:
+    """A candidate names an element only as written: True and 1.0 are not 1."""
+
+    @pytest.mark.parametrize("sets, named", [([[True, 2.0]], "True"), ([[2, 1.0]], "1.0"), ([[1, True]], "True")])
+    def test_omega(self, sets, named):
+        with pytest.raises(order.WindowError, match=f"candidate {named} is not an element"):
+            refute_uniform(FamilySpec("C", make_omega_window(8)), sets, 0.5)
+
+    def test_product(self):
+        w = product(make_omega_window(2), make_omega_window(2))
+        with pytest.raises(order.WindowError, match=r"candidate \(0, True\) is not an element"):
+            refute_uniform(FamilySpec("C", w), [[(0, 0), (0, True)]], 0.5)
+
+    def test_labels_as_written_refute(self):
+        cert = refute_uniform(FamilySpec("C", make_omega_window(8)), [[1, 2]], 0.5)
+        assert cert.candidate_set == {1, 2} and all(type(i) is int for i in cert.candidate_set)
 
 
 class TestTrustedInputs:

@@ -143,6 +143,18 @@ def _net(space, values, target=None):
     return Net(make_omega_window(len(values)), space, values, target=target)
 
 
+class TestEuclideanDim:
+    @pytest.mark.parametrize("dim", [True, 2.0, "2", None])
+    def test_dim_is_an_int_that_is_not_a_bool(self, dim):
+        # true and 2.0 were accepted and written back as the dimension.
+        with pytest.raises(TypeError, match="dimension must be an int"):
+            euclidean_space(dim)
+
+    def test_nonpositive_dim_is_a_space_error(self):
+        with pytest.raises(SpaceError):
+            euclidean_space(0)
+
+
 class TestNetPointCheck:
     """A net's values and target are accepted exactly when each passes
     ``require``, and otherwise the first non-point, in order, is named."""

@@ -117,6 +117,29 @@ class TestCustomWindow:
             make_custom_window([0, 1, 2], leq, min)
 
 
+class TestMisnamed:
+    """Labels equal to an element but of another kind (a dict lookup matches True and 1.0 to 1)."""
+
+    def test_omega(self):
+        w = make_omega_window(4)
+        assert w.misnamed([0, True, 1.0, 3, False, 9, "x"]) == [True, 1.0, False]
+        assert w.misnamed([0, 1, 2, 3]) == []
+
+    def test_product_labels_entry_by_entry(self):
+        w = product(make_omega_window(2), make_omega_window(2))
+        assert w.misnamed([(0, 1), (0, True), (1.0, 0), (2, 0)]) == [(0, True), (1.0, 0)]
+
+    def test_custom_window_of_a_bool_and_a_float(self):
+        w = make_custom_window([False, 2.0], [[1, 1], [0, 1]], [[0, 1], [1, 1]])
+        assert w.misnamed([False, 2.0, 0, 2, 0.0]) == [0, 2, 0.0]
+
+    @pytest.mark.parametrize("a, b, element", [(True, 0, 1), (2.0, 1, 2), (0, False, 0)])
+    def test_omega_join_returns_the_window_element(self, a, b, element):
+        # join(True, 0) was True and join(2.0, 1) was 2.0: the caller's objects.
+        joined = make_omega_window(4).join(a, b)
+        assert joined == element and type(joined) is int
+
+
 class TestTop:
     @settings(max_examples=200, deadline=None)
     @given(windows())

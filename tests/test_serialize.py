@@ -22,6 +22,8 @@ from metastable import (
     verify_rate,
 )
 from metastable import serialize
+from metastable.meta import RateError
+from metastable.order import WindowError
 from metastable.families import FamilySpec, refute_C
 from metastable.serialize import (
     SCHEMA_VERSION,
@@ -282,6 +284,85 @@ class TestMalformedDocuments:
     def test_wrong_shape_is_a_schema_error(self, decode, doc):
         with pytest.raises(SchemaError):
             decode(doc)
+
+
+def _doc(value):
+    return json.loads(dumps(value))
+
+
+def _rate_doc():
+    w = make_omega_window(4)
+    return _doc(rate_to_dict(build_rate({"id": identity_sampling(w)}, lambda t, e: {0, 1}, thresholds=(0.5, 0.25))))
+
+
+def _chain_doc():
+    return _doc(window_to_dict(make_custom_window(["a", "b"], [[1, 1], [0, 1]], [[0, 1], [1, 1]])))
+
+
+def _set(doc, path, value):
+    # ``doc`` with the entry at ``path`` (keys and positions) replaced by ``value``.
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return doc
+
+
+class TestDocumentsAsWritten:
+    """A label keeps its JSON kind (true and 1.0 are not 1), and a label collection is a JSON list."""
+
+    @pytest.mark.parametrize(
+        "decode, doc",
+        [
+            (window_from_dict, _set(_chain_doc(), ["elements"], "ab")),
+            (sampling_from_dict, _set(_doc(sampling_to_dict(identity_sampling(make_omega_window(2)))), ["assign", 0], "0")),
+            (rate_from_dict, _set(_rate_doc(), ["table", 0, "candidates"], "01")),
+            (space_from_dict, _set(_doc(space_to_dict(table_space(["a", "b"], [[0, 1], [1, 0]]))), ["symbols"], "ab")),
+            (certificate_from_dict, _set(_doc(certificate_to_dict(refute_C({0, 1}, make_omega_window(6), 0.5))), ["candidate_set"], "01")),
+        ],
+    )
+    def test_a_string_is_not_a_list_of_labels(self, decode, doc):
+        with pytest.raises(SchemaError, match="JSON list"):
+            decode(doc)
+
+    @pytest.mark.parametrize(
+        "decode, doc",
+        [
+            (sampling_from_dict, _set(_doc(sampling_to_dict(identity_sampling(make_omega_window(2)))), ["assign", 0], [0, True])),
+            (sampling_from_dict, _set(_doc(sampling_to_dict(identity_sampling(make_omega_window(2)))), ["assign", 1], [1, True])),
+            (sampling_from_dict, _set(_doc(sampling_to_dict(identity_sampling(make_omega_window(2)))), ["assign", 1], [1.0])),
+            (rate_from_dict, _set(_rate_doc(), ["table", 0, "candidates"], [0, True])),
+            (certificate_from_dict, _set(_doc(certificate_to_dict(refute_C({0, 1}, make_omega_window(6), 0.5))), ["candidate_set"], [0, 1.0])),
+        ],
+    )
+    def test_a_label_names_only_an_element_of_its_kind(self, decode, doc):
+        with pytest.raises(WindowError, match="is not an element of the window"):
+            decode(doc)
+
+    def test_product_labels_entry_by_entry(self):
+        w = product(make_omega_window(2), make_omega_window(2))
+        doc = _set(_doc(sampling_to_dict(identity_sampling(w))), ["assign", 1], [[0, True]])
+        with pytest.raises(WindowError, match=r"label \(0, True\)"):
+            sampling_from_dict(doc)
+        assert sampling_from_dict(_doc(sampling_to_dict(identity_sampling(w)))) == identity_sampling(w)
+
+    def test_duplicate_rate_entry_rejected(self):
+        # The last of the two entries was kept, silently.
+        doc = _rate_doc()
+        doc["table"].append({**doc["table"][0], "candidates": [2]})
+        with pytest.raises(RateError, match="duplicate rate entry"):
+            rate_from_dict(doc)
+
+    def test_rate_without_samplings_rejected(self):
+        doc = {**_rate_doc(), "samplings": {}, "table": []}
+        with pytest.raises(RateError, match="at least one sampling"):
+            rate_from_dict(doc)
+
+    @pytest.mark.parametrize("dim", [True, 2.0])
+    def test_euclidean_dim_is_an_int(self, dim):
+        doc = {"type": "space", "schema_version": SCHEMA_VERSION, "kind": "euclidean", "dim": dim}
+        with pytest.raises(SchemaError, match="dimension must be an int"):
+            space_from_dict(doc)
 
 
 class TestDumps:
