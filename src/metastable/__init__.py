@@ -28,6 +28,7 @@ from .net import (
     MetricSpace,
     Net,
     SpaceError,
+    StackedFamily,
     binary_space,
     unit_interval_space,
     half_line_space,

@@ -11,7 +11,6 @@ diameters and are checked against brute-force oracles in the tests.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 
 from .meta import is_witness
 from .net import BINARY, EUCLIDEAN, CheckError, Net, SpaceError, euclidean_space
-from .net import cauchy_indices, eps_floor, run_diameters
+from .net import block_runs, cauchy_indices, eps_floor, run_diameters, stacked
 from .order import (
     WindowError,
     doubling_sampling,
@@ -147,10 +146,11 @@ class AnalysisReport:
 def block_diameters(nets, *samplings):
     """Nets x blocks matrix of the diameter of each net on each sampled block.
 
+    ``nets`` is a StackedFamily or a nonempty list of nets, stacked once.
     Columns run over the indices of each sampling in turn, so with one
     sampling index p witnesses net m at eps iff entry (m, p) is <= eps,
     for every eps.  All blocks are read by position, as one flat position
-    array cut into runs, so each net takes one
+    array cut into runs, and all nets take one
     :func:`~metastable.net.run_diameters` call.
     """
     window = samplings[0].window
@@ -159,15 +159,8 @@ def block_diameters(nets, *samplings):
             raise WindowError("samplings live on different windows")
         if len(eta.assign) != len(window) or not all(eta.assign):
             raise WindowError("sampling needs one nonempty candidate set per index")
-    blocks = [block for eta in samplings for block in eta.assign]
-    sizes = list(map(len, blocks))
-    flat = np.fromiter(map(window.index, itertools.chain.from_iterable(blocks)), dtype=np.intp, count=sum(sizes))
-    rows = []
-    for a in nets:
-        if a.window != window:
-            raise WindowError("sampling and net live on different windows")
-        rows.append(run_diameters(a, flat, sizes))
-    return np.array(rows, dtype=float).reshape(len(rows), len(sizes))
+    flat, sizes = block_runs(window, [block for eta in samplings for block in eta.assign])
+    return run_diameters(stacked(nets, window), flat, sizes)
 
 
 def _matrix_cover(witness, window):
@@ -196,23 +189,21 @@ def empirical_rate(family, eps_grid, sampling_suite):
     cover is deterministic and every element of it is certified by
     re-validation against the witness checker.
 
-    Each net's tail diameters (for the Cauchy indices) and each
-    sampling's block diameters are computed once and shared by every
-    tolerance.  The answers are those of the pairwise checks, exactly:
+    The family is stacked once; its tail diameters (for the Cauchy
+    indices) and its block diameters over the whole suite are each one
+    call for all nets, shared by every tolerance.  The answers are those of the pairwise checks, exactly:
     binary64 subtraction is monotone, so fl(max - min) over a block or
     tail of scalar values equals the largest fl|x - y| over its pairs,
     and with no NaN distances (points are finite) the largest distance
     is <= eps exactly when every distance is.
     """
-    family = list(family)
-    if not family:
-        raise ValueError("empty family")
+    family = stacked(family)
     if not eps_grid or not sampling_suite:
         raise ValueError("empty tolerance grid or sampling suite")
-    window = family[0].window
+    window = family.window
     eps_grid = tuple(sorted(eps_grid, reverse=True))
-    stacked = block_diameters(family, *sampling_suite.values())
-    diameters = dict(zip(sampling_suite, np.split(stacked, len(sampling_suite), axis=1)))
+    matrix = block_diameters(family, *sampling_suite.values())
+    diameters = dict(zip(sampling_suite, np.split(matrix, len(sampling_suite), axis=1)))
     cells = []
     for eps in eps_grid:
         bound = eps_floor(eps)
@@ -226,7 +217,7 @@ def empirical_rate(family, eps_grid, sampling_suite):
                 if not any(is_witness(a, eps, eta, i) for a in family):
                     raise CheckError(f"cover element {i!r} witnesses no net at eps={eps}, sampling {sid!r}")
             cells.append(AnalysisCell(eps, sid, witnesses, cover, no_witness))
-    cauchy = tuple(tuple(zip(eps_grid, cauchy_indices(a, eps_grid))) for a in family)
+    cauchy = tuple(tuple(zip(eps_grid, indices)) for indices in cauchy_indices(family, eps_grid))
     return AnalysisReport(
         window_size=len(window),
         eps_grid=eps_grid,

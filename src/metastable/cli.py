@@ -57,11 +57,8 @@ def _write(doc, out):
 
 
 def _family_nets(family):
-    # A spec's member count (None: bounded by BRUTE_FORCE_CAP) meets the cap before any member is built.
-    if isinstance(family, _families.FamilySpec):
-        _families.require_member_cap(family, family.member_count or 0)
-        return list(_families.enumerate_family(family))
-    return family
+    # Every member of a spec, stacked (see families.stack_family), or a decoded list as it is.
+    return _families.stack_family(family) if isinstance(family, _families.FamilySpec) else family
 
 
 # The --space choices other than "euclidean", which also reads --dim.

@@ -21,11 +21,12 @@ D-pattern.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .net import CheckError, Net, binary_space, require_eps, unit_interval_space
+import numpy as np
+
+from .net import CheckError, Net, StackedFamily, binary_space, require_eps, unit_interval_space
 from .order import (
     DirectedWindow,
     Sampling,
@@ -38,6 +39,8 @@ __all__ = [
     "FamilySpec",
     "FamilyError",
     "enumerate_family",
+    "stacked_members",
+    "stack_family",
     "rate_B",
     "refute_C",
     "refute_D_pointed",
@@ -54,6 +57,8 @@ BRUTE_FORCE_CAP = 16
 #: Family C has 2**(n-1) members on n elements, so it is refused above
 #: n = 13, and a paracompact spec may ask for at most this many points.
 FAMILY_MEMBER_CAP = 4096
+#: Values in one chunk of members that :func:`stacked_members` builds at a time.
+CHUNK_VALUES = 2**12
 
 TAGS = ("B", "B0", "C", "D", "paracompact")
 
@@ -126,29 +131,51 @@ class RefutationCertificate:
     pointed_target: object = None
 
 
-def _threshold_net(window, cutoff):
-    # 1 on the first `cutoff` chain positions, 0 after; target is the tail value.
-    n = len(window)
-    values = (1,) * cutoff + (0,) * (n - cutoff)
-    return Net(window, binary_space(), values, target=1 if cutoff == n else 0)
-
-
 def _nonincreasing(window, values):
-    # Adjacent positions on a chain; elsewhere each element against its up-set.
+    # Per member (values: positions on the last axis): adjacent positions on
+    # a chain; elsewhere each element against its up-set.
+    x = np.asarray(values)
     if window.is_chain():
-        return all(map(operator.ge, values, values[1:]))
-    index = window.index
-    return all(values[p] >= values[index(j)] for p, i in enumerate(window.elements) for j in window.up_set(i))
+        return (x[..., :-1] >= x[..., 1:]).all(axis=-1)
+    ok, index = True, window.index
+    for p, i in enumerate(window.elements):
+        ok = ok & (x[..., [p]] >= x[..., [index(j) for j in window.up_set(i)]]).all(axis=-1)
+    return ok
 
 
 def _eventually_zero(window, values):
     # Zero on some up-set iff zero at the greatest element, whose up-set is itself.
-    return values[window.index(window.top())] == 0
+    return np.asarray(values)[..., window.index(window.top())] == 0
 
 
 def _require(invariant, values):
-    if not invariant:
-        raise CheckError(f"constructed member {values} breaks its family invariant")
+    # One verdict per member: for one member's values, or for each row of an array of them.
+    bad = np.flatnonzero(~np.atleast_1d(invariant))
+    if bad.size:
+        raise CheckError(f"constructed member {np.atleast_2d(values)[bad[0]].tolist()} breaks its family invariant")
+
+
+def _stack(window, space, x, targets):
+    # Members built as a pattern array, their values the array's own (binary ints, floats).
+    targets = targets.tolist() if isinstance(targets, np.ndarray) else [targets] * len(x)
+    return StackedFamily(window, space, x.astype(float), targets)
+
+
+def _chunks(items, size):
+    # Consecutive slices of ``size`` items, as arrays; ``items`` (a range) may be too long for len().
+    for lo in itertools.count(0, size):
+        part = items[lo:lo + size]
+        if not len(part):
+            return
+        yield np.asarray(part)
+
+
+def _bits(r, width):
+    # The binary digits of each r (below 2**62), most significant first, ``width`` per row.
+    k = min(width, 62)
+    x = np.zeros((len(r), width), np.int8)
+    x[:, width - k:] = (r[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return x
 
 
 def d_member(window, alpha):
@@ -157,23 +184,49 @@ def d_member(window, alpha):
     Index 0 counts as even.  Every value above alpha is 1, so the member
     converges to 1 within the window; its declared target is 1.
     """
-    n = len(window)
-    if not 0 <= alpha < n:
-        raise FamilyError(f"alpha={alpha} outside window of size {n}")
-    values = tuple(0 if (i <= alpha and i % 2 == 0) else 1 for i in range(n))
-    return Net(window, binary_space(), values, target=1)
+    return next(_members(FamilySpec("D", window, {"alphas": [alpha]}), 1))[0]
 
 
 def enumerate_family(spec):
     """Yield exactly the members of the tagged family on the spec's window.
 
-    Members are built one at a time, and each is re-checked against its
-    family invariant.  Asking for member ``FAMILY_MEMBER_CAP + 1`` raises
-    FamilyError, so every caller sees the same cap.
+    Members are built a chunk at a time (see :func:`stacked_members`), and
+    each chunk is re-checked against its family invariant.  Asking for
+    member ``FAMILY_MEMBER_CAP + 1`` raises FamilyError, so every caller
+    sees the same cap.
     """
-    for count, member in enumerate(_members(spec), 1):
-        require_member_cap(spec, count)
-        yield member
+    for chunk in stacked_members(spec):
+        yield from chunk
+
+
+def stacked_members(spec, size=None):
+    """The members of ``spec`` in enumeration order, as StackedFamily chunks.
+
+    A chunk holds ``size`` members (default: about CHUNK_VALUES values), or
+    fewer when the enumeration filters them.  Asking for a chunk past
+    member ``FAMILY_MEMBER_CAP`` raises FamilyError.
+    """
+    count = 0
+    for chunk in _members(spec, size or max(1, CHUNK_VALUES // len(spec.window))):
+        if count + len(chunk) > FAMILY_MEMBER_CAP:
+            room = FAMILY_MEMBER_CAP - count
+            if room:
+                yield StackedFamily(chunk.window, chunk.space, chunk.array[:room], chunk.targets[:room])
+            require_member_cap(spec, FAMILY_MEMBER_CAP + 1)
+        count += len(chunk)
+        yield chunk
+
+
+def stack_family(spec):
+    """Every member of ``spec`` as one StackedFamily.
+
+    The member count meets FAMILY_MEMBER_CAP before any member is built;
+    for B and B0 off chains, whose count is known only once filtered (see
+    BRUTE_FORCE_CAP), before the family is returned.
+    """
+    require_member_cap(spec, spec.member_count or 0)
+    (family,) = stacked_members(spec, FAMILY_MEMBER_CAP)
+    return family
 
 
 def require_member_cap(spec, count):
@@ -182,45 +235,40 @@ def require_member_cap(spec, count):
         raise FamilyError(f"family {spec.tag} on this window has more than FAMILY_MEMBER_CAP = {FAMILY_MEMBER_CAP} members")
 
 
-def _members(spec):
-    # B and B0 by cutoff on chains, else by filtering every binary
-    # assignment (at most BRUTE_FORCE_CAP elements); C as 0 at the top and
-    # every other position in lexicographic order, on every window.
-    window = spec.window
-    tag = spec.tag
+def _members(spec, size):
+    # Chunks of at most ``size`` members, each an array of value patterns
+    # checked once: B and B0 by cutoff on chains, and off chains by
+    # filtering every binary assignment (at most BRUTE_FORCE_CAP elements)
+    # in one chunk; C by the digits of its lexicographic rank, with 0 at the
+    # top, on every window; D and paracompact by parity below a cutoff.
+    window, tag, n = spec.window, spec.tag, len(spec.window)
+    pos = np.arange(n)
     if tag == "paracompact":  # the iterate net at point x_p: 0 exactly at the odd steps i <= p
-        for p in range(spec.n_points):
-            values = tuple(1.0 if (i % 2 == 0 or i > p) else 0.0 for i in range(len(window)))
-            yield Net(window, unit_interval_space(), values, target=1.0)
-        return
-    if tag == "D":
-        yield from (d_member(window, alpha) for alpha in spec.alphas)
-        return
-    if tag == "C":
+        for p in _chunks(range(spec.n_points), size):
+            yield _stack(window, unit_interval_space(), (pos % 2 == 0) | (pos > p[:, None]), 1.0)
+    elif tag == "D":
+        for alpha in _chunks(spec.alphas, size):
+            yield _stack(window, binary_space(), (pos % 2 == 1) | (pos > alpha[:, None]), 1)
+    elif tag == "C":
         t = window.index(window.top())
-        for rest in itertools.product((0, 1), repeat=len(window) - 1):
-            values = rest[:t] + (0,) + rest[t:]
-            _require(_eventually_zero(window, values), values)
-            yield Net(window, binary_space(), values, target=0)
-        return
-
-    if window.is_chain():
-        n = len(window)
-        cutoffs = range(n, -1, -1) if tag == "B" else range(n - 1, -1, -1)
-        for cutoff in cutoffs:
-            member = _threshold_net(window, cutoff)
-            _require(_nonincreasing(window, member.values), member.values)
-            yield member
-        return
-
-    if len(window) > BRUTE_FORCE_CAP:
+        for r in _chunks(range(2 ** (n - 1)), size):
+            x = np.insert(_bits(r, n - 1), t, 0, axis=1)
+            _require(_eventually_zero(window, x), x)
+            yield _stack(window, binary_space(), x, 0)
+    elif window.is_chain():
+        for cutoff in _chunks(range(n, -1, -1) if tag == "B" else range(n - 1, -1, -1), size):
+            x = pos < cutoff[:, None]
+            _require(_nonincreasing(window, x), x)
+            yield _stack(window, binary_space(), x, (cutoff == n).astype(int))
+    elif n > BRUTE_FORCE_CAP:
         raise FamilyError(
             f"enumeration of {tag} on a non-chain window is capped at {BRUTE_FORCE_CAP} elements"
         )
-    for values in itertools.product((0, 1), repeat=len(window)):
-        ones = all(v == 1 for v in values)
-        if _nonincreasing(window, values) and not (tag == "B0" and ones):
-            yield Net(window, binary_space(), values, target=1 if ones else 0)
+    else:
+        x = _bits(np.arange(2**n), n)
+        ones = x.all(axis=1)
+        x = x[_nonincreasing(window, x) & ~(ones & (tag == "B0"))]
+        yield _stack(window, binary_space(), x, x.all(axis=1).astype(int))
 
 
 def _require_refutation_eps(eps):

@@ -14,9 +14,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from . import families as _families
 from .families import RefutationCertificate
-from .net import CheckError, eps_floor, require_eps, tail_diameters
+from .net import CheckError, block_runs, eps_floor, require_eps, run_diameters, run_maxima, stacked
+from .net import tail_diameters, tail_maxima, target_distances
 from .order import (
     Sampling,
     WindowError,
@@ -185,33 +188,30 @@ class WitnessReport:
 def verify_rate(family, rate, eps, sid):
     """Check that the rate's candidate set under sampling id ``sid`` covers every net in the family.
 
+    ``family`` is a StackedFamily or a nonempty list of nets, stacked once.
     In pointed mode every net must carry a declared target; witnesses are
     then measured against it.  The report records one witness (or None)
-    per net, in family order.
+    per net, in family order.  All members are decided at once: a block's
+    diameter (pointed: its largest distance to the target) per member and
+    candidate, exact as the pairwise test, against ``eps_floor(eps)``.
     """
     candidates, sampling = rate.lookup(eps, sid), rate.samplings[sid]
     window, pointed = sampling.window, rate.pointed
-    require_eps(eps)
-    blocks = [(i, sampling.at(i)) for i in sorted(candidates, key=window.index)]
-    outcomes = []
-    for a in family:
-        if a.window != window:
-            raise WindowError("family nets and rate live on different windows")
-        if pointed and a.target is None:
-            raise RateError("pointed verification needs a declared target on every net")
-        target = a.target if pointed else _PAIRWISE
-        for i, block in blocks:
-            if _within(a, eps, block, target):
-                break
-        else:
-            i = None
-        outcomes.append(i)
+    bound = eps_floor(require_eps(eps))
+    family = stacked(family, window)
+    if pointed and None in family.targets:
+        raise RateError("pointed verification needs a declared target on every net")
+    order = sorted(candidates, key=window.index)
+    flat, sizes = block_runs(window, [sampling.at(i) for i in order])
+    d = run_maxima(target_distances(family), flat, sizes) if pointed else run_diameters(family, flat, sizes)
+    ok = d <= bound
+    outcomes = tuple(order[c] if any_ else None for c, any_ in zip(ok.argmax(axis=1).tolist(), ok.any(axis=1).tolist()))
     return WitnessReport(
         eps=eps,
         sampling_id=sid,
         window_size=len(window),
-        outcomes=tuple(outcomes),
-        overall=all(o is not None for o in outcomes),
+        outcomes=outcomes,
+        overall=None not in outcomes,
     )
 
 
@@ -304,21 +304,23 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
     """First member defeated on every candidate set, with its certificate.
 
     ``family`` is a FamilySpec (closed forms are replayed for C and pointed
-    D; otherwise its enumeration is read lazily, up to
-    ``families.FAMILY_MEMBER_CAP`` members) or a nonempty iterable of nets
-    on one window, read whole and in order.  The members live on the
-    spec's window (a list's first member's); a list member on another
-    window, or a candidate that is not one of its elements as given
-    (``True`` and ``1.0`` name no int), raises WindowError up front.  A
-    certificate defeats a set holding no (pointed) witness; defeating the
-    union defeats every listed set.
+    D; otherwise its enumeration is read lazily in stacked chunks, up to
+    ``families.FAMILY_MEMBER_CAP`` members), a StackedFamily, or a
+    nonempty iterable of nets on one window and one space, stacked whole.
+    The members live on the spec's window (a list's first member's); a
+    list member on another window, or a candidate that is not one of its
+    elements as given (``True`` and ``1.0`` name no int), raises
+    WindowError up front.  A certificate defeats a set holding no
+    (pointed) witness; defeating the union defeats every listed set.
 
     Samplings are chosen index by index, so the question is exact per
     member: ``a`` is defeated on the union iff the up-set of each of its
     indices has a pair at distance > eps (pointed: a point at distance
     > eps from the target), and that pair (point) is the index's block in
-    the certificate; other indices get {i}.  Returns None when no
-    sampling defeats any member.
+    the certificate; other indices get {i}.  Every member of a chunk is
+    decided at once, off its tail diameters (pointed: the largest distance
+    to its target over each up-set); only the first defeated member is
+    built as a net.  Returns None when no sampling defeats any member.
     """
     require_eps(eps)
     candidate_sets = [tuple(s) for s in candidate_sets]  # as given: a set would merge True into 1
@@ -326,16 +328,12 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
         raise ValueError("candidate sets must be given and nonempty")
     is_spec = isinstance(family, _families.FamilySpec)
     if is_spec:
-        # Enumerated members live on the spec's window and carry targets; read lazily.
-        window, members = family.window, _families.enumerate_family(family)
+        # Enumerated members live on the spec's window and carry targets; read lazily, chunk by chunk.
+        window, chunks = family.window, _families.stacked_members(family)
     else:
-        members = list(family)
-        if not members:
-            raise ValueError("empty family")
-        window = members[0].window
-        if any(a.window != window for a in members):
-            raise WindowError("family members live on different windows")
-        if pointed and any(a.target is None for a in members):
+        chunks = [stacked(family)]
+        window = chunks[0].window
+        if pointed and None in chunks[0].targets:
             raise RateError("pointed refutation needs declared targets")
     labels = [i for s in candidate_sets for i in s]
     outside = [i for i in labels if i not in window] or window.misnamed(labels)
@@ -350,27 +348,26 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
     if top in union and (not pointed or is_spec and family.tag == "C"):
         return None
     bound, positions = eps_floor(eps), [window.index(i) for i in union]
-    for a in members:
-        if not pointed and any(d <= bound for d in tail_diameters(a)[positions]):
-            continue
-        if pointed and top in union and _within(a, eps, (top,), a.target):
-            continue
-        far = ((i, _far_block(a, eps, i, pointed)) for i in union)  # up to the first index without one
-        blocks = dict(itertools.takewhile(lambda pair: pair[1] is not None, far))
-        if len(blocks) < len(union):
-            continue
-        eta = Sampling.from_function(window, lambda i: blocks.get(i, {i}))
-        return require_replay(RefutationCertificate(eps, eta, a, union, pointed_target=a.target if pointed else None))
+    for chunk in chunks:
+        # Per member and index: the largest distance in its up-set (pointed: to the target).
+        tails = tail_maxima(window, target_distances(chunk)) if pointed else tail_diameters(chunk)
+        defeated = np.flatnonzero((tails[:, positions] > bound).all(axis=1))
+        if defeated.size:
+            a = chunk[int(defeated[0])]
+            blocks = {i: _far_block(a, eps, i, pointed) for i in union}
+            eta = Sampling.from_function(window, lambda i: blocks.get(i, {i}))
+            return require_replay(RefutationCertificate(eps, eta, a, union, pointed_target=a.target if pointed else None))
     return None
 
 
 def _far_block(a, eps, i, pointed):
-    # Pointed: {j} for the first j above i farther than eps from the target,
-    # else None.  Plain, i's tail diameter being > eps: a pair that far apart,
-    # the largest and smallest value on scalar spaces, else the first such pair.
+    # Index i's tail being farther than eps from a's target (pointed) or
+    # having diameter > eps: {j} for the first j above i that far from the
+    # target, or a pair that far apart, the largest and smallest value on
+    # scalar spaces, else the first such pair.
     up = a.window.up_set(i)
     if pointed:
-        return next(({j} for j in up if not _within(a, eps, (j,), a.target)), None)
+        return next({j} for j in up if not _within(a, eps, (j,), a.target))
     if a.space.is_scalar():
         return {max(up, key=a.value), min(up, key=a.value)}
     return next({j, k} for j, k in itertools.combinations(up, 2) if not _within(a, eps, (j, k)))

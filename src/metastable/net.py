@@ -6,17 +6,21 @@ import functools
 import itertools
 import math
 import numbers
+import operator
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .order import DirectedWindow, product
+from .order import DirectedWindow, WindowError, _same_kind, product
 
 __all__ = [
     "MetricSpace",
     "Net",
+    "StackedFamily",
+    "stacked",
     "SpaceError",
     "binary_space",
     "unit_interval_space",
@@ -111,9 +115,13 @@ class MetricSpace:
         return self._position(x) is not None
 
     def _position(self, x):
-        # Position of the first symbol equal to ``x``, else None.  A comparison
-        # that yields an array (numpy against a tuple symbol) is no match.
-        matches = (p for p, s in enumerate(self.symbols) if s is x or isinstance(eq := s == x, (bool, np.bool_)) and eq)
+        # Position of the first symbol equal to ``x`` and of its kind, else None: as
+        # for window labels, a bool names only a bool and a float only a float.  A
+        # comparison that yields an array (numpy against a tuple symbol) is no match.
+        matches = (
+            p for p, s in enumerate(self.symbols)
+            if s is x or isinstance(eq := s == x, (bool, np.bool_)) and eq and _same_kind(x, s)
+        )
         return next(matches, None)
 
     def is_scalar(self):
@@ -186,12 +194,66 @@ def table_space(symbols, table):
     return MetricSpace(TABLE, symbols=symbols, table=table, diameter_bound=bound)
 
 
+#: Where a point's kind allows only values in a range, that range; every
+#: real coordinate must also be finite.
+_RANGES = {BINARY: (0.0, 1.0), UNIT_INTERVAL: (0.0, 1.0), HALF_LINE: (0.0, math.inf)}
+
+
+def _bulk(space, points):
+    # The points as one array, if one bulk test proves every one a point, else None.
+    # Coordinates are exact ints and floats; binary ints in [0, 1] are 0 and 1.  Ints
+    # convert exactly below 2**53, and one at or past it leaves the answer to require.
+    if space.kind == TABLE:
+        positions = list(map(space._position, points))
+        return None if None in positions else np.array(positions, np.intp)
+    if space.kind == EUCLIDEAN:
+        if set(map(type, points)) != {tuple} or set(map(len, points)) != {space.dim}:
+            return None
+        points = list(itertools.chain.from_iterable(points))
+    types = set(map(type, points))
+    if not types <= ({int} if space.kind == BINARY else {int, float}):
+        return None
+    try:
+        x = np.array(points, float)
+    except OverflowError:
+        return None
+    lo, hi = _RANGES.get(space.kind, (-math.inf, math.inf))
+    least, most = float(x.min()), float(x.max())  # NaN if any entry is
+    if not (math.isfinite(least) and math.isfinite(most) and lo <= least and most <= hi):
+        return None
+    if int in types and max(-least, most) >= 2.0**53:
+        return None
+    return x.reshape(-1, space.dim) if space.kind == EUCLIDEAN else x
+
+
+def _point_array(space, groups, in_order=None):
+    """The points of ``groups`` (sequences of points), in order, checked, as
+    one array: floats (Euclidean: one row of coordinates per point) or
+    symbol positions.
+
+    One bulk test proves them all points, or else each of ``in_order``
+    (default: the points in order) goes through ``require``, so the first
+    non-point is named as it would be one by one.
+    """
+    points = list(itertools.chain.from_iterable(groups))
+    x = _bulk(space, points)
+    if x is None:
+        for v in points if in_order is None else in_order:
+            space.require(v)
+        x = np.array(points, float)  # checked: reals (Euclidean: tuples of them), ints up to 2**53
+    return x
+
+
 @dataclass(frozen=True)
 class Net:
     """Total map from window elements to points of a metric space.
 
     ``values`` follows the window's enumeration order.  ``target`` is an
     optional declared limit point, required only for pointed verification.
+    The values and target are checked once, at construction, and ``array``
+    holds the values as one read-only numpy array: floats for scalar
+    spaces, one row of coordinates per axis for Euclidean spaces, symbol
+    positions for table spaces.
     """
 
     window: DirectedWindow
@@ -200,33 +262,9 @@ class Net:
     target: object = None
 
     def __post_init__(self):
-        if len(self.values) != len(self.window):
-            raise SpaceError(
-                f"net has {len(self.values)} values for a window of {len(self.window)}"
-            )
-        points = self.values if self.target is None else (*self.values, self.target)
-        # Exact ints in {0, 1} are binary points, proven in one bulk test;
-        # everything else is checked, and the first non-point named, in order.
-        if not (self.space.kind == BINARY and set(map(type, points)) <= {int} and {0, 1}.issuperset(points)):
-            for v in points:
-                self.space.require(v)
-
-    @functools.cached_property
-    def array(self):
-        """The values as one read-only numpy array, built on first use.
-
-        Floats for scalar spaces, one row of coordinates per axis for
-        Euclidean spaces, symbol positions for table spaces.
-        """
-        space, values = self.space, self.values
-        if space.kind == EUCLIDEAN:
-            array = np.array(values, dtype=float).reshape(len(values), space.dim).T.copy()
-        elif space.kind == TABLE:
-            array = np.array([space._position(v) for v in values], dtype=np.intp)
-        else:
-            array = np.array(values, dtype=float)
-        array.flags.writeable = False
-        return array
+        # Checked as the one member of a stacked family.
+        family = StackedFamily.from_rows(self.window, self.space, [self.values], [self.target])
+        object.__setattr__(self, "array", family.array[0])
 
     def value(self, i):
         return self.values[self.window.index(i)]
@@ -234,6 +272,101 @@ class Net:
     def dist(self, i, j):
         # Values were checked once in __post_init__.
         return self.space.unchecked_dist(self.value(i), self.value(j))
+
+
+def _checked_net(window, space, values, target, array):
+    # A Net whose values and target were checked with its family's array, of which ``array`` is its row.
+    a = object.__new__(Net)
+    a.__dict__.update(window=window, space=space, values=values, target=target, array=array)
+    return a
+
+
+class StackedFamily(Sequence):
+    """The members of a family on one window and one space, as one array.
+
+    ``array`` has one row per member, each laid out as ``Net.array``:
+    members x positions of floats for scalar spaces, members x dim x
+    positions for Euclidean spaces, and symbol positions for table spaces.
+    ``targets`` holds each member's declared target, or None.  Every value
+    and target was checked once, with the whole array.  As a sequence, the
+    family yields its members as nets whose values and targets are exactly
+    as given (Python scalars and tuples); each is built on first use and
+    then kept, so a net leaves the library only when asked for.
+    """
+
+    def __init__(self, window, space, array, targets, rows=None, nets=()):
+        # ``rows``: each member's values as given; None when the array's own
+        # values are theirs (binary ints, floats), as for enumerated members.
+        array.flags.writeable = False
+        self.window, self.space, self.array, self.targets = window, space, array, list(targets)
+        self._rows, self._nets = rows, dict(enumerate(nets))
+
+    @classmethod
+    def from_rows(cls, window, space, rows, targets):
+        """The family of nets with these values and targets (None: none), all
+        checked in one bulk test: a member of the wrong length or the first
+        non-point, member by member with values before target, raises
+        SpaceError as one ``Net`` at a time would."""
+        n = len(window)
+        if set(map(len, rows)) != {n}:
+            raise SpaceError(f"net has {next(len(r) for r in rows if len(r) != n)} values for a window of {n}")
+        given = [t for t in targets if t is not None]
+        members = ((*row, t) if t is not None else row for row, t in zip(rows, targets))
+        x = _point_array(space, [*rows, given], itertools.chain.from_iterable(members))
+        x = x[: len(rows) * n]
+        x = x.reshape(-1, n, space.dim).transpose(0, 2, 1) if space.kind == EUCLIDEAN else x.reshape(-1, n)
+        return cls(window, space, np.ascontiguousarray(x), targets, rows=rows)
+
+    def __len__(self):
+        return len(self.targets)
+
+    def __getitem__(self, m):
+        m = range(len(self))[operator.index(m)]
+        if m not in self._nets:
+            if self._rows is None:
+                row = self.array[m].tolist()
+                values = tuple(map(int, row) if self.space.kind == BINARY else row)
+            else:
+                values = tuple(self._rows[m])
+            self._nets[m] = _checked_net(self.window, self.space, values, self.targets[m], self.array[m])
+        return self._nets[m]
+
+    def __eq__(self, other):
+        # Member by member, as the list of its nets.
+        return list(self) == list(other) if isinstance(other, (list, tuple, StackedFamily)) else NotImplemented
+
+    __hash__ = None
+
+    @functools.cached_property
+    def points(self):
+        """Every member's values, then every target if each member has one,
+        as one flat array of floats (Euclidean: one row per axis) or symbol
+        positions.  Point k * n + p is position p of member k, and point
+        m * n + k, for m members, is member k's target."""
+        x = self.array.transpose(1, 0, 2).reshape(self.space.dim, -1) if self.space.kind == EUCLIDEAN else self.array.ravel()
+        if None in self.targets:
+            return x
+        t = _point_array(self.space, [self.targets])
+        return np.concatenate((x, t.T if self.space.kind == EUCLIDEAN else t), axis=-1)
+
+
+def stacked(family, window=None):
+    """``family`` as a StackedFamily on one window (``window``, if given):
+    as it is when it is one, else the family of a nonempty list of nets on
+    one window and one space, which are its members as they are."""
+    if isinstance(family, StackedFamily):
+        if window is not None and family.window != window:
+            raise WindowError("family members and samplings live on different windows")
+        return family
+    nets = list(family)
+    if not nets:
+        raise ValueError("empty family")
+    given, window, space = window, nets[0].window if window is None else window, nets[0].space
+    if any(a.window != window for a in nets):
+        raise WindowError(f"family members {'' if given is None else 'and samplings '}live on different windows")
+    if any(a.space != space for a in nets):
+        raise SpaceError("family members take values in different spaces")
+    return StackedFamily(window, space, np.stack([a.array for a in nets]), [a.target for a in nets], nets=nets)
 
 
 def _distance_space(space):
@@ -298,15 +431,30 @@ def _run_pairs(sizes):
         lo = hi
 
 
-def group_max_distances(a, pairs, n_groups):
-    """Largest distance d(a_i, a_j) in each group of position pairs of a net.
+def _per_member(chunks, m, n, n_groups):
+    # One member's pair chunks (i, j, group) repeated for each of m members:
+    # point k * n + i of member k, group k * n_groups + group, about PAIR_CHUNK pairs a chunk.
+    def repeated():
+        for i, j, g in chunks:
+            step = max(1, PAIR_CHUNK // g.size)
+            for lo in range(0, m, step):
+                k = np.arange(lo, min(lo + step, m)).reshape(-1, *(1,) * g.ndim)
+                yield k * n + i, k * n + j, k * n_groups + g
 
-    ``pairs`` yields chunks ``(i, j, group)`` of integer arrays: positions
-    into ``a.values`` (``i`` and ``j`` broadcast against each other) and,
-    in their broadcast shape, a group id in ``range(n_groups)`` per pair.
-    Entry g of the result is bit-identical to the ``max`` of
-    ``a.space.unchecked_dist`` over group g's pairs, and 0.0 for a group
-    without pairs.  Memory is O(n + n_groups + chunk).
+    return chunks if m == 1 else repeated()
+
+
+def group_max_distances(a, pairs, n_groups):
+    """Largest distance d(a_i, a_j) in each group of point pairs.
+
+    ``a`` is a net, whose points are its positions, or a stacked family,
+    whose points are numbered as in :attr:`StackedFamily.points`.
+    ``pairs`` yields chunks ``(i, j, group)`` of integer arrays: points
+    (``i`` and ``j`` broadcast against each other) and, in their broadcast
+    shape, a group id in ``range(n_groups)`` per pair.  Entry g of the
+    result is bit-identical to the ``max`` of ``a.space.unchecked_dist``
+    over group g's pairs, and 0.0 for a group without pairs.  Memory is
+    O(points + n_groups + chunk).
 
     Scalar spaces take ``abs`` of the differences, and custom-table
     spaces gather from the table: both exact.  Euclidean distances go
@@ -334,8 +482,10 @@ def group_max_distances(a, pairs, n_groups):
     running E, which is at most the final one, so they keep a superset.
     """
     out = np.zeros(n_groups)
-    space, values, array = a.space, a.values, a.array
+    space, array = a.space, (a.points if isinstance(a, StackedFamily) else a.array)
     if space.kind == EUCLIDEAN:
+        # math.dist reads an int coordinate as the float it converts to exactly (|x| <= 2**53).
+        coordinates = array.T.tolist()
         keep = 1.0 - 8 * (space.dim + 8) * 2.0**-53
         estimates = np.zeros(n_groups)
         for i, j, g in pairs:
@@ -356,7 +506,7 @@ def group_max_distances(a, pairs, n_groups):
             if unsafe is not None:  # identical points are at distance 0, the initial value
                 differ = sum(x[i] != x[j] for x in array) > 0
                 i, j, g = i[differ], j[differ], g[differ]
-            exact = map(math.dist, map(values.__getitem__, i.tolist()), map(values.__getitem__, j.tolist()))
+            exact = map(math.dist, map(coordinates.__getitem__, i.tolist()), map(coordinates.__getitem__, j.tolist()))
             np.maximum.at(out, g, np.fromiter(exact, float, len(g)))
         return out
     if space.is_scalar():
@@ -373,81 +523,125 @@ def group_max_distances(a, pairs, n_groups):
     return out
 
 
-def run_diameters(a, flat, sizes):
-    """Diameter of ``a`` on each run of positions.
+def run_maxima(x, flat, sizes):
+    """Largest entry of each row of ``x`` on each run of positions: rows x runs.
+
+    ``flat`` is an integer array of positions cut into consecutive
+    nonempty runs of ``sizes``.
+    """
+    return np.maximum.reduceat(x[:, flat], np.cumsum(sizes) - sizes, axis=1)
+
+
+def run_diameters(s, flat, sizes):
+    """Diameter of every member of a stacked family on each run of positions: members x runs.
 
     ``flat`` is an integer array of positions cut into consecutive
     nonempty runs of ``sizes``.  Scalar spaces take run max minus run min
     (``reduceat``), which is exact: binary64 subtraction is monotone, so
     fl(max - min) is the largest fl|x - y| over the run's pairs.  Other
-    spaces take every pair of a run through :func:`group_max_distances`.
+    spaces take every pair of a run of every member through one
+    :func:`group_max_distances` call.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
-    if a.space.is_scalar():
-        x = a.array[flat]
-        starts = np.cumsum(sizes) - sizes
-        return np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
+    if s.space.is_scalar():
+        return run_maxima(s.array, flat, sizes) + run_maxima(-s.array, flat, sizes)
     chunks = ((flat[p], flat[q], run) for p, q, run in _run_pairs(sizes))
-    return group_max_distances(a, chunks, len(sizes))
+    m, runs = len(s), len(sizes)
+    return group_max_distances(s, _per_member(chunks, m, len(s.window), runs), m * runs).reshape(m, runs)
+
+
+def block_runs(w, blocks):
+    """Blocks (a list of collections of elements of ``w``) as one flat position array cut into runs, and the run sizes."""
+    sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
+    return np.fromiter(map(w.index, itertools.chain.from_iterable(blocks)), np.intp, int(sizes.sum())), sizes
+
+
+def _up_sets(w):
+    # The up-set of every element, in window order, as runs.
+    return block_runs(w, [w.up_set(i) for i in w.elements])
 
 
 def _suffix(ufunc, x):
-    # ufunc accumulated over the orthant above each entry, along every axis.
-    for axis in range(x.ndim):
+    # ufunc accumulated over the orthant above each entry, along every axis but the first (members).
+    for axis in range(1, x.ndim):
         x = np.flip(ufunc.accumulate(np.flip(x, axis), axis=axis), axis)
     return x
+
+
+def tail_maxima(w, x):
+    """Largest entry of each row of ``x`` (rows x positions of ``w``) over the up-set of every element.
+
+    An up-set is an orthant on a grid window (see ``DirectedWindow.grid_shape``),
+    taken as a suffix maximum along each axis, and a run of positions elsewhere.
+    """
+    shape = w.grid_shape()
+    if shape is None:
+        return run_maxima(x, *_up_sets(w))
+    return _suffix(np.maximum, x.reshape(len(x), *shape)).reshape(x.shape)
 
 
 def tail_diameters(a):
     """Diameter of the tail (up-set) of every window element, by position.
 
-    On a grid window (see ``DirectedWindow.grid_shape``) every tail is an
-    orthant.  Scalar spaces take the orthant's max minus its min; other
-    spaces group all pairs by their meet (componentwise minimum), take
-    each group's largest distance with :func:`group_max_distances`, and
-    take the maximum over the orthant above each element, since a pair
-    lies in the tail of i exactly when its meet does.  A chain is the 1-D
-    case, where the meet of p < q is p.  On other windows every element's
-    tail goes through :func:`run_diameters`.
+    ``a`` is a net, or a stacked family, for which the answer has one row
+    per member.  Scalar spaces take the tail's max minus its min.  On a
+    grid window (see ``DirectedWindow.grid_shape``) other spaces group all
+    pairs by their meet (componentwise minimum), take each group's largest
+    distance with :func:`group_max_distances`, and take the maximum over
+    the orthant above each element, since a pair lies in the tail of i
+    exactly when its meet does.  A chain is the 1-D case, where the meet
+    of p < q is p.  On other windows every element's tail goes through
+    :func:`run_diameters`.
     """
-    w = a.window
+    s = stacked([a]) if isinstance(a, Net) else a
+    w, m, n = s.window, len(s), len(s.window)
     shape = w.grid_shape()
-    if shape is None:
-        tails = [list(map(w.index, w.up_set(i))) for i in w.elements]
-        flat = np.fromiter(itertools.chain.from_iterable(tails), np.intp)
-        return run_diameters(a, flat, list(map(len, tails)))
-    if a.space.is_scalar():
-        x = a.array.reshape(shape)
-        return (_suffix(np.maximum, x) - _suffix(np.minimum, x)).ravel()
-    # A position is the sum of its coordinates' shares (coordinate times
-    # stride), so a meet's position sums the smaller share on each axis.
-    # Positions are cut into bands; each band is paired with every later
-    # position, and the pairs inside each band come last.
-    n = len(w)
-    strides = np.cumprod((*shape[1:], 1)[::-1])[::-1]
-    shares = np.indices(shape).reshape(len(shape), -1) * strides[:, None]
-    positions = np.arange(n)
-    step = max(1, PAIR_CHUNK // n)
+    if s.space.is_scalar():
+        tails = tail_maxima(w, s.array) + tail_maxima(w, -s.array)
+    elif shape is None:
+        tails = run_diameters(s, *_up_sets(w))
+    else:
+        # A position is the sum of its coordinates' shares (coordinate times
+        # stride), so a meet's position sums the smaller share on each axis.
+        # Positions are cut into bands; each band is paired with every later
+        # position, and the pairs inside each band come last.
+        strides = np.cumprod((*shape[1:], 1)[::-1])[::-1]
+        shares = np.indices(shape).reshape(len(shape), -1) * strides[:, None]
+        positions = np.arange(n)
+        step = max(1, PAIR_CHUNK // n)
 
-    def meet(p, q):
-        return sum(np.minimum(c[p], c[q]) for c in shares)
+        def meet(p, q):
+            return sum(np.minimum(c[p], c[q]) for c in shares)
 
-    bands = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    across = ((positions[lo:hi, None], positions[None, hi:]) for lo, hi in bands if hi < n)
-    within = ((p, q) for p, q, _ in _run_pairs([hi - lo for lo, hi in bands]))
-    chunks = ((p, q, meet(p, q)) for p, q in itertools.chain(across, within))
-    return _suffix(np.maximum, group_max_distances(a, chunks, len(w)).reshape(shape)).ravel()
+        bands = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+        across = ((positions[lo:hi, None], positions[None, hi:]) for lo, hi in bands if hi < n)
+        within = ((p, q) for p, q, _ in _run_pairs([hi - lo for lo, hi in bands]))
+        chunks = ((p, q, meet(p, q)) for p, q in itertools.chain(across, within))
+        tails = tail_maxima(w, group_max_distances(s, _per_member(chunks, m, n, n), m * n).reshape(m, n))
+    return tails if s is a else tails[0]
+
+
+def target_distances(s):
+    """Distance from each member's value at every position to its target:
+    members x positions of a stacked family whose members all have one,
+    bit-identical to ``unchecked_dist``."""
+    m, n = len(s), len(s.window)
+    p = np.arange(m * n)
+    return group_max_distances(s, [(p, m * n + p // n, p)], m * n).reshape(m, n)
 
 
 def cauchy_indices(a, eps_grid):
-    """:func:`window_cauchy_index` at each tolerance, from one :func:`tail_diameters`."""
-    bounds = [eps_floor(eps) for eps in eps_grid]
+    """:func:`window_cauchy_index` at each tolerance, from one :func:`tail_diameters`:
+    a tuple for a net, and a list of them, one per member, for a stacked family."""
+    bounds = np.array([eps_floor(eps) for eps in eps_grid])
     w = a.window
-    tails = tail_diameters(a)
+    tails = np.atleast_2d(tail_diameters(a))
     # The top's tail is itself; it carries no stability evidence.
-    tails[w.index(w.top())] = np.inf
-    hits = [np.flatnonzero(tails <= e) for e in bounds]
-    return tuple(w.elements[h[0]] if h.size else None for h in hits)
+    tails[:, w.index(w.top())] = np.inf
+    hit = tails[:, None, :] <= bounds[:, None]  # members x tolerances x positions
+    first, found = hit.argmax(axis=2).tolist(), hit.any(axis=2).tolist()
+    indices = [tuple(w.elements[p] if f else None for p, f in zip(*row)) for row in zip(first, found)]
+    return indices if isinstance(a, StackedFamily) else indices[0]
 
 
 def window_cauchy_index(a, eps):

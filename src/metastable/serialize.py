@@ -9,6 +9,7 @@ deterministic (collections are emitted in canonical enumeration order) and
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 
 from .families import FamilyError, FamilySpec
@@ -19,8 +20,8 @@ from .net import (
     HALF_LINE,
     TABLE,
     UNIT_INTERVAL,
-    Net,
     SpaceError,
+    StackedFamily,
     binary_space,
     euclidean_space,
     half_line_space,
@@ -223,26 +224,39 @@ def net_to_dict(a):
 
 @_decoder
 def net_from_dict(doc):
-    return _nets_from_dicts([doc])[0]
+    return _stack_from_dicts([doc])[0]
 
 
-def _nets_from_dicts(docs):
+def _stack_from_dicts(docs):
     # One window and one space for the whole list, decoded from its first
-    # member; another member's documents may differ only in spelling.
+    # member; another member's documents may differ only in spelling.  The
+    # values of all members are checked at once, as one StackedFamily.
     first = _expect(docs[0], "net")
     window, space = window_from_dict(first["window"]), space_from_dict(first["space"])
-    nets = []
+    rows, targets = [], []
     for doc in docs:
         _expect(doc, "net")
         if doc["window"] != first["window"] and window_from_dict(doc["window"]) != window:
             raise WindowError("family members live on different windows")
         if doc["space"] != first["space"] and space_from_dict(doc["space"]) != space:
             raise SpaceError("family members take values in different spaces")
-        values = doc["values"]
-        # Only a JSON list becomes a tuple label; a list of scalars is copied whole.
-        values = tuple(map(_label_from_json, values) if list in set(map(type, values)) else values)
-        nets.append(Net(window, space, values, target=_label_from_json(doc.get("target"))))
-    return nets
+        if type(doc["values"]) is not list:
+            raise SchemaError("a net's values must be a JSON list")
+        rows.append(doc["values"])
+        targets.append(_label_from_json(doc.get("target")))
+    if space.kind == EUCLIDEAN and set(map(type, itertools.chain.from_iterable(rows))) != {list}:
+        raise SchemaError("a Euclidean point must be a JSON list of coordinates")
+    if space.is_scalar():  # copied, so that the family shares no list with the document
+        rows = list(map(tuple, rows))
+    else:  # only a JSON list becomes a tuple label
+        rows = [tuple(map(_label_from_json, row)) for row in rows]
+    try:
+        return StackedFamily.from_rows(window, space, rows, targets)
+    except SpaceError:
+        if not space.is_scalar():
+            raise
+        # No list is a scalar point; name the first non-point as the label it decodes to.
+        return StackedFamily.from_rows(window, space, [tuple(map(_label_from_json, row)) for row in rows], targets)
 
 
 # -- rates -----------------------------------------------------------------
@@ -361,14 +375,15 @@ def family_spec_from_dict(doc):
 
 @_decoder
 def family_from_dict(doc):
-    """A family-spec, or a nonempty list of nets on one window and one space, each decoded once."""
+    """A FamilySpec, or the StackedFamily of a nonempty list of nets on one
+    window and one space, whose values are checked once for the whole list."""
     if isinstance(doc, dict) and doc.get("type") == "family-spec":
         return family_spec_from_dict(doc)
     if not isinstance(doc, list):
         raise SchemaError("a family must be a family-spec or a list of nets")
     if not doc:
         raise FamilyError("empty family")
-    return _nets_from_dicts(doc)
+    return _stack_from_dicts(doc)
 
 
 # -- one-way report encodings ---------------------------------------------

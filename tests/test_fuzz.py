@@ -36,6 +36,7 @@ from metastable import (
 from metastable.cli import main
 from metastable.families import FamilySpec, rate_B, refute_C
 from metastable.serialize import (
+    SchemaError,
     certificate_from_dict,
     certificate_to_dict,
     family_from_dict,
@@ -105,6 +106,8 @@ DOCUMENTS = {
     family_from_dict: [
         family_spec_to_dict(FamilySpec("B", W4)),
         [net_to_dict(Net(W4, binary_space(), (1, 1, 0, 0), target=0)), net_to_dict(Net(W4, binary_space(), (1, 0, 0, 0), target=0))],
+        [net_to_dict(Net(W4, table_space(["a", "b"], [[0, 1], [1, 0]]), ("a", "b", "a", "b"), target="b"))],
+        [net_to_dict(Net(make_omega_window(2), euclidean_space(2), ((0.0, 1.0), (0.5, 0.5)), target=(0.5, 0.5)))],
     ],
 }
 DOCUMENTS = {decode: [_json(d) for d in docs] for decode, docs in DOCUMENTS.items()}
@@ -242,6 +245,27 @@ def test_net_lists_with_odd_values_end_in_a_documented_outcome(space, data):
             ["analyze", "--family", files["family"]],
         ):
             assert main([str(a) for a in argv] + out) in (0, 2, 3, 4, 5)
+
+
+NO_LIST = st.one_of(LEAVES, st.dictionaries(st.text(max_size=3), LEAVES, max_size=2))
+
+
+@FUZZ
+@given(st.sampled_from(SPACES), st.data())
+def test_net_values_that_are_no_json_list_are_a_schema_error(space, data):
+    # A string was split into one-character points; a Euclidean point must be a list too.
+    family = [_odd_net(space, data.draw) for _ in range(data.draw(st.integers(1, 2)))]
+    member = data.draw(st.sampled_from(family))
+    if space.kind == "euclidean" and data.draw(st.booleans()):
+        member["values"][data.draw(st.integers(0, 3))] = data.draw(NO_LIST)
+    else:
+        member["values"] = data.draw(NO_LIST)
+    with pytest.raises(SchemaError):
+        family_from_dict(_json(family))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "family.json")
+        path.write_text(json.dumps(family))
+        assert main(["analyze", "--family", str(path), "--out", str(pathlib.Path(tmp, "out"))]) == 4
 
 
 @FUZZ

@@ -24,6 +24,7 @@ from metastable import (
     cesaro_rotation_nets,
 )
 from metastable.meta import is_witness
+from metastable.net import StackedFamily
 from oracles import all_samplings, brute_cauchy_index, label_chain, random_binary_net, random_unit_net
 
 
@@ -193,6 +194,49 @@ class TestNetPointCheck:
                     with pytest.raises(SpaceError, match=f"^{re.escape(repr(v))} is not a point"):
                         _net(space, values, target)
 
+    @pytest.mark.parametrize("kind", sorted(POINT_SPACES))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_stacked_family_accepts_exactly_the_points_and_names_the_first_other(self, kind, data):
+        # The array decoder's one bulk test against one ``require`` per value,
+        # member by member with values before target.
+        space, points = POINT_SPACES[kind]
+        n = data.draw(st.integers(1, 4))
+        rows, targets = [], []
+        for _ in range(data.draw(st.integers(1, 3))):
+            values = data.draw(st.lists(points, min_size=n, max_size=n))
+            for v in data.draw(st.lists(st.sampled_from(EDGE_VALUES), max_size=2)):
+                values[data.draw(st.integers(0, n - 1))] = v
+            rows.append(tuple(values))
+            targets.append(data.draw(st.one_of(st.none(), points, st.sampled_from(EDGE_VALUES))))
+        try:
+            for values, target in zip(rows, targets):
+                for v in values if target is None else (*values, target):
+                    space.require(v)
+        except SpaceError as exc:
+            with pytest.raises(type(exc)) as err:
+                StackedFamily.from_rows(make_omega_window(n), space, rows, targets)
+            assert str(err.value) == str(exc)
+        else:
+            family = StackedFamily.from_rows(make_omega_window(n), space, rows, targets)
+            assert [(a.values, a.target) for a in family] == list(zip(rows, targets))
+            for a, values, target in zip(family, rows, targets):
+                assert np.array_equal(a.array, _net(space, values, target).array)
+
+    @pytest.mark.parametrize("kind", sorted(POINT_SPACES))
+    def test_every_edge_value_in_a_stacked_family(self, kind):
+        space, _ = POINT_SPACES[kind]
+        point = {"binary": 0, "unit": 0.5, "half-line": 2.0, "euclidean": (0.0, 1.0), "table": "a"}[kind]
+        for v in EDGE_VALUES:
+            cases = [([(v,)], [None]), ([(point, point), (point, v)], [point, None])]
+            cases += [([(point,), (point,)], [None, v])] * (v is not None)
+            for rows, targets in cases:
+                if space.contains(v):
+                    StackedFamily.from_rows(make_omega_window(len(rows[0])), space, rows, targets)
+                else:
+                    with pytest.raises(SpaceError, match=f"^{re.escape(repr(v))} is not a point"):
+                        StackedFamily.from_rows(make_omega_window(len(rows[0])), space, rows, targets)
+
 
 class TestTableSymbols:
     SPACE = table_space(["a", ("p", 1), 2], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
@@ -205,8 +249,9 @@ class TestTableSymbols:
             Net(make_omega_window(1), self.SPACE, (point,))
 
     def test_numpy_value_equal_to_a_symbol_still_matches(self):
-        a = Net(make_omega_window(2), self.SPACE, (np.float64(2.0), "a"))
-        assert self.SPACE.contains(np.float64(2.0)) and self.SPACE.contains(np.int64(2))
+        # Of its own kind: numpy's float64 is a float, so it names no int symbol.
+        a = Net(make_omega_window(2), self.SPACE, (np.int64(2), "a"))
+        assert self.SPACE.contains(np.int64(2)) and not self.SPACE.contains(np.float64(2.0))
         assert a.dist(0, 1) == 2.0 and a.array.tolist() == [2, 0]
 
 
