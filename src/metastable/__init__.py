@@ -23,17 +23,19 @@ from .order import (
     induced_sampling,
     project_set,
 )
-from .net import (
-    CheckError,
+from .space import (
     MetricSpace,
-    Net,
     SpaceError,
-    StackedFamily,
     binary_space,
     unit_interval_space,
     half_line_space,
     euclidean_space,
     table_space,
+)
+from .net import (
+    CheckError,
+    Net,
+    StackedFamily,
     self_distance,
     mutual_distance,
     distance_to_point,

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meta import is_witness
-from .net import BINARY, EUCLIDEAN, CheckError, Net, SpaceError, euclidean_space
-from .net import block_runs, cauchy_indices, eps_floor, run_diameters, stacked
+from .net import CheckError, Net, block_runs, cauchy_indices, eps_floor, run_diameters, stacked
+from .space import BINARY, EUCLIDEAN, SpaceError, euclidean_space
 from .order import (
     WindowError,
     doubling_sampling,
@@ -160,7 +160,10 @@ def block_diameters(nets, *samplings):
         if len(eta.assign) != len(window) or not all(eta.assign):
             raise WindowError("sampling needs one nonempty candidate set per index")
     flat, sizes = block_runs(window, [block for eta in samplings for block in eta.assign])
-    return run_diameters(stacked(nets, window), flat, sizes)
+    family = stacked(nets)
+    if family.window != window:
+        raise WindowError("sampling and net live on different windows")
+    return run_diameters(family, flat, sizes)
 
 
 def _matrix_cover(witness, window):

@@ -32,7 +32,8 @@ from . import meta as _meta
 from . import mvlogic as _mvlogic
 from . import serialize as _ser
 from .families import FAMILY_MEMBER_CAP
-from .net import CheckError, euclidean_space, half_line_space, unit_interval_space, binary_space
+from .net import CheckError
+from .space import euclidean_space, half_line_space, unit_interval_space, binary_space
 from .order import make_omega_window
 
 EXIT_OK = 0

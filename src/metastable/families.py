@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .net import CheckError, Net, StackedFamily, binary_space, require_eps, unit_interval_space
+from .net import CheckError, Net, StackedFamily, require_eps
 from .order import (
     DirectedWindow,
     Sampling,
@@ -34,6 +34,7 @@ from .order import (
     make_omega_window,
     successor_sampling,
 )
+from .space import binary_space, unit_interval_space
 
 __all__ = [
     "FamilySpec",
@@ -162,19 +163,21 @@ def _stack(window, space, x, targets):
 
 
 def _chunks(items, size):
-    # Consecutive slices of ``size`` items, as arrays; ``items`` (a range) may be too long for len().
+    # Consecutive slices of ``size`` items, as float arrays; ``items`` (a range)
+    # may be too long for len().  Items are window positions, point counts or
+    # ranks below the member cap plus one chunk, so every one is exact.
     for lo in itertools.count(0, size):
         part = items[lo:lo + size]
         if not len(part):
             return
-        yield np.asarray(part)
+        yield np.asarray(part, float)
 
 
 def _bits(r, width):
-    # The binary digits of each r (below 2**62), most significant first, ``width`` per row.
-    k = min(width, 62)
-    x = np.zeros((len(r), width), np.int8)
-    x[:, width - k:] = (r[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    # The binary digits of each r (below 2**53), most significant first, ``width`` per row, as floats.
+    k = min(width, 53)
+    x = np.zeros((len(r), width))
+    x[:, width - k:] = (r.astype(np.int64)[:, None] >> np.arange(k - 1, -1, -1)) % 2
     return x
 
 
@@ -199,15 +202,13 @@ def enumerate_family(spec):
         yield from chunk
 
 
-def stacked_members(spec, size=None):
-    """The members of ``spec`` in enumeration order, as StackedFamily chunks.
-
-    A chunk holds ``size`` members (default: about CHUNK_VALUES values), or
-    fewer when the enumeration filters them.  Asking for a chunk past
-    member ``FAMILY_MEMBER_CAP`` raises FamilyError.
+def stacked_members(spec):
+    """The members of ``spec`` in enumeration order, as StackedFamily chunks
+    of about CHUNK_VALUES values each.  Asking for a chunk past member
+    ``FAMILY_MEMBER_CAP`` raises FamilyError.
     """
     count = 0
-    for chunk in _members(spec, size or max(1, CHUNK_VALUES // len(spec.window))):
+    for chunk in _members(spec, max(1, CHUNK_VALUES // len(spec.window))):
         if count + len(chunk) > FAMILY_MEMBER_CAP:
             room = FAMILY_MEMBER_CAP - count
             if room:
@@ -225,7 +226,8 @@ def stack_family(spec):
     BRUTE_FORCE_CAP), before the family is returned.
     """
     require_member_cap(spec, spec.member_count or 0)
-    (family,) = stacked_members(spec, FAMILY_MEMBER_CAP)
+    (family,) = _members(spec, FAMILY_MEMBER_CAP)
+    require_member_cap(spec, len(family))
     return family
 
 
@@ -241,14 +243,16 @@ def _members(spec, size):
     # filtering every binary assignment (at most BRUTE_FORCE_CAP elements)
     # in one chunk; C by the digits of its lexicographic rank, with 0 at the
     # top, on every window; D and paracompact by parity below a cutoff.
+    # Patterns are built and compared as floats, the numpy loops the kernels
+    # run anyway: int and bool comparisons would map more of numpy's library.
     window, tag, n = spec.window, spec.tag, len(spec.window)
-    pos = np.arange(n)
+    pos, odd = np.arange(n, dtype=float), (np.arange(n) % 2).astype(bool)
     if tag == "paracompact":  # the iterate net at point x_p: 0 exactly at the odd steps i <= p
         for p in _chunks(range(spec.n_points), size):
-            yield _stack(window, unit_interval_space(), (pos % 2 == 0) | (pos > p[:, None]), 1.0)
+            yield _stack(window, unit_interval_space(), ~odd | (pos > p[:, None]), 1.0)
     elif tag == "D":
         for alpha in _chunks(spec.alphas, size):
-            yield _stack(window, binary_space(), (pos % 2 == 1) | (pos > alpha[:, None]), 1)
+            yield _stack(window, binary_space(), odd | (pos > alpha[:, None]), 1)
     elif tag == "C":
         t = window.index(window.top())
         for r in _chunks(range(2 ** (n - 1)), size):
@@ -257,7 +261,7 @@ def _members(spec, size):
             yield _stack(window, binary_space(), x, 0)
     elif window.is_chain():
         for cutoff in _chunks(range(n, -1, -1) if tag == "B" else range(n - 1, -1, -1), size):
-            x = pos < cutoff[:, None]
+            x = (pos < cutoff[:, None]).astype(float)
             _require(_nonincreasing(window, x), x)
             yield _stack(window, binary_space(), x, (cutoff == n).astype(int))
     elif n > BRUTE_FORCE_CAP:
@@ -265,7 +269,7 @@ def _members(spec, size):
             f"enumeration of {tag} on a non-chain window is capped at {BRUTE_FORCE_CAP} elements"
         )
     else:
-        x = _bits(np.arange(2**n), n)
+        x = _bits(np.arange(2.0**n), n)
         ones = x.all(axis=1)
         x = x[_nonincreasing(window, x) & ~(ones & (tag == "B0"))]
         yield _stack(window, binary_space(), x, x.all(axis=1).astype(int))
@@ -323,7 +327,7 @@ def refute_C(s, window, eps):
     )
     values = tuple(1 if e == k else 0 for e in window.elements)
     member = Net(window, binary_space(), values, target=0)
-    _require(_eventually_zero(window, member.values), member.values)
+    _require(_eventually_zero(window, member.array), member.array)
     return RefutationCertificate(eps, eta, member, s, pointed_target=None)
 
 

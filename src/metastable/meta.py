@@ -198,7 +198,9 @@ def verify_rate(family, rate, eps, sid):
     candidates, sampling = rate.lookup(eps, sid), rate.samplings[sid]
     window, pointed = sampling.window, rate.pointed
     bound = eps_floor(require_eps(eps))
-    family = stacked(family, window)
+    family = stacked(family)
+    if family.window != window:
+        raise WindowError("family nets and rate live on different windows")
     if pointed and None in family.targets:
         raise RateError("pointed verification needs a declared target on every net")
     order = sorted(candidates, key=window.index)

@@ -1,4 +1,4 @@
-"""Metric spaces, nets over windows, and window-level Cauchy checks."""
+"""Nets over windows, stacked families of them, and window-level Cauchy checks."""
 
 from __future__ import annotations
 
@@ -8,25 +8,17 @@ import math
 import numbers
 import operator
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .order import DirectedWindow, WindowError, _same_kind, product
+from .order import DirectedWindow, WindowError, product
+from .space import BINARY, EUCLIDEAN, MetricSpace, SpaceError, _bulk, half_line_space, unit_interval_space
 
 __all__ = [
-    "MetricSpace",
     "Net",
     "StackedFamily",
     "stacked",
-    "SpaceError",
-    "binary_space",
-    "unit_interval_space",
-    "half_line_space",
-    "euclidean_space",
-    "table_space",
     "self_distance",
     "mutual_distance",
     "distance_to_point",
@@ -34,16 +26,6 @@ __all__ = [
     "require_eps",
     "CheckError",
 ]
-
-BINARY = "binary-discrete"
-UNIT_INTERVAL = "unit-interval"
-HALF_LINE = "half-line"
-EUCLIDEAN = "euclidean"
-TABLE = "custom-table"
-
-
-class SpaceError(ValueError):
-    """Raised for points outside a space or malformed distance tables."""
 
 
 class CheckError(RuntimeError):
@@ -74,174 +56,6 @@ def eps_floor(eps):
     """
     e = float(min(require_eps(eps), sys.float_info.max))
     return math.nextafter(e, -math.inf) if e > eps else e
-
-
-def _is_real(x):
-    # A finite binary64 value: a float, or an int of magnitude <= 2**53.
-    # Beyond that, exact int subtraction can disagree with binary64 even
-    # between representable ints (2**60 - 255 rounds as a float).
-    if isinstance(x, float):
-        return math.isfinite(x)
-    return isinstance(x, int) and not isinstance(x, bool) and abs(x) <= 2**53
-
-
-@dataclass(frozen=True)
-class MetricSpace:
-    """One of a small family of concrete metric spaces.
-
-    Kinds: the two-point discrete space {0, 1}; the unit interval and the
-    nonnegative half-line with |x - y|; Euclidean R^d; or a finite space
-    given by a symbol list and a distance table (checked for symmetry,
-    zero diagonal, and the triangle inequality at construction).
-    """
-
-    kind: str
-    dim: Optional[int] = None
-    symbols: Optional[tuple] = None
-    table: Optional[tuple] = None
-    diameter_bound: Optional[float] = None
-
-    def contains(self, x):
-        """Whether ``x`` is a point.  Real coordinates must be finite binary64
-        values, so every distance is binary64 arithmetic and never NaN."""
-        if self.kind == BINARY:
-            return type(x) is int and x in (0, 1)
-        if self.kind == UNIT_INTERVAL:
-            return _is_real(x) and 0.0 <= x <= 1.0
-        if self.kind == HALF_LINE:
-            return _is_real(x) and x >= 0.0
-        if self.kind == EUCLIDEAN:
-            return isinstance(x, tuple) and len(x) == self.dim and all(_is_real(c) for c in x)
-        return self._position(x) is not None
-
-    def _position(self, x):
-        # Position of the first symbol equal to ``x`` and of its kind, else None: as
-        # for window labels, a bool names only a bool and a float only a float.  A
-        # comparison that yields an array (numpy against a tuple symbol) is no match.
-        matches = (
-            p for p, s in enumerate(self.symbols)
-            if s is x or isinstance(eq := s == x, (bool, np.bool_)) and eq and _same_kind(x, s)
-        )
-        return next(matches, None)
-
-    def is_scalar(self):
-        """Whether points are reals at distance |x - y| (binary, unit interval, half-line)."""
-        return self.kind in (BINARY, UNIT_INTERVAL, HALF_LINE)
-
-    def require(self, x):
-        if not self.contains(x):
-            raise SpaceError(f"{x!r} is not a point of {self.kind} space")
-        return x
-
-    def dist(self, x, y):
-        self.require(x)
-        self.require(y)
-        return self.unchecked_dist(x, y)
-
-    def unchecked_dist(self, x, y):
-        """Distance between two points already known to lie in the space."""
-        if self.kind == BINARY:
-            return 0.0 if x == y else 1.0
-        if self.kind in (UNIT_INTERVAL, HALF_LINE):
-            return abs(x - y)
-        if self.kind == EUCLIDEAN:
-            return math.dist(x, y)
-        return self.table[self._position(x)][self._position(y)]
-
-
-def binary_space():
-    return MetricSpace(BINARY, diameter_bound=1.0)
-
-
-def unit_interval_space():
-    return MetricSpace(UNIT_INTERVAL, diameter_bound=1.0)
-
-
-def half_line_space():
-    return MetricSpace(HALF_LINE)
-
-
-def euclidean_space(dim):
-    if type(dim) is not int:
-        raise TypeError(f"dimension must be an int, got {dim!r}")
-    if dim < 1:
-        raise SpaceError("dimension must be positive")
-    return MetricSpace(EUCLIDEAN, dim=dim)
-
-
-def table_space(symbols, table):
-    """Finite metric space from an explicit table of finite real distances, fully checked."""
-    symbols = tuple(symbols)
-    table = tuple(tuple(row) for row in table)
-    n = len(symbols)
-    if len(table) != n or any(len(row) != n for row in table):
-        raise SpaceError("distance table shape mismatch")
-    if not all(_is_real(v) and v >= 0 for row in table for v in row):
-        raise SpaceError("distance table entries must be finite reals >= 0")
-    table = tuple(tuple(map(float, row)) for row in table)
-    for i in range(n):
-        if table[i][i] != 0.0:
-            raise SpaceError(f"nonzero self-distance at {symbols[i]!r}")
-        for j in range(n):
-            if table[i][j] != table[j][i]:
-                raise SpaceError(f"asymmetric distances at {symbols[i]!r}, {symbols[j]!r}")
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if table[i][k] > table[i][j] + table[j][k]:
-            raise SpaceError(
-                f"triangle inequality fails at {symbols[i]!r}, {symbols[j]!r}, {symbols[k]!r}"
-            )
-    bound = max((v for row in table for v in row), default=0.0)
-    return MetricSpace(TABLE, symbols=symbols, table=table, diameter_bound=bound)
-
-
-#: Where a point's kind allows only values in a range, that range; every
-#: real coordinate must also be finite.
-_RANGES = {BINARY: (0.0, 1.0), UNIT_INTERVAL: (0.0, 1.0), HALF_LINE: (0.0, math.inf)}
-
-
-def _bulk(space, points):
-    # The points as one array, if one bulk test proves every one a point, else None.
-    # Coordinates are exact ints and floats; binary ints in [0, 1] are 0 and 1.  Ints
-    # convert exactly below 2**53, and one at or past it leaves the answer to require.
-    if space.kind == TABLE:
-        positions = list(map(space._position, points))
-        return None if None in positions else np.array(positions, np.intp)
-    if space.kind == EUCLIDEAN:
-        if set(map(type, points)) != {tuple} or set(map(len, points)) != {space.dim}:
-            return None
-        points = list(itertools.chain.from_iterable(points))
-    types = set(map(type, points))
-    if not types <= ({int} if space.kind == BINARY else {int, float}):
-        return None
-    try:
-        x = np.array(points, float)
-    except OverflowError:
-        return None
-    lo, hi = _RANGES.get(space.kind, (-math.inf, math.inf))
-    least, most = float(x.min()), float(x.max())  # NaN if any entry is
-    if not (math.isfinite(least) and math.isfinite(most) and lo <= least and most <= hi):
-        return None
-    if int in types and max(-least, most) >= 2.0**53:
-        return None
-    return x.reshape(-1, space.dim) if space.kind == EUCLIDEAN else x
-
-
-def _point_array(space, groups, in_order=None):
-    """The points of ``groups`` (sequences of points), in order, checked, as
-    one array: floats (Euclidean: one row of coordinates per point) or
-    symbol positions.
-
-    One bulk test proves them all points, or else each of ``in_order``
-    (default: the points in order) goes through ``require``, so the first
-    non-point is named as it would be one by one.
-    """
-    points = list(itertools.chain.from_iterable(groups))
-    x = _bulk(space, points)
-    if x is None:
-        for v in points if in_order is None else in_order:
-            space.require(v)
-        x = np.array(points, float)  # checked: reals (Euclidean: tuples of them), ints up to 2**53
-    return x
 
 
 @dataclass(frozen=True)
@@ -281,7 +95,7 @@ def _checked_net(window, space, values, target, array):
     return a
 
 
-class StackedFamily(Sequence):
+class StackedFamily:
     """The members of a family on one window and one space, as one array.
 
     ``array`` has one row per member, each laid out as ``Net.array``:
@@ -297,6 +111,7 @@ class StackedFamily(Sequence):
     def __init__(self, window, space, array, targets, rows=None, nets=()):
         # ``rows``: each member's values as given; None when the array's own
         # values are theirs (binary ints, floats), as for enumerated members.
+        # ``nets``: the members, when the family was stacked from them.
         array.flags.writeable = False
         self.window, self.space, self.array, self.targets = window, space, array, list(targets)
         self._rows, self._nets = rows, dict(enumerate(nets))
@@ -304,18 +119,21 @@ class StackedFamily(Sequence):
     @classmethod
     def from_rows(cls, window, space, rows, targets):
         """The family of nets with these values and targets (None: none), all
-        checked in one bulk test: a member of the wrong length or the first
-        non-point, member by member with values before target, raises
-        SpaceError as one ``Net`` at a time would."""
-        n = len(window)
-        if set(map(len, rows)) != {n}:
-            raise SpaceError(f"net has {next(len(r) for r in rows if len(r) != n)} values for a window of {n}")
-        given = [t for t in targets if t is not None]
-        members = ((*row, t) if t is not None else row for row, t in zip(rows, targets))
-        x = _point_array(space, [*rows, given], itertools.chain.from_iterable(members))
-        x = x[: len(rows) * n]
-        x = x.reshape(-1, n, space.dim).transpose(0, 2, 1) if space.kind == EUCLIDEAN else x.reshape(-1, n)
-        return cls(window, space, np.ascontiguousarray(x), targets, rows=rows)
+        checked in one bulk test.  Else each member in turn (its length, its
+        values, its target) is checked, so the first fault raises SpaceError
+        as one ``Net`` at a time would."""
+        n, given = len(window), [t for t in targets if t is not None]
+        x = _bulk(space, rows) if all(len(row) == n for row in rows) else None
+        if x is None or given and _bulk(space, [given]) is None:
+            for row, t in zip(rows, targets):
+                if len(row) != n:
+                    raise SpaceError(f"net has {len(row)} values for a window of {n}")
+                for v in row if t is None else (*row, t):
+                    space.require(v)
+            x = np.array(rows, float)  # all points: reals (Euclidean: tuples of them), ints up to 2**53
+        if space.kind == EUCLIDEAN:
+            x = np.ascontiguousarray(x.transpose(0, 2, 1))
+        return cls(window, space, x, targets, rows=rows)
 
     def __len__(self):
         return len(self.targets)
@@ -335,8 +153,6 @@ class StackedFamily(Sequence):
         # Member by member, as the list of its nets.
         return list(self) == list(other) if isinstance(other, (list, tuple, StackedFamily)) else NotImplemented
 
-    __hash__ = None
-
     @functools.cached_property
     def points(self):
         """Every member's values, then every target if each member has one,
@@ -346,27 +162,27 @@ class StackedFamily(Sequence):
         x = self.array.transpose(1, 0, 2).reshape(self.space.dim, -1) if self.space.kind == EUCLIDEAN else self.array.ravel()
         if None in self.targets:
             return x
-        t = _point_array(self.space, [self.targets])
+        t = _bulk(self.space, [self.targets])
+        t = (np.array([self.targets], float) if t is None else t)[0]  # checked: ints at 2**53
         return np.concatenate((x, t.T if self.space.kind == EUCLIDEAN else t), axis=-1)
 
 
-def stacked(family, window=None):
-    """``family`` as a StackedFamily on one window (``window``, if given):
-    as it is when it is one, else the family of a nonempty list of nets on
-    one window and one space, which are its members as they are."""
+def stacked(family):
+    """``family`` as a StackedFamily: as it is when it is one, else the
+    family of a nonempty list of nets on one window and one space, which
+    are its members as they are."""
     if isinstance(family, StackedFamily):
-        if window is not None and family.window != window:
-            raise WindowError("family members and samplings live on different windows")
         return family
     nets = list(family)
     if not nets:
         raise ValueError("empty family")
-    given, window, space = window, nets[0].window if window is None else window, nets[0].space
-    if any(a.window != window for a in nets):
-        raise WindowError(f"family members {'' if given is None else 'and samplings '}live on different windows")
-    if any(a.space != space for a in nets):
+    window, space = nets[0].window, nets[0].space
+    if any(a.window != window for a in nets[1:]):
+        raise WindowError("family members live on different windows")
+    if any(a.space != space for a in nets[1:]):
         raise SpaceError("family members take values in different spaces")
-    return StackedFamily(window, space, np.stack([a.array for a in nets]), [a.target for a in nets], nets=nets)
+    array, rows = np.stack([a.array for a in nets]), [a.values for a in nets]
+    return StackedFamily(window, space, array, [a.target for a in nets], rows=rows, nets=nets)
 
 
 def _distance_space(space):
@@ -432,24 +248,16 @@ def _run_pairs(sizes):
 
 
 def _per_member(chunks, m, n, n_groups):
-    # One member's pair chunks (i, j, group) repeated for each of m members:
-    # point k * n + i of member k, group k * n_groups + group, about PAIR_CHUNK pairs a chunk.
-    def repeated():
-        for i, j, g in chunks:
-            step = max(1, PAIR_CHUNK // g.size)
-            for lo in range(0, m, step):
-                k = np.arange(lo, min(lo + step, m)).reshape(-1, *(1,) * g.ndim)
-                yield k * n + i, k * n + j, k * n_groups + g
-
-    return chunks if m == 1 else repeated()
+    # One member's pair chunks (i, j, group) repeated for each of m members, one
+    # member a chunk: point k * n + i of member k, group k * n_groups + group.
+    return ((k * n + i, k * n + j, k * n_groups + g) for i, j, g in chunks for k in range(m))
 
 
 def group_max_distances(a, pairs, n_groups):
-    """Largest distance d(a_i, a_j) in each group of point pairs.
+    """Largest distance d(a_i, a_j) in each group of point pairs of a stacked family.
 
-    ``a`` is a net, whose points are its positions, or a stacked family,
-    whose points are numbered as in :attr:`StackedFamily.points`.
-    ``pairs`` yields chunks ``(i, j, group)`` of integer arrays: points
+    Points are numbered as in :attr:`StackedFamily.points`.  ``pairs``
+    yields chunks ``(i, j, group)`` of integer arrays: points
     (``i`` and ``j`` broadcast against each other) and, in their broadcast
     shape, a group id in ``range(n_groups)`` per pair.  Entry g of the
     result is bit-identical to the ``max`` of ``a.space.unchecked_dist``
@@ -482,10 +290,12 @@ def group_max_distances(a, pairs, n_groups):
     running E, which is at most the final one, so they keep a superset.
     """
     out = np.zeros(n_groups)
-    space, array = a.space, (a.points if isinstance(a, StackedFamily) else a.array)
+    space, array = a.space, a.points
     if space.kind == EUCLIDEAN:
-        # math.dist reads an int coordinate as the float it converts to exactly (|x| <= 2**53).
-        coordinates = array.T.tolist()
+        # math.dist takes the points as given, as unchecked_dist does (no enumerated
+        # family is Euclidean), gathered by position without a Python int per index.
+        targets = () if None in a.targets else a.targets
+        coordinates = np.fromiter(itertools.chain(*a._rows, targets), object, array.shape[1])
         keep = 1.0 - 8 * (space.dim + 8) * 2.0**-53
         estimates = np.zeros(n_groups)
         for i, j, g in pairs:
@@ -506,7 +316,7 @@ def group_max_distances(a, pairs, n_groups):
             if unsafe is not None:  # identical points are at distance 0, the initial value
                 differ = sum(x[i] != x[j] for x in array) > 0
                 i, j, g = i[differ], j[differ], g[differ]
-            exact = map(math.dist, map(coordinates.__getitem__, i.tolist()), map(coordinates.__getitem__, j.tolist()))
+            exact = map(math.dist, coordinates[i], coordinates[j])
             np.maximum.at(out, g, np.fromiter(exact, float, len(g)))
         return out
     if space.is_scalar():
@@ -523,13 +333,14 @@ def group_max_distances(a, pairs, n_groups):
     return out
 
 
-def run_maxima(x, flat, sizes):
-    """Largest entry of each row of ``x`` on each run of positions: rows x runs.
+def run_maxima(x, flat, sizes, ufunc=np.maximum):
+    """Largest entry (``ufunc=np.minimum``: smallest) of each row of ``x``
+    on each run of positions: rows x runs.
 
     ``flat`` is an integer array of positions cut into consecutive
     nonempty runs of ``sizes``.
     """
-    return np.maximum.reduceat(x[:, flat], np.cumsum(sizes) - sizes, axis=1)
+    return ufunc.reduceat(x[:, flat], np.cumsum(sizes) - sizes, axis=1)
 
 
 def run_diameters(s, flat, sizes):
@@ -544,7 +355,7 @@ def run_diameters(s, flat, sizes):
     """
     sizes = np.asarray(sizes, dtype=np.intp)
     if s.space.is_scalar():
-        return run_maxima(s.array, flat, sizes) + run_maxima(-s.array, flat, sizes)
+        return run_maxima(s.array, flat, sizes) - run_maxima(s.array, flat, sizes, np.minimum)
     chunks = ((flat[p], flat[q], run) for p, q, run in _run_pairs(sizes))
     m, runs = len(s), len(sizes)
     return group_max_distances(s, _per_member(chunks, m, len(s.window), runs), m * runs).reshape(m, runs)
@@ -568,23 +379,24 @@ def _suffix(ufunc, x):
     return x
 
 
-def tail_maxima(w, x):
-    """Largest entry of each row of ``x`` (rows x positions of ``w``) over the up-set of every element.
+def tail_maxima(w, x, ufunc=np.maximum):
+    """Largest entry (``ufunc=np.minimum``: smallest) of each row of ``x``
+    (rows x positions of ``w``) over the up-set of every element.
 
     An up-set is an orthant on a grid window (see ``DirectedWindow.grid_shape``),
     taken as a suffix maximum along each axis, and a run of positions elsewhere.
     """
     shape = w.grid_shape()
     if shape is None:
-        return run_maxima(x, *_up_sets(w))
-    return _suffix(np.maximum, x.reshape(len(x), *shape)).reshape(x.shape)
+        return run_maxima(x, *_up_sets(w), ufunc)
+    return _suffix(ufunc, x.reshape(len(x), *shape)).reshape(x.shape)
 
 
-def tail_diameters(a):
-    """Diameter of the tail (up-set) of every window element, by position.
+def tail_diameters(s):
+    """Diameter of the tail (up-set) of every window element, by position:
+    members x positions of a stacked family.
 
-    ``a`` is a net, or a stacked family, for which the answer has one row
-    per member.  Scalar spaces take the tail's max minus its min.  On a
+    Scalar spaces take the tail's max minus its min.  On a
     grid window (see ``DirectedWindow.grid_shape``) other spaces group all
     pairs by their meet (componentwise minimum), take each group's largest
     distance with :func:`group_max_distances`, and take the maximum over
@@ -593,11 +405,10 @@ def tail_diameters(a):
     of p < q is p.  On other windows every element's tail goes through
     :func:`run_diameters`.
     """
-    s = stacked([a]) if isinstance(a, Net) else a
     w, m, n = s.window, len(s), len(s.window)
     shape = w.grid_shape()
     if s.space.is_scalar():
-        tails = tail_maxima(w, s.array) + tail_maxima(w, -s.array)
+        tails = tail_maxima(w, s.array) - tail_maxima(w, s.array, np.minimum)
     elif shape is None:
         tails = run_diameters(s, *_up_sets(w))
     else:
@@ -618,30 +429,31 @@ def tail_diameters(a):
         within = ((p, q) for p, q, _ in _run_pairs([hi - lo for lo, hi in bands]))
         chunks = ((p, q, meet(p, q)) for p, q in itertools.chain(across, within))
         tails = tail_maxima(w, group_max_distances(s, _per_member(chunks, m, n, n), m * n).reshape(m, n))
-    return tails if s is a else tails[0]
+    return tails
 
 
 def target_distances(s):
     """Distance from each member's value at every position to its target:
     members x positions of a stacked family whose members all have one,
-    bit-identical to ``unchecked_dist``."""
+    bit-identical to ``unchecked_dist`` (scalar spaces: |x - t|)."""
     m, n = len(s), len(s.window)
-    p = np.arange(m * n)
-    return group_max_distances(s, [(p, m * n + p // n, p)], m * n).reshape(m, n)
+    if s.space.is_scalar():
+        return np.abs(s.array - s.points[m * n:, None])
+    p = np.arange(m * n).reshape(m, n)
+    return group_max_distances(s, [(p, m * n + np.arange(m)[:, None], p)], m * n).reshape(m, n)
 
 
-def cauchy_indices(a, eps_grid):
-    """:func:`window_cauchy_index` at each tolerance, from one :func:`tail_diameters`:
-    a tuple for a net, and a list of them, one per member, for a stacked family."""
+def cauchy_indices(s, eps_grid):
+    """:func:`window_cauchy_index` at each tolerance, as a tuple for each
+    member of a stacked family, from one :func:`tail_diameters`."""
     bounds = np.array([eps_floor(eps) for eps in eps_grid])
-    w = a.window
-    tails = np.atleast_2d(tail_diameters(a))
+    w = s.window
+    tails = tail_diameters(s)
     # The top's tail is itself; it carries no stability evidence.
     tails[:, w.index(w.top())] = np.inf
     hit = tails[:, None, :] <= bounds[:, None]  # members x tolerances x positions
     first, found = hit.argmax(axis=2).tolist(), hit.any(axis=2).tolist()
-    indices = [tuple(w.elements[p] if f else None for p, f in zip(*row)) for row in zip(first, found)]
-    return indices if isinstance(a, StackedFamily) else indices[0]
+    return [tuple(w.elements[p] if f else None for p, f in zip(*row)) for row in zip(first, found)]
 
 
 def window_cauchy_index(a, eps):
@@ -658,4 +470,4 @@ def window_cauchy_index(a, eps):
     (points are finite), the largest distance is <= eps exactly when
     every distance is.
     """
-    return cauchy_indices(a, (eps,))[0]
+    return cauchy_indices(stacked([a]), (eps,))[0][0]

@@ -14,14 +14,14 @@ import json
 
 from .families import FamilyError, FamilySpec
 from .meta import Rate, RateError, RefutationCertificate
-from .net import (
+from .net import StackedFamily
+from .space import (
     BINARY,
     EUCLIDEAN,
     HALF_LINE,
     TABLE,
     UNIT_INTERVAL,
     SpaceError,
-    StackedFamily,
     binary_space,
     euclidean_space,
     half_line_space,
@@ -244,7 +244,7 @@ def _stack_from_dicts(docs):
             raise SchemaError("a net's values must be a JSON list")
         rows.append(doc["values"])
         targets.append(_label_from_json(doc.get("target")))
-    if space.kind == EUCLIDEAN and set(map(type, itertools.chain.from_iterable(rows))) != {list}:
+    if space.kind == EUCLIDEAN and not set(map(type, itertools.chain.from_iterable(rows))) <= {list}:
         raise SchemaError("a Euclidean point must be a JSON list of coordinates")
     if space.is_scalar():  # copied, so that the family shares no list with the document
         rows = list(map(tuple, rows))

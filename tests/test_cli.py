@@ -337,6 +337,11 @@ def _unit_net_doc(values):
     return {**_binary_net_doc(values), "space": {"type": "space", "schema_version": 1, "kind": "unit-interval"}}
 
 
+def _euclidean_net_doc(values):
+    space = {"type": "space", "schema_version": 1, "kind": "euclidean", "dim": 1}
+    return {**_binary_net_doc(values), "window": _binary_net_doc([0] * 4)["window"], "space": space, "target": None}
+
+
 class TestOneWindowPerFamily:
     """A net list is nonempty and lives on one window and one space, in every command."""
 
@@ -345,6 +350,8 @@ class TestOneWindowPerFamily:
         "mixed-windows": [_binary_net_doc([0, 0, 0, 0]), _binary_net_doc([1, 0, 0, 0, 0])],
         "mixed-spaces": [_binary_net_doc([0, 0, 0, 0]), _unit_net_doc([1.0, 0.0, 0.0, 0.0])],
         "empty": [],
+        # no point is there to be of the wrong type: the fault is the length
+        "euclidean-no-values": [_euclidean_net_doc([])] * 2,
     }
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))

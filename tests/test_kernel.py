@@ -35,7 +35,7 @@ from metastable import (
 )
 from metastable import net, order
 from metastable.analyze import block_diameters
-from metastable.net import MetricSpace, cauchy_indices, eps_floor, group_max_distances, tail_diameters
+from metastable.net import MetricSpace, cauchy_indices, eps_floor, group_max_distances, stacked, tail_diameters
 from metastable.order import DirectedWindow
 from oracles import (
     brute_cauchy_index,
@@ -126,7 +126,7 @@ def test_cauchy_indices_match_oracle(data):
     grid = data.draw(tolerances(nets))
     for a in nets:
         expected = tuple(brute_cauchy_index(a, eps) for eps in grid)
-        assert cauchy_indices(a, grid) == expected
+        assert cauchy_indices(stacked([a]), grid) == [expected]
         assert tuple(window_cauchy_index(a, eps) for eps in grid) == expected
 
 
@@ -138,7 +138,7 @@ def test_non_chain_cauchy_indices_match_oracle(data):
     grid = data.draw(tolerances(nets, unique=False, max_size=6))
     assert not nets[0].window.is_chain() or len(nets[0].window) == 1
     for a in nets:
-        assert cauchy_indices(a, grid) == tuple(brute_cauchy_index(a, eps) for eps in grid)
+        assert cauchy_indices(stacked([a]), grid) == [tuple(brute_cauchy_index(a, eps) for eps in grid)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -153,7 +153,7 @@ def test_block_and_tail_diameters_are_exact(data, seed):
             assert list(d[m]) == [_diameter(a, eta.at(i)) for i in w.elements]
     if w.is_chain():
         for a in nets:
-            assert list(tail_diameters(a)) == [_diameter(a, w.elements[p:]) for p in range(len(w))]
+            assert list(tail_diameters(stacked([a]))[0]) == [_diameter(a, w.elements[p:]) for p in range(len(w))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -214,7 +214,7 @@ def test_scalar_kernels_make_no_distance_calls(monkeypatch):
     # The counter does see the pairwise witness check on a custom-table
     # net, whose kernel gathers from the table: a block of 4 points has 6 pairs.
     b = Net(make_omega_window(4), table_space("wxyz", [[0 if p == q else 1 for q in range(4)] for p in range(4)]), tuple("wxyz"))
-    tail_diameters(b)
+    tail_diameters(stacked([b]))
     assert calls == []
     is_witness(b, 1.0, Sampling.from_function(b.window, lambda i: b.window.elements), 0)
     assert len(calls) == 6
@@ -234,7 +234,7 @@ def test_non_chain_order_makes_no_leq_calls(monkeypatch):
     a = Net(w, euclidean_space(2), tuple((rng.random(), rng.random()) for _ in w))
     for _ in range(8):
         random_sampling(w, rng)
-    cauchy_indices(a, [0.5, 0.1, 2.0])
+    cauchy_indices(stacked([a]), [0.5, 0.1, 2.0])
     assert calls == []
     # The counter does see leq: the oracle filters the window through it,
     # one call per element plus one into each factor.
@@ -315,7 +315,7 @@ def test_group_maxima_are_bit_identical_to_unchecked_dist(data):
     cuts = sorted(data.draw(st.lists(st.integers(0, len(triples)), max_size=3)))
     bounds = [0, *cuts, len(triples)]
     chunks = [(i[lo:hi], j[lo:hi], g[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    got = group_max_distances(a, chunks, n_groups)
+    got = group_max_distances(stacked([a]), chunks, n_groups)
     assert got.tolist() == _oracle_maxima(a, i, j, g, n_groups)
 
 
@@ -332,7 +332,7 @@ def test_filter_keeps_pairs_whose_estimates_misorder(a, b):
     net_ab = Net(make_omega_window(3), euclidean_space(2), ((0.0, 0.0), a, b))
     assert math.dist((0.0, 0.0), a) > math.dist((0.0, 0.0), b)
     pairs = [(np.array([0, 0]), np.array([1, 2]), np.array([0, 0]))]
-    assert group_max_distances(net_ab, pairs, 1).tolist() == [math.dist((0.0, 0.0), a)]
+    assert group_max_distances(stacked([net_ab]), pairs, 1).tolist() == [math.dist((0.0, 0.0), a)]
 
 
 def _grids():
@@ -354,12 +354,12 @@ def test_grid_tail_diameters_and_cauchy_indices_match_oracles(data):
     ]
     # Chunks of a few pairs exercise the banded pairing and the running maxima.
     with mock.patch.object(net, "PAIR_CHUNK", data.draw(st.sampled_from([1, 3, 7, net.PAIR_CHUNK]))):
-        tails = tail_diameters(a)
+        tails = tail_diameters(stacked([a]))[0]
         distances = sorted({d for d in expected if 0 < d < math.inf})
         grid = data.draw(st.lists(st.sampled_from(distances or [0.5]), min_size=1, max_size=4))
         # Just below a distance; below the least subnormal lies 0, not a tolerance.
         grid += [math.nextafter(e, 0) for e in grid if math.nextafter(e, 0) > 0]
-        indices = cauchy_indices(a, grid)
+        (indices,) = cauchy_indices(stacked([a]), grid)
     assert tails.tolist() == expected
     assert indices == tuple(brute_cauchy_index(a, eps) for eps in grid)
 
@@ -373,7 +373,7 @@ def test_custom_window_tails_read_the_kernel(data):
         max(a.space.unchecked_dist(a.value(j), a.value(k)) for j in brute_up_set(w, i) for k in brute_up_set(w, i))
         for i in w.elements
     ]
-    assert tail_diameters(a).tolist() == expected
+    assert tail_diameters(stacked([a]))[0].tolist() == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -199,7 +199,7 @@ class TestNetPointCheck:
     @given(data=st.data())
     def test_a_stacked_family_accepts_exactly_the_points_and_names_the_first_other(self, kind, data):
         # The array decoder's one bulk test against one ``require`` per value,
-        # member by member with values before target.
+        # member by member with its length first and its values before its target.
         space, points = POINT_SPACES[kind]
         n = data.draw(st.integers(1, 4))
         rows, targets = [], []
@@ -207,10 +207,14 @@ class TestNetPointCheck:
             values = data.draw(st.lists(points, min_size=n, max_size=n))
             for v in data.draw(st.lists(st.sampled_from(EDGE_VALUES), max_size=2)):
                 values[data.draw(st.integers(0, n - 1))] = v
+            if data.draw(st.integers(0, 4)) == 0:
+                values = values[1:] if data.draw(st.booleans()) else values + values[:1]
             rows.append(tuple(values))
             targets.append(data.draw(st.one_of(st.none(), points, st.sampled_from(EDGE_VALUES))))
         try:
             for values, target in zip(rows, targets):
+                if len(values) != n:
+                    raise SpaceError(f"net has {len(values)} values for a window of {n}")
                 for v in values if target is None else (*values, target):
                     space.require(v)
         except SpaceError as exc:

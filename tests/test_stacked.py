@@ -33,7 +33,7 @@ from metastable import (
 from metastable import net as net_module
 from metastable.cli import main
 from metastable.families import FamilySpec, enumerate_family, stack_family
-from metastable.net import StackedFamily, cauchy_indices
+from metastable.net import StackedFamily, cauchy_indices, stacked
 from metastable.serialize import SchemaError, dumps, family_from_dict, net_to_dict
 from oracles import brute_cauchy_index, brute_pointed_witness, brute_refute_uniform, brute_witness, windows
 
@@ -114,7 +114,7 @@ class TestCauchyMatchesOracles:
         want = [tuple(brute_cauchy_index(a, eps) for eps in grid) for a in family]
         for given_family in _three_ways(family)[1:]:
             assert cauchy_indices(given_family, grid) == want
-        assert [cauchy_indices(a, grid) for a in family] == want
+        assert [cauchy_indices(stacked([a]), grid)[0] for a in family] == want
 
 
 class TestRefuteMatchesOracles:
