@@ -34,7 +34,7 @@ def main():
             f"{cesaro_envelope_ok(net, theta)}"
         )
 
-    suite = build_sampling_suite(nets[0].window, ["identity", "doubling"])
+    suite = build_sampling_suite(nets.window, ["identity", "doubling"])
     report = empirical_rate(nets, [0.5, 0.1, 0.02], suite)
     print("\nempirical covers (eps, sampling -> cover set):")
     for cell in report.cells:

@@ -19,7 +19,7 @@ def main():
     for p, a in enumerate(nets):
         print(f"  x{p}: {tuple(int(v) for v in a.values)} -> target 1")
 
-    suite = build_sampling_suite(nets[0].window, ["identity", "successor"])
+    suite = build_sampling_suite(nets.window, ["identity", "successor"])
     verdict = finite_space_ump_check(
         {f"x{p}": a for p, a in enumerate(nets)}, [0.5, 0.25], suite
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meta import is_witness
-from .net import CheckError, Net, block_runs, cauchy_indices, eps_floor, run_diameters, stacked
+from .net import CheckError, StackedFamily, block_runs, cauchy_indices, eps_floor, run_diameters, stacked
 from .space import BINARY, EUCLIDEAN, SpaceError, euclidean_space
 from .order import (
     WindowError,
@@ -57,7 +57,7 @@ def _quarter_turns(theta):
 
 
 def cesaro_rotation_nets(angles, horizon):
-    """Cesaro averages of the rotation orbit of (1, 0), one net per angle.
+    """Cesaro averages of the rotation orbit of (1, 0): a StackedFamily, one member per angle.
 
     The value at index n >= 1 is the mean of the first n orbit points
     (1, 0), R(1, 0), ..., R^(n-1)(1, 0); index 0 holds the start vector.
@@ -68,8 +68,7 @@ def cesaro_rotation_nets(angles, horizon):
     if horizon < 1:
         raise ValueError("horizon must be positive")
     window = make_omega_window(horizon)
-    space = euclidean_space(2)
-    nets = []
+    rows, targets = [], []
     for theta in angles:
         q = _quarter_turns(theta)
         if q is not None:
@@ -88,9 +87,9 @@ def cesaro_rotation_nets(angles, horizon):
             ns = np.arange(1, horizon, dtype=float)
             values = [(1.0, 0.0)] + list(zip(sx / ns, sy / ns))
         converges = theta % (2 * math.pi) != 0.0
-        target = (0.0, 0.0) if converges else (1.0, 0.0)
-        nets.append(Net(window, space, tuple((float(x), float(y)) for x, y in values), target=target))
-    return nets
+        rows.append(tuple((float(x), float(y)) for x, y in values))
+        targets.append((0.0, 0.0) if converges else (1.0, 0.0))
+    return StackedFamily.from_rows(window, euclidean_space(2), rows, targets)
 
 
 def cesaro_envelope(theta, n):
@@ -277,14 +276,14 @@ def finite_space_ump_check(nets_by_point, eps_grid, sampling_suite):
 
 
 def ingest_csv(path, space):
-    """Parse a rectangular numeric CSV into nets on an omega window.
+    """Parse a rectangular numeric CSV into a StackedFamily on an omega window.
 
-    One row per index.  Scalar spaces take one net per column; a
+    One row per index.  Scalar spaces take one member per column; a
     d-dimensional Euclidean space groups consecutive blocks of d columns
-    into one net each.
+    into one member each.  The file is read as UTF-8.
     """
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
@@ -296,30 +295,20 @@ def ingest_csv(path, space):
                 raise SpaceError(f"ragged row {lineno}: expected {len(rows[0])} columns")
     if not rows:
         raise SpaceError("empty CSV")
-    ncols = len(rows[0])
     window = make_omega_window(len(rows))
+    columns = list(zip(*rows))
     if space.kind == EUCLIDEAN:
         d = space.dim
-        if ncols % d != 0:
-            raise SpaceError(f"{ncols} columns do not group into dimension {d}")
-        groups = [range(g * d, (g + 1) * d) for g in range(ncols // d)]
-        return [
-            Net(window, space, tuple(tuple(row[c] for c in cols) for row in rows))
-            for cols in groups
-        ]
-    if space.kind == BINARY:
-        coerced = []
-        for col in range(ncols):
-            values = []
-            for lineno, row in enumerate(rows, start=1):
-                if row[col] not in (0.0, 1.0):
+        if len(columns) % d != 0:
+            raise SpaceError(f"{len(columns)} columns do not group into dimension {d}")
+        columns = [tuple(zip(*columns[c:c + d])) for c in range(0, len(columns), d)]
+    elif space.kind == BINARY:
+        for column in columns:
+            for lineno, v in enumerate(column, start=1):
+                if v not in (0.0, 1.0):
                     raise SpaceError(f"non-binary value in row {lineno}")
-                values.append(int(row[col]))
-            coerced.append(tuple(values))
-        return [Net(window, space, values) for values in coerced]
-    return [
-        Net(window, space, tuple(row[col] for row in rows)) for col in range(ncols)
-    ]
+        columns = [tuple(map(int, column)) for column in columns]
+    return StackedFamily.from_rows(window, space, columns, [None] * len(columns))
 
 
 def build_sampling_suite(window, names, seed=None, random_count=8):

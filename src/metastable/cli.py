@@ -1,9 +1,10 @@
 """Command-line front end: verify, refute, analyze, demo.
 
 Exit codes: 0 verified / report written; 2 refutation found (or a verify
-report with failures); 3 precondition violation; 4 I/O or schema error;
-5 an answer failed its own re-check (a certificate that does not replay,
-a cover that does not re-validate), so nothing was written.
+report with failures); 3 precondition violation; 4 I/O or schema error (a
+file that is not UTF-8, an overlong CSV field, JSON nested too deeply); 5
+an answer failed its own re-check (a certificate that does not replay, a
+cover that does not re-validate), so nothing was written.
 All randomized paths require an explicit --seed and are reproducible:
 identical inputs and seed yield byte-identical JSON output.  refute is
 exact and draws nothing: it accepts --seed and ignores it.
@@ -19,6 +20,7 @@ needs member 4097 (plain C, pointed D, and pointed C on the window top read none
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
@@ -44,8 +46,11 @@ EXIT_CHECK = 5
 
 
 def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise _ser.SchemaError(f"{path}: JSON nested too deeply") from None
 
 
 def _write(doc, out):
@@ -116,7 +121,7 @@ def cmd_analyze(args):
     else:
         raise ValueError("analyze needs --csv or --family")
     eps_grid = [float(t) for t in args.eps_grid.split(",")]
-    suite = _analyze.build_sampling_suite(family[0].window, args.suite.split(","), seed=args.seed)
+    suite = _analyze.build_sampling_suite(family.window, args.suite.split(","), seed=args.seed)
     report = _analyze.empirical_rate(family, eps_grid, suite)
     _write(_ser.analysis_report_to_dict(report), args.out)
     if args.summary_csv:
@@ -170,8 +175,7 @@ def _demo_doc(scenario, size, seed):
         }
     if scenario == "cesaro":
         nets = _analyze.cesaro_rotation_nets([math.pi / 2, math.pi / 3], size)
-        window = nets[0].window
-        suite = _analyze.build_sampling_suite(window, ["identity", "doubling"])
+        suite = _analyze.build_sampling_suite(nets.window, ["identity", "doubling"])
         report = _analyze.empirical_rate(nets, [0.5, 0.25, 0.05], suite)
         return {"scenario": scenario, "report": _ser.analysis_report_to_dict(report)}
     if scenario == "lukasiewicz":
@@ -255,7 +259,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, json.JSONDecodeError, _ser.SchemaError) as exc:
+    except (OSError, csv.Error, json.JSONDecodeError, UnicodeDecodeError, _ser.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:  # WindowError, SpaceError, RateError and FamilyError among them

@@ -360,10 +360,10 @@ def paracompact_nets(n_points, horizon):
     sum; the iterates alternate between partial and total sums.  The net
     at x_p has value 1 at step i iff i is even or i > p, so each net is
     eventually constant at 1 while the family reproduces the D-pattern
-    (with the roles of 0 and 1 exchanged across parity).  They are the
-    members of the paracompact spec on ``make_omega_window(horizon)``.
+    (with the roles of 0 and 1 exchanged across parity).  Returns
+    ``stack_family`` of the paracompact spec on ``make_omega_window(horizon)``.
     """
-    return list(enumerate_family(FamilySpec("paracompact", make_omega_window(horizon), {"n_points": n_points})))
+    return stack_family(FamilySpec("paracompact", make_omega_window(horizon), {"n_points": n_points}))
 
 
 def closed_form_refutation(spec, union, eps, pointed=False):

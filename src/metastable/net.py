@@ -122,6 +122,8 @@ class StackedFamily:
         checked in one bulk test.  Else each member in turn (its length, its
         values, its target) is checked, so the first fault raises SpaceError
         as one ``Net`` at a time would."""
+        if not rows:
+            raise ValueError("empty family")
         n, given = len(window), [t for t in targets if t is not None]
         x = _bulk(space, rows) if all(len(row) == n for row in rows) else None
         if x is None or given and _bulk(space, [given]) is None:
@@ -196,8 +198,8 @@ def mutual_distance(a, b):
     """Real net of pairwise distances d(a_i, b_j) on product(window_a, window_b)."""
     if a.space != b.space:
         raise SpaceError("mutual distance requires a shared metric space")
-    p = product(a.window, b.window)
-    values = tuple(a.space.unchecked_dist(a.value(i), b.value(j)) for (i, j) in p.elements)
+    p = product(a.window, b.window)  # pairs (i, j) with j running fastest, as the values below
+    values = tuple(a.space.unchecked_dist(x, y) for x in a.values for y in b.values)
     return Net(p, _distance_space(a.space), values, target=None)
 
 
@@ -208,7 +210,7 @@ def self_distance(a):
     canonical pointed target.
     """
     p = product(a.window, a.window)
-    values = tuple(a.dist(i, j) for (i, j) in p.elements)
+    values = tuple(a.space.unchecked_dist(x, y) for x in a.values for y in a.values)
     return Net(p, _distance_space(a.space), values, target=0.0)
 
 

@@ -72,14 +72,14 @@ def dumps(doc):
 
 
 def _decoder(fn):
-    """Report a document of the wrong shape (a missing key, a value of the
-    wrong type) as a SchemaError rather than the error it raises inside."""
+    """Report a document of the wrong shape (a missing key, a value of the wrong
+    type, nesting past the recursion limit) as a SchemaError, not its own error."""
 
     @functools.wraps(fn)
     def decode(doc):
         try:
             return fn(doc)
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, RecursionError) as exc:
             raise SchemaError(f"malformed document for {fn.__name__}: {exc!r}") from None
 
     return decode

@@ -5,6 +5,7 @@ by raw nested loops over freshly recomputed distances, so agreement with
 the library is a two-route check rather than a tautology.
 """
 
+import csv
 import itertools
 
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from metastable import (
     Net,
     RefutationCertificate,
     Sampling,
+    SpaceError,
     binary_space,
     make_custom_window,
     make_omega_window,
@@ -214,3 +216,37 @@ def brute_refute_uniform(members, candidate_sets, eps, pointed=False):
             if replay_certificate(cert):
                 return cert
     return None
+
+
+def brute_csv_nets(path, space):
+    """The nets of a numeric CSV built one ``Net`` per column (Euclidean: per
+    group of d consecutive columns), binary cells coerced to int, with the
+    errors and messages ``analyze.ingest_csv`` documents, raised in the same
+    order: a cell, a ragged row, an empty file, the window, the grouping,
+    then a binary value column by column, then each net's points."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError:
+                raise SpaceError(f"non-numeric cell in row {lineno}") from None
+            if len(rows[-1]) != len(rows[0]):
+                raise SpaceError(f"ragged row {lineno}: expected {len(rows[0])} columns")
+    if not rows:
+        raise SpaceError("empty CSV")
+    window, ncols = make_omega_window(len(rows)), len(rows[0])
+    if space.kind == "euclidean":
+        d = space.dim
+        if ncols % d:
+            raise SpaceError(f"{ncols} columns do not group into dimension {d}")
+        return [Net(window, space, tuple(tuple(row[g:g + d]) for row in rows)) for g in range(0, ncols, d)]
+    if space.kind == "binary-discrete":
+        for col in range(ncols):
+            for lineno, row in enumerate(rows, start=1):
+                if row[col] not in (0.0, 1.0):
+                    raise SpaceError(f"non-binary value in row {lineno}")
+        return [Net(window, space, tuple(int(row[col]) for row in rows)) for col in range(ncols)]
+    return [Net(window, space, tuple(row[col] for row in rows)) for col in range(ncols)]

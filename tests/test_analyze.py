@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import pathlib
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metastable import (
     Net,
@@ -16,6 +19,7 @@ from metastable import (
     euclidean_space,
     finite_space_ump_check,
     identity_sampling,
+    half_line_space,
     ingest_csv,
     is_witness,
     make_omega_window,
@@ -23,8 +27,8 @@ from metastable import (
     unit_interval_space,
 )
 from metastable import analyze
-from metastable.net import CheckError
-from oracles import brute_witness
+from metastable.net import CheckError, StackedFamily
+from oracles import brute_csv_nets, brute_witness
 
 
 class TestCesaroNets:
@@ -123,6 +127,8 @@ class TestEmpiricalRate:
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             empirical_rate([], [0.5], {"id": identity_sampling(make_omega_window(2))})
+        with pytest.raises(ValueError, match="empty family"):
+            cesaro_rotation_nets([], 8)
 
 
 class TestFiniteSpaceUmp:
@@ -214,6 +220,54 @@ class TestIngestCsv:
         with pytest.raises(SpaceError) as e:
             ingest_csv(p, unit_interval_space())
         assert "row 1" in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "build, members",
+    [(lambda: cesaro_rotation_nets([0.3, 0.0], 10), 2), (lambda: paracompact_nets(3, 8), 3)],
+    ids=["cesaro", "paracompact"],
+)
+def test_builders_return_one_stacked_family(build, members):
+    family = build()
+    assert type(family) is StackedFamily and len(family) == members
+
+
+CSV_SPACES = [unit_interval_space(), half_line_space(), binary_space(), euclidean_space(1), euclidean_space(2), euclidean_space(3)]
+CSV_POINTS = {"binary-discrete": ["0", "1", "-0.0", " 1 ", "+1", '"0"', "1e0"]}
+CSV_ODD = ["1_0", "-1", "2", "0.5", "inf", "nan", "1e400", "x"]
+
+
+@st.composite
+def csv_inputs(draw):
+    # A space and CSV text: mostly rectangular rows of points, with odd cells, ragged rows and blank lines.
+    space = draw(st.sampled_from(CSV_SPACES))
+    points = CSV_POINTS.get(space.kind, ["0", "1", "0.5", "0.25", " 1 ", "+1", "-0.0", '" 0.5"'])
+    cell = st.sampled_from(points * 8 + CSV_ODD)
+    width = draw(st.integers(1, 6))
+    row = st.one_of(*[st.lists(cell, min_size=width, max_size=width)] * 8, st.lists(cell, min_size=1, max_size=6), st.just([""]))
+    return "\n".join(map(",".join, draw(st.lists(row, min_size=1, max_size=6)))), space
+
+
+def _csv_outcome(build):
+    # The members (values and target by repr, so -0.0 and int vs float count) or the error.
+    try:
+        family = build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [(a.window, a.space, repr(a.values), repr(a.target)) for a in family]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(csv_inputs())
+def test_ingest_csv_builds_the_per_column_nets(given_input):
+    text, space = given_input
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "data.csv")
+        path.write_text(text + "\n", encoding="utf-8")
+        got = _csv_outcome(lambda: ingest_csv(path, space))
+        assert got == _csv_outcome(lambda: brute_csv_nets(path, space))
+        if isinstance(got, list):
+            assert isinstance(ingest_csv(path, space), StackedFamily)
 
 
 class TestSamplingSuite:

@@ -179,11 +179,17 @@ class TestRefute:
         )
         assert code == 4
 
-    @pytest.mark.parametrize("doc", [[3], [[{"a": 1}]]])
+    @pytest.mark.parametrize("doc", [
+        [3],
+        [[{"a": 1}]],
+        # Nested past the recursion limit: in the label decoder, and in json.load itself.
+        pytest.param("[" * 500 + "0" + "]" * 500, id="nested-500"),
+        pytest.param("[" * 1000 + "0" + "]" * 1000, id="nested-1000"),
+    ])
     def test_malformed_candidate_set_exits_four(self, tmp_path, doc):
         fam = self._family_file(tmp_path)
         cands = tmp_path / "cands.json"
-        cands.write_text(json.dumps(doc))
+        cands.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code = main(
             ["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--seed", "1"]
         )
@@ -717,6 +723,23 @@ class TestAnalyzeCsv:
         out = tmp_path / "report.json"
         assert main(["analyze", "--csv", str(csv_file), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["window_size"] == 2
+
+    @pytest.mark.parametrize("data", [
+        b"0.5," + b"1" * 131073 + b"\n",  # a field past the csv module's limit
+        b'"' + b"1" * 131073 + b'"\n',
+        b"0.5\n\xe90.25\n",  # not UTF-8
+    ], ids=["long-field", "long-quoted-field", "latin-1"])
+    def test_unreadable_csv_exits_four(self, tmp_path, capsys, data):
+        csv_file = tmp_path / "data.csv"
+        csv_file.write_bytes(data)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--csv", str(csv_file), "--out", str(out)]) == 4
+        assert not out.exists() and "Traceback" not in capsys.readouterr().err
+
+    def test_json_that_is_not_utf8_exits_four(self, tmp_path):
+        fam = tmp_path / "family.json"
+        fam.write_bytes(b'[{"type": "n\xe9t"}]')
+        assert main(["analyze", "--family", str(fam), "--out", str(tmp_path / "report.json")]) == 4
 
     def test_empty_csv_exits_three(self, tmp_path, capsys):
         csv_file = tmp_path / "data.csv"

@@ -6,8 +6,9 @@ JSON value, a key or list entry deleted) and fed to every
 decoder may return or raise one of the errors the CLI maps to an exit
 code; the CLI must exit 0, 2, 3, 4 or 5 and never raise.  Net lists of
 every space kind whose values mix points with bools, non-finite floats,
-ints beyond 2**53, strings, null and nested lists take the same path.
-Integers stay small, so no document asks for a huge window.
+ints beyond 2**53, strings, null and nested lists take the same path, and
+so does CSV text through ``analyze --csv``.  Integers stay small, so no
+document asks for a huge window.
 """
 
 import json
@@ -266,6 +267,26 @@ def test_net_values_that_are_no_json_list_are_a_schema_error(space, data):
         path = pathlib.Path(tmp, "family.json")
         path.write_text(json.dumps(family))
         assert main(["analyze", "--family", str(path), "--out", str(pathlib.Path(tmp, "out"))]) == 4
+
+
+CSV_CELLS = st.one_of(
+    st.sampled_from(["0", "1", "0.5", "-0.0", "1e400", "nan", "2", '"1"', "", "9" * 131073]),
+    st.text(max_size=4),
+)
+CSV_BYTES = st.lists(st.lists(CSV_CELLS, min_size=1, max_size=3).map(",".join), min_size=1, max_size=4).map(
+    lambda rows: "\n".join(rows).encode("utf-8")
+)
+
+
+@FUZZ
+@given(CSV_BYTES, st.sampled_from([[], ["--space", "binary"], ["--space", "euclidean", "--dim", "2"]]), st.booleans())
+def test_csv_input_exits_with_a_documented_code(data, space, latin):
+    # Any text, an oversized field or bytes that are not UTF-8 end in a documented code, never a traceback.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "data.csv")
+        path.write_bytes(data + b"\xe9" if latin else data)
+        code = main(["analyze", "--csv", str(path), *space, "--out", str(pathlib.Path(tmp, "out"))])
+    assert code in (0, 2, 3, 4)
 
 
 @FUZZ

@@ -149,3 +149,29 @@ def test_scan_flags_rng_draw_calls():
         "y = rng.getrandbits(32) + rng.random()\n"
     )
     assert rng_draw_calls(tree) == [3, 4, 4]
+
+
+def nets_built_in_loops(tree):
+    """Lines of ``Net(...)`` calls (also ``net.Net(...)``) inside a loop or a comprehension."""
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    calls = (n for loop in ast.walk(tree) if isinstance(loop, loops) for n in ast.walk(loop) if isinstance(n, ast.Call))
+    return sorted({n.lineno for n in calls if getattr(n.func, "id", getattr(n.func, "attr", None)) == "Net"})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_builds_a_net_per_member(path):
+    # A family is one StackedFamily, checked in one build call, not a Net per member.
+    assert nets_built_in_loops(ast.parse(path.read_text())) == []
+
+
+def test_scan_flags_nets_built_in_loops():
+    tree = ast.parse(
+        "a = Net(w, s, v)\n"
+        "for v in rows:\n"
+        "    b = Net(w, s, v)\n"
+        "c = [net.Net(w, s, v) for v in rows]\n"
+        "while rows:\n"
+        "    d = {k: Net(w, s, rows.pop()) for k in 'ab'}\n"
+        "e = Network(w) or tuple(NetError(v) for v in rows)\n"
+    )
+    assert nets_built_in_loops(tree) == [3, 4, 6]
