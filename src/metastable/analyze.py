@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meta import is_witness
-from .net import CheckError, StackedFamily, block_runs, cauchy_indices, eps_floor, run_diameters, stacked
+from .net import CheckError, StackedFamily, cauchy_indices, eps_floor, run_diameters, stacked
 from .space import BINARY, EUCLIDEAN, SpaceError, euclidean_space
 from .order import (
     WindowError,
@@ -148,39 +148,38 @@ def block_diameters(nets, *samplings):
     ``nets`` is a StackedFamily or a nonempty list of nets, stacked once.
     Columns run over the indices of each sampling in turn, so with one
     sampling index p witnesses net m at eps iff entry (m, p) is <= eps,
-    for every eps.  All blocks are read by position, as one flat position
-    array cut into runs, and all nets take one
-    :func:`~metastable.net.run_diameters` call.
+    for every eps.  The samplings' position runs are read as one flat
+    array, and all nets take one :func:`~metastable.net.run_diameters` call.
     """
     window = samplings[0].window
     for eta in samplings:
         if eta.window != window:
             raise WindowError("samplings live on different windows")
-        if len(eta.assign) != len(window) or not all(eta.assign):
+        if len(eta.sizes) != len(window) or not eta.sizes.all():
             raise WindowError("sampling needs one nonempty candidate set per index")
-    flat, sizes = block_runs(window, [block for eta in samplings for block in eta.assign])
     family = stacked(nets)
     if family.window != window:
         raise WindowError("sampling and net live on different windows")
-    return run_diameters(family, flat, sizes)
+    flat = np.concatenate([eta.flat for eta in samplings])
+    return run_diameters(family, flat, np.concatenate([eta.sizes for eta in samplings]))
 
 
-def _matrix_cover(witness, window):
-    """Greedy cover of the nets (rows) by indices (columns) of a witness matrix.
+def _greedy_covers(witness):
+    """Greedy covers of the nets by indices in every cell of a cells x nets x positions witness tensor.
 
-    Each round takes the index witnessing most uncovered nets; ``argmax``
-    breaks ties toward the lowest position.  Returns the cover in
-    enumeration order and the nets no index witnesses.
+    Cells run in lockstep.  Each round, every cell with an uncovered net takes the index witnessing
+    most such nets, ties to the lowest position (``argmax``), and a covered cell drops out.  Returns
+    cells x positions, True where the index is in the cell's cover.
     """
-    has = witness.any(axis=1)
-    live = has.copy()
-    cover = []
-    while live.any():
-        best = int(witness[live].sum(axis=0).argmax())
-        cover.append(best)
-        live &= ~witness[:, best]
-    cover = tuple(window.elements[p] for p in sorted(cover))
-    return cover, tuple(int(m) for m in np.flatnonzero(~has))
+    live, cover = witness.any(axis=2), np.zeros(witness.shape[::2], bool)
+    cells = np.flatnonzero(live.any(axis=1))
+    while cells.size:
+        w = witness[cells]
+        best = (w & live[cells, :, None]).sum(axis=1).argmax(axis=1)
+        cover[cells, best] = True
+        live[cells] &= ~w[np.arange(len(cells)), :, best]
+        cells = cells[live[cells].any(axis=1)]
+    return cover
 
 
 def empirical_rate(family, eps_grid, sampling_suite):
@@ -193,7 +192,8 @@ def empirical_rate(family, eps_grid, sampling_suite):
 
     The family is stacked once; its tail diameters (for the Cauchy
     indices) and its block diameters over the whole suite are each one
-    call for all nets, shared by every tolerance.  The answers are those of the pairwise checks, exactly:
+    call for all nets, shared by every tolerance, and one witness tensor per
+    tolerance gives every cell's first witnesses and cover.  The answers are those of the pairwise checks, exactly:
     binary64 subtraction is monotone, so fl(max - min) over a block or
     tail of scalar values equals the largest fl|x - y| over its pairs,
     and with no NaN distances (points are finite) the largest distance
@@ -202,23 +202,21 @@ def empirical_rate(family, eps_grid, sampling_suite):
     family = stacked(family)
     if not eps_grid or not sampling_suite:
         raise ValueError("empty tolerance grid or sampling suite")
-    window = family.window
+    window, els = family.window, family.window.elements
     eps_grid = tuple(sorted(eps_grid, reverse=True))
     matrix = block_diameters(family, *sampling_suite.values())
-    diameters = dict(zip(sampling_suite, np.split(matrix, len(sampling_suite), axis=1)))
+    diameters = matrix.reshape(len(family), len(sampling_suite), len(window)).transpose(1, 0, 2)
     cells = []
     for eps in eps_grid:
-        bound = eps_floor(eps)
-        for sid, d in diameters.items():
-            eta, witness = sampling_suite[sid], d <= bound
-            witnesses = tuple(
-                window.elements[int(row.argmax())] if row.any() else None for row in witness
-            )
-            cover, no_witness = _matrix_cover(witness, window)
+        witness = diameters <= eps_floor(eps)
+        first, found = witness.argmax(axis=2).tolist(), witness.any(axis=2).tolist()
+        for (sid, eta), row, hit, in_cover in zip(sampling_suite.items(), first, found, _greedy_covers(witness)):
+            cover = tuple(els[p] for p in np.flatnonzero(in_cover).tolist())
             for i in cover:  # certify the cover
                 if not any(is_witness(a, eps, eta, i) for a in family):
                     raise CheckError(f"cover element {i!r} witnesses no net at eps={eps}, sampling {sid!r}")
-            cells.append(AnalysisCell(eps, sid, witnesses, cover, no_witness))
+            witnesses = tuple(els[p] if f else None for p, f in zip(row, hit))
+            cells.append(AnalysisCell(eps, sid, witnesses, cover, tuple(m for m, f in enumerate(hit) if not f)))
     cauchy = tuple(tuple(zip(eps_grid, indices)) for indices in cauchy_indices(family, eps_grid))
     return AnalysisReport(
         window_size=len(window),
@@ -280,19 +278,21 @@ def ingest_csv(path, space):
 
     One row per index.  Scalar spaces take one member per column; a
     d-dimensional Euclidean space groups consecutive blocks of d columns
-    into one member each.  The file is read as UTF-8.
+    into one member each.  The file is read as UTF-8.  Every message names
+    a row by its CSV record number, blank records counted.
     """
-    rows = []
+    rows, records = [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for record, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
             try:
                 rows.append([float(cell) for cell in row])
             except ValueError:
-                raise SpaceError(f"non-numeric cell in row {lineno}") from None
+                raise SpaceError(f"non-numeric cell in row {record}") from None
             if len(rows[-1]) != len(rows[0]):
-                raise SpaceError(f"ragged row {lineno}: expected {len(rows[0])} columns")
+                raise SpaceError(f"ragged row {record}: expected {len(rows[0])} columns")
+            records.append(record)
     if not rows:
         raise SpaceError("empty CSV")
     window = make_omega_window(len(rows))
@@ -304,9 +304,9 @@ def ingest_csv(path, space):
         columns = [tuple(zip(*columns[c:c + d])) for c in range(0, len(columns), d)]
     elif space.kind == BINARY:
         for column in columns:
-            for lineno, v in enumerate(column, start=1):
+            for record, v in zip(records, column):
                 if v not in (0.0, 1.0):
-                    raise SpaceError(f"non-binary value in row {lineno}")
+                    raise SpaceError(f"non-binary value in row {record}")
         columns = [tuple(map(int, column)) for column in columns]
     return StackedFamily.from_rows(window, space, columns, [None] * len(columns))
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import families as _families
 from .families import RefutationCertificate
-from .net import CheckError, block_runs, eps_floor, require_eps, run_diameters, run_maxima, stacked
+from .net import CheckError, eps_floor, require_eps, run_diameters, run_maxima, stacked
 from .net import tail_diameters, tail_maxima, target_distances
 from .order import (
     Sampling,
@@ -203,8 +203,9 @@ def verify_rate(family, rate, eps, sid):
         raise WindowError("family nets and rate live on different windows")
     if pointed and None in family.targets:
         raise RateError("pointed verification needs a declared target on every net")
-    order = sorted(candidates, key=window.index)
-    flat, sizes = block_runs(window, [sampling.at(i) for i in order])
+    order = sorted(candidates, key=window.index)  # ascending positions: the blocks keep the sampling's order
+    chosen = np.bincount([window.index(i) for i in order], minlength=len(window)) > 0
+    flat, sizes = sampling.flat[np.repeat(chosen, sampling.sizes)], sampling.sizes[chosen]
     d = run_maxima(target_distances(family), flat, sizes) if pointed else run_diameters(family, flat, sizes)
     ok = d <= bound
     outcomes = tuple(order[c] if any_ else None for c, any_ in zip(ok.argmax(axis=1).tolist(), ok.any(axis=1).tolist()))

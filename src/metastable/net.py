@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .order import DirectedWindow, WindowError, product
+from .order import DirectedWindow, WindowError, product, up_runs
 from .space import BINARY, EUCLIDEAN, MetricSpace, SpaceError, _bulk, half_line_space, unit_interval_space
 
 __all__ = [
@@ -363,17 +363,6 @@ def run_diameters(s, flat, sizes):
     return group_max_distances(s, _per_member(chunks, m, len(s.window), runs), m * runs).reshape(m, runs)
 
 
-def block_runs(w, blocks):
-    """Blocks (a list of collections of elements of ``w``) as one flat position array cut into runs, and the run sizes."""
-    sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
-    return np.fromiter(map(w.index, itertools.chain.from_iterable(blocks)), np.intp, int(sizes.sum())), sizes
-
-
-def _up_sets(w):
-    # The up-set of every element, in window order, as runs.
-    return block_runs(w, [w.up_set(i) for i in w.elements])
-
-
 def _suffix(ufunc, x):
     # ufunc accumulated over the orthant above each entry, along every axis but the first (members).
     for axis in range(1, x.ndim):
@@ -390,7 +379,7 @@ def tail_maxima(w, x, ufunc=np.maximum):
     """
     shape = w.grid_shape()
     if shape is None:
-        return run_maxima(x, *_up_sets(w), ufunc)
+        return run_maxima(x, *up_runs(w), ufunc)
     return _suffix(ufunc, x.reshape(len(x), *shape)).reshape(x.shape)
 
 
@@ -412,7 +401,7 @@ def tail_diameters(s):
     if s.space.is_scalar():
         tails = tail_maxima(w, s.array) - tail_maxima(w, s.array, np.minimum)
     elif shape is None:
-        tails = run_diameters(s, *_up_sets(w))
+        tails = run_diameters(s, *up_runs(w))
     else:
         # A position is the sum of its coordinates' shares (coordinate times
         # stride), so a meet's position sums the smaller share on each axis.

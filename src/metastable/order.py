@@ -156,20 +156,12 @@ class DirectedWindow:
         return reduce(self.join, ordered)
 
     def up_set(self, a):
-        """All elements ``b`` with ``a`` <= ``b``, in enumeration order.
-
-        Read off the structure, with no ``leq`` calls: a tail on a chain,
-        the product of the factors' up-sets on a product (enumeration runs
-        over the same ``itertools.product``, so the order agrees), and the
-        stored order row on a custom window.
-        """
+        """All elements ``b`` with ``a`` <= ``b``, in enumeration order: a tail on a chain,
+        else read off positions (see :func:`up_runs`), with no ``leq`` calls."""
         p = self.index(a)
         if self._chain:
             return self._elements[p:]
-        if self.kind == PRODUCT:
-            d, e = self._factors
-            return tuple(itertools.product(d.up_set(a[0]), e.up_set(a[1])))
-        return tuple(itertools.compress(self._elements, self._leq[p]))
+        return tuple(itertools.compress(self._elements, _above(self, p, np.arange(len(self)))))
 
     def strictly_above(self, a):
         """Elements strictly above ``a``, in enumeration order."""
@@ -300,28 +292,93 @@ def product(d, e):
 # -- samplings -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _above(w, p, q):
+    # Whether position q is at or above p, over integer arrays: on a chain by position, on a
+    # product by its factors' positions (p = p_d * |e| + p_e), elsewhere from the leq matrix.
+    if w.is_chain():
+        return q >= p
+    if w.kind == PRODUCT:
+        d, e = w.factors
+        return _above(d, p // len(e), q // len(e)) & _above(e, p % len(e), q % len(e))
+    return np.array(w._leq, bool)[p, q]
+
+
+def _sorted_runs(flat, sizes, n):
+    # Positions below n (or -1) sorted within each run: a run's keys lie in a band of their own.
+    base = np.repeat(np.arange(len(sizes), dtype=np.int64) * (n + 1), sizes)
+    return np.sort(base + flat) - base
+
+
+def up_runs(w):
+    """The up-set of every element of ``w`` by position, in enumeration order, as runs: (flat, sizes)."""
+    above = _above(w, np.arange(len(w))[:, None], np.arange(len(w)))
+    return np.nonzero(above)[1], above.sum(axis=1)
+
+
 class Sampling:
     """Assignment of a finite candidate set to every window element.
 
-    ``assign`` is dense: one entry per window element, in enumeration
-    order.  The constructor does not validate; use
-    :func:`validate_sampling` / :func:`require_valid_sampling`.
+    Held as runs of window positions: ``flat`` lists every block in turn,
+    sorted within each, and ``sizes`` the block sizes in enumeration order.
+    Labels appear only at the boundary: ``Sampling(window, assign)`` turns
+    one label collection per element into positions once, and ``assign``,
+    :meth:`at` and :meth:`items` build label sets on demand.  The
+    constructor does not validate; use :func:`validate_sampling`.
     """
 
-    window: DirectedWindow
-    assign: tuple
+    def __new__(cls, window, assign):
+        blocks = tuple(map(frozenset, assign))
+        labels, sizes = list(itertools.chain.from_iterable(blocks)), list(map(len, blocks))
+        flat = np.fromiter(map(window._index.get, labels, itertools.repeat(-1)), np.intp, len(labels))  # -1: no element
+        # The label sets are kept only when one names no element, for validate_sampling to report it.
+        return cls._of_runs(window, _sorted_runs(flat, sizes, len(window)), sizes, blocks if -1 in flat else None)
+
+    @classmethod
+    def _of_runs(cls, window, flat, sizes, labels=None):
+        s = object.__new__(cls)
+        s.window, s._labels, s._flat, s.sizes = window, labels, np.asarray(flat, np.intp), np.asarray(sizes, np.intp)
+        s._flat.flags.writeable = s.sizes.flags.writeable = False
+        s._starts = np.cumsum(s.sizes) - s.sizes
+        return s
 
     @classmethod
     def from_function(cls, window, fn):
-        return cls(window, tuple(frozenset(fn(e)) for e in window.elements))
+        return cls(window, map(fn, window.elements))
+
+    @property
+    def flat(self):
+        """Every block's positions in turn."""
+        if self._labels is not None:
+            raise WindowError("a label of this sampling names no window element")
+        return self._flat
+
+    @property
+    def assign(self):
+        """One label set per window element, in enumeration order."""
+        if self._labels is not None:
+            return self._labels
+        labels, ends = [self.window.elements[p] for p in self._flat.tolist()], np.cumsum(self.sizes).tolist()
+        return tuple(frozenset(labels[a:b]) for a, b in zip([0] + ends, ends))
 
     def at(self, element):
         """The candidate set eta_i for window element ``i``."""
-        return self.assign[self.window.index(element)]
+        p = self.window.index(element)
+        if self._labels is not None:
+            return self._labels[p]
+        start, els = self._starts[p], self.window.elements
+        return frozenset(els[q] for q in self._flat[start:start + self.sizes[p]].tolist())
 
     def items(self):
         return zip(self.window.elements, self.assign)
+
+    def _key(self):
+        return (self.window, self._flat.tobytes(), self.sizes.tobytes(), self._labels)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Sampling) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -332,14 +389,17 @@ class SamplingViolation:
 
 
 def validate_sampling(s):
-    """Check the sampling invariants; return a list of violations (empty = ok)."""
-    w = s.window
+    """Check the sampling invariants; return a list of violations (empty = ok).
+
+    One vectorised test passes a valid sampling: every block nonempty and every position
+    above its owner's.  Only one that fails it is walked label by label to list them.
+    """
+    w, sizes = s.window, s.sizes
+    if len(sizes) != len(w):
+        return [SamplingViolation(None, None, f"assign has {len(sizes)} entries for a window of {len(w)}")]
+    if s._labels is None and sizes.all() and _above(w, np.repeat(np.arange(len(w)), sizes), s._flat).all():
+        return []
     violations = []
-    if len(s.assign) != len(w):
-        violations.append(
-            SamplingViolation(None, None, f"assign has {len(s.assign)} entries for a window of {len(w)}")
-        )
-        return violations
     for i, eta_i in s.items():
         if not eta_i:
             violations.append(SamplingViolation(i, None, "empty candidate set"))
@@ -361,14 +421,17 @@ def require_valid_sampling(s):
 
 def identity_sampling(window):
     """eta_i = {i}."""
-    return Sampling.from_function(window, lambda i: {i})
+    return Sampling._of_runs(window, np.arange(len(window)), np.ones(len(window), np.intp))
 
 
 def _chain_sampling(window, step):
     if not window.is_chain():
         raise WindowError("this sampling is defined only on chain windows")
-    els, top = window.elements, len(window) - 1
-    return Sampling(window, tuple(frozenset({e, els[min(step(p), top)]}) for p, e in enumerate(els)))
+    p = np.arange(len(window))
+    q = np.minimum(step(p), len(window) - 1)
+    two = q != p  # clipped at the top: one element
+    keep = np.stack((np.ones_like(two), two), axis=1).ravel()
+    return Sampling._of_runs(window, np.stack((p, q), axis=1).ravel()[keep], 1 + two)
 
 
 def successor_sampling(window):
@@ -425,28 +488,31 @@ def random_samplings(window, rng, count):
     """The ``count`` random valid samplings that ``count`` calls of :func:`random_sampling` would draw.
 
     Each eta_i is a nonempty subset of the up-set of i, decoded from ranks
-    by mixed radix over the orthant's sides on a grid (a chain is the 1-D
-    grid), and by index into the built up-set elsewhere.
+    to positions: the owner's position plus the rank on a chain, mixed
+    radix over the orthant's sides on a grid, and an index into the
+    up-set's run elsewhere.  Positions are then sorted within each block.
     """
-    els, shape, n = window.elements, window.grid_shape(), len(window)
+    n, shape = len(window), window.grid_shape()
     if shape is None:
-        ups = [window.up_set(e) for e in els]
-        ranks, counts = _draw_ranks(rng, list(map(len, ups)) * count)
-        drawn = iter(ranks)
-        picked = (u[q] for u, c in zip(itertools.cycle(ups), counts) for q in itertools.islice(drawn, c))
+        ups, sizes = up_runs(window)
     else:
-        # Orthant sides; int32 and rebinding the rank list keep the suite's transients small.
-        sides = np.array(shape, np.int32)[:, None] - np.indices(shape, np.int32).reshape(len(shape), -1)
-        q, counts = _draw_ranks(rng, sides.prod(axis=0).tolist() * count)
-        owner = np.repeat(np.arange(len(counts), dtype=np.int32) % n, counts)
-        q, at, stride = np.array(q, np.int32), owner.copy(), 1
+        sides = np.array(shape, np.intp)[:, None] - np.indices(shape, np.intp).reshape(len(shape), -1)
+        sizes = sides.prod(axis=0)
+    q, counts = _draw_ranks(rng, sizes.tolist() * count)
+    q, counts = np.array(q, np.intp), np.array(counts, np.intp)
+    owner = np.repeat(np.arange(len(counts)) % n, counts)
+    if shape is None:
+        at = ups[(np.cumsum(sizes) - sizes)[owner] + q]
+    elif window.is_chain():
+        at = owner + q
+    else:
+        at, stride = owner, 1
         for axis in reversed(range(len(shape))):  # least significant axis first
             q, r = np.divmod(q, sides[axis][owner])
-            at += r * stride
+            at = at + r * stride
             stride *= shape[axis]
-        picked = iter(np.fromiter(els, object, n)[at])
-    assign = [frozenset(itertools.islice(picked, c)) for c in counts]
-    return [Sampling(window, tuple(assign[r * n:(r + 1) * n])) for r in range(count)]
+    flat, edges = _sorted_runs(at, counts, n), [0, *np.cumsum(counts)[n - 1::n].tolist()]
+    return [Sampling._of_runs(window, flat[edges[r]:edges[r + 1]], counts[r * n:(r + 1) * n]) for r in range(count)]
 
 
 def random_sampling(window, rng):
@@ -462,12 +528,10 @@ def induced_sampling(eta, d):
     require_valid_sampling(eta)
     if eta.window != d:
         raise WindowError("sampling does not live on the given window")
-    p = product(d, d)
-    assign = []
-    for (i, j) in p.elements:
-        block = eta.at(d.join(i, j))
-        assign.append(frozenset(itertools.product(block, block)))
-    return Sampling(p, tuple(assign))
+    n, index = len(d), d.index
+    joins = [index(d.join(i, j)) for i in d.elements for j in d.elements]
+    squares = [(a[:, None] * n + a).ravel() for a in np.split(eta.flat, np.cumsum(eta.sizes)[:-1])]  # sorted as a is
+    return Sampling._of_runs(product(d, d), np.concatenate([squares[r] for r in joins]), eta.sizes[joins] ** 2)
 
 
 def project_set(s, d):

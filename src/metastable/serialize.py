@@ -12,6 +12,8 @@ import functools
 import itertools
 import json
 
+import numpy as np
+
 from .families import FamilyError, FamilySpec
 from .meta import Rate, RateError, RefutationCertificate
 from .net import StackedFamily
@@ -161,12 +163,11 @@ def window_from_dict(doc):
 
 
 def sampling_to_dict(s):
-    w = s.window
-    # canonical order inside each set: window enumeration order
-    assign = [
-        [_label_to_json(j) for j in sorted(eta_i, key=w.index)] for eta_i in s.assign
-    ]
-    return _versioned({"type": "sampling", "window": window_to_dict(w), "assign": assign})
+    # Each set in window enumeration order: its run of positions, sorted.  Omega elements are their positions.
+    els, ends = s.window.elements, np.cumsum(s.sizes).tolist()
+    labels = s.flat.tolist() if s.window.kind == OMEGA else [_label_to_json(els[p]) for p in s.flat.tolist()]
+    assign = [labels[a:b] for a, b in zip([0] + ends, ends)]
+    return _versioned({"type": "sampling", "window": window_to_dict(s.window), "assign": assign})
 
 
 @_decoder
@@ -177,7 +178,7 @@ def sampling_from_dict(doc):
         raise SchemaError("a sampling's assign must be a JSON list of label lists")
     rows = [_labels(row) for row in doc["assign"]]
     _named(w, [j for row in rows for j in row])
-    return Sampling(w, tuple(map(frozenset, rows)))
+    return Sampling(w, rows)
 
 
 # -- spaces and nets -------------------------------------------------------

@@ -22,6 +22,7 @@ from metastable import (
     replay_certificate,
     unit_interval_space,
 )
+from metastable.order import SamplingViolation, _draw_ranks
 
 
 def label_chain(listing):
@@ -118,6 +119,78 @@ def brute_random_sampling(window, rng, max_size=3):
         size = rng.randint(1, min(max_size, len(ups)))
         assign.append(frozenset(rng.sample(ups, size)))
     return Sampling(window, tuple(assign))
+
+
+# -- label-set samplings ---------------------------------------------------
+# Each construction as one frozenset of window labels per element, built
+# label by label: the reference that the position-run builders must equal.
+
+
+def label_identity(window):
+    return tuple(frozenset({i}) for i in window.elements)
+
+
+def label_step(window, step):
+    """Chain blocks {i, element at min(step(position of i), top)}: successor and doubling."""
+    els, top = window.elements, len(window) - 1
+    return tuple(frozenset({e, els[min(step(p), top)]}) for p, e in enumerate(els))
+
+
+def label_random_samplings(window, rng, count):
+    """``count`` label-set samplings drawn by the library's rank rule: ranks
+    index the materialised up-set of each element, in enumeration order."""
+    ups = [window.up_set(e) for e in window.elements]
+    ranks, counts = _draw_ranks(rng, [len(u) for u in ups] * count)
+    drawn, assign = iter(ranks), []
+    for r, c in enumerate(counts):
+        up = ups[r % len(ups)]
+        assign.append(frozenset(up[next(drawn)] for _ in range(c)))
+    n = len(window)
+    return [tuple(assign[r * n:(r + 1) * n]) for r in range(count)]
+
+
+def label_induced(eta, d):
+    """eta_{i v j} x eta_{i v j} at every pair (i, j) of product(d, d)."""
+    return tuple(frozenset(itertools.product(eta.at(d.join(i, j)), repeat=2)) for i, j in product(d, d).elements)
+
+
+def label_from_function(window, fn):
+    return tuple(frozenset(fn(e)) for e in window.elements)
+
+
+def _json_label(x):
+    return tuple(map(_json_label, x)) if isinstance(x, list) else x
+
+
+def label_decode(doc):
+    """A sampling document's label sets: each JSON list row, lists read as tuples."""
+    return tuple(frozenset(map(_json_label, row)) for row in doc["assign"])
+
+
+def brute_validate_sampling(s):
+    """The violations of a sampling, found through ``brute_up_set``: element by
+    element in enumeration order, then label by label in the order of the
+    sampling's own label set."""
+    w = s.window
+    if len(s.assign) != len(w):
+        return [SamplingViolation(None, None, f"assign has {len(s.assign)} entries for a window of {len(w)}")]
+    found = []
+    for i in w.elements:
+        block = s.at(i)
+        if not block:
+            found.append(SamplingViolation(i, None, "empty candidate set"))
+        for j in block:
+            if j not in w.elements:
+                found.append(SamplingViolation(i, j, "not a window element"))
+            elif j not in brute_up_set(w, i):
+                found.append(SamplingViolation(i, j, "not in the up-set"))
+    return found
+
+
+def positions_of(window, assign):
+    """The position runs of label sets: each set's positions, sorted, then the set sizes."""
+    runs = [sorted(window.index(j) for j in block) for block in assign]
+    return [p for run in runs for p in run], [len(run) for run in runs]
 
 
 def brute_cauchy_index(a, eps):
@@ -223,8 +296,9 @@ def brute_csv_nets(path, space):
     group of d consecutive columns), binary cells coerced to int, with the
     errors and messages ``analyze.ingest_csv`` documents, raised in the same
     order: a cell, a ragged row, an empty file, the window, the grouping,
-    then a binary value column by column, then each net's points."""
-    rows = []
+    then a binary value column by column, then each net's points.  A row is
+    named by its CSV record number, blank records counted, in every message."""
+    rows, numbers = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
@@ -235,6 +309,7 @@ def brute_csv_nets(path, space):
                 raise SpaceError(f"non-numeric cell in row {lineno}") from None
             if len(rows[-1]) != len(rows[0]):
                 raise SpaceError(f"ragged row {lineno}: expected {len(rows[0])} columns")
+            numbers.append(lineno)
     if not rows:
         raise SpaceError("empty CSV")
     window, ncols = make_omega_window(len(rows)), len(rows[0])
@@ -245,7 +320,7 @@ def brute_csv_nets(path, space):
         return [Net(window, space, tuple(tuple(row[g:g + d]) for row in rows)) for g in range(0, ncols, d)]
     if space.kind == "binary-discrete":
         for col in range(ncols):
-            for lineno, row in enumerate(rows, start=1):
+            for lineno, row in zip(numbers, rows):
                 if row[col] not in (0.0, 1.0):
                     raise SpaceError(f"non-binary value in row {lineno}")
         return [Net(window, space, tuple(int(row[col]) for row in rows)) for col in range(ncols)]

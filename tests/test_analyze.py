@@ -27,6 +27,7 @@ from metastable import (
     unit_interval_space,
 )
 from metastable import analyze
+from metastable.cli import main
 from metastable.net import CheckError, StackedFamily
 from oracles import brute_csv_nets, brute_witness
 
@@ -220,6 +221,24 @@ class TestIngestCsv:
         with pytest.raises(SpaceError) as e:
             ingest_csv(p, unit_interval_space())
         assert "row 1" in str(e.value)
+
+    @pytest.mark.parametrize(
+        "text, space, message",
+        [
+            ("\n0\nx\n", "unit-interval", "non-numeric cell in row 3"),
+            ("\n0\n2\n", "binary", "non-binary value in row 3"),
+            ("\n0,1\n\n1,0\n1\n", "unit-interval", "ragged row 5"),
+            ("0,1\n\n\n1,0\n1,2\n", "binary", "non-binary value in row 5"),
+        ],
+    )
+    def test_every_message_names_the_csv_record(self, tmp_path, capsys, text, space, message):
+        # Blank records count in every message, so one file names one row.
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(SpaceError, match=f"^{message}"):
+            ingest_csv(p, binary_space() if space == "binary" else unit_interval_space())
+        assert main(["analyze", "--csv", str(p), "--space", space]) == 3
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -175,3 +175,26 @@ def test_scan_flags_nets_built_in_loops():
         "e = Network(w) or tuple(NetError(v) for v in rows)\n"
     )
     assert nets_built_in_loops(tree) == [3, 4, 6]
+
+
+def attribute_reads(tree, name):
+    """Lines that read attribute ``name`` of any object (assignments to it are not reads)."""
+    reads = (n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    return sorted({n.lineno for n in reads if n.attr == name})
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in ("order.py", "serialize.py")], ids=lambda p: p.name)
+def test_sampling_labels_stay_at_the_boundary(path):
+    # A sampling holds position runs; its label sets (``assign``) are built
+    # on demand for the boundary, so the rest of the package reads the runs.
+    assert attribute_reads(ast.parse(path.read_text()), "assign") == []
+
+
+def test_scan_flags_attribute_reads():
+    tree = ast.parse(
+        "a = eta.assign\n"
+        "s.assign = 3\n"
+        "f(x.sizes, assign=eta.assign[0])\n"
+        "assign = g(eta)\n"
+    )
+    assert attribute_reads(tree, "assign") == [1, 3]

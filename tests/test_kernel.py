@@ -173,6 +173,62 @@ def test_witnesses_and_covers_match_oracles(data, seed):
     )
 
 
+@st.composite
+def wide_families(draw):
+    """40 to 60 nets on one chain, drawn with repeats from a few rows and the
+    constant rows of a small value pool, so columns tie and cells need
+    different numbers of greedy rounds."""
+    space, points = SPACES[draw(st.sampled_from(sorted(SPACES)))]
+    n = draw(st.integers(1, 8))
+    pool = draw(st.lists(points, min_size=1, max_size=4))
+    rows = draw(st.lists(st.lists(st.sampled_from(pool), min_size=n, max_size=n), min_size=1, max_size=12))
+    rows += [[v] * n for v in pool]
+    members = draw(st.lists(st.sampled_from(rows), min_size=40, max_size=60))
+    return [Net(make_omega_window(n), space, tuple(row)) for row in members]
+
+
+def _lockstep_suite(w, seed):
+    # Whole-window blocks make every column alike (all ties); the cycles have
+    # no one-element block, so a net can have no witness at all.
+    n = len(w)
+    return {
+        "identity": identity_sampling(w),
+        "random": random_sampling(w, random.Random(seed)),
+        "window": Sampling.from_function(w, lambda i: w.elements),
+        "cycle": Sampling(w, [{p, (p + 1) % n} for p in range(n)]),
+        "cycle-2": Sampling(w, [{p, (p + 2) % n} for p in range(n)]),
+    }
+
+
+def _check_cells(nets, report, suite):
+    for cell in report.cells:
+        eta = suite[cell.sampling_id]
+        assert cell.witnesses == tuple(brute_witness(a, cell.eps, eta) for a in nets)
+        assert (cell.cover_set, cell.uncovered) == brute_greedy_cover(nets, cell.eps, eta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(0, 2**16))
+def test_lockstep_covers_match_oracles_on_wide_tied_families(data, seed):
+    nets = data.draw(wide_families())
+    suite = _lockstep_suite(nets[0].window, seed)
+    _check_cells(nets, empirical_rate(nets, data.draw(tolerances(nets)), suite), suite)
+
+
+def test_lockstep_cells_differ_in_rounds_and_leave_nets_uncovered():
+    # 48 nets on an 8-chain, 40 drawn from five values: at one tolerance the
+    # cells need three different numbers of rounds, and two cells keep nets
+    # that no index witnesses (the alternating nets among them).
+    w, rng = make_omega_window(8), random.Random(3)
+    rows = [tuple(rng.choice([0, 0.25, 0.5, 0.75, 1]) for _ in range(8)) for _ in range(40)]
+    nets = [Net(w, unit_interval_space(), row) for row in rows + [(0, 1) * 4] * 4 + [(0.5,) * 8] * 4]
+    suite = _lockstep_suite(w, 5)
+    report = empirical_rate(nets, [0.25], suite)
+    _check_cells(nets, report, suite)
+    assert len({len(cell.cover_set) for cell in report.cells}) == 3
+    assert {cell.sampling_id for cell in report.cells if cell.uncovered} == {"window", "cycle"}
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(0, 2**16))
 def test_finite_space_ump_verdicts_match_oracles(data, seed):
