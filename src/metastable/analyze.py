@@ -317,14 +317,11 @@ def build_sampling_suite(window, names, seed=None, random_count=8):
     ``random-k`` requires a seed and contributes ``random_count`` seeded
     samplings with ids random-k-0, random-k-1, ...
     """
+    fixed = {"identity": identity_sampling, "successor": successor_sampling, "doubling": doubling_sampling}
     suite = {}
     for name in names:
-        if name == "identity":
-            suite["identity"] = identity_sampling(window)
-        elif name == "successor":
-            suite["successor"] = successor_sampling(window)
-        elif name == "doubling":
-            suite["doubling"] = doubling_sampling(window)
+        if name in fixed:
+            suite[name] = fixed[name](window)
         elif name == "random-k":
             if seed is None:
                 raise ValueError("the random-k suite needs a seed")

@@ -62,7 +62,7 @@ class DirectedWindow:
     upper bound; its table holds element positions, so it stays inside).
     """
 
-    __slots__ = ("kind", "_elements", "_index", "_factors", "_leq", "_join", "_chain", "_shape", "_top")
+    __slots__ = ("kind", "_elements", "_index", "_factors", "_leq", "_order", "_join", "_chain", "_shape", "_top")
 
     def __init__(self, kind, elements, factors=None, leq_matrix=None, join_table=None):
         self.kind = kind
@@ -70,6 +70,7 @@ class DirectedWindow:
         self._index = {e: p for p, e in enumerate(self._elements)}
         self._factors = factors
         self._leq = leq_matrix
+        self._order = None if leq_matrix is None else np.array(leq_matrix, bool)  # what _above reads
         self._join = join_table
         if not self._elements:
             raise WindowError("window must be nonempty")
@@ -83,11 +84,9 @@ class DirectedWindow:
             shapes = d.grid_shape(), e.grid_shape()
             self._shape = shapes[0] + shapes[1] if None not in shapes else None
         else:
-            if leq_matrix is not None:
-                self._chain = all(v == (p <= q) for p, row in enumerate(leq_matrix) for q, v in enumerate(row))
-            else:
-                self._chain = True
-            self._shape = (len(self._elements),) if self._chain else None
+            n = len(self._elements)
+            self._chain = leq_matrix is None or np.array_equal(self._order, np.triu(np.ones((n, n), bool)))
+            self._shape = (n,) if self._chain else None
         self._top = self._elements[-1] if self._shape else self.join_all(self._elements)
 
     # -- structure ---------------------------------------------------------
@@ -300,12 +299,12 @@ def _above(w, p, q):
     if w.kind == PRODUCT:
         d, e = w.factors
         return _above(d, p // len(e), q // len(e)) & _above(e, p % len(e), q % len(e))
-    return np.array(w._leq, bool)[p, q]
+    return w._order[p, q]
 
 
 def _sorted_runs(flat, sizes, n):
-    # Positions below n (or -1) sorted within each run: a run's keys lie in a band of their own.
-    base = np.repeat(np.arange(len(sizes), dtype=np.int64) * (n + 1), sizes)
+    # Positions below n sorted within each run: a run's keys lie in a band of their own.
+    base = np.repeat(np.arange(len(sizes), dtype=np.int64) * n, sizes)
     return np.sort(base + flat) - base
 
 
@@ -321,23 +320,23 @@ class Sampling:
     Held as runs of window positions: ``flat`` lists every block in turn,
     sorted within each, and ``sizes`` the block sizes in enumeration order.
     Labels appear only at the boundary: ``Sampling(window, assign)`` turns
-    one label collection per element into positions once, and ``assign``,
-    :meth:`at` and :meth:`items` build label sets on demand.  The
-    constructor does not validate; use :func:`validate_sampling`.
+    one label collection per element into positions once (a label naming
+    no element raises :class:`WindowError`), and ``assign``, :meth:`at`
+    and :meth:`items` build label sets on demand.  The constructor checks
+    nothing else; use :func:`validate_sampling`.
     """
 
     def __new__(cls, window, assign):
         blocks = tuple(map(frozenset, assign))
         labels, sizes = list(itertools.chain.from_iterable(blocks)), list(map(len, blocks))
-        flat = np.fromiter(map(window._index.get, labels, itertools.repeat(-1)), np.intp, len(labels))  # -1: no element
-        # The label sets are kept only when one names no element, for validate_sampling to report it.
-        return cls._of_runs(window, _sorted_runs(flat, sizes, len(window)), sizes, blocks if -1 in flat else None)
+        flat = np.fromiter(map(window.index, labels), np.intp, len(labels))  # a label naming no element raises
+        return cls._of_runs(window, _sorted_runs(flat, sizes, len(window)), sizes)
 
     @classmethod
-    def _of_runs(cls, window, flat, sizes, labels=None):
+    def _of_runs(cls, window, flat, sizes):
         s = object.__new__(cls)
-        s.window, s._labels, s._flat, s.sizes = window, labels, np.asarray(flat, np.intp), np.asarray(sizes, np.intp)
-        s._flat.flags.writeable = s.sizes.flags.writeable = False
+        s.window, s.flat, s.sizes = window, np.asarray(flat, np.intp), np.asarray(sizes, np.intp)
+        s.flat.flags.writeable = s.sizes.flags.writeable = False
         s._starts = np.cumsum(s.sizes) - s.sizes
         return s
 
@@ -346,33 +345,23 @@ class Sampling:
         return cls(window, map(fn, window.elements))
 
     @property
-    def flat(self):
-        """Every block's positions in turn."""
-        if self._labels is not None:
-            raise WindowError("a label of this sampling names no window element")
-        return self._flat
-
-    @property
     def assign(self):
         """One label set per window element, in enumeration order."""
-        if self._labels is not None:
-            return self._labels
-        labels, ends = [self.window.elements[p] for p in self._flat.tolist()], np.cumsum(self.sizes).tolist()
+        labels, ends = [self.window.elements[p] for p in self.flat.tolist()], np.cumsum(self.sizes).tolist()
         return tuple(frozenset(labels[a:b]) for a, b in zip([0] + ends, ends))
 
     def at(self, element):
         """The candidate set eta_i for window element ``i``."""
         p = self.window.index(element)
-        if self._labels is not None:
-            return self._labels[p]
         start, els = self._starts[p], self.window.elements
-        return frozenset(els[q] for q in self._flat[start:start + self.sizes[p]].tolist())
+        return frozenset(els[q] for q in self.flat[start:start + self.sizes[p]].tolist())
 
     def items(self):
-        return zip(self.window.elements, self.assign)
+        """(element, candidate set) pairs in enumeration order, each set built as it is reached."""
+        return ((i, self.at(i)) for i in self.window.elements)
 
     def _key(self):
-        return (self.window, self._flat.tobytes(), self.sizes.tobytes(), self._labels)
+        return (self.window, self.flat.tobytes(), self.sizes.tobytes())
 
     def __eq__(self, other):
         return self._key() == other._key() if isinstance(other, Sampling) else NotImplemented
@@ -397,18 +386,13 @@ def validate_sampling(s):
     w, sizes = s.window, s.sizes
     if len(sizes) != len(w):
         return [SamplingViolation(None, None, f"assign has {len(sizes)} entries for a window of {len(w)}")]
-    if s._labels is None and sizes.all() and _above(w, np.repeat(np.arange(len(w)), sizes), s._flat).all():
+    if sizes.all() and _above(w, np.repeat(np.arange(len(w)), sizes), s.flat).all():
         return []
     violations = []
     for i, eta_i in s.items():
         if not eta_i:
             violations.append(SamplingViolation(i, None, "empty candidate set"))
-            continue
-        for j in eta_i:
-            if j not in w:
-                violations.append(SamplingViolation(i, j, "not a window element"))
-            elif not w.leq(i, j):
-                violations.append(SamplingViolation(i, j, "not in the up-set"))
+        violations += [SamplingViolation(i, j, "not in the up-set") for j in eta_i if not w.leq(i, j)]
     return violations
 
 
@@ -488,9 +472,9 @@ def random_samplings(window, rng, count):
     """The ``count`` random valid samplings that ``count`` calls of :func:`random_sampling` would draw.
 
     Each eta_i is a nonempty subset of the up-set of i, decoded from ranks
-    to positions: the owner's position plus the rank on a chain, mixed
-    radix over the orthant's sides on a grid, and an index into the
-    up-set's run elsewhere.  Positions are then sorted within each block.
+    to positions by mixed radix over the orthant's sides on a grid (a chain
+    is the 1-D grid), and by index into the up-set's run elsewhere.
+    Positions are then sorted within each block.
     """
     n, shape = len(window), window.grid_shape()
     if shape is None:
@@ -503,8 +487,6 @@ def random_samplings(window, rng, count):
     owner = np.repeat(np.arange(len(counts)) % n, counts)
     if shape is None:
         at = ups[(np.cumsum(sizes) - sizes)[owner] + q]
-    elif window.is_chain():
-        at = owner + q
     else:
         at, stride = owner, 1
         for axis in reversed(range(len(shape))):  # least significant axis first

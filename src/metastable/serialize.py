@@ -163,9 +163,9 @@ def window_from_dict(doc):
 
 
 def sampling_to_dict(s):
-    # Each set in window enumeration order: its run of positions, sorted.  Omega elements are their positions.
+    # Each set in window enumeration order: its run of positions, sorted.
     els, ends = s.window.elements, np.cumsum(s.sizes).tolist()
-    labels = s.flat.tolist() if s.window.kind == OMEGA else [_label_to_json(els[p]) for p in s.flat.tolist()]
+    labels = [_label_to_json(els[p]) for p in s.flat.tolist()]
     assign = [labels[a:b] for a, b in zip([0] + ends, ends)]
     return _versioned({"type": "sampling", "window": window_to_dict(s.window), "assign": assign})
 

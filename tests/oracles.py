@@ -180,9 +180,7 @@ def brute_validate_sampling(s):
         if not block:
             found.append(SamplingViolation(i, None, "empty candidate set"))
         for j in block:
-            if j not in w.elements:
-                found.append(SamplingViolation(i, j, "not a window element"))
-            elif j not in brute_up_set(w, i):
+            if j not in brute_up_set(w, i):
                 found.append(SamplingViolation(i, j, "not in the up-set"))
     return found
 

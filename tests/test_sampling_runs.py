@@ -2,8 +2,9 @@
 
 Every builder must give the sampling that the label-by-label construction
 in ``oracles`` gives: the same label sets, equal and hashing alike, with
-positions sorted within each block.  Validation must list what a filter
-through ``brute_up_set`` finds, and the random-k suite must stay small.
+positions sorted within each block.  A label naming no element is refused
+when the sampling is built.  Validation must list what a filter through
+``brute_up_set`` finds, and the random-k suite must stay small.
 """
 
 import random
@@ -13,17 +14,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metastable import (
+    Net,
     Sampling,
+    WindowError,
     build_sampling_suite,
     doubling_sampling,
+    find_witness,
     identity_sampling,
     induced_sampling,
     make_omega_window,
     product,
     random_samplings,
     successor_sampling,
+    unit_interval_space,
     validate_sampling,
 )
+from metastable.order import CUSTOM, DirectedWindow, up_runs
 from metastable.serialize import sampling_from_dict, sampling_to_dict, window_to_dict
 from oracles import (
     brute_validate_sampling,
@@ -83,9 +89,9 @@ def test_builders_equal_the_label_set_constructions(w, seed, count):
 
 
 @st.composite
-def label_blocks(draw, w, length=None):
-    """One set of labels per element (``length`` sets), elements and non-elements mixed."""
-    labels = st.sampled_from([*w.elements, *NON_ELEMENTS])
+def label_blocks(draw, w, length=None, strays=()):
+    """One set of labels per element (``length`` sets) drawn from the elements and ``strays``."""
+    labels = st.sampled_from([*w.elements, *strays])
     n = len(w) if length is None else length
     return draw(st.lists(st.sets(labels, max_size=3), min_size=n, max_size=n))
 
@@ -94,16 +100,20 @@ def label_blocks(draw, w, length=None):
 @given(st.data())
 def test_from_function_and_the_decoder_equal_the_label_sets(data):
     w = data.draw(windows())
-    blocks = data.draw(label_blocks(w))
+    blocks = data.draw(label_blocks(w, strays=NON_ELEMENTS))
     fn = dict(zip(w.elements, blocks)).__getitem__
+    doc = _sampling_doc(w, blocks)
+    if any(j in NON_ELEMENTS for block in blocks for j in block):
+        for build in (lambda: Sampling.from_function(w, fn), lambda: Sampling(w, blocks), lambda: sampling_from_dict(doc)):
+            with pytest.raises(WindowError, match="is not an element of this window"):
+                build()
+        return
     s = Sampling.from_function(w, fn)
     assert s.assign == label_from_function(w, fn) == tuple(map(frozenset, blocks))
-    doc = _sampling_doc(w, blocks)
     decoded = sampling_from_dict(doc)
     assert decoded.assign == label_decode(doc) and decoded == s and hash(decoded) == hash(s)
-    if not any(j in NON_ELEMENTS for block in blocks for j in block):
-        flat, sizes = positions_of(w, s.assign)
-        assert (s.flat.tolist(), s.sizes.tolist()) == (flat, sizes)
+    flat, sizes = positions_of(w, s.assign)
+    assert (s.flat.tolist(), s.sizes.tolist()) == (flat, sizes)
 
 
 @settings(max_examples=300, deadline=None)
@@ -119,9 +129,8 @@ def test_validate_sampling_lists_what_the_up_set_filter_finds(data):
     "blocks, reasons",
     [
         ([{"bot"}, set(), {"top"}, {"top"}], ["empty candidate set"]),
-        ([{"bot", "zz"}, {"a"}, {"b"}, {"top"}], ["not a window element"]),
         ([{"a"}, {"b", "top"}, {"b"}, {"bot"}], ["not in the up-set", "not in the up-set"]),
-        ([{"bot"}, set(), {"zz", "b"}, {"a", "top"}], ["empty candidate set", "not a window element", "not in the up-set"]),
+        ([{"bot"}, set(), {"a", "b"}, {"a", "top"}], ["empty candidate set", "not in the up-set", "not in the up-set"]),
         ([{"bot"}, {"a"}, {"b"}], ["assign has 3 entries for a window of 4"]),
         ([{"bot"}, {"a"}, {"b"}, {"top"}, {"top"}], ["assign has 5 entries for a window of 4"]),
     ],
@@ -133,14 +142,13 @@ def test_each_kind_of_violation_matches_the_oracle(blocks, reasons):
     assert sorted(v.reason for v in found) == sorted(reasons)
 
 
-def test_a_label_naming_no_element_has_no_positions():
-    s = Sampling(make_omega_window(3), [{0}, {1, 9}, {2}])
-    assert s.at(1) == frozenset({1, 9})
-    assert s != Sampling(make_omega_window(3), [{0}, {1}, {2}])
-    with pytest.raises(ValueError):
-        s.flat
-    with pytest.raises(ValueError):
-        sampling_to_dict(s)
+def test_a_label_naming_no_element_is_refused():
+    w = make_omega_window(3)
+    with pytest.raises(WindowError, match="9 is not an element"):
+        Sampling(w, [{0}, {1, 9}, {2}])
+    doc = _sampling_doc(w, [[0], [1, 9], [2]])
+    with pytest.raises(WindowError, match="9 is not an element"):
+        sampling_from_dict(doc)
 
 
 def test_suite_memory_is_bounded_and_builds_no_label_view(monkeypatch):
@@ -163,3 +171,34 @@ def test_suite_memory_is_bounded_and_builds_no_label_view(monkeypatch):
     assert len(suite) == 11
     # Measured with label-set samplings: 1,241 KB held, 1,507 KB at the peak.
     assert held <= 400 * 1024 and peak <= 750 * 1024
+
+
+def test_custom_window_order_tests_read_the_stored_matrix_once():
+    # A bottom, 498 incomparable elements and a top, built unvalidated (validation is cubic).
+    # Each up-set, validation or up-run pass reads rows or entries of the order matrix kept at
+    # construction; converting the 500 x 500 stored tuples again would take 250 KB each time.
+    n = 500
+    leq = tuple(tuple(p == q or p == 0 or q == n - 1 for q in range(n)) for p in range(n))
+    join = tuple(tuple(p if p == q else max(p, q) if 0 in (p, q) else n - 1 for q in range(n)) for p in range(n))
+    w = DirectedWindow(CUSTOM, range(n), leq_matrix=leq, join_table=join)
+    assert w.up_set(7) == (7, n - 1) and len(w.up_set(0)) == n
+    s = identity_sampling(w)
+    tracemalloc.start()
+    try:
+        for e in range(20):
+            w.up_set(e)
+        assert validate_sampling(s) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024
+    flat, sizes = up_runs(w)
+    assert sizes.tolist() == [n] + [2] * (n - 2) + [1] and flat[:n].tolist() == list(range(n))
+
+
+def test_a_first_witness_scan_builds_only_the_sets_it_reads(monkeypatch):
+    w = make_omega_window(2**16)
+    a = Net(w, unit_interval_space(), (0.5,) * len(w))
+    at, built = Sampling.at, []
+    monkeypatch.setattr(Sampling, "at", lambda s, i: built.append(i) or at(s, i))
+    assert find_witness(a, 0.1, successor_sampling(w)) == 0 and built == [0]
