@@ -33,6 +33,7 @@ from .order import (
     WindowError,
     make_omega_window,
     successor_sampling,
+    up_runs,
 )
 from .space import binary_space, unit_interval_space
 
@@ -138,9 +139,9 @@ def _nonincreasing(window, values):
     x = np.asarray(values)
     if window.is_chain():
         return (x[..., :-1] >= x[..., 1:]).all(axis=-1)
-    ok, index = True, window.index
-    for p, i in enumerate(window.elements):
-        ok = ok & (x[..., [p]] >= x[..., [index(j) for j in window.up_set(i)]]).all(axis=-1)
+    ok, (flat, sizes) = True, up_runs(window)
+    for p, up in enumerate(np.split(flat, np.cumsum(sizes)[:-1])):
+        ok = ok & (x[..., [p]] >= x[..., up]).all(axis=-1)
     return ok
 
 
@@ -317,9 +318,8 @@ def refute_C(s, window, eps):
     _require_refutation_eps(eps)
     s = _candidate_set(s, window)
     bound = window.join_all(s)
-    above = window.strictly_above(bound)
-    k = next(iter(above), None)
-    l = next((e for e in above if e != k and window.leq(k, e)), None) if k is not None else None
+    k = next(iter(window.strictly_above(bound)), None)
+    l = next(iter(window.strictly_above(k)), None) if k is not None else None
     if l is None:
         raise FamilyError("window has no two elements strictly above the candidate set")
     eta = Sampling.from_function(

@@ -399,28 +399,15 @@ def tail_diameters(s):
     w, m, n = s.window, len(s), len(s.window)
     shape = w.grid_shape()
     if s.space.is_scalar():
-        tails = tail_maxima(w, s.array) - tail_maxima(w, s.array, np.minimum)
-    elif shape is None:
-        tails = run_diameters(s, *up_runs(w))
-    else:
-        # A position is the sum of its coordinates' shares (coordinate times
-        # stride), so a meet's position sums the smaller share on each axis.
-        # Positions are cut into bands; each band is paired with every later
-        # position, and the pairs inside each band come last.
-        strides = np.cumprod((*shape[1:], 1)[::-1])[::-1]
-        shares = np.indices(shape).reshape(len(shape), -1) * strides[:, None]
-        positions = np.arange(n)
-        step = max(1, PAIR_CHUNK // n)
-
-        def meet(p, q):
-            return sum(np.minimum(c[p], c[q]) for c in shares)
-
-        bands = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-        across = ((positions[lo:hi, None], positions[None, hi:]) for lo, hi in bands if hi < n)
-        within = ((p, q) for p, q, _ in _run_pairs([hi - lo for lo, hi in bands]))
-        chunks = ((p, q, meet(p, q)) for p, q in itertools.chain(across, within))
-        tails = tail_maxima(w, group_max_distances(s, _per_member(chunks, m, n, n), m * n).reshape(m, n))
-    return tails
+        return tail_maxima(w, s.array) - tail_maxima(w, s.array, np.minimum)
+    if shape is None:
+        return run_diameters(s, *up_runs(w))
+    # A position is the sum of its coordinates' shares (coordinate times
+    # stride), so a meet's position sums the smaller share on each axis.
+    strides = np.cumprod((*shape[1:], 1)[::-1])[::-1]
+    shares = np.indices(shape).reshape(len(shape), -1) * strides[:, None]
+    chunks = ((p, q, sum(np.minimum(c[p], c[q]) for c in shares)) for p, q, _ in _run_pairs([n]))
+    return tail_maxima(w, group_max_distances(s, _per_member(chunks, m, n, n), m * n).reshape(m, n))
 
 
 def target_distances(s):

@@ -62,14 +62,13 @@ class DirectedWindow:
     upper bound; its table holds element positions, so it stays inside).
     """
 
-    __slots__ = ("kind", "_elements", "_index", "_factors", "_leq", "_order", "_join", "_chain", "_shape", "_top")
+    __slots__ = ("kind", "_elements", "_index", "_factors", "_order", "_join", "_chain", "_shape", "_top")
 
     def __init__(self, kind, elements, factors=None, leq_matrix=None, join_table=None):
         self.kind = kind
         self._elements = tuple(elements)
         self._index = {e: p for p, e in enumerate(self._elements)}
         self._factors = factors
-        self._leq = leq_matrix
         self._order = None if leq_matrix is None else np.array(leq_matrix, bool)  # what _above reads
         self._join = join_table
         if not self._elements:
@@ -127,12 +126,7 @@ class DirectedWindow:
 
     def leq(self, a, b):
         """Whether ``a`` precedes (or equals) ``b`` in the window order."""
-        if self._chain:
-            return self.index(a) <= self.index(b)
-        if self.kind == PRODUCT:
-            d, e = self._factors
-            return d.leq(a[0], b[0]) and e.leq(a[1], b[1])
-        return self._leq[self.index(a)][self.index(b)]
+        return bool(_above(self, self.index(a), self.index(b)))
 
     def join(self, a, b):
         """The chosen explicit upper bound of ``a`` and ``b``, an element of the window."""
@@ -155,12 +149,8 @@ class DirectedWindow:
         return reduce(self.join, ordered)
 
     def up_set(self, a):
-        """All elements ``b`` with ``a`` <= ``b``, in enumeration order: a tail on a chain,
-        else read off positions (see :func:`up_runs`), with no ``leq`` calls."""
-        p = self.index(a)
-        if self._chain:
-            return self._elements[p:]
-        return tuple(itertools.compress(self._elements, _above(self, p, np.arange(len(self)))))
+        """All elements ``b`` with ``a`` <= ``b``, in enumeration order, read off positions."""
+        return tuple(itertools.compress(self._elements, _above(self, self.index(a), np.arange(len(self)))))
 
     def strictly_above(self, a):
         """Elements strictly above ``a``, in enumeration order."""
@@ -191,25 +181,27 @@ class DirectedWindow:
         return self._top
 
     def validate(self):
-        """Re-verify the partial-order and majorization invariants.
-
-        Omega and product windows satisfy these by construction; this full
-        check is O(n^3) and intended for custom windows and for tests.
-        """
-        els = self._elements
-        for a in els:
-            if not self.leq(a, a):
-                raise WindowError(f"order not reflexive at {a!r}")
-        for a, b in itertools.combinations(els, 2):
-            if self.leq(a, b) and self.leq(b, a):
-                raise WindowError(f"order not antisymmetric on {a!r}, {b!r}")
-        for a, b, c in itertools.product(els, repeat=3):
-            if self.leq(a, b) and self.leq(b, c) and not self.leq(a, c):
-                raise WindowError(f"order not transitive on {a!r}, {b!r}, {c!r}")
-        for a, b in itertools.product(els, repeat=2):
-            j = self.join(a, b)
-            if not (self.leq(a, j) and self.leq(b, j)):
-                raise WindowError(f"join({a!r},{b!r}) = {j!r} is not an upper bound")
+        """Re-verify the partial-order and majorization invariants (omega and product windows satisfy them
+        by construction) by boolean-matrix passes over the order matrix, its rows as bits, and the join table."""
+        els, p = self._elements, np.arange(len(self))
+        above = _above(self, p[:, None], p)
+        if not above.diagonal().all():
+            raise WindowError(f"order not reflexive at {els[np.argmin(above.diagonal())]!r}")
+        both = np.argwhere(np.triu(above & above.T, 1))
+        if len(both):
+            raise WindowError(f"order not antisymmetric on {els[both[0, 0]]!r}, {els[both[0, 1]]!r}")
+        rows, lacks, broken = np.packbits(above, axis=1), np.packbits(~above, axis=1), np.zeros(len(p), bool)
+        for b in p:  # a <= b whose row has a bit that a's row lacks: some c has a <= b <= c, not a <= c
+            broken |= above[:, b] & (rows[b] & lacks).any(axis=1)
+        if broken.any():
+            a = broken.argmax()
+            b, c = np.argwhere(above[a][:, None] & above & ~above[a])[0]
+            raise WindowError(f"order not transitive on {els[a]!r}, {els[b]!r}, {els[c]!r}")
+        join = np.array(self._join if self.kind == CUSTOM else [[self.index(self.join(a, b)) for b in els] for a in els])
+        bad = np.argwhere(~(above[p[:, None], join] & above[p, join]))
+        if len(bad):
+            a, b = bad[0]
+            raise WindowError(f"join({els[a]!r},{els[b]!r}) = {els[join[a, b]]!r} is not an upper bound")
 
     # -- equality is structural -------------------------------------------
 
@@ -218,7 +210,7 @@ class DirectedWindow:
             return (self.kind, len(self._elements))
         if self.kind == PRODUCT:
             return (self.kind, self._factors)
-        return (self.kind, self._elements, self._leq, self._join)
+        return (self.kind, self._elements, self._order.tobytes(), self._join)
 
     def __eq__(self, other):
         if other is self:
@@ -275,7 +267,6 @@ def make_custom_window(elements, leq, join):
         raise WindowError("leq matrix entries must be 0, 1, True or False")
     if any(type(v) is not int or not 0 <= v < n for row in join_table for v in row):
         raise WindowError(f"join table entries must be element positions in range({n})")
-    leq_matrix = tuple(tuple(map(bool, row)) for row in leq_matrix)
     w = DirectedWindow(CUSTOM, elements, leq_matrix=leq_matrix, join_table=join_table)
     w.validate()
     return w
@@ -292,8 +283,8 @@ def product(d, e):
 
 
 def _above(w, p, q):
-    # Whether position q is at or above p, over integer arrays: on a chain by position, on a
-    # product by its factors' positions (p = p_d * |e| + p_e), elsewhere from the leq matrix.
+    # The window order: whether position q is at or above p, over integer arrays; on a chain by
+    # position, on a product by its factors' positions (p = p_d * |e| + p_e), else the order matrix.
     if w.is_chain():
         return q >= p
     if w.kind == PRODUCT:

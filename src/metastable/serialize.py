@@ -139,8 +139,7 @@ def window_to_dict(w):
         doc["factors"] = [window_to_dict(f) for f in w.factors]
     else:
         doc["elements"] = [_label_to_json(e) for e in w.elements]
-        doc["leq"] = [[1 if w.leq(a, b) else 0 for b in w.elements] for a in w.elements]
-        doc["join"] = [[w.index(w.join(a, b)) for b in w.elements] for a in w.elements]
+        doc["leq"], doc["join"] = w._order.astype(int).tolist(), list(map(list, w._join))
     return _versioned(doc)
 
 
@@ -287,6 +286,8 @@ def rate_to_dict(rate):
 @_decoder
 def rate_from_dict(doc):
     _expect(doc, "rate")
+    if type(doc["thresholds"]) is not list or type(doc["pointed"]) is not bool:
+        raise SchemaError("a rate's thresholds must be a JSON list and its pointed flag a JSON bool")
     samplings = {sid: sampling_from_dict(s) for sid, s in doc["samplings"].items()}
     table = {}
     for entry in doc["table"]:

@@ -55,9 +55,43 @@ def windows():
     return st.recursive(base, lambda inner: st.tuples(inner, inner).map(lambda de: product(*de)), max_leaves=3)
 
 
+def brute_leq(window, a, b):
+    """The window order by labels, apart from the library's positional test: index
+    order on a chain, componentwise over a product's label parts, else the entry
+    of the custom window's order matrix."""
+    if window.is_chain():
+        return window.index(a) <= window.index(b)
+    if window.factors is not None:
+        d, e = window.factors
+        return brute_leq(d, a[0], b[0]) and brute_leq(e, a[1], b[1])
+    return bool(window._order[window.index(a), window.index(b)])
+
+
 def brute_up_set(window, a):
-    """Elements ``b`` with ``a`` <= ``b``, by filtering the window through ``leq``."""
-    return tuple(b for b in window.elements if window.leq(a, b))
+    """Elements ``b`` with ``a`` <= ``b``, by filtering the window through ``brute_leq``."""
+    return tuple(b for b in window.elements if brute_leq(window, a, b))
+
+
+def brute_validate_window(elements, leq, join):
+    """The message of the first window invariant that order data breaks, else None,
+    checked loop by loop over labels: ``leq`` a predicate and ``join`` a binary
+    callable on them.  Reflexivity by element, antisymmetry over pairs listed
+    earlier-first, transitivity over triples and the join over pairs, each in
+    enumeration (product) order."""
+    for a in elements:
+        if not leq(a, a):
+            return f"order not reflexive at {a!r}"
+    for a, b in itertools.combinations(elements, 2):
+        if leq(a, b) and leq(b, a):
+            return f"order not antisymmetric on {a!r}, {b!r}"
+    for a, b, c in itertools.product(elements, repeat=3):
+        if leq(a, b) and leq(b, c) and not leq(a, c):
+            return f"order not transitive on {a!r}, {b!r}, {c!r}"
+    for a, b in itertools.product(elements, repeat=2):
+        j = join(a, b)
+        if not (leq(a, j) and leq(b, j)):
+            return f"join({a!r},{b!r}) = {j!r} is not an upper bound"
+    return None
 
 
 def brute_witness(a, eps, eta):
@@ -247,17 +281,17 @@ def eventually_constant_net(window, rng, limit=None):
 
 
 def brute_nonincreasing(window, values):
-    """Whether ``values`` never rises along the order: every ``leq`` pair, by filter."""
+    """Whether ``values`` never rises along the order: every ``brute_leq`` pair, by filter."""
     pos = {e: p for p, e in enumerate(window.elements)}
     return all(
         values[pos[i]] >= values[pos[j]]
         for i, j in itertools.permutations(window.elements, 2)
-        if window.leq(i, j)
+        if brute_leq(window, i, j)
     )
 
 
 def brute_eventually_zero(window, values):
-    """Whether some element's whole up-set (by ``leq`` filter) carries 0."""
+    """Whether some element's whole up-set (by ``brute_leq`` filter) carries 0."""
     pos = {e: p for p, e in enumerate(window.elements)}
     return any(all(values[pos[j]] == 0 for j in brute_up_set(window, i)) for i in window.elements)
 

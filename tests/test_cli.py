@@ -116,6 +116,16 @@ class TestVerify:
         bad.write_text(json.dumps(doc))
         assert main(["verify", "--family", str(fam), "--rate", str(bad), "--eps", "0.5"]) == 3
 
+    @pytest.mark.parametrize("key, value", [("pointed", "false"), ("pointed", 1), ("thresholds", "0.5")])
+    def test_rate_fields_are_not_coerced(self, omega6_b, tmp_path, capsys, key, value):
+        # "false" and 1 ran verify in pointed mode; "0.5" became the thresholds "0", ".", "5".
+        fam, rate = omega6_b
+        doc = {**json.loads(rate.read_text()), key: value}
+        bad = tmp_path / "coerced.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", "--family", str(fam), "--rate", str(bad), "--eps", "0.5"]) == 4
+        assert "JSON" in capsys.readouterr().err
+
     def test_member_cap_boundary(self):
         # C on an n-chain has 2**(n-1) members: 4096 at n = 13, 8192 at n = 14.
         assert len(_family_nets(FamilySpec("C", make_omega_window(13)))) == FAMILY_MEMBER_CAP

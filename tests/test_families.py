@@ -411,8 +411,8 @@ class TestInvariantFastPaths:
         monkeypatch.setattr(DirectedWindow, "leq", counting)
         got = members("B", make_omega_window(128))
         assert len(got) == 129 and calls == []
-        brute_nonincreasing(make_omega_window(4), (1, 1, 0, 0))
-        assert len(calls) == 12  # the counter does see the oracle's filter
+        make_omega_window(4).leq(1, 2)
+        assert len(calls) == 1  # the counter does see leq
 
 
 class TestSpecParameters:

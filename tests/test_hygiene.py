@@ -190,6 +190,13 @@ def test_sampling_labels_stay_at_the_boundary(path):
     assert attribute_reads(ast.parse(path.read_text()), "assign") == []
 
 
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "order.py"], ids=lambda p: p.name)
+def test_the_window_order_is_read_by_position_outside_order(path):
+    # order._above is the one implementation of the window order; the rest of
+    # the package reads up-sets, up-runs and matrices, not label-pair ``leq`` calls.
+    assert attribute_reads(ast.parse(path.read_text()), "leq") == []
+
+
 def test_scan_flags_attribute_reads():
     tree = ast.parse(
         "a = eta.assign\n"

@@ -1,7 +1,9 @@
+import functools
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from metastable import (
     Sampling,
@@ -18,8 +20,37 @@ from metastable import (
     validate_sampling,
 )
 from metastable import order
-from metastable.order import WINDOW_CAP
-from oracles import all_samplings, brute_up_set, diamond, label_chain, windows
+from metastable.order import WINDOW_CAP, DirectedWindow
+from metastable.serialize import window_to_dict
+from oracles import all_samplings, brute_leq, brute_up_set, brute_validate_window, diamond, label_chain, windows
+
+
+@st.composite
+def order_data(draw):
+    """Elements, a 0/1 order matrix and a join table on at most 6 elements, repaired
+    to a random depth: raw, reflexive, also antisymmetric, also transitive (then
+    listed in a random order), with each join an upper bound where one exists, mostly."""
+    n = draw(st.integers(1, 6))
+    rel = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n))
+    depth = draw(st.integers(0, 3))
+    if depth >= 1:
+        rel = [[r[q] or p == q for q in range(n)] for p, r in enumerate(rel)]
+    if depth >= 2:
+        rel = [[r[q] and p <= q for q in range(n)] for p, r in enumerate(rel)]
+    if depth >= 3:
+        for b, a, c in itertools.product(range(n), repeat=3):
+            rel[a][c] = rel[a][c] or (rel[a][b] and rel[b][c])
+    perm = draw(st.permutations(range(n)))
+    rel = [[int(rel[perm[p]][perm[q]]) for q in range(n)] for p in range(n)]
+    join = []
+    for p in range(n):
+        row = []
+        for q in range(n):
+            bounds = [r for r in range(n) if rel[p][r] and rel[q][r]]
+            free = not bounds or draw(st.integers(0, 9)) == 0
+            row.append(draw(st.integers(0, n - 1)) if free else draw(st.sampled_from(bounds)))
+        join.append(row)
+    return [f"e{p}" for p in range(n)], rel, join
 
 
 class TestOmegaWindow:
@@ -111,6 +142,32 @@ class TestCustomWindow:
             w = make_custom_window([0, 1], [[one, one], [zero, one]], [[0, 1], [1, 1]])
             assert w.leq(0, 1) and not w.leq(1, 0) and w.is_chain()
 
+    @settings(max_examples=400, deadline=None)
+    @given(order_data())
+    def test_validation_names_the_oracles_first_offender(self, data):
+        elements, rel, join = data
+        pos = {e: p for p, e in enumerate(elements)}
+        expected = brute_validate_window(
+            elements, lambda a, b: rel[pos[a]][pos[b]], lambda a, b: elements[join[pos[a]][pos[b]]]
+        )
+        try:
+            make_custom_window(elements, rel, join)
+        except WindowError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+
+    def test_building_and_encoding_a_custom_chain_makes_no_leq_call(self, monkeypatch):
+        def refuse(self, a, b):
+            raise AssertionError(f"leq({a!r}, {b!r}) called")
+
+        monkeypatch.setattr(DirectedWindow, "leq", refuse)
+        n = 300
+        rel = [[p <= q for q in range(n)] for p in range(n)]
+        w = make_custom_window(range(n), rel, [[max(p, q) for q in range(n)] for p in range(n)])
+        doc = window_to_dict(w)
+        assert w.is_chain() and doc["leq"] == [[int(v) for v in row] for row in rel] and doc["join"][7][3] == 7
+
     def test_join_not_upper_bound_rejected(self):
         leq = lambda x, y: x <= y
         with pytest.raises(WindowError):
@@ -187,6 +244,16 @@ class TestChainFact:
                 build(w)
         chain = label_chain(["a", "b", "c"])
         assert validate_sampling(build(chain)) == []
+
+
+class TestLeq:
+    @settings(max_examples=300, deadline=None)
+    @given(windows())
+    def test_leq_matches_the_label_rule(self, w):
+        for a, b in itertools.product(w.elements, repeat=2):
+            assert w.leq(a, b) is brute_leq(w, a, b)
+        assert brute_validate_window(w.elements, functools.partial(brute_leq, w), w.join) is None
+        w.validate()
 
 
 class TestUpSet:

@@ -174,9 +174,9 @@ def test_suite_memory_is_bounded_and_builds_no_label_view(monkeypatch):
 
 
 def test_custom_window_order_tests_read_the_stored_matrix_once():
-    # A bottom, 498 incomparable elements and a top, built unvalidated (validation is cubic).
-    # Each up-set, validation or up-run pass reads rows or entries of the order matrix kept at
-    # construction; converting the 500 x 500 stored tuples again would take 250 KB each time.
+    # A bottom, 498 incomparable elements and a top, built unvalidated. Each up-set, validation
+    # or up-run pass reads rows or entries of the order matrix kept at construction; converting
+    # the 500 x 500 input tuples again would take 250 KB each time.
     n = 500
     leq = tuple(tuple(p == q or p == 0 or q == n - 1 for q in range(n)) for p in range(n))
     join = tuple(tuple(p if p == q else max(p, q) if 0 in (p, q) else n - 1 for q in range(n)) for p in range(n))

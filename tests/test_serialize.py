@@ -353,6 +353,12 @@ class TestDocumentsAsWritten:
         with pytest.raises(RateError, match="duplicate rate entry"):
             rate_from_dict(doc)
 
+    @pytest.mark.parametrize("key, value", [("pointed", "false"), ("pointed", 1), ("pointed", None), ("thresholds", "0.5")])
+    def test_rate_pointed_is_a_bool_and_thresholds_a_list(self, key, value):
+        with pytest.raises(SchemaError, match="JSON"):
+            rate_from_dict(_set(_rate_doc(), [key], value))
+        assert rate_from_dict(_set(_rate_doc(), ["pointed"], True)).pointed is True
+
     def test_rate_without_samplings_rejected(self):
         doc = {**_rate_doc(), "samplings": {}, "table": []}
         with pytest.raises(RateError, match="at least one sampling"):
