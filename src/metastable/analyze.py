@@ -137,7 +137,7 @@ class AnalysisReport:
     window_size: int
     eps_grid: tuple
     sampling_ids: tuple
-    cells: tuple  # AnalysisCell, ordered by (eps desc, sampling id)
+    cells: tuple  # AnalysisCell, by eps descending, then in the suite's own order
     cauchy_indices: tuple  # per net: tuple of (eps, index-or-None)
     refuted: bool  # some cell left a net without any witness
 
@@ -186,9 +186,10 @@ def empirical_rate(family, eps_grid, sampling_suite):
     """Per-(eps, sampling) witness tables plus greedy minimal covering sets.
 
     ``sampling_suite`` maps sampling ids to samplings on the family's
-    window.  Finding a true minimal set is set-cover-hard; the greedy
-    cover is deterministic and every element of it is certified by
-    re-validation against the witness checker.
+    window; a tolerance given twice raises ValueError.  Finding a true
+    minimal set is set-cover-hard; the greedy cover is deterministic and
+    every element of it is certified by re-validation against the witness
+    checker.
 
     The family is stacked once; its tail diameters (for the Cauchy
     indices) and its block diameters over the whole suite are each one
@@ -204,6 +205,9 @@ def empirical_rate(family, eps_grid, sampling_suite):
         raise ValueError("empty tolerance grid or sampling suite")
     window, els = family.window, family.window.elements
     eps_grid = tuple(sorted(eps_grid, reverse=True))
+    repeated = [x for x, y in zip(eps_grid, eps_grid[1:]) if x == y]  # one cell per tolerance, as in a Rate
+    if repeated:
+        raise ValueError(f"tolerance {repeated[0]!r} is repeated in the grid")
     matrix = block_diameters(family, *sampling_suite.values())
     diameters = matrix.reshape(len(family), len(sampling_suite), len(window)).transpose(1, 0, 2)
     cells = []

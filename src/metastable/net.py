@@ -125,7 +125,7 @@ class StackedFamily:
         if not rows:
             raise ValueError("empty family")
         n, given = len(window), [t for t in targets if t is not None]
-        x = _bulk(space, rows) if all(len(row) == n for row in rows) else None
+        x = _bulk(space, rows) if {n}.issuperset(map(len, rows)) else None
         if x is None or given and _bulk(space, [given]) is None:
             for row, t in zip(rows, targets):
                 if len(row) != n:

@@ -318,10 +318,15 @@ class Sampling:
     """
 
     def __new__(cls, window, assign):
-        blocks = tuple(map(frozenset, assign))
-        labels, sizes = list(itertools.chain.from_iterable(blocks)), list(map(len, blocks))
-        flat = np.fromiter(map(window.index, labels), np.intp, len(labels))  # a label naming no element raises
-        return cls._of_runs(window, _sorted_runs(flat, sizes, len(window)), sizes)
+        blocks = tuple(assign)
+        sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
+        try:
+            flat = np.fromiter(map(window._index.__getitem__, itertools.chain.from_iterable(blocks)), np.intp, sizes.sum())
+        except KeyError as exc:
+            raise WindowError(f"{exc.args[0]!r} is not an element of this window") from None
+        flat, owner = _sorted_runs(flat, sizes, len(window)), np.repeat(np.arange(len(sizes)), sizes)
+        once = (np.diff(flat, prepend=-1) != 0) | (np.diff(owner, prepend=-1) != 0)  # a label given twice counts once
+        return cls._of_runs(window, flat[once], np.bincount(owner[once], minlength=len(sizes)))
 
     @classmethod
     def _of_runs(cls, window, flat, sizes):

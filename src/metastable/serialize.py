@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
+import math
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -68,9 +69,60 @@ class SchemaError(ValueError):
 def dumps(doc):
     """Canonical JSON text: sorted keys, stable separators, trailing newline.
 
-    NaN and infinities raise ValueError: they are not JSON.
+    Byte for byte ``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)``
+    and a newline.  NaN and infinities raise ValueError: they are not JSON.
     """
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    out = []
+    _write(doc, "\n", out.append)
+    return "".join(out) + "\n"
+
+
+def _float(x):
+    if math.isfinite(x):
+        return float.__repr__(x)
+    raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+
+
+_SCALARS = {str: _string, int: int.__repr__, float: _float, bool: ("false", "true").__getitem__, type(None): {None: "null"}.get}
+
+
+def _scalar(x):
+    # As the first type of its MRO that json writes: bool is no int, numpy float64 is a float.
+    for t in type(x).__mro__:
+        if t in _SCALARS:
+            return _SCALARS[t](x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _write(o, nl, put):
+    # ``o`` in pieces, entry by entry in document order, so the first fault raises
+    # what json raises; ``nl`` breaks and indents the line that ``o`` starts on.
+    if isinstance(o, dict):
+        inner = nl + "  "
+        pre, sep = "{" + inner, "," + inner
+        for k, v in sorted(o.items()):
+            pre += (_string(k) if isinstance(k, str) else '"' + _scalar(k) + '"') + ": "
+            encode = _SCALARS.get(type(v))
+            if encode is None:
+                put(pre)
+                _write(v, inner, put)
+            else:
+                put(pre + encode(v))
+            pre = sep
+        return put(nl + "}" if o else "{}")
+    if isinstance(o, (list, tuple)):
+        inner = nl + "  "
+        pre, sep = "[" + inner, "," + inner
+        for x in o:
+            encode = _SCALARS.get(type(x))
+            if encode is None:
+                put(pre)
+                _write(x, inner, put)
+            else:
+                put(pre + encode(x))
+            pre = sep
+        return put(nl + "]" if o else "[]")
+    return put(_scalar(o))
 
 
 def _decoder(fn):
@@ -163,8 +215,9 @@ def window_from_dict(doc):
 
 def sampling_to_dict(s):
     # Each set in window enumeration order: its run of positions, sorted.
-    els, ends = s.window.elements, np.cumsum(s.sizes).tolist()
-    labels = [_label_to_json(els[p]) for p in s.flat.tolist()]
+    ends, labels = np.cumsum(s.sizes).tolist(), list(map(s.window.elements.__getitem__, s.flat.tolist()))
+    if s.window.kind != OMEGA:  # only product and custom windows have labels that can be tuples
+        labels = list(map(_label_to_json, labels))
     assign = [labels[a:b] for a, b in zip([0] + ends, ends)]
     return _versioned({"type": "sampling", "window": window_to_dict(s.window), "assign": assign})
 
@@ -173,10 +226,12 @@ def sampling_to_dict(s):
 def sampling_from_dict(doc):
     _expect(doc, "sampling")
     w = window_from_dict(doc["window"])
-    if type(doc["assign"]) is not list:
+    rows = doc["assign"]
+    if type(rows) is not list:
         raise SchemaError("a sampling's assign must be a JSON list of label lists")
-    rows = [_labels(row) for row in doc["assign"]]
-    _named(w, [j for row in rows for j in row])
+    if not {list}.issuperset(map(type, rows)) or list in set(map(type, itertools.chain.from_iterable(rows))):
+        rows = list(map(_labels, rows))  # names the first row that is no list; lists become tuples
+    _named(w, list(itertools.chain.from_iterable(rows)))
     return Sampling(w, rows)
 
 
@@ -188,7 +243,7 @@ def space_to_dict(space):
     if space.dim is not None:
         doc["dim"] = space.dim
     if space.symbols is not None:
-        doc["symbols"] = list(space.symbols)
+        doc["symbols"] = list(map(_label_to_json, space.symbols))
         doc["table"] = [list(row) for row in space.table]
     return _versioned(doc)
 
@@ -216,7 +271,7 @@ def net_to_dict(a):
             "type": "net",
             "window": window_to_dict(a.window),
             "space": space_to_dict(a.space),
-            "values": [_label_to_json(v) for v in a.values],
+            "values": list(a.values) if a.space.is_scalar() else list(map(_label_to_json, a.values)),
             "target": _label_to_json(a.target),
         }
     )
@@ -233,23 +288,24 @@ def _stack_from_dicts(docs):
     # values of all members are checked at once, as one StackedFamily.
     first = _expect(docs[0], "net")
     window, space = window_from_dict(first["window"]), space_from_dict(first["space"])
-    rows, targets = [], []
     for doc in docs:
-        _expect(doc, "net")
+        if doc.get("schema_version") != SCHEMA_VERSION or doc.get("type") != "net":
+            _expect(doc, "net")
         if doc["window"] != first["window"] and window_from_dict(doc["window"]) != window:
             raise WindowError("family members live on different windows")
         if doc["space"] != first["space"] and space_from_dict(doc["space"]) != space:
             raise SpaceError("family members take values in different spaces")
         if type(doc["values"]) is not list:
             raise SchemaError("a net's values must be a JSON list")
-        rows.append(doc["values"])
-        targets.append(_label_from_json(doc.get("target")))
-    if space.kind == EUCLIDEAN and not set(map(type, itertools.chain.from_iterable(rows))) <= {list}:
+    rows, targets = [doc["values"] for doc in docs], _labels([doc.get("target") for doc in docs])
+    points = itertools.chain.from_iterable
+    if space.kind == EUCLIDEAN and not set(map(type, points(rows))) <= {list}:
         raise SchemaError("a Euclidean point must be a JSON list of coordinates")
     if space.is_scalar():  # copied, so that the family shares no list with the document
         rows = list(map(tuple, rows))
-    else:  # only a JSON list becomes a tuple label
-        rows = [tuple(map(_label_from_json, row)) for row in rows]
+    else:  # only a JSON list becomes a tuple label; all coordinates scalar: each point one tuple
+        flat = space.kind == EUCLIDEAN and list not in set(map(type, points(points(rows))))
+        rows = [tuple(map(tuple if flat else _label_from_json, row)) for row in rows]
     try:
         return StackedFamily.from_rows(window, space, rows, targets)
     except SpaceError:

@@ -7,6 +7,7 @@ the library is a two-route check rather than a tautology.
 
 import csv
 import itertools
+import json
 
 from hypothesis import strategies as st
 
@@ -194,6 +195,11 @@ def label_from_function(window, fn):
 
 def _json_label(x):
     return tuple(map(_json_label, x)) if isinstance(x, list) else x
+
+
+def json_text(doc):
+    """Canonical JSON text by the stdlib encoder: what ``serialize.dumps`` must write."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def label_decode(doc):

@@ -131,6 +131,18 @@ class TestEmpiricalRate:
         with pytest.raises(ValueError, match="empty family"):
             cesaro_rotation_nets([], 8)
 
+    @pytest.mark.parametrize("grid", [[0.5, 0.5], [0.1, 0.5, 0.25, 0.5], [0.25, 0.5, 1 / 4]])
+    def test_a_repeated_tolerance_is_refused(self, grid):
+        # A second cell for one tolerance would repeat every cell and Cauchy pair of the first.
+        w = make_omega_window(4)
+        family = [Net(w, unit_interval_space(), (0.5, 0.25, 0.0, 0.0))]
+        suite = {"id": identity_sampling(w)}
+        repeated = 0.5 if grid.count(0.5) > 1 else 0.25
+        with pytest.raises(ValueError, match=f"tolerance {repeated} is repeated"):
+            empirical_rate(family, grid, suite)
+        with pytest.raises(ValueError, match=f"tolerance {repeated} is repeated"):
+            finite_space_ump_check({"x": family[0]}, grid, suite)
+
 
 class TestFiniteSpaceUmp:
     def test_compact_family_gets_sets(self):

@@ -561,6 +561,14 @@ class TestAnalyze:
         assert lines[0] == "eps,sampling_id,cover_size,uncovered"
         assert len(lines) == 1 + 2 * 3  # two tolerances, three suite samplings
 
+    def test_repeated_tolerance_exits_three(self, tmp_path, capsys):
+        csv_file = tmp_path / "a.csv"
+        csv_file.write_text("0.5\n0.25\n0.5\n")
+        out = tmp_path / "report.json"
+        code = main(["analyze", "--csv", str(csv_file), "--eps-grid", "0.5,0.5", "--suite", "identity", "--out", str(out)])
+        assert code == 3 and not out.exists()
+        assert "tolerance 0.5 is repeated" in capsys.readouterr().err
+
     def test_random_suite_requires_seed(self, tmp_path):
         csv_file = tmp_path / "data.csv"
         csv_file.write_text("0.5\n0.5\n")

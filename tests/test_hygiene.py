@@ -205,3 +205,36 @@ def test_scan_flags_attribute_reads():
         "assign = g(eta)\n"
     )
     assert attribute_reads(tree, "assign") == [1, 3]
+
+
+def json_text_writers(tree):
+    """Lines that call ``json.dump``/``json.dumps`` (also under another name) or import either from ``json``."""
+    names = {"dump", "dumps"}
+    aliases = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names if a.name == "json"}
+    imported = {
+        n.lineno: {a.asname or a.name for a in n.names if a.name in names}
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and n.module == "json"
+    }
+    calls = (n for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute))
+    lines = {n.lineno for n in calls if n.func.attr in names and getattr(n.func.value, "id", None) in aliases}
+    return sorted(lines | {line for line, found in imported.items() if found})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_serialize_dumps_is_the_one_json_text_writer(path):
+    # Every document leaves the package as serialize.dumps writes it: canonical, one writer.
+    assert json_text_writers(ast.parse(path.read_text())) == []
+
+
+def test_scan_flags_json_text_writers():
+    tree = ast.parse(
+        "import json\n"
+        "import json as j\n"
+        "from json import dumps as d, loads\n"
+        "from json.encoder import encode_basestring_ascii\n"
+        "json.dump(doc, fh)\n"
+        "x = j.dumps(doc) + json.loads(text)\n"
+        "y = serialize.dumps(doc)\n"
+    )
+    assert json_text_writers(tree) == [3, 5, 6]

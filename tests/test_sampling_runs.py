@@ -118,6 +118,18 @@ def test_from_function_and_the_decoder_equal_the_label_sets(data):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
+def test_repeated_labels_in_a_block_count_once(data):
+    w = data.draw(windows())
+    blocks = data.draw(st.lists(st.lists(st.sampled_from(w.elements), max_size=5), min_size=len(w), max_size=len(w)))
+    doc = _sampling_doc(w, blocks)
+    decoded = sampling_from_dict(doc)
+    assert decoded.assign == label_decode(doc)
+    assert (decoded.flat.tolist(), decoded.sizes.tolist()) == positions_of(w, decoded.assign)
+    assert Sampling(w, blocks) == decoded
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
 def test_validate_sampling_lists_what_the_up_set_filter_finds(data):
     w = data.draw(windows())
     length = data.draw(st.sampled_from([len(w)] * 4 + [len(w) - 1, len(w) + 1]))

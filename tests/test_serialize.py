@@ -230,8 +230,8 @@ class TestFamilies:
         monkeypatch.setattr(serialize, "_label_from_json", counted("labels", label))
         family = family_from_dict(docs)
         assert len(family) == 2048 and family[5].values == (1,) * 11 + (0,)
-        # One label call per member, for its target; none for its 12 values.
-        assert counts == {"contains": 0, "labels": 2048}
+        # No label call: neither the 12 values nor the scalar target of a member is a JSON list.
+        assert counts == {"contains": 0, "labels": 0}
 
     def test_a_list_value_on_a_binary_net_exits_3(self, tmp_path):
         from metastable.cli import main
@@ -254,6 +254,26 @@ class TestFamilies:
     def test_nested_label_lists_round_trip(self, space, values):
         nets = [Net(make_omega_window(2), space, v) for v in values]
         assert family_from_dict(json.loads(dumps([net_to_dict(a) for a in nets]))) == nets
+
+    @pytest.mark.parametrize(
+        "space, faults, error, message",
+        [
+            (binary_space(), [(700, ["schema_version"], 2), (1500, ["schema_version"], 3)], SchemaError, "unsupported schema_version 2"),
+            (binary_space(), [(700, ["type"], "window"), (1500, ["type"], "rate")], SchemaError, "expected a 'net' document, got 'window'"),
+            (binary_space(), [(700, ["window", "size"], 13), (1500, ["type"], "rate")], WindowError, "family members live on different windows"),
+            (binary_space(), [(700, ["values", 2], True), (1500, ["values", 0], 2)], SpaceError, "True is not a point"),
+            (binary_space(), [(700, ["target"], [0]), (1500, ["target"], [1])], SpaceError, r"\(0,\) is not a point"),
+            (euclidean_space(2), [(700, ["values", 1], [[0.5], 1.0]), (1500, ["values", 0], [[2.0], 0.0])], SpaceError, r"\(\(0.5,\), 1.0\) is not a point"),
+        ],
+    )
+    def test_a_bad_member_of_a_long_list_is_named_first(self, space, faults, error, message):
+        w = make_omega_window(3)
+        values = [(0.0, 1.0), (0.5, 0.5), (1, 0)] if space.kind == "euclidean" else (1, 0, 0)
+        docs = json.loads(dumps([net_to_dict(Net(w, space, values, target=values[-1])) for _ in range(2048)]))
+        for member, path, value in faults:
+            _set(docs[member], path, value)
+        with pytest.raises(error, match=f"^{message}"):
+            family_from_dict(docs)
 
     def test_equal_windows_spelled_differently_decode(self):
         # Schema 1 wrote chains as ordinal windows; both spellings name omega_3.
