@@ -51,6 +51,7 @@ __all__ = [
     "RefutationCertificate",
     "BRUTE_FORCE_CAP",
     "FAMILY_MEMBER_CAP",
+    "FAMILY_VALUE_CAP",
 ]
 
 #: Largest non-chain window on which B and B0 filter every binary assignment.
@@ -59,6 +60,8 @@ BRUTE_FORCE_CAP = 16
 #: Family C has 2**(n-1) members on n elements, so it is refused above
 #: n = 13, and a paracompact spec may ask for at most this many points.
 FAMILY_MEMBER_CAP = 4096
+#: Most values (members times window elements) :func:`stack_family` builds at once.
+FAMILY_VALUE_CAP = 2**24
 #: Values in one chunk of members that :func:`stacked_members` builds at a time.
 CHUNK_VALUES = 2**12
 
@@ -222,11 +225,13 @@ def stacked_members(spec):
 def stack_family(spec):
     """Every member of ``spec`` as one StackedFamily.
 
-    The member count meets FAMILY_MEMBER_CAP before any member is built;
-    for B and B0 off chains, whose count is known only once filtered (see
-    BRUTE_FORCE_CAP), before the family is returned.
+    The member count meets FAMILY_MEMBER_CAP, and times the window size
+    FAMILY_VALUE_CAP, before any member is built; B and B0 off chains are
+    counted once filtered (see BRUTE_FORCE_CAP), before they are returned.
     """
     require_member_cap(spec, spec.member_count or 0)
+    if (spec.member_count or 0) * len(spec.window) > FAMILY_VALUE_CAP:
+        raise FamilyError(f"family {spec.tag} on this window has more than FAMILY_VALUE_CAP = {FAMILY_VALUE_CAP} values")
     (family,) = _members(spec, FAMILY_MEMBER_CAP)
     require_member_cap(spec, len(family))
     return family
@@ -288,7 +293,7 @@ def _candidate_set(s, window):
         raise FamilyError("candidate set must be nonempty")
     for i in s:
         if i not in window:
-            raise FamilyError(f"{i!r} is not a window element")
+            raise WindowError(f"{i!r} is not a window element")
     return s
 
 

@@ -111,9 +111,10 @@ class Rate:
     ``thresholds`` is a strictly descending tuple of finite positive reals;
     ``samplings`` maps sampling ids to the rate's valid samplings, at least
     one and all on one window (checked here, so decoded rates are too);
-    ``table`` maps (threshold, sampling id) to a nonempty candidate set.
-    Lookup at an arbitrary eps uses the largest listed threshold <= eps: a
-    rate valid at a finer tolerance is valid at any coarser one.
+    ``table`` maps (threshold, sampling id) to a nonempty candidate set,
+    its labels checked as given and held as a frozenset.  Lookup at an
+    arbitrary eps uses the largest listed threshold <= eps: a rate valid
+    at a finer tolerance is valid at any coarser one.
     """
 
     thresholds: tuple
@@ -143,7 +144,8 @@ class Rate:
             w = self.samplings[sid].window
             for i in candidates:
                 if i not in w:
-                    raise RateError(f"candidate {i!r} at ({t}, {sid!r}) is outside the window")
+                    raise WindowError(f"candidate {i!r} at ({t}, {sid!r}) is not an element of the window")
+        object.__setattr__(self, "table", {key: frozenset(c) for key, c in self.table.items()})  # a set merges True into 1
 
     @property
     def window(self):
@@ -338,9 +340,7 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
         window = chunks[0].window
         if pointed and None in chunks[0].targets:
             raise RateError("pointed refutation needs declared targets")
-    labels = [i for s in candidate_sets for i in s]
-    outside = [i for i in labels if i not in window] or window.misnamed(labels)
-    if outside:
+    if outside := [i for s in candidate_sets for i in s if i not in window]:
         raise WindowError(f"candidate {outside[0]!r} is not an element of the window")
     union = frozenset().union(*candidate_sets)
     if is_spec and (cert := _families.closed_form_refutation(family, union, eps, pointed=pointed)):

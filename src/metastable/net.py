@@ -112,6 +112,8 @@ class StackedFamily:
         # ``rows``: each member's values as given; None when the array's own
         # values are theirs (binary ints, floats), as for enumerated members.
         # ``nets``: the members, when the family was stacked from them.
+        if rows is None and not space.is_scalar():
+            raise ValueError(f"a family on {space.kind} space needs its members' rows")
         array.flags.writeable = False
         self.window, self.space, self.array, self.targets = window, space, array, list(targets)
         self._rows, self._nets = rows, dict(enumerate(nets))

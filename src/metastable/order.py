@@ -76,16 +76,14 @@ class DirectedWindow:
         if len(self._index) != len(self._elements):
             raise WindowError("duplicate window elements")
         if factors is not None:
-            # Enumeration runs over the second factor inside the first, so
-            # it follows a chain's order only when the other factor is a point.
-            d, e = factors
-            self._chain = (len(d) == 1 and e.is_chain()) or (len(e) == 1 and d.is_chain())
-            shapes = d.grid_shape(), e.grid_shape()
+            shapes = factors[0].grid_shape(), factors[1].grid_shape()
             self._shape = shapes[0] + shapes[1] if None not in shapes else None
         else:
             n = len(self._elements)
-            self._chain = leq_matrix is None or np.array_equal(self._order, np.triu(np.ones((n, n), bool)))
-            self._shape = (n,) if self._chain else None
+            chain = leq_matrix is None or np.array_equal(self._order, np.triu(np.ones((n, n), bool)))
+            self._shape = (n,) if chain else None
+        # C order over a grid follows a chain's order only when at most one axis is longer than 1.
+        self._chain = self._shape is not None and sum(s > 1 for s in self._shape) <= 1
         self._top = self._elements[-1] if self._shape else self.join_all(self._elements)
 
     # -- structure ---------------------------------------------------------
@@ -101,11 +99,10 @@ class DirectedWindow:
         return self._factors
 
     def index(self, a):
-        """Position of element ``a`` in enumeration order."""
-        try:
-            return self._index[a]
-        except KeyError:
-            raise WindowError(f"{a!r} is not an element of this window") from None
+        """Position of element ``a``, named as written (see ``in``), in enumeration order."""
+        if a not in self:
+            raise WindowError(f"{a!r} is not an element of this window")
+        return self._index[a]
 
     def __len__(self):
         return len(self._elements)
@@ -114,7 +111,9 @@ class DirectedWindow:
         return iter(self._elements)
 
     def __contains__(self, a):
-        return a in self._index
+        # The one label rule: ``a`` names an element it equals only as written (see misnamed).
+        p = self._index.get(a)
+        return p is not None and (a is self._elements[p] or _same_kind(a, self._elements[p]))
 
     def misnamed(self, labels):
         """Those of ``labels`` equal to an element but not it as written: a bool names only a bool,
@@ -130,12 +129,13 @@ class DirectedWindow:
 
     def join(self, a, b):
         """The chosen explicit upper bound of ``a`` and ``b``, an element of the window."""
+        p, q = self.index(a), self.index(b)  # on every kind: a product's factors read only two entries
         if self.kind == OMEGA:
-            return self._elements[max(self.index(a), self.index(b))]
+            return self._elements[max(p, q)]
         if self.kind == PRODUCT:
             d, e = self._factors
             return (d.join(a[0], b[0]), e.join(a[1], b[1]))
-        return self._elements[self._join[self.index(a)][self.index(b)]]
+        return self._elements[self._join[p][q]]
 
     def join_all(self, items):
         """Upper bound of a nonempty collection, by repeated join.
@@ -319,11 +319,13 @@ class Sampling:
 
     def __new__(cls, window, assign):
         blocks = tuple(assign)
-        sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
+        sizes, labels = np.fromiter(map(len, blocks), np.intp, len(blocks)), list(itertools.chain.from_iterable(blocks))
         try:
-            flat = np.fromiter(map(window._index.__getitem__, itertools.chain.from_iterable(blocks)), np.intp, sizes.sum())
+            flat = np.fromiter(map(window._index.__getitem__, labels), np.intp, len(labels))
         except KeyError as exc:
             raise WindowError(f"{exc.args[0]!r} is not an element of this window") from None
+        if misnamed := window.misnamed(labels):  # the rule of ``in``, in bulk
+            raise WindowError(f"label {misnamed[0]!r} is not an element of the window")
         flat, owner = _sorted_runs(flat, sizes, len(window)), np.repeat(np.arange(len(sizes)), sizes)
         once = (np.diff(flat, prepend=-1) != 0) | (np.diff(owner, prepend=-1) != 0)  # a label given twice counts once
         return cls._of_runs(window, flat[once], np.bincount(owner[once], minlength=len(sizes)))

@@ -172,14 +172,6 @@ def _labels(items):
     return list(map(_label_from_json, items)) if list in set(map(type, items)) else items
 
 
-def _named(window, labels):
-    # Labels from a document: one equal to an element must be it as written (true is not 1).
-    misnamed = window.misnamed(labels)
-    if misnamed:
-        raise WindowError(f"label {misnamed[0]!r} is not an element of the window")
-    return labels
-
-
 # -- windows ---------------------------------------------------------------
 
 
@@ -231,7 +223,6 @@ def sampling_from_dict(doc):
         raise SchemaError("a sampling's assign must be a JSON list of label lists")
     if not {list}.issuperset(map(type, rows)) or list in set(map(type, itertools.chain.from_iterable(rows))):
         rows = list(map(_labels, rows))  # names the first row that is no list; lists become tuples
-    _named(w, list(itertools.chain.from_iterable(rows)))
     return Sampling(w, rows)
 
 
@@ -351,10 +342,7 @@ def rate_from_dict(doc):
         if key in table:
             raise RateError(f"duplicate rate entry at {key}")
         table[key] = _labels(entry["candidates"])
-    candidates = {key: frozenset(labels) for key, labels in table.items()}
-    rate = Rate(tuple(doc["thresholds"]), samplings, candidates, pointed=doc["pointed"])
-    _named(rate.window, [i for labels in table.values() for i in labels])
-    return rate
+    return Rate(tuple(doc["thresholds"]), samplings, table, pointed=doc["pointed"])
 
 
 # -- reports and certificates ---------------------------------------------
@@ -401,12 +389,14 @@ def certificate_to_dict(cert):
 @_decoder
 def certificate_from_dict(doc):
     _expect(doc, "refutation-certificate")
-    sampling = sampling_from_dict(doc["sampling"])
+    sampling, labels = sampling_from_dict(doc["sampling"]), _labels(doc["candidate_set"])
+    if outside := [i for i in labels if i not in sampling.window]:
+        raise WindowError(f"candidate {outside[0]!r} is not an element of the window")
     return RefutationCertificate(
         eps=doc["eps"],
         sampling=sampling,
         member=net_from_dict(doc["member"]),
-        candidate_set=frozenset(_named(sampling.window, _labels(doc["candidate_set"]))),
+        candidate_set=frozenset(labels),
         pointed_target=_label_from_json(doc.get("pointed_target")),
     )
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from metastable import analyze, meta
+from metastable import analyze, families, meta
 from metastable import build_rate, make_omega_window, product, random_sampling, identity_sampling
 from metastable.cli import FAMILY_MEMBER_CAP, _family_nets, _parser, main
 from metastable.families import FamilySpec, enumerate_family, rate_B
@@ -522,6 +522,25 @@ class TestMemberCapBeforeBuilding:
         code, peak = TestWindowCap._run(argv + ["--out", str(out)])
         assert code == 3 and not out.exists() and peak < 8 * 2**20
         assert "FAMILY_MEMBER_CAP = 4096" in capsys.readouterr().err
+
+    def test_spec_past_the_value_cap_exits_three(self, tmp_path, capsys, monkeypatch):
+        # {"alphas": [0] * 4096} on omega_2**20 passes both caps and would ask for 2**32 values;
+        # with the value cap at 2**12, 256 members of 256 values are refused the same way.
+        monkeypatch.setattr(families, "FAMILY_VALUE_CAP", 2**12)
+        spec = FamilySpec("D", make_omega_window(256), {"alphas": [0] * 256})
+        fam = tmp_path / "d256.json"
+        fam.write_text(dumps(family_spec_to_dict(spec)))
+        out = tmp_path / "out.json"
+        code, _ = TestWindowCap._run(["analyze", "--family", str(fam), "--out", str(out)])
+        assert code == 3 and not out.exists()
+        assert "FAMILY_VALUE_CAP = 4096" in capsys.readouterr().err
+        tracemalloc.start()
+        try:
+            with pytest.raises(families.FamilyError, match="FAMILY_VALUE_CAP"):
+                families.stack_family(spec)
+            assert tracemalloc.get_traced_memory()[1] < 4096  # the refused array would hold 2**16 floats
+        finally:
+            tracemalloc.stop()
 
     def test_refute_reads_the_same_spec_lazily(self, tmp_path):
         fam = tmp_path / "b5000.json"

@@ -238,3 +238,30 @@ def test_scan_flags_json_text_writers():
         "y = serialize.dumps(doc)\n"
     )
     assert json_text_writers(tree) == [3, 5, 6]
+
+
+def same_kind_imports(tree):
+    """Lines that import ``_same_kind``, from any module and under any name."""
+    imports = (n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom))
+    return sorted({n.lineno for n in imports if any(a.name == "_same_kind" for a in n.names)})
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "order.py"], ids=lambda p: p.name)
+def test_the_window_decides_what_a_label_names(path):
+    # DirectedWindow.__contains__ holds the one label rule (index and Sampling apply it);
+    # elsewhere a label is asked of the window, not looked up in its index or checked
+    # with misnamed.  space.py shares _same_kind for table symbols.
+    tree = ast.parse(path.read_text())
+    assert attribute_reads(tree, "misnamed") == attribute_reads(tree, "_index") == []
+    assert path.name == "space.py" or same_kind_imports(tree) == []
+
+
+def test_scan_flags_label_rule_reads():
+    tree = ast.parse(
+        "from .order import _same_kind\n"
+        "from metastable.order import WindowError, _same_kind as kind\n"
+        "bad = w.misnamed(labels) or w._index[a]\n"
+        "index = w.index(a)\n"
+    )
+    assert same_kind_imports(tree) == [1, 2]
+    assert attribute_reads(tree, "misnamed") == attribute_reads(tree, "_index") == [3]

@@ -1,0 +1,194 @@
+"""One label rule, decided by the window: a label names an element only as written.
+
+``True`` and ``1.0`` name no element of an omega window, ``(0, True)`` none
+of a product of omega windows, and ``0`` none of a window whose element is
+``False``.  ``DirectedWindow.__contains__`` holds the rule and ``index``
+applies it, so every entry point that takes a label refuses these with
+WindowError.  Whatever the API builds is then written with labels its own
+decoder reads back: every sampling, rate, certificate and net decodes from
+its document to itself.
+"""
+
+import json
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from metastable import (
+    FamilySpec,
+    Net,
+    Rate,
+    Sampling,
+    WindowError,
+    build_rate,
+    identity_sampling,
+    make_custom_window,
+    make_omega_window,
+    product,
+    random_sampling,
+    refute_C,
+    refute_D_pointed,
+    refute_uniform,
+    unit_interval_space,
+)
+from metastable.families import FamilyError
+from metastable.serialize import (
+    certificate_from_dict,
+    certificate_to_dict,
+    dumps,
+    net_from_dict,
+    net_to_dict,
+    rate_from_dict,
+    rate_to_dict,
+    sampling_from_dict,
+    sampling_to_dict,
+)
+from oracles import windows
+
+
+def _chain(elements):
+    # A custom chain listed in its own order, joined by position.
+    n = len(elements)
+    return make_custom_window(elements, [[int(p <= q) for q in range(n)] for p in range(n)], [[max(p, q) for q in range(n)] for p in range(n)])
+
+
+BOOLS = _chain([False, True])
+FLOATS = _chain([0.0, 1.0, 2.0])
+
+# (window, a label equal to an element of it but of another kind); every window is a chain, for refute_D_pointed.
+MISNAMED = [
+    pytest.param(make_omega_window(8), True, id="True-omega"),
+    pytest.param(make_omega_window(8), 1.0, id="1.0-omega"),
+    pytest.param(product(make_omega_window(1), make_omega_window(8)), (0, True), id="(0,True)-product"),
+    pytest.param(BOOLS, 0, id="0-bools"),
+    pytest.param(FLOATS, 1, id="1-floats"),
+]
+
+
+class TestMisnamedLabels:
+    @pytest.mark.parametrize("w, label", MISNAMED)
+    def test_the_window_refuses_it(self, w, label):
+        assert label not in w
+        with pytest.raises(WindowError, match="is not an element"):
+            w.index(label)
+        with pytest.raises(WindowError, match="is not an element"):
+            w.join(label, w.elements[0])
+        assert any(e == label for e in w.elements)  # equal to an element, so a dict lookup would find it
+
+    def test_a_product_joins_only_its_elements(self):
+        # The factors' joins read only the first two entries: (0, 0, 7) was joined as (0, 0).
+        w = product(make_omega_window(2), make_omega_window(2))
+        for a in [(0, 0, 7), (0,), ((0, 0), 0)]:
+            with pytest.raises(WindowError, match="is not an element"):
+                w.join(a, (1, 0))
+            with pytest.raises(WindowError, match="is not an element"):
+                w.join((1, 0), a)
+
+    @pytest.mark.parametrize("w, label", MISNAMED)
+    def test_every_entry_point_refuses_it(self, w, label):
+        builds = {
+            "Sampling": lambda: Sampling(w, [[label], *([e] for e in w.elements[1:])]),
+            "build_rate": lambda: build_rate({"i": identity_sampling(w)}, lambda t, eta: {label}, thresholds=(0.5,)),
+            "refute_C": lambda: refute_C({label}, w, 0.5),
+            "refute_D_pointed": lambda: refute_D_pointed({label}, w, 0.5),
+            "refute_uniform": lambda: refute_uniform(FamilySpec("C", w), [[label]], 0.5),
+        }
+        for name, build in builds.items():
+            with pytest.raises(WindowError, match=r"not an? (window )?element"):
+                build()
+
+    @pytest.mark.parametrize("w, label, p", [(make_omega_window(8), 1, 1), (BOOLS, False, 0), (FLOATS, 1.0, 1)])
+    def test_the_element_as_written_is_accepted(self, w, label, p):
+        assert label in w and w.index(label) == p and w.join(label, w.elements[0]) is w.elements[p]
+
+    @settings(max_examples=200, deadline=None)
+    @given(windows())
+    def test_each_element_and_no_other_kind_of_it(self, w):
+        # An int part turned into a bool or a float names nothing; the element itself names its position.
+        def variants(e):
+            if type(e) is tuple:
+                for k, part in enumerate(e):
+                    yield from (e[:k] + (v,) + e[k + 1:] for v in variants(part))
+            elif type(e) is int:
+                yield float(e)
+                if e in (0, 1):
+                    yield bool(e)
+
+        for p, e in enumerate(w.elements):
+            equal = tuple(list(e)) if type(e) is tuple else e  # a tuple that is not the element itself
+            assert e in w and w.index(e) == p and equal in w and w.index(equal) == p
+            for v in variants(e):
+                assert v not in w
+                with pytest.raises(WindowError):
+                    w.index(v)
+
+
+class TestBesideItsEqual:
+    """A misnamed label next to the element it equals, which a set would merge into it, is still refused."""
+
+    W = make_omega_window(6)
+
+    def test_in_a_document(self):
+        cert = refute_C({1}, self.W, 0.5)
+        rate = build_rate({"i": identity_sampling(self.W)}, lambda t, eta: {1}, thresholds=(0.5,))
+        edits = [
+            (sampling_to_dict(identity_sampling(self.W)), sampling_from_dict, lambda doc: doc["assign"][1].append(True)),
+            (rate_to_dict(rate), rate_from_dict, lambda doc: doc["table"][0]["candidates"].append(True)),
+            (certificate_to_dict(cert), certificate_from_dict, lambda doc: doc["candidate_set"].append(1.0)),
+        ]
+        for doc, decode, edit in edits:
+            doc = json.loads(dumps(doc))
+            edit(doc)
+            with pytest.raises(WindowError, match="is not an element of the window"):
+                decode(doc)
+
+    def test_in_a_list_of_candidates(self):
+        with pytest.raises(WindowError, match="candidate True is not an element"):
+            refute_uniform(FamilySpec("C", self.W), [[1, True]], 0.5)
+        with pytest.raises(WindowError, match="candidate True at"):
+            Rate((0.5,), {"i": identity_sampling(self.W)}, {(0.5, "i"): [1, True]})
+
+
+def _round_trip(x, encode, decode):
+    return decode(json.loads(dumps(encode(x))))
+
+
+def _label_windows():
+    # windows() plus the custom chains of bools and floats, alone and in products.
+    custom = st.sampled_from([BOOLS, FLOATS])
+    return st.one_of(windows(), custom, st.tuples(custom, windows()).map(lambda de: product(*de)))
+
+
+class TestRoundTrips:
+    @settings(max_examples=150, deadline=None)
+    @given(_label_windows(), st.integers(0, 10**6))
+    def test_what_the_api_builds_decodes_to_itself(self, w, seed):
+        rng = random.Random(seed)
+        samplings = {"identity": identity_sampling(w), "random": random_sampling(w, rng)}
+        for s in samplings.values():
+            assert _round_trip(s, sampling_to_dict, sampling_from_dict) == s
+        picks = rng.sample(w.elements, min(2, len(w)))
+        rate = build_rate(samplings, lambda t, eta: picks[:1] if t == 0.5 else picks, thresholds=(0.5, 0.25))
+        assert _round_trip(rate, rate_to_dict, rate_from_dict) == rate
+        net = Net(w, unit_interval_space(), tuple(rng.random() for _ in w.elements), target=0.5)
+        assert _round_trip(net, net_to_dict, net_from_dict) == net
+        certificates = []
+        try:
+            certificates.append(refute_C({w.elements[0]}, w, 0.5))
+        except FamilyError:  # no two elements strictly above the first
+            pass
+        if len(w) <= 10:  # C has 2**(n - 1) members, which the search may read
+            certificates += [refute_uniform(FamilySpec("C", w), [picks], 0.5, pointed=pointed) for pointed in (False, True)]
+        for cert in filter(None, certificates):
+            assert _round_trip(cert, certificate_to_dict, certificate_from_dict) == cert
+
+    @pytest.mark.parametrize("w", [FLOATS, product(FLOATS, BOOLS), product(BOOLS, FLOATS)], ids=["floats", "floats-x-bools", "bools-x-floats"])
+    def test_custom_labels_keep_their_kind(self, w):
+        def kind(x):
+            return tuple(map(kind, x)) if type(x) is tuple else type(x)
+
+        cert = refute_C({w.elements[0]}, w, 0.5)
+        decoded = _round_trip(cert, certificate_to_dict, certificate_from_dict)
+        assert decoded == cert and [kind(i) for i in decoded.candidate_set] == [kind(w.elements[0])]
+        assert all(kind(j) == kind(w.elements[w.index(j)]) for _, eta in decoded.sampling.items() for j in eta)

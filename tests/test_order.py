@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -190,11 +191,14 @@ class TestMisnamed:
         w = make_custom_window([False, 2.0], [[1, 1], [0, 1]], [[0, 1], [1, 1]])
         assert w.misnamed([False, 2.0, 0, 2, 0.0]) == [0, 2, 0.0]
 
-    @pytest.mark.parametrize("a, b, element", [(True, 0, 1), (2.0, 1, 2), (0, False, 0)])
-    def test_omega_join_returns_the_window_element(self, a, b, element):
-        # join(True, 0) was True and join(2.0, 1) was 2.0: the caller's objects.
-        joined = make_omega_window(4).join(a, b)
-        assert joined == element and type(joined) is int
+    @pytest.mark.parametrize("a, b", [(True, 0), (2.0, 1), (0, False)])
+    def test_omega_join_refuses_a_label_of_another_kind(self, a, b):
+        # True, 2.0 and False equal omega elements but name none; the ints as written join.
+        w = make_omega_window(4)
+        named = a if type(a) is not int else b
+        with pytest.raises(WindowError, match=f"{named!r} is not an element"):
+            w.join(a, b)
+        assert w.join(int(a), int(b)) == max(int(a), int(b))
 
 
 class TestTop:
@@ -220,6 +224,20 @@ class TestChainFact:
         assert not product(make_omega_window(2), make_omega_window(2)).is_chain()
         diamond = product(make_omega_window(2), make_omega_window(2))
         assert not product(diamond, make_omega_window(1)).is_chain()
+        point = make_omega_window(1)
+        assert product(point, point).is_chain() and product(product(point, make_omega_window(4)), point).is_chain()
+
+    @settings(max_examples=300, deadline=None)
+    @given(windows())
+    def test_a_chain_is_ordered_as_it_is_listed(self, w):
+        # The definition, on an order matrix built here from the leaves (a product's by
+        # the Kronecker product of its factors'): leq(a, b) iff index(a) <= index(b).
+        def matrix(v):
+            if v.factors is not None:
+                return np.kron(*(matrix(f).astype(int) for f in v.factors)).astype(bool)
+            return np.triu(np.ones((len(v), len(v)), bool)) if v.kind == order.OMEGA else v._order
+
+        assert w.is_chain() == np.array_equal(matrix(w), np.triu(np.ones((len(w), len(w)), bool)))
 
     def test_custom_chain_in_listing_order(self):
         w = label_chain(["a", "b", "c", "d"])

@@ -12,6 +12,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -195,6 +196,25 @@ class TestNetsLeaveAsDecoded:
         assert main(["refute", "--family", str(path), "--candidates", str(tmp_path / "cands.json"), "--eps", "0.25",
                      "--out", str(tmp_path / "out")]) == 2
         assert json.loads((tmp_path / "out").read_text())["member"]["values"] == [1, 0.0, 1.0, 0, 0.5, 0.5]
+
+
+class TestRowsOffScalarSpaces:
+    """A family built from an array alone reads its members off that array, which
+    holds their values only on scalar spaces (Euclidean: one row per axis; tables:
+    symbol positions), so elsewhere it needs the rows as given."""
+
+    @pytest.mark.parametrize("space, values", [(euclidean_space(2), ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))), (TABLE, ("a", 2, ("p", 1)))])
+    def test_no_rows_off_scalar_spaces_is_refused(self, space, values):
+        w = make_omega_window(3)
+        family = stacked([Net(w, space, values)])
+        assert family[0].values == values
+        with pytest.raises(ValueError, match="rows"):
+            StackedFamily(w, space, family.array.copy(), family.targets)
+
+    def test_scalar_members_are_the_arrays_values(self):
+        w = make_omega_window(3)
+        family = StackedFamily(w, binary_space(), np.array([[1.0, 0.0, 0.0]]), [0])
+        assert family[0] == Net(w, binary_space(), (1, 0, 0), target=0)
 
 
 class TestTableExactness:
