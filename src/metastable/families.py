@@ -288,13 +288,10 @@ def _require_refutation_eps(eps):
 
 
 def _candidate_set(s, window):
-    s = frozenset(s)
+    s = tuple(s)  # as given: a set would merge True into 1
     if not s:
         raise FamilyError("candidate set must be nonempty")
-    for i in s:
-        if i not in window:
-            raise WindowError(f"{i!r} is not a window element")
-    return s
+    return frozenset(window.elements[p] for p in map(window.index, s))
 
 
 def rate_B(eta, window):

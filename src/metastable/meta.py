@@ -18,7 +18,7 @@ import numpy as np
 
 from . import families as _families
 from .families import RefutationCertificate
-from .net import CheckError, eps_floor, require_eps, run_diameters, run_maxima, stacked
+from .net import CheckError, StackedFamily, eps_floor, require_eps, run_diameters, run_maxima, stacked
 from .net import tail_diameters, tail_maxima, target_distances
 from .order import (
     Sampling,
@@ -141,10 +141,8 @@ class Rate:
                 raise RateError(f"table sampling id {sid!r} is unregistered")
             if not candidates:
                 raise RateError(f"empty candidate set at ({t}, {sid!r})")
-            w = self.samplings[sid].window
             for i in candidates:
-                if i not in w:
-                    raise WindowError(f"candidate {i!r} at ({t}, {sid!r}) is not an element of the window")
+                self.window.index(i)
         object.__setattr__(self, "table", {key: frozenset(c) for key, c in self.table.items()})  # a set merges True into 1
 
     @property
@@ -180,11 +178,11 @@ class WitnessReport:
     sampling_id: str
     window_size: int
     outcomes: tuple  # one witness index or None per net
-    overall: bool
 
-    def __post_init__(self):
-        if self.overall != all(o is not None for o in self.outcomes):
-            raise CheckError("report overall disagrees with its outcomes")
+    @property
+    def overall(self):
+        """Whether every net has a witness."""
+        return None not in self.outcomes
 
 
 def verify_rate(family, rate, eps, sid):
@@ -211,13 +209,7 @@ def verify_rate(family, rate, eps, sid):
     d = run_maxima(target_distances(family), flat, sizes) if pointed else run_diameters(family, flat, sizes)
     ok = d <= bound
     outcomes = tuple(order[c] if any_ else None for c, any_ in zip(ok.argmax(axis=1).tolist(), ok.any(axis=1).tolist()))
-    return WitnessReport(
-        eps=eps,
-        sampling_id=sid,
-        window_size=len(window),
-        outcomes=outcomes,
-        overall=None not in outcomes,
-    )
+    return WitnessReport(eps=eps, sampling_id=sid, window_size=len(window), outcomes=outcomes)
 
 
 def pointed_to_plain(rate):
@@ -336,12 +328,13 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
         # Enumerated members live on the spec's window and carry targets; read lazily, chunk by chunk.
         window, chunks = family.window, _families.stacked_members(family)
     else:
+        family = family if isinstance(family, StackedFamily) else list(family)  # a list's member returns as the caller's net
         chunks = [stacked(family)]
         window = chunks[0].window
         if pointed and None in chunks[0].targets:
             raise RateError("pointed refutation needs declared targets")
-    if outside := [i for s in candidate_sets for i in s if i not in window]:
-        raise WindowError(f"candidate {outside[0]!r} is not an element of the window")
+    for i in itertools.chain.from_iterable(candidate_sets):
+        window.index(i)
     union = frozenset().union(*candidate_sets)
     if is_spec and (cert := _families.closed_form_refutation(family, union, eps, pointed=pointed)):
         return require_replay(cert)
@@ -356,7 +349,7 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
         tails = tail_maxima(window, target_distances(chunk)) if pointed else tail_diameters(chunk)
         defeated = np.flatnonzero((tails[:, positions] > bound).all(axis=1))
         if defeated.size:
-            a = chunk[int(defeated[0])]
+            a = (chunk if is_spec else family)[int(defeated[0])]
             blocks = {i: _far_block(a, eps, i, pointed) for i in union}
             eta = Sampling.from_function(window, lambda i: blocks.get(i, {i}))
             return require_replay(RefutationCertificate(eps, eta, a, union, pointed_target=a.target if pointed else None))

@@ -108,15 +108,14 @@ class StackedFamily:
     then kept, so a net leaves the library only when asked for.
     """
 
-    def __init__(self, window, space, array, targets, rows=None, nets=()):
+    def __init__(self, window, space, array, targets, rows=None):
         # ``rows``: each member's values as given; None when the array's own
         # values are theirs (binary ints, floats), as for enumerated members.
-        # ``nets``: the members, when the family was stacked from them.
         if rows is None and not space.is_scalar():
             raise ValueError(f"a family on {space.kind} space needs its members' rows")
         array.flags.writeable = False
         self.window, self.space, self.array, self.targets = window, space, array, list(targets)
-        self._rows, self._nets = rows, dict(enumerate(nets))
+        self._rows, self._nets = rows, {}
 
     @classmethod
     def from_rows(cls, window, space, rows, targets):
@@ -173,8 +172,8 @@ class StackedFamily:
 
 def stacked(family):
     """``family`` as a StackedFamily: as it is when it is one, else the
-    family of a nonempty list of nets on one window and one space, which
-    are its members as they are."""
+    family of a nonempty list of nets on one window and one space, whose
+    members equal them (equal values and targets, as given)."""
     if isinstance(family, StackedFamily):
         return family
     nets = list(family)
@@ -186,7 +185,7 @@ def stacked(family):
     if any(a.space != space for a in nets[1:]):
         raise SpaceError("family members take values in different spaces")
     array, rows = np.stack([a.array for a in nets]), [a.values for a in nets]
-    return StackedFamily(window, space, array, [a.target for a in nets], rows=rows, nets=nets)
+    return StackedFamily(window, space, array, [a.target for a in nets], rows=rows)
 
 
 def _distance_space(space):
@@ -196,13 +195,17 @@ def _distance_space(space):
     return half_line_space()
 
 
-def mutual_distance(a, b):
-    """Real net of pairwise distances d(a_i, b_j) on product(window_a, window_b)."""
+def _pairwise(a, b, target):
+    # The net of d(a_i, b_j) on product(window_a, window_b): pairs (i, j) with j running fastest, as the values.
     if a.space != b.space:
         raise SpaceError("mutual distance requires a shared metric space")
-    p = product(a.window, b.window)  # pairs (i, j) with j running fastest, as the values below
     values = tuple(a.space.unchecked_dist(x, y) for x in a.values for y in b.values)
-    return Net(p, _distance_space(a.space), values, target=None)
+    return Net(product(a.window, b.window), _distance_space(a.space), values, target)
+
+
+def mutual_distance(a, b):
+    """Real net of pairwise distances d(a_i, b_j) on product(window_a, window_b)."""
+    return _pairwise(a, b, None)
 
 
 def self_distance(a):
@@ -211,9 +214,7 @@ def self_distance(a):
     The net converges to 0 exactly when ``a`` is Cauchy, so 0 is the
     canonical pointed target.
     """
-    p = product(a.window, a.window)
-    values = tuple(a.space.unchecked_dist(x, y) for x in a.values for y in a.values)
-    return Net(p, _distance_space(a.space), values, target=0.0)
+    return _pairwise(a, a, 0.0)
 
 
 def distance_to_point(a, b):

@@ -99,10 +99,11 @@ class DirectedWindow:
         return self._factors
 
     def index(self, a):
-        """Position of element ``a``, named as written (see ``in``), in enumeration order."""
-        if a not in self:
+        """Position of the element ``a`` names (see ``in``), in enumeration order."""
+        p = _position(self._index, self._elements, a)
+        if p is None:
             raise WindowError(f"{a!r} is not an element of this window")
-        return self._index[a]
+        return p
 
     def __len__(self):
         return len(self._elements)
@@ -111,17 +112,12 @@ class DirectedWindow:
         return iter(self._elements)
 
     def __contains__(self, a):
-        # The one label rule: ``a`` names an element it equals only as written (see misnamed).
-        p = self._index.get(a)
-        return p is not None and (a is self._elements[p] or _same_kind(a, self._elements[p]))
+        """Whether ``a`` names an element; never raises (see ``_position``)."""
+        return _position(self._index, self._elements, a) is not None
 
     def misnamed(self, labels):
-        """Those of ``labels`` equal to an element but not it as written: a bool names only a bool,
-        a float only a float, through tuples, so ``True`` and ``1.0`` name no omega element."""
-        if self.kind == OMEGA and {int}.issuperset(map(type, labels)):
-            return []  # every omega element is an int; one type scan replaces the per-label test
-        index, els = self._index, self._elements
-        return [a for a in labels if a in index and not _same_kind(a, els[index[a]])]
+        """Those of the hashable ``labels`` equal to an element but naming none (see ``_position``)."""
+        return [a for a in labels if a in self._index and a not in self]
 
     def leq(self, a, b):
         """Whether ``a`` precedes (or equals) ``b`` in the window order."""
@@ -226,6 +222,19 @@ class DirectedWindow:
         return f"DirectedWindow({self.kind}, n={len(self)})"
 
 
+def _position(index, elements, a):
+    # The one label rule: the position of the element ``a`` names, else None.  ``a`` names an
+    # element it equals only as written: a bool names only a bool and a float only a float,
+    # through tuples, so ``True`` and ``1.0`` name no omega element.  An unhashable ``a`` names none.
+    try:
+        p = index.get(a)
+    except TypeError:
+        return None
+    e = None if p is None else elements[p]
+    # One type other than tuple is one kind: the identity and type tests only spare _same_kind's calls.
+    return p if p is not None and (a is e or type(a) is type(e) is not tuple or _same_kind(a, e)) else None
+
+
 def _same_kind(x, e):
     # For equal labels: whether bools meet only bools and floats only floats, through tuples.
     if type(e) is tuple:
@@ -259,7 +268,7 @@ def make_custom_window(elements, leq, join):
         leq = [[bool(leq(a, b)) for b in elements] for a in elements]
     if callable(join):
         pos = {e: p for p, e in enumerate(elements)}
-        join = [[pos.get(join(a, b)) for b in elements] for a in elements]  # None: leaves the window
+        join = [[_position(pos, elements, join(a, b)) for b in elements] for a in elements]  # None: names no element
     leq_matrix, join_table = (tuple(tuple(row) for row in m) for m in (leq, join))
     if any(len(m) != n or any(len(r) != n for r in m) for m in (leq_matrix, join_table)):
         raise WindowError("leq matrix or join table shape mismatch")
@@ -320,12 +329,11 @@ class Sampling:
     def __new__(cls, window, assign):
         blocks = tuple(assign)
         sizes, labels = np.fromiter(map(len, blocks), np.intp, len(blocks)), list(itertools.chain.from_iterable(blocks))
+        rule = itertools.repeat(window._index), itertools.repeat(window._elements)
         try:
-            flat = np.fromiter(map(window._index.__getitem__, labels), np.intp, len(labels))
-        except KeyError as exc:
-            raise WindowError(f"{exc.args[0]!r} is not an element of this window") from None
-        if misnamed := window.misnamed(labels):  # the rule of ``in``, in bulk
-            raise WindowError(f"label {misnamed[0]!r} is not an element of the window")
+            flat = np.fromiter(map(_position, *rule, labels), np.intp, len(labels))
+        except TypeError:  # a None: some label names no element, and index raises for the first
+            flat = np.array([window.index(a) for a in labels])
         flat, owner = _sorted_runs(flat, sizes, len(window)), np.repeat(np.arange(len(sizes)), sizes)
         once = (np.diff(flat, prepend=-1) != 0) | (np.diff(owner, prepend=-1) != 0)  # a label given twice counts once
         return cls._of_runs(window, flat[once], np.bincount(owner[once], minlength=len(sizes)))
@@ -522,7 +530,5 @@ def project_set(s, d):
             i, j = pair
         except (TypeError, ValueError):
             raise WindowError(f"{pair!r} is not a pair") from None
-        if i not in d or j not in d:
-            raise WindowError(f"pair {pair!r} is outside the product window")
         out.add(d.join(i, j))
     return frozenset(out)

@@ -221,8 +221,9 @@ def sampling_from_dict(doc):
     rows = doc["assign"]
     if type(rows) is not list:
         raise SchemaError("a sampling's assign must be a JSON list of label lists")
-    if not {list}.issuperset(map(type, rows)) or list in set(map(type, itertools.chain.from_iterable(rows))):
+    if not {list}.issuperset(map(type, rows)) or {list, dict} & set(map(type, itertools.chain.from_iterable(rows))):
         rows = list(map(_labels, rows))  # names the first row that is no list; lists become tuples
+        hash(tuple(map(tuple, rows)))  # a JSON object is no label: TypeError, a schema fault
     return Sampling(w, rows)
 
 
@@ -342,6 +343,7 @@ def rate_from_dict(doc):
         if key in table:
             raise RateError(f"duplicate rate entry at {key}")
         table[key] = _labels(entry["candidates"])
+        hash(tuple(table[key]))  # a JSON object is no label: TypeError, a schema fault
     return Rate(tuple(doc["thresholds"]), samplings, table, pointed=doc["pointed"])
 
 
@@ -390,8 +392,8 @@ def certificate_to_dict(cert):
 def certificate_from_dict(doc):
     _expect(doc, "refutation-certificate")
     sampling, labels = sampling_from_dict(doc["sampling"]), _labels(doc["candidate_set"])
-    if outside := [i for i in labels if i not in sampling.window]:
-        raise WindowError(f"candidate {outside[0]!r} is not an element of the window")
+    for i in labels:
+        sampling.window.index(i)
     return RefutationCertificate(
         eps=doc["eps"],
         sampling=sampling,

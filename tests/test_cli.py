@@ -214,7 +214,7 @@ class TestRefute:
         out = tmp_path / "res.json"
         code = main(["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--out", str(out)])
         assert code == 3 and not out.exists()
-        assert "not an element of the window" in capsys.readouterr().err
+        assert "not an element of this window" in capsys.readouterr().err
 
     def test_nested_product_labels_are_decoded(self, tmp_path):
         w = product(product(make_omega_window(2), make_omega_window(2)), make_omega_window(2))
@@ -716,7 +716,7 @@ class TestDocumentsAsWritten:
         cands_file.write_text(json.dumps(cands))
         out = tmp_path / "out.json"
         assert main(["refute", "--family", str(fam), "--candidates", str(cands_file), "--eps", "0.5", "--out", str(out)]) == 3
-        assert not out.exists() and f"candidate {named} is not an element" in capsys.readouterr().err
+        assert not out.exists() and f"{named} is not an element of this window" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dim", [True, 2.0])
     def test_euclidean_dim_of_another_kind_exits_four(self, tmp_path, dim):

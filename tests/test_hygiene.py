@@ -248,7 +248,7 @@ def same_kind_imports(tree):
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "order.py"], ids=lambda p: p.name)
 def test_the_window_decides_what_a_label_names(path):
-    # DirectedWindow.__contains__ holds the one label rule (index and Sampling apply it);
+    # order._position holds the one label rule (in, index, Sampling and a callable join apply it);
     # elsewhere a label is asked of the window, not looked up in its index or checked
     # with misnamed.  space.py shares _same_kind for table symbols.
     tree = ast.parse(path.read_text())
@@ -265,3 +265,37 @@ def test_scan_flags_label_rule_reads():
     )
     assert same_kind_imports(tree) == [1, 2]
     assert attribute_reads(tree, "misnamed") == attribute_reads(tree, "_index") == [3]
+
+
+def phrase_sites(source, phrase):
+    """The innermost enclosing ``Class.function`` (else ``<module>``) of each line of ``source`` holding ``phrase``."""
+    scopes = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                scopes.append((child.lineno, child.end_lineno, prefix + child.name))
+                visit(child, prefix + child.name + ".")
+
+    visit(ast.parse(source), "")
+    lines = [k for k, line in enumerate(source.splitlines(), 1) if phrase in line]
+    return [max((s for s in scopes if s[0] <= k <= s[1]), default=(0, 0, "<module>"))[2] for k in lines]
+
+
+def test_one_wording_says_a_label_names_no_element():
+    # Every entry point asks the window's index, so its message is the only one; a
+    # hand-written membership check would bring a second wording of the same fact.
+    sites = [(p.name, site) for p in MODULES + [SRC / "__init__.py"] for site in phrase_sites(p.read_text(), "is not an element")]
+    assert sites == [("order.py", "DirectedWindow.index")]
+
+
+def test_scan_finds_the_phrase_by_function():
+    source = (
+        "class W:\n"
+        "    def index(self, a):\n"
+        "        raise E(f'{a!r} is not an element')\n"
+        "def check(i):\n"
+        '    """Raise when i is not an element."""\n'
+        "X = 'is not an element'\n"
+    )
+    assert phrase_sites(source, "is not an element") == ["W.index", "check", "<module>"]

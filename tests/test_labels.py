@@ -2,9 +2,9 @@
 
 ``True`` and ``1.0`` name no element of an omega window, ``(0, True)`` none
 of a product of omega windows, and ``0`` none of a window whose element is
-``False``.  ``DirectedWindow.__contains__`` holds the rule and ``index``
-applies it, so every entry point that takes a label refuses these with
-WindowError.  Whatever the API builds is then written with labels its own
+``False``.  ``order._position`` holds the rule, which ``in``, ``index`` and
+``Sampling`` apply, so every entry point that takes a label refuses these
+with WindowError.  Whatever the API builds is then written with labels its own
 decoder reads back: every sampling, rate, certificate and net decodes from
 its document to itself.
 """
@@ -19,13 +19,16 @@ from metastable import (
     FamilySpec,
     Net,
     Rate,
+    RefutationCertificate,
     Sampling,
     WindowError,
+    binary_space,
     build_rate,
     identity_sampling,
     make_custom_window,
     make_omega_window,
     product,
+    project_set,
     random_sampling,
     refute_C,
     refute_D_pointed,
@@ -140,13 +143,13 @@ class TestBesideItsEqual:
         for doc, decode, edit in edits:
             doc = json.loads(dumps(doc))
             edit(doc)
-            with pytest.raises(WindowError, match="is not an element of the window"):
+            with pytest.raises(WindowError, match="is not an element of this window"):
                 decode(doc)
 
     def test_in_a_list_of_candidates(self):
-        with pytest.raises(WindowError, match="candidate True is not an element"):
+        with pytest.raises(WindowError, match="True is not an element of this window"):
             refute_uniform(FamilySpec("C", self.W), [[1, True]], 0.5)
-        with pytest.raises(WindowError, match="candidate True at"):
+        with pytest.raises(WindowError, match="True is not an element of this window"):
             Rate((0.5,), {"i": identity_sampling(self.W)}, {(0.5, "i"): [1, True]})
 
 
@@ -192,3 +195,65 @@ class TestRoundTrips:
         decoded = _round_trip(cert, certificate_to_dict, certificate_from_dict)
         assert decoded == cert and [kind(i) for i in decoded.candidate_set] == [kind(w.elements[0])]
         assert all(kind(j) == kind(w.elements[w.index(j)]) for _, eta in decoded.sampling.items() for j in eta)
+
+
+_PARTS = st.integers(0, 4)
+# Labels of every kind a caller can hand the library: unhashable ones (a list, a set, a tuple holding
+# a list), ones equal to an int element but of another kind (a bool, a float), and nested tuples,
+# which name the elements of a nested product.
+ODD_LABELS = st.one_of(
+    st.lists(_PARTS, max_size=2),
+    st.sets(_PARTS, max_size=2),
+    st.booleans(),
+    st.floats(),
+    st.tuples(st.tuples(_PARTS, _PARTS), _PARTS),
+    st.tuples(_PARTS, st.lists(_PARTS, max_size=2)),
+)
+
+
+def _named_or_refused(w, label, call):
+    # A label naming an element is taken; any other raises WindowError and nothing else.
+    if label in w:
+        call()
+    else:
+        with pytest.raises(WindowError, match="is not an element of this window"):
+            call()
+
+
+def _only_window_error(call):
+    try:
+        call()
+    except WindowError:
+        pass
+
+
+class TestEveryEntryPointCrossesTheOneRule:
+    @settings(max_examples=300, deadline=None)
+    @given(windows(), ODD_LABELS)
+    def test_in_never_raises_and_the_rest_raise_only_window_error(self, w, label):
+        assert (label in w) in (True, False)
+        first, identity = w.elements[0], identity_sampling(w)
+        for call in [
+            lambda: w.index(label),
+            lambda: w.join(label, first),
+            lambda: w.join(first, label),
+            lambda: w.up_set(label),
+            lambda: Sampling(w, [[label], *([e] for e in w.elements[1:])]),
+            lambda: identity.at(label),
+            lambda: Rate((0.5,), {"i": identity}, {(0.5, "i"): [label]}),
+            lambda: refute_uniform([Net(w, binary_space(), (0,) * len(w))], [[label]], 0.5),
+        ]:
+            _named_or_refused(w, label, call)
+        _only_window_error(lambda: project_set([label], w))
+        member = Net(w, binary_space(), (0,) * len(w))
+        doc = json.loads(dumps(certificate_to_dict(RefutationCertificate(0.5, identity, member, frozenset({first})))))
+        doc["candidate_set"] = [label]
+        _only_window_error(lambda: certificate_from_dict(doc))
+
+    @settings(max_examples=100, deadline=None)
+    @given(ODD_LABELS)
+    def test_a_callable_join_is_tabulated_through_the_rule(self, label):
+        # 1.0 equals the element 1, and a list is unhashable: neither names an element.
+        for join in (lambda a, b: float(max(a, b)), lambda a, b: label):
+            with pytest.raises(WindowError):
+                make_custom_window([0, 1], lambda a, b: a <= b, join)

@@ -548,7 +548,7 @@ class TestRefuteUniform:
         with pytest.raises(order.WindowError):
             refute_uniform(mixed, sets, eps, pointed=pointed)
         if any(i not in w for s in sets for i in s):
-            with pytest.raises(order.WindowError, match="not an element of the window"):
+            with pytest.raises(order.WindowError, match="not an element of this window"):
                 refute_uniform(family, sets, eps, pointed=pointed)
             return
         got = refute_uniform(family, sets, eps, pointed=pointed)
@@ -690,12 +690,12 @@ class TestCandidatesAsGiven:
 
     @pytest.mark.parametrize("sets, named", [([[True, 2.0]], "True"), ([[2, 1.0]], "1.0"), ([[1, True]], "True")])
     def test_omega(self, sets, named):
-        with pytest.raises(order.WindowError, match=f"candidate {named} is not an element"):
+        with pytest.raises(order.WindowError, match=f"{named} is not an element of this window"):
             refute_uniform(FamilySpec("C", make_omega_window(8)), sets, 0.5)
 
     def test_product(self):
         w = product(make_omega_window(2), make_omega_window(2))
-        with pytest.raises(order.WindowError, match=r"candidate \(0, True\) is not an element"):
+        with pytest.raises(order.WindowError, match=r"\(0, True\) is not an element of this window"):
             refute_uniform(FamilySpec("C", w), [[(0, 0), (0, True)]], 0.5)
 
     def test_labels_as_written_refute(self):

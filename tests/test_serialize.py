@@ -356,15 +356,29 @@ class TestDocumentsAsWritten:
         ],
     )
     def test_a_label_names_only_an_element_of_its_kind(self, decode, doc):
-        with pytest.raises(WindowError, match="is not an element of the window"):
+        with pytest.raises(WindowError, match="is not an element of this window"):
             decode(doc)
 
     def test_product_labels_entry_by_entry(self):
         w = product(make_omega_window(2), make_omega_window(2))
         doc = _set(_doc(sampling_to_dict(identity_sampling(w))), ["assign", 1], [[0, True]])
-        with pytest.raises(WindowError, match=r"label \(0, True\)"):
+        with pytest.raises(WindowError, match=r"\(0, True\) is not an element of this window"):
             sampling_from_dict(doc)
         assert sampling_from_dict(_doc(sampling_to_dict(identity_sampling(w)))) == identity_sampling(w)
+
+    @pytest.mark.parametrize("label", [{"a": 1}, [0, {"a": 1}]], ids=["object", "object-in-a-list"])
+    @pytest.mark.parametrize(
+        "decode, path, doc",
+        [
+            (sampling_from_dict, ["assign", 1], _doc(sampling_to_dict(identity_sampling(make_omega_window(2))))),
+            (rate_from_dict, ["table", 0, "candidates"], _rate_doc()),
+        ],
+        ids=["sampling", "rate"],
+    )
+    def test_a_json_object_is_no_label(self, decode, path, doc, label):
+        # A schema fault in what `verify` reads (exit 4), as when the window's lookup raised TypeError.
+        with pytest.raises(SchemaError, match="unhashable"):
+            decode(_set(json.loads(json.dumps(doc)), path, [1, label]))
 
     def test_duplicate_rate_entry_rejected(self):
         # The last of the two entries was kept, silently.
