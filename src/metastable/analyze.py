@@ -191,10 +191,10 @@ def empirical_rate(family, eps_grid, sampling_suite):
     every element of it is certified by re-validation against the witness
     checker.
 
-    The family is stacked once; its tail diameters (for the Cauchy
-    indices) and its block diameters over the whole suite are each one
-    call for all nets, shared by every tolerance, and one witness tensor per
-    tolerance gives every cell's first witnesses and cover.  The answers are those of the pairwise checks, exactly:
+    The family is stacked once; its Cauchy indices (tails decided against
+    every tolerance by :func:`~metastable.net.cauchy_indices`) and its block
+    diameters over the whole suite are each one call for all nets, and one
+    witness tensor per tolerance gives every cell's first witnesses and cover.  The answers are those of the pairwise checks, exactly:
     binary64 subtraction is monotone, so fl(max - min) over a block or
     tail of scalar values equals the largest fl|x - y| over its pairs,
     and with no NaN distances (points are finite) the largest distance

@@ -19,7 +19,7 @@ import numpy as np
 from . import families as _families
 from .families import RefutationCertificate
 from .net import CheckError, StackedFamily, eps_floor, require_eps, run_diameters, run_maxima, stacked
-from .net import tail_diameters, tail_maxima, target_distances
+from .net import tail_maxima, tails_within, target_distances
 from .order import (
     Sampling,
     WindowError,
@@ -315,9 +315,10 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
     indices has a pair at distance > eps (pointed: a point at distance
     > eps from the target), and that pair (point) is the index's block in
     the certificate; other indices get {i}.  Every member of a chunk is
-    decided at once, off its tail diameters (pointed: the largest distance
-    to its target over each up-set); only the first defeated member is
-    built as a net.  Returns None when no sampling defeats any member.
+    decided at once, by :func:`~metastable.net.tails_within` at the union's
+    positions only (pointed: the largest distance to its target over each
+    up-set); only the first defeated member is built as a net.  Returns
+    None when no sampling defeats any member.
     """
     require_eps(eps)
     candidate_sets = [tuple(s) for s in candidate_sets]  # as given: a set would merge True into 1
@@ -343,11 +344,11 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
     top = window.top()
     if top in union and (not pointed or is_spec and family.tag == "C"):
         return None
-    bound, positions = eps_floor(eps), [window.index(i) for i in union]
+    bound, read = eps_floor(eps), np.isin(np.arange(len(window)), [window.index(i) for i in union])
     for chunk in chunks:
-        # Per member and index: the largest distance in its up-set (pointed: to the target).
-        tails = tail_maxima(window, target_distances(chunk)) if pointed else tail_diameters(chunk)
-        defeated = np.flatnonzero((tails[:, positions] > bound).all(axis=1))
+        # Per member and index: whether its up-set lies within eps (pointed: of the target).
+        near = (tail_maxima(window, target_distances(chunk)) <= bound) if pointed else tails_within(chunk, [eps], read)[:, 0]
+        defeated = np.flatnonzero(~(near & read).any(axis=1))
         if defeated.size:
             a = (chunk if is_spec else family)[int(defeated[0])]
             blocks = {i: _far_block(a, eps, i, pointed) for i in union}

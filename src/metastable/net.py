@@ -228,6 +228,15 @@ def distance_to_point(a, b):
 PAIR_CHUNK = 2**13
 
 
+def _spans(sizes):
+    # Consecutive slices of ``sizes`` whose sums are about PAIR_CHUNK, one entry at least.
+    ends, lo = np.cumsum(sizes), 0
+    while lo < len(ends):
+        hi = max(lo + 1, int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + PAIR_CHUNK, side="right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
 def _run_pairs(sizes):
     """Chunks ``(p, q, run)``: every p < q inside one run of a flat array.
 
@@ -239,23 +248,12 @@ def _run_pairs(sizes):
     sizes = np.asarray(sizes, dtype=np.intp)
     run = np.repeat(np.arange(len(sizes)), sizes)
     later = (np.cumsum(sizes) - 1)[run] - np.arange(len(run))  # pairs in each row
-    ends = np.cumsum(later)
-    lo = 0
-    while lo < len(run):
-        done = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, done + PAIR_CHUNK, side="right")))
-        counts = later[lo:hi]
-        p = np.repeat(np.arange(lo, hi), counts)
+    for rows in _spans(later):
+        counts = later[rows]
+        p = np.repeat(np.arange(rows.start, rows.stop), counts)
         q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(counts) - counts, counts)
         if len(p):
             yield p, q, run[p]
-        lo = hi
-
-
-def _per_member(chunks, m, n, n_groups):
-    # One member's pair chunks (i, j, group) repeated for each of m members, one
-    # member a chunk: point k * n + i of member k, group k * n_groups + group.
-    return ((k * n + i, k * n + j, k * n_groups + g) for i, j, g in chunks for k in range(m))
 
 
 def group_max_distances(a, pairs, n_groups):
@@ -361,16 +359,18 @@ def run_diameters(s, flat, sizes):
     sizes = np.asarray(sizes, dtype=np.intp)
     if s.space.is_scalar():
         return run_maxima(s.array, flat, sizes) - run_maxima(s.array, flat, sizes, np.minimum)
-    chunks = ((flat[p], flat[q], run) for p, q, run in _run_pairs(sizes))
-    m, runs = len(s), len(sizes)
-    return group_max_distances(s, _per_member(chunks, m, len(s.window), runs), m * runs).reshape(m, runs)
+    m, n, runs = len(s), len(s.window), len(sizes)
+    chunks = ((k * n + flat[p], k * n + flat[q], k * runs + run) for p, q, run in _run_pairs(sizes) for k in range(m))
+    return group_max_distances(s, chunks, m * runs).reshape(m, runs)
 
 
-def _suffix(ufunc, x):
-    # ufunc accumulated over the orthant above each entry, along every axis but the first (members).
-    for axis in range(1, x.ndim):
-        x = np.flip(ufunc.accumulate(np.flip(x, axis), axis=axis), axis)
-    return x
+def _orthants(ufunc, x, shape, up=True):
+    # ufunc accumulated over the orthant above (up) or below each entry of every row of x (rows x positions
+    # of a grid).  Reversing the positions reverses every axis of the C-order grid.
+    y = (x[:, ::-1] if up else x).reshape(len(x), *shape)
+    for axis in range(1, y.ndim):
+        y = ufunc.accumulate(y, axis=axis)
+    return y.reshape(x.shape)[:, ::-1] if up else y.reshape(x.shape)
 
 
 def tail_maxima(w, x, ufunc=np.maximum):
@@ -381,36 +381,7 @@ def tail_maxima(w, x, ufunc=np.maximum):
     taken as a suffix maximum along each axis, and a run of positions elsewhere.
     """
     shape = w.grid_shape()
-    if shape is None:
-        return run_maxima(x, *up_runs(w), ufunc)
-    return _suffix(ufunc, x.reshape(len(x), *shape)).reshape(x.shape)
-
-
-def tail_diameters(s):
-    """Diameter of the tail (up-set) of every window element, by position:
-    members x positions of a stacked family.
-
-    Scalar spaces take the tail's max minus its min.  On a
-    grid window (see ``DirectedWindow.grid_shape``) other spaces group all
-    pairs by their meet (componentwise minimum), take each group's largest
-    distance with :func:`group_max_distances`, and take the maximum over
-    the orthant above each element, since a pair lies in the tail of i
-    exactly when its meet does.  A chain is the 1-D case, where the meet
-    of p < q is p.  On other windows every element's tail goes through
-    :func:`run_diameters`.
-    """
-    w, m, n = s.window, len(s), len(s.window)
-    shape = w.grid_shape()
-    if s.space.is_scalar():
-        return tail_maxima(w, s.array) - tail_maxima(w, s.array, np.minimum)
-    if shape is None:
-        return run_diameters(s, *up_runs(w))
-    # A position is the sum of its coordinates' shares (coordinate times
-    # stride), so a meet's position sums the smaller share on each axis.
-    strides = np.cumprod((*shape[1:], 1)[::-1])[::-1]
-    shares = np.indices(shape).reshape(len(shape), -1) * strides[:, None]
-    chunks = ((p, q, sum(np.minimum(c[p], c[q]) for c in shares)) for p, q, _ in _run_pairs([n]))
-    return tail_maxima(w, group_max_distances(s, _per_member(chunks, m, n, n), m * n).reshape(m, n))
+    return run_maxima(x, *up_runs(w), ufunc) if shape is None else _orthants(ufunc, x, shape)
 
 
 def target_distances(s):
@@ -424,15 +395,115 @@ def target_distances(s):
     return group_max_distances(s, [(p, m * n + np.arange(m)[:, None], p)], m * n).reshape(m, n)
 
 
+def _tail_bounds(s):
+    """Members x positions: ``lower <= D <= upper`` for every tail's diameter D as ``math.dist`` measures it.
+
+    Euclidean bounds come in O(n) from the tail's extents (:func:`tail_maxima`)
+    along each axis and each diagonal x_a +- x_(a+1).  ``upper`` is the box
+    diagonal, rounded up by the kernel filter's margin (2d times the widest
+    extent where the sum of squares may underflow).  ``lower`` is the widest
+    axis extent or diagonal extent over sqrt 2, rounded down past every
+    rounding: a pair of the tail attains it.  Its orthant maximum makes it
+    monotone down the order, as D is.  A table space has 0 and its largest distance.
+    """
+    w, m, n = s.window, len(s), len(s.window)
+    if s.space.kind != EUCLIDEAN:
+        return np.zeros((m, n)), np.full((m, n), s.space.diameter_bound)
+    x, d = s.array, s.space.dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.concatenate((x, x[:, :-1] + x[:, 1:], x[:, :-1] - x[:, 1:]), axis=1).reshape(-1, n)
+        both = tail_maxima(w, np.concatenate((rows, -rows)))
+        hi, lo = both[:len(rows)].reshape(m, -1, n), both[len(rows):].reshape(m, -1, n)  # lo: minus the minima
+        extent = hi + lo
+        widest, squares = extent[:, :d].max(axis=1), np.sum(extent[:, :d] ** 2, axis=1)
+        upper = np.sqrt(squares) * (1 + 8 * (d + 8) * 2.0**-53)
+        upper = np.where(squares < 2.0**-900, 2 * d * widest, upper)
+        # A diagonal's sums round relative to their size; one that overflows (NaN) counts as 0.
+        diagonal = (extent[:, d:] - 2.0**-50 * (np.abs(hi) + np.abs(lo))[:, d:]) * 0.7071067811865
+        lower = np.fmax(widest, np.fmax.reduce(diagonal, axis=1, initial=0.0)) * (1 - 2.0**-50) - 2.0**-1070
+    return tail_maxima(w, lower), upper
+
+
+def _boxes(ext, strides):
+    # Every offset 0 <= t < ext of each box (boxes x axes), box by box in C order: its box, t, and t @ strides.
+    size = ext.prod(axis=1)
+    box = np.repeat(np.arange(len(size)), size)
+    rank = np.arange(len(box)) - (np.cumsum(size) - size)[box]
+    t = np.empty((len(box), ext.shape[1]), np.intp)
+    for a in range(ext.shape[1] - 1, 0, -1):
+        rank, t[:, a] = np.divmod(rank, ext[box, a])
+    t[:, 0] = rank
+    return box, t, t @ strides
+
+
+def _meet_pairs(shape, k, p, n):
+    """Chunks ``(i, j, group)`` of every pair of points of member k[item] of a
+    stacked family on a grid of leaf sizes ``shape`` whose meet (componentwise
+    minimum) is position p[item], group k[item] * n + p[item], for every item.
+
+    If x precedes y in C order and they meet at p, x lies on p's level on the
+    first axis, and y on every axis where x lies above p: a box per x (on a
+    chain, p's row).  Chunks hold about :data:`PAIR_CHUNK` points, so memory is O(n + chunk).
+    """
+    strides = np.array([math.prod(shape[a + 1:]) for a in range(len(shape))])
+    orthant = np.array(shape) - np.array(np.unravel_index(p, shape)).T  # items x axes
+    face = np.where(np.arange(len(shape)) > 0, orthant, 1)  # x's first coordinate is p's
+    group = k * n + p  # also the point at p
+    for items in _spans(face.prod(axis=1)):
+        at, u, x = _boxes(face[items], strides)
+        at += items.start
+        box, x = np.where(u > 0, 1, orthant[at]), x + group[at]
+        for part in _spans(box.prod(axis=1)):
+            of, _, y = _boxes(box[part], strides)
+            g, i = group[at[part][of]], x[part][of]
+            j = y + g
+            later = j > i
+            yield i[later], j[later], g[later]
+
+
+def tails_within(s, eps_grid, read, first=False):
+    """Whether the tail (up-set) of each element has diameter <= eps:
+    members x tolerances x positions booleans for a stacked family, exact
+    where the mask ``read`` is True (with ``first``, up to each row's first
+    True there) and elsewhere True only where it holds.
+
+    Scalar spaces take the tail's max minus min, which is exact (see
+    :func:`run_diameters`).  Other spaces prune with :func:`_tail_bounds`
+    (after Har-Peled, "A practical approach for computing the diameter of
+    a point set", SoCG 2001) and decide the rest exactly: a tail's diameter
+    is the largest, over its positions p, of the largest distance of a pair
+    meeting at p on a grid, or of p's tail diameter elsewhere.  Only
+    undecided positions above an undecided read one can exceed eps there;
+    :func:`group_max_distances` takes those, the others count as 0.
+    """
+    bounds, w, m, n = np.array([eps_floor(eps) for eps in eps_grid])[:, None], s.window, len(s), len(s.window)
+    if s.space.is_scalar():
+        return (tail_maxima(w, s.array) - tail_maxima(w, s.array, np.minimum))[:, None] <= bounds
+    lower, upper = _tail_bounds(s)
+    hit = upper[:, None] <= bounds
+    undecided = ~hit & (lower[:, None] <= bounds)
+    pending = undecided & read  # undecided where read
+    if first:
+        pending &= ~np.logical_or.accumulate(hit & read, axis=2)
+    if not pending.any():
+        return hit
+    shape, exact = w.grid_shape(), np.zeros((m, n))
+    if shape is None:  # the diameters of the read tails themselves
+        cols, (flat, sizes) = pending.any(axis=(0, 1)), up_runs(w)
+        exact[:, cols] = run_diameters(s, flat[np.repeat(cols, sizes)], sizes[cols])
+    else:
+        need = undecided & _orthants(np.logical_or, pending.reshape(-1, n), shape, up=False).reshape(pending.shape)
+        exact = group_max_distances(s, _meet_pairs(shape, *np.nonzero(need.any(axis=1)), n), m * n).reshape(m, n)
+    return hit | pending & (tail_maxima(w, exact)[:, None] <= bounds)
+
+
 def cauchy_indices(s, eps_grid):
     """:func:`window_cauchy_index` at each tolerance, as a tuple for each
-    member of a stacked family, from one :func:`tail_diameters`."""
-    bounds = np.array([eps_floor(eps) for eps in eps_grid])
+    member of a stacked family, from one :func:`tails_within` that decides
+    each row up to its first hit."""
     w = s.window
-    tails = tail_diameters(s)
-    # The top's tail is itself; it carries no stability evidence.
-    tails[:, w.index(w.top())] = np.inf
-    hit = tails[:, None, :] <= bounds[:, None]  # members x tolerances x positions
+    read = np.arange(len(w)) != w.index(w.top())  # the top's tail is itself; it carries no stability evidence
+    hit = tails_within(s, eps_grid, read, first=True) & read
     first, found = hit.argmax(axis=2).tolist(), hit.any(axis=2).tolist()
     return [tuple(w.elements[p] if f else None for p, f in zip(*row)) for row in zip(first, found)]
 
@@ -446,9 +517,8 @@ def window_cauchy_index(a, eps):
     when no window element has the tail property.
 
     Comparisons are exact <= on binary64; there is no tolerance slack.
-    The answer is read off :func:`tail_diameters`, whose entries are
-    exact maxima of the tail's distances; because no distance is NaN
-    (points are finite), the largest distance is <= eps exactly when
-    every distance is.
+    The answer is read off :func:`tails_within`, which decides every tail
+    it reads exactly: because no distance is NaN (points are finite), the
+    largest distance is <= eps exactly when every distance is.
     """
     return cauchy_indices(stacked([a]), (eps,))[0][0]

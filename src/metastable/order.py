@@ -115,10 +115,6 @@ class DirectedWindow:
         """Whether ``a`` names an element; never raises (see ``_position``)."""
         return _position(self._index, self._elements, a) is not None
 
-    def misnamed(self, labels):
-        """Those of the hashable ``labels`` equal to an element but naming none (see ``_position``)."""
-        return [a for a in labels if a in self._index and a not in self]
-
     def leq(self, a, b):
         """Whether ``a`` precedes (or equals) ``b`` in the window order."""
         return bool(_above(self, self.index(a), self.index(b)))

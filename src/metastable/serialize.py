@@ -440,6 +440,12 @@ def family_from_dict(doc):
 
 
 def analysis_report_to_dict(report):
+    # Each distinct tuple label converted once, its list shared by the document: all name one window's elements.
+    memo = {}
+
+    def label(i):
+        return i if type(i) is not tuple else memo[i] if i in memo else memo.setdefault(i, _label_to_json(i))
+
     return _versioned(
         {
             "type": "analysis-report",
@@ -450,14 +456,14 @@ def analysis_report_to_dict(report):
                 {
                     "eps": c.eps,
                     "sampling_id": c.sampling_id,
-                    "witnesses": [_label_to_json(w) for w in c.witnesses],
-                    "cover_set": [_label_to_json(i) for i in c.cover_set],
+                    "witnesses": [label(w) for w in c.witnesses],
+                    "cover_set": [label(i) for i in c.cover_set],
                     "uncovered": list(c.uncovered),
                 }
                 for c in report.cells
             ],
             "cauchy_indices": [
-                [[eps, _label_to_json(i)] for eps, i in per_net]
+                [[eps, label(i)] for eps, i in per_net]
                 for per_net in report.cauchy_indices
             ],
             "refuted": report.refuted,

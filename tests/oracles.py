@@ -9,6 +9,7 @@ import csv
 import itertools
 import json
 
+import numpy as np
 from hypothesis import strategies as st
 
 from metastable import (
@@ -23,7 +24,8 @@ from metastable import (
     replay_certificate,
     unit_interval_space,
 )
-from metastable.order import SamplingViolation, _draw_ranks
+from metastable.net import _run_pairs, group_max_distances, run_diameters, tail_maxima
+from metastable.order import SamplingViolation, _draw_ranks, up_runs
 
 
 def label_chain(listing):
@@ -244,6 +246,34 @@ def brute_cauchy_index(a, eps):
         if ok:
             return i0
     return None
+
+
+def tail_diameters(s):
+    """Diameter of the tail (up-set) of every window element, by position:
+    members x positions of a stacked family, each an exact maximum of
+    ``unchecked_dist`` over every pair of the tail.
+
+    Scalar spaces take the tail's max minus its min.  On a grid window
+    other spaces group all pairs by their meet (componentwise minimum),
+    take each group's largest distance with ``group_max_distances``, and
+    take the maximum over the orthant above each element, since a pair
+    lies in the tail of i exactly when its meet does.  On other windows
+    every element's tail goes through ``run_diameters``.  O(n^2) per
+    member: the all-pairs route the library's tail decisions answer to.
+    """
+    w, m, n = s.window, len(s), len(s.window)
+    shape = w.grid_shape()
+    if s.space.is_scalar():
+        return tail_maxima(w, s.array) - tail_maxima(w, s.array, np.minimum)
+    if shape is None:
+        return run_diameters(s, *up_runs(w))
+    # A position is the sum of its coordinates' shares (coordinate times
+    # stride), so a meet's position sums the smaller share on each axis.
+    strides = np.cumprod((*shape[1:], 1)[::-1])[::-1]
+    shares = np.indices(shape).reshape(len(shape), -1) * strides[:, None]
+    chunks = ((p, q, sum(np.minimum(c[p], c[q]) for c in shares)) for p, q, _ in _run_pairs([n]))
+    pairs = ((k * n + i, k * n + j, k * n + g) for i, j, g in chunks for k in range(m))
+    return tail_maxima(w, group_max_distances(s, pairs, m * n).reshape(m, n))
 
 
 def all_samplings(window, max_size=2):

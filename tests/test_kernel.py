@@ -7,6 +7,7 @@ including on tied values, int values and tolerances equal to a distance.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -18,6 +19,7 @@ from metastable import (
     Net,
     binary_space,
     build_sampling_suite,
+    cesaro_rotation_nets,
     empirical_rate,
     euclidean_space,
     finite_space_ump_check,
@@ -28,6 +30,7 @@ from metastable import (
     product,
     random_sampling,
     random_samplings,
+    refute_uniform,
     Sampling,
     table_space,
     unit_interval_space,
@@ -35,16 +38,18 @@ from metastable import (
 )
 from metastable import net, order
 from metastable.analyze import block_diameters
-from metastable.net import MetricSpace, cauchy_indices, eps_floor, group_max_distances, stacked, tail_diameters
+from metastable.net import MetricSpace, cauchy_indices, eps_floor, group_max_distances, stacked, tails_within
 from metastable.order import DirectedWindow
 from oracles import (
     brute_cauchy_index,
     brute_greedy_cover,
     brute_random_sampling,
+    brute_refute_uniform,
     brute_up_set,
     brute_witness,
     diamond,
     label_chain,
+    tail_diameters,
     windows,
 )
 
@@ -270,7 +275,7 @@ def test_scalar_kernels_make_no_distance_calls(monkeypatch):
     # The counter does see the pairwise witness check on a custom-table
     # net, whose kernel gathers from the table: a block of 4 points has 6 pairs.
     b = Net(make_omega_window(4), table_space("wxyz", [[0 if p == q else 1 for q in range(4)] for p in range(4)]), tuple("wxyz"))
-    tail_diameters(stacked([b]))
+    cauchy_indices(stacked([b]), [0.5])
     assert calls == []
     is_witness(b, 1.0, Sampling.from_function(b.window, lambda i: b.window.elements), 0)
     assert len(calls) == 6
@@ -331,10 +336,11 @@ _ANY_COORD = st.one_of(_EXTREME, st.floats(allow_nan=False, allow_infinity=False
 
 
 @st.composite
-def kernel_nets(draw, window):
-    """A net on ``window`` in a Euclidean space of dimension 1-8 (or a
-    table or scalar space), valued in a small pool so ties are common."""
-    kind = draw(st.sampled_from(["euclidean", "euclidean", "table", "half-line"]))
+def kernel_families(draw, window, kinds=("euclidean", "euclidean", "table", "half-line"), max_members=1):
+    """One to ``max_members`` nets on ``window`` in one Euclidean space of
+    dimension 1-8 (or a table or scalar space), valued in a small pool so
+    ties are common."""
+    kind = draw(st.sampled_from(kinds))
     if kind == "euclidean":
         dim = draw(st.integers(1, 8))
         space, points = euclidean_space(dim), st.tuples(*[_ANY_COORD] * dim)
@@ -347,7 +353,13 @@ def kernel_nets(draw, window):
     else:
         space, points = half_line_space(), st.one_of(st.floats(0.0, 1e308), st.integers(0, 2**53))
     pool = draw(st.lists(points, min_size=1, max_size=5))
-    return Net(window, space, tuple(draw(st.sampled_from(pool)) for _ in window.elements))
+    count = draw(st.integers(1, max_members))
+    return [Net(window, space, tuple(draw(st.sampled_from(pool)) for _ in window.elements)) for _ in range(count)]
+
+
+def kernel_nets(window):
+    """One net of :func:`kernel_families`."""
+    return kernel_families(window).map(lambda nets: nets[0])
 
 
 def _oracle_maxima(a, i, j, g, n_groups):
@@ -450,3 +462,140 @@ def test_random_suite_is_eight_sequential_stdlib_draws(window):
     expected = [brute_random_sampling(window, rng) for _ in range(8)]
     assert list(suite) == [f"random-k-{r}" for r in range(8)]
     assert [[tuple(s) for s in eta.assign] for eta in suite.values()] == [[tuple(s) for s in eta.assign] for eta in expected]
+
+
+# -- tail decisions against the all-pairs oracle ------------------------------
+
+
+def _tolerances(data, diameters):
+    """Tolerances at tail diameters (ties) and the float just below each."""
+    exact = sorted({d for d in diameters.ravel().tolist() if 0 < d < math.inf})
+    grid = data.draw(st.lists(st.sampled_from(exact or [0.5]), min_size=1, max_size=4))
+    return grid + [math.nextafter(e, 0) for e in grid if math.nextafter(e, 0) > 0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_tail_decisions_match_the_all_pairs_oracle(data):
+    # Chains, grids of up to three factors and custom windows; Euclidean points with
+    # subnormal and overflowing coordinates, table and scalar spaces; several members.
+    w = data.draw(st.one_of(_grids(), windows()))
+    s = stacked(data.draw(kernel_families(w, max_members=3)))
+    tails = tail_diameters(s)
+    grid = _tolerances(data, tails)
+    read = np.array(data.draw(st.lists(st.booleans(), min_size=len(w), max_size=len(w))))
+    first = data.draw(st.booleans())
+    with mock.patch.object(net, "PAIR_CHUNK", data.draw(st.sampled_from([1, 3, 7, net.PAIR_CHUNK]))):
+        got = tails_within(s, grid, read, first=first)
+    want = tails[:, None] <= np.array([eps_floor(e) for e in grid])[:, None]
+    assert got.shape == want.shape and not (got & ~want).any()  # True only where it holds
+    if first:  # exact up to each row's first hit among the read positions
+        assert ((got & read).any(axis=2) == (want & read).any(axis=2)).all()
+        assert ((got & read).argmax(axis=2) == (want & read).argmax(axis=2)).all()
+    else:
+        assert (got[..., read] == want[..., read]).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_tail_bounds_hold_and_the_lower_one_falls_up_the_order(data):
+    # A per-tail lower bound need not fall up the order as the diameter does;
+    # pruning with one that rises would skip pairs the exact step needs.
+    w = data.draw(st.one_of(_grids(), windows()))
+    s = stacked(data.draw(kernel_families(w, kinds=("euclidean", "table"), max_members=2)))
+    lower, upper = net._tail_bounds(s)
+    tails = tail_diameters(s)
+    assert (lower <= tails).all() and (tails <= upper).all()
+    p = np.arange(len(w))
+    for i, q in np.argwhere(order._above(w, p[:, None], p)):
+        assert (lower[:, i] >= lower[:, q]).all()
+
+
+@pytest.mark.parametrize("eps, index", [(1e-309, None), (2.2e-309, None), (4e-309, 0)])
+def test_a_sum_of_squares_that_underflows_is_no_zero_box(eps, index):
+    # Every square underflows to 0, yet the tail of 0 spans 2.2e-309 * sqrt 2.
+    a = Net(make_omega_window(3), euclidean_space(2), ((0.0, 0.0), (2.2e-309, 2.2e-309), (0.0, 0.0)))
+    assert window_cauchy_index(a, eps) == brute_cauchy_index(a, eps) == index
+
+
+def test_a_diagonal_extent_is_rounded_down_past_its_sums():
+    # fl(x + y) loses the units at 1e16: unrounded, the diagonal extent over sqrt 2 (4.24)
+    # would pass the tail's diameter (4.05) and refute a tolerance that holds.
+    a = Net(make_omega_window(4), euclidean_space(2), (
+        (-1e16, 3.0010999645874312), (-1.0000000000000002e16, 3.841398779940657),
+        (-1.0000000000000004e16, 2.346082538869249), (-1.0000000000000004e16, 2.346082538869249),
+    ))
+    assert window_cauchy_index(a, 4.1) == brute_cauchy_index(a, 4.1) == 0
+
+
+@pytest.mark.parametrize("read", [[True, False, False, False], [True, True, False, False]])
+def test_undecided_positions_above_a_read_one_are_measured(read):
+    # The tail of 0 spans 1 (between 1 and 2, which meet at 1); its bounds 0.92 and 1
+    # leave 0.95 undecided at 0 and 1, and 0's own row spans only 0.5.
+    r = (0.5 * math.cos(math.pi / 8), 0.5 * math.sin(math.pi / 8))
+    a = Net(make_omega_window(4), euclidean_space(2), ((0.0, 0.0), r, (-r[0], -r[1]), (-r[0], -r[1])))
+    assert not tails_within(stacked([a]), [0.95], np.array(read))[0, 0, 0]
+    assert refute_uniform([a], [[0]], 0.95) is not None and brute_refute_uniform([a], [[0]], 0.95) is not None
+
+
+# Windows of at most four elements, where the exhaustive oracle tries every sampling:
+# chains, grids of two and three factors, a diamond and a chain listed out of order.
+SMALL_WINDOWS = [
+    *map(make_omega_window, range(1, 5)),
+    product(make_omega_window(2), make_omega_window(2)),
+    product(product(make_omega_window(2), make_omega_window(1)), make_omega_window(2)),
+    diamond(),
+    label_chain(["x3", "x0", "x2", "x1"]),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_refute_uniform_on_euclidean_lists_matches_the_exhaustive_oracle(data):
+    w = data.draw(st.sampled_from(SMALL_WINDOWS))
+    nets = data.draw(kernel_families(w, kinds=("euclidean",), max_members=3))
+    eps = data.draw(st.sampled_from(_tolerances(data, tail_diameters(stacked(nets)))))
+    sets = data.draw(st.lists(st.lists(st.sampled_from(w.elements), min_size=1, max_size=2), min_size=1, max_size=2))
+    got, want = refute_uniform(nets, sets, eps), brute_refute_uniform(nets, sets, eps)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.member is want.member
+
+
+def test_cesaro_tails_take_near_linear_work(monkeypatch):
+    # Pairs handed to the distance kernel, per member and position, on the demo's tolerances.
+    handed, original = [], net.group_max_distances
+
+    def counting(a, pairs, n_groups):
+        def tally():
+            for i, j, g in pairs:
+                handed.append(g.size)
+                yield i, j, g
+
+        return original(a, tally(), n_groups)
+
+    nets = cesaro_rotation_nets([math.pi / 2, math.pi / 3], 4096)
+    grid = [0.5, 0.25, 0.05]
+    want = tail_diameters(nets)[:, None] <= np.array(grid)[:, None]
+    want[..., -1] = False  # the top
+    monkeypatch.setattr(net, "group_max_distances", counting)
+    got = cauchy_indices(nets, grid)
+    assert got == [tuple(int(r.argmax()) if r.any() else None for r in row) for row in want]
+    assert 0 < sum(handed) <= 64 * len(nets) * len(nets.window)
+
+
+def test_tail_decisions_hold_memory_linear_in_the_points():
+    # Two convergent R^2 members on 8,192 positions, every tail read at a tolerance that
+    # leaves the first ones undecided: bounds, masks and pair chunks stay linear in n.
+    rng, n = random.Random(1), 8192
+    rows = [[(c + a * (2 * rng.random() - 1), c + a * (2 * rng.random() - 1)) for a in (0.5 / (1 + i / 8) for i in range(n))] for c in (0.3, 0.7)]
+    s = stacked([Net(make_omega_window(n), euclidean_space(2), tuple(row)) for row in rows])
+    s.points
+    tracemalloc.start()
+    try:
+        got = tails_within(s, [0.01], np.ones(n, bool))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[:, 0, -100:].all() and not got[:, 0, :50].any()
+    assert peak <= 32 * s.array.nbytes

@@ -178,19 +178,6 @@ class TestCustomWindow:
 class TestMisnamed:
     """Labels equal to an element but of another kind (a dict lookup matches True and 1.0 to 1)."""
 
-    def test_omega(self):
-        w = make_omega_window(4)
-        assert w.misnamed([0, True, 1.0, 3, False, 9, "x"]) == [True, 1.0, False]
-        assert w.misnamed([0, 1, 2, 3]) == []
-
-    def test_product_labels_entry_by_entry(self):
-        w = product(make_omega_window(2), make_omega_window(2))
-        assert w.misnamed([(0, 1), (0, True), (1.0, 0), (2, 0)]) == [(0, True), (1.0, 0)]
-
-    def test_custom_window_of_a_bool_and_a_float(self):
-        w = make_custom_window([False, 2.0], [[1, 1], [0, 1]], [[0, 1], [1, 1]])
-        assert w.misnamed([False, 2.0, 0, 2, 0.0]) == [0, 2, 0.0]
-
     @pytest.mark.parametrize("a, b", [(True, 0), (2.0, 1), (0, False)])
     def test_omega_join_refuses_a_label_of_another_kind(self, a, b):
         # True, 2.0 and False equal omega elements but name none; the ints as written join.

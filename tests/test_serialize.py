@@ -194,6 +194,31 @@ class TestRatesReportsCertificates:
         assert back == cert
         assert replay_certificate(back)
 
+    def test_analysis_report_converts_each_label_once(self, monkeypatch):
+        from metastable import build_sampling_suite, empirical_rate
+
+        # Nested product labels, most of them named by several cells and nets.
+        w = product(product(make_omega_window(2), make_omega_window(2)), make_omega_window(3))
+        rng = random.Random(5)
+        nets = [Net(w, unit_interval_space(), tuple(rng.choice((0.0, 0.5, 1.0)) for _ in w)) for _ in range(3)]
+        report = empirical_rate(nets, [0.5, 0.25], build_sampling_suite(w, ["identity", "random-k"], seed=3))
+
+        def as_json(label):
+            return [as_json(x) for x in label] if isinstance(label, tuple) else label
+
+        calls, original = [], serialize._label_to_json
+        monkeypatch.setattr(serialize, "_label_to_json", lambda label: calls.append(label) or original(label))
+        doc = analysis_report_to_dict(report)
+        assert doc["cells"] == [
+            {"eps": c.eps, "sampling_id": c.sampling_id, "witnesses": list(map(as_json, c.witnesses)),
+             "cover_set": list(map(as_json, c.cover_set)), "uncovered": list(c.uncovered)}
+            for c in report.cells
+        ]
+        assert doc["cauchy_indices"] == [[[eps, as_json(i)] for eps, i in row] for row in report.cauchy_indices]
+        labels = [*(i for c in report.cells for i in (*c.witnesses, *c.cover_set)), *(i for row in report.cauchy_indices for _, i in row)]
+        top = [label for label in calls if label is None or label in w]  # the rest are parts of these
+        assert sorted(map(repr, top)) == sorted(map(repr, set(labels))) and len(labels) > len(top)
+
     def test_family_spec_roundtrip(self):
         spec = FamilySpec("D", make_omega_window(8), {"alphas": [0, 1, 2]})
         back = family_spec_from_dict(json.loads(dumps(family_spec_to_dict(spec))))
