@@ -5,7 +5,7 @@ searches for small uniform candidate sets over a grid of tolerances and a
 suite of samplings, and runs the finite-point-set uniform-metastability
 check.  Every element of a reported cover re-validates through the
 witness checker; per-net witnesses come from the same exact block
-diameters and are checked against brute-force oracles in the tests.
+decisions and are checked against brute-force oracles in the tests.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meta import is_witness
-from .net import CheckError, StackedFamily, cauchy_indices, eps_floor, run_diameters, stacked
+from .net import CheckError, StackedFamily, cauchy_indices, eps_floor, runs_within, stacked
 from .space import BINARY, EUCLIDEAN, SpaceError, euclidean_space
 from .order import (
     WindowError,
@@ -142,28 +142,6 @@ class AnalysisReport:
     refuted: bool  # some cell left a net without any witness
 
 
-def block_diameters(nets, *samplings):
-    """Nets x blocks matrix of the diameter of each net on each sampled block.
-
-    ``nets`` is a StackedFamily or a nonempty list of nets, stacked once.
-    Columns run over the indices of each sampling in turn, so with one
-    sampling index p witnesses net m at eps iff entry (m, p) is <= eps,
-    for every eps.  The samplings' position runs are read as one flat
-    array, and all nets take one :func:`~metastable.net.run_diameters` call.
-    """
-    window = samplings[0].window
-    for eta in samplings:
-        if eta.window != window:
-            raise WindowError("samplings live on different windows")
-        if len(eta.sizes) != len(window) or not eta.sizes.all():
-            raise WindowError("sampling needs one nonempty candidate set per index")
-    family = stacked(nets)
-    if family.window != window:
-        raise WindowError("sampling and net live on different windows")
-    flat = np.concatenate([eta.flat for eta in samplings])
-    return run_diameters(family, flat, np.concatenate([eta.sizes for eta in samplings]))
-
-
 def _greedy_covers(witness):
     """Greedy covers of the nets by indices in every cell of a cells x nets x positions witness tensor.
 
@@ -191,14 +169,17 @@ def empirical_rate(family, eps_grid, sampling_suite):
     every element of it is certified by re-validation against the witness
     checker.
 
-    The family is stacked once; its Cauchy indices (tails decided against
-    every tolerance by :func:`~metastable.net.cauchy_indices`) and its block
-    diameters over the whole suite are each one call for all nets, and one
-    witness tensor per tolerance gives every cell's first witnesses and cover.  The answers are those of the pairwise checks, exactly:
-    binary64 subtraction is monotone, so fl(max - min) over a block or
-    tail of scalar values equals the largest fl|x - y| over its pairs,
-    and with no NaN distances (points are finite) the largest distance
-    is <= eps exactly when every distance is.
+    The family is stacked once.  Its Cauchy indices (tails decided against
+    every tolerance by :func:`~metastable.net.cauchy_indices`) are one
+    call, and so is the decision of every block of the suite against every
+    tolerance (:func:`~metastable.net.runs_within`), which gives one
+    C-contiguous witness tensor per tolerance: every cell's first
+    witnesses and cover.  The answers are those of the pairwise checks,
+    exactly: binary64 subtraction is monotone, so fl(max - min) over a
+    block or tail of scalar values equals the largest fl|x - y| over its
+    pairs, Euclidean pairs are decided by the kernel filter's margin or by
+    ``math.dist``, and with no NaN distances (points are finite) the
+    largest distance is <= eps exactly when every distance is.
     """
     family = stacked(family)
     if not eps_grid or not sampling_suite:
@@ -208,11 +189,16 @@ def empirical_rate(family, eps_grid, sampling_suite):
     repeated = [x for x, y in zip(eps_grid, eps_grid[1:]) if x == y]  # one cell per tolerance, as in a Rate
     if repeated:
         raise ValueError(f"tolerance {repeated[0]!r} is repeated in the grid")
-    matrix = block_diameters(family, *sampling_suite.values())
-    diameters = matrix.reshape(len(family), len(sampling_suite), len(window)).transpose(1, 0, 2)
+    samplings = sampling_suite.values()
+    if any(eta.window != window for eta in samplings):
+        raise WindowError("sampling and net live on different windows")
+    if any(len(eta.sizes) != len(window) or not eta.sizes.all() for eta in samplings):
+        raise WindowError("sampling needs one nonempty candidate set per index")
+    flat, sizes = (np.concatenate([getattr(eta, f) for eta in samplings]) for f in ("flat", "sizes"))
+    within = runs_within(family, [eps_floor(eps) for eps in eps_grid], flat, sizes)
+    shape = len(family), len(eps_grid), len(sampling_suite), len(window)  # members x tolerances x cells x positions
     cells = []
-    for eps in eps_grid:
-        witness = diameters <= eps_floor(eps)
+    for eps, witness in zip(eps_grid, np.ascontiguousarray(within.reshape(shape).transpose(1, 2, 0, 3))):
         first, found = witness.argmax(axis=2).tolist(), witness.any(axis=2).tolist()
         for (sid, eta), row, hit, in_cover in zip(sampling_suite.items(), first, found, _greedy_covers(witness)):
             cover = tuple(els[p] for p in np.flatnonzero(in_cover).tolist())

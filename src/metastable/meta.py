@@ -18,8 +18,8 @@ import numpy as np
 
 from . import families as _families
 from .families import RefutationCertificate
-from .net import CheckError, StackedFamily, eps_floor, require_eps, run_diameters, run_maxima, stacked
-from .net import tail_maxima, tails_within, target_distances
+from .net import CheckError, StackedFamily, eps_floor, first_far_pair, require_eps, run_maxima, runs_within, stacked
+from .net import tail_maxima, tails_within, targets_within
 from .order import (
     Sampling,
     WindowError,
@@ -191,9 +191,10 @@ def verify_rate(family, rate, eps, sid):
     ``family`` is a StackedFamily or a nonempty list of nets, stacked once.
     In pointed mode every net must carry a declared target; witnesses are
     then measured against it.  The report records one witness (or None)
-    per net, in family order.  All members are decided at once: a block's
-    diameter (pointed: its largest distance to the target) per member and
-    candidate, exact as the pairwise test, against ``eps_floor(eps)``.
+    per net, in family order.  All members are decided at once, exact as
+    the pairwise test: each candidate's block by the block decision kernel
+    :func:`~metastable.net.runs_within` (pointed: each of its values by
+    :func:`~metastable.net.targets_within`) against ``eps_floor(eps)``.
     """
     candidates, sampling = rate.lookup(eps, sid), rate.samplings[sid]
     window, pointed = sampling.window, rate.pointed
@@ -206,8 +207,10 @@ def verify_rate(family, rate, eps, sid):
     order = sorted(candidates, key=window.index)  # ascending positions: the blocks keep the sampling's order
     chosen = np.bincount([window.index(i) for i in order], minlength=len(window)) > 0
     flat, sizes = sampling.flat[np.repeat(chosen, sampling.sizes)], sampling.sizes[chosen]
-    d = run_maxima(target_distances(family), flat, sizes) if pointed else run_diameters(family, flat, sizes)
-    ok = d <= bound
+    if pointed:  # every value of a block within eps of its member's target
+        ok = run_maxima(targets_within(family, bound), flat, sizes, np.minimum)
+    else:
+        ok = runs_within(family, [bound], flat, sizes)[:, 0]
     outcomes = tuple(order[c] if any_ else None for c, any_ in zip(ok.argmax(axis=1).tolist(), ok.any(axis=1).tolist()))
     return WitnessReport(eps=eps, sampling_id=sid, window_size=len(window), outcomes=outcomes)
 
@@ -347,7 +350,7 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
     bound, read = eps_floor(eps), np.isin(np.arange(len(window)), [window.index(i) for i in union])
     for chunk in chunks:
         # Per member and index: whether its up-set lies within eps (pointed: of the target).
-        near = (tail_maxima(window, target_distances(chunk)) <= bound) if pointed else tails_within(chunk, [eps], read)[:, 0]
+        near = tail_maxima(window, targets_within(chunk, bound), np.minimum) if pointed else tails_within(chunk, [eps], read)[:, 0]
         defeated = np.flatnonzero(~(near & read).any(axis=1))
         if defeated.size:
             a = (chunk if is_spec else family)[int(defeated[0])]
@@ -361,10 +364,11 @@ def _far_block(a, eps, i, pointed):
     # Index i's tail being farther than eps from a's target (pointed) or
     # having diameter > eps: {j} for the first j above i that far from the
     # target, or a pair that far apart, the largest and smallest value on
-    # scalar spaces, else the first such pair.
+    # scalar spaces, else the first such pair in combinations order.
     up = a.window.up_set(i)
     if pointed:
         return next({j} for j in up if not _within(a, eps, (j,), a.target))
     if a.space.is_scalar():
         return {max(up, key=a.value), min(up, key=a.value)}
-    return next({j, k} for j, k in itertools.combinations(up, 2) if not _within(a, eps, (j, k)))
+    positions = np.fromiter(map(a.window.index, up), np.intp, len(up))
+    return {a.window.elements[p] for p in first_far_pair(a, eps_floor(eps), positions)}

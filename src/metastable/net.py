@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 import operator
@@ -256,86 +255,6 @@ def _run_pairs(sizes):
             yield p, q, run[p]
 
 
-def group_max_distances(a, pairs, n_groups):
-    """Largest distance d(a_i, a_j) in each group of point pairs of a stacked family.
-
-    Points are numbered as in :attr:`StackedFamily.points`.  ``pairs``
-    yields chunks ``(i, j, group)`` of integer arrays: points
-    (``i`` and ``j`` broadcast against each other) and, in their broadcast
-    shape, a group id in ``range(n_groups)`` per pair.  Entry g of the
-    result is bit-identical to the ``max`` of ``a.space.unchecked_dist``
-    over group g's pairs, and 0.0 for a group without pairs.  Memory is
-    O(points + n_groups + chunk).
-
-    Scalar spaces take ``abs`` of the differences, and custom-table
-    spaces gather from the table: both exact.  Euclidean distances go
-    through a semi-static floating-point filter (Fortune & Van Wyk 1993;
-    Shewchuk 1997): numpy estimates e = fl(sqrt(sum fl(fl(x - y)^2))),
-    and only pairs whose estimate could belong to their group's maximum
-    are re-evaluated with ``math.dist``, whose values are the answers.
-
-    Why that is exact.  Let u = 2^-53, d the dimension and t the true
-    distance.  Call a pair safe when its computed sum of squares s lies
-    in [2^-900, 2^900]: no square overflowed, and squares that underflow
-    shift s by a relative d * 2^-122 at most.  On a safe pair each
-    difference, square and the square root rounds once (relative u), and
-    the d - 1 additions, in any order, add at most (d - 1)u / (1 - (d - 1)u)
-    to s, so |e - t| <= ((d + 4) / 2) u t up to O(u^2).  ``math.dist`` is
-    within one ulp, 2u t, of t.  Let q be the safe pair with the group's
-    largest estimate E.  A safe pair p with dist(p) >= dist(q) then has
-    e_p >= E (1 - (d + 8) u - O(u^2)); the filter keeps every safe pair
-    with e_p >= E (1 - 8 (d + 8) u), where the factor 8 covers the O(u^2)
-    terms, the underflow term and the rounding of the product.  Unsafe
-    pairs never set E and are always re-evaluated, except pairs of
-    identical points, whose distance 0.0 is the initial value.  So the
-    pair attaining the exact maximum is re-evaluated, and the maximum
-    over re-evaluated pairs is the maximum over the group.  Chunks keep a
-    running E, which is at most the final one, so they keep a superset.
-    """
-    out = np.zeros(n_groups)
-    space, array = a.space, a.points
-    if space.kind == EUCLIDEAN:
-        # math.dist takes the points as given, as unchecked_dist does (no enumerated
-        # family is Euclidean), gathered by position without a Python int per index.
-        targets = () if None in a.targets else a.targets
-        coordinates = np.fromiter(itertools.chain(*a._rows, targets), object, array.shape[1])
-        keep = 1.0 - 8 * (space.dim + 8) * 2.0**-53
-        estimates = np.zeros(n_groups)
-        for i, j, g in pairs:
-            with np.errstate(over="ignore"):  # overflowing pairs are re-evaluated
-                squares = sum((x[i] - x[j]) ** 2 for x in array)
-            if 2.0**-900 <= squares.min(initial=2.0**-900) and squares.max(initial=0.0) <= 2.0**900:
-                unsafe, e = None, np.sqrt(squares)
-            else:
-                unsafe = (squares < 2.0**-900) | (squares > 2.0**900)
-                e = np.sqrt(squares, out=np.zeros_like(squares), where=~unsafe)
-            np.maximum.at(estimates, g.ravel(), e.ravel())
-            redo = e >= estimates[g] * keep
-            if unsafe is not None:
-                redo |= unsafe
-            redo = np.nonzero(redo)
-            i, j = (v[redo] for v in np.broadcast_arrays(i, j))
-            g = g[redo]
-            if unsafe is not None:  # identical points are at distance 0, the initial value
-                differ = sum(x[i] != x[j] for x in array) > 0
-                i, j, g = i[differ], j[differ], g[differ]
-            exact = map(math.dist, coordinates[i], coordinates[j])
-            np.maximum.at(out, g, np.fromiter(exact, float, len(g)))
-        return out
-    if space.is_scalar():
-
-        def dist(i, j):
-            return np.abs(array[i] - array[j])
-    else:
-        table = np.array(space.table, dtype=float)
-
-        def dist(i, j):
-            return table[array[i], array[j]]
-    for i, j, g in pairs:
-        np.maximum.at(out, g.ravel(), dist(i, j).ravel())
-    return out
-
-
 def run_maxima(x, flat, sizes, ufunc=np.maximum):
     """Largest entry (``ufunc=np.minimum``: smallest) of each row of ``x``
     on each run of positions: rows x runs.
@@ -346,22 +265,104 @@ def run_maxima(x, flat, sizes, ufunc=np.maximum):
     return ufunc.reduceat(x[:, flat], np.cumsum(sizes) - sizes, axis=1)
 
 
-def run_diameters(s, flat, sizes):
-    """Diameter of every member of a stacked family on each run of positions: members x runs.
+#: Longest run that :func:`runs_within` decides on a scalar space by one
+#: gather per level (rank inside a run); past it, ``reduceat`` takes every run.
+LEVEL_PASSES = 8
+
+
+def _beyond(s, i, j, bounds):
+    """Bounds x pairs: whether points i and j of a stacked family (numbered
+    as in :attr:`StackedFamily.points`) lie more than each bound (a column)
+    apart, exactly as ``unchecked_dist`` measures them.
+
+    A table space gathers from its table.  A Euclidean pair goes through a
+    semi-static floating-point filter (Fortune & Van Wyk 1993; Shewchuk
+    1997): numpy estimates e = fl(sqrt(sum fl(fl(x - y)^2))), and only the
+    pairs it cannot decide go to ``math.dist``, on the points as given.
+    Why that is exact.  Let u = 2^-53, d the dimension and t the true
+    distance.  Call a pair safe when its computed sum of squares lies in
+    [2^-900, 2^900]: no square overflowed, and squares that underflow shift
+    the sum by a relative d * 2^-122 at most.  On a safe pair each
+    difference, square and the square root rounds once, and the d - 1
+    additions, in any order, add at most (d - 1)u / (1 - (d - 1)u), so
+    |e - t| <= ((d + 4) / 2) u t up to O(u^2); ``math.dist`` is within one
+    ulp, 2u t, of t.  With k = 8 (d + 8) u, whose factor 8 covers the
+    O(u^2) terms, the underflow term and the rounding of the product,
+    e (1 + k) <= b means within and e (1 - k) > b beyond.  Identical points
+    have a sum of exactly 0; every other unsafe pair, and every pair with a
+    bound in between, is measured.
+    """
+    x, n, m = s.points, len(s.window), len(s)
+    if s.space.kind != EUCLIDEAN:
+        return np.array(s.space.table, float)[x[i], x[j]] > bounds
+    kappa = 8 * (s.space.dim + 8) * 2.0**-53
+    with np.errstate(over="ignore"):  # overflowing pairs are unsafe
+        squares = sum((c[i] - c[j]) ** 2 for c in x)
+    e = np.sqrt(squares)
+    low = e * (1 - kappa)
+    redo = ((low <= bounds) & (bounds < e * (1 + kappa))).any(axis=0)
+    unsafe = (squares < 2.0**-900) | (squares > 2.0**900)
+    if unsafe.any():
+        redo |= unsafe & (sum(c[i] != c[j] for c in x) > 0)
+    if redo.any():
+
+        def given(a):  # point k * n + p is member k's value at p, point m * n + k its target
+            return s._rows[a // n][a % n] if a < m * n else s.targets[a - m * n]
+
+        low[redo] = [math.dist(given(p), given(q)) for p, q in zip(i[redo].tolist(), j[redo].tolist())]
+    return low > bounds
+
+
+def runs_within(s, bounds, flat, sizes):
+    """Whether the diameter of every member of a stacked family on each run
+    of positions is <= each bound: members x bounds x runs booleans, exact
+    and C-contiguous.
 
     ``flat`` is an integer array of positions cut into consecutive
-    nonempty runs of ``sizes``.  Scalar spaces take run max minus run min
-    (``reduceat``), which is exact: binary64 subtraction is monotone, so
-    fl(max - min) is the largest fl|x - y| over the run's pairs.  Other
-    spaces take every pair of a run of every member through one
-    :func:`group_max_distances` call.
+    nonempty runs of ``sizes``; ``bounds`` are floats (see
+    :func:`eps_floor`).  Scalar spaces compare run max minus run min, which
+    is exact: binary64 subtraction is monotone, so fl(max - min) is the
+    largest fl|x - y| over the run's pairs.  Runs of at most
+    :data:`LEVEL_PASSES` positions keep a running max and min, one gather
+    per level; a longer run sends every run through ``reduceat``, so time
+    stays O(len(flat)).  Other spaces decide every pair of a run with
+    :func:`_beyond`, chunk by chunk (:func:`_run_pairs`), and mark each run
+    holding a pair beyond a bound.  Memory is O(points + chunk x bounds).
     """
-    sizes = np.asarray(sizes, dtype=np.intp)
-    if s.space.is_scalar():
-        return run_maxima(s.array, flat, sizes) - run_maxima(s.array, flat, sizes, np.minimum)
+    bounds, sizes = np.asarray(bounds, float)[:, None], np.asarray(sizes, np.intp)
     m, n, runs = len(s), len(s.window), len(sizes)
-    chunks = ((k * n + flat[p], k * n + flat[q], k * runs + run) for p, q, run in _run_pairs(sizes) for k in range(m))
-    return group_max_distances(s, chunks, m * runs).reshape(m, runs)
+    if s.space.is_scalar():
+        x, longest = s.array, sizes.max(initial=0)
+        if longest > LEVEL_PASSES:
+            d = run_maxima(x, flat, sizes) - run_maxima(x, flat, sizes, np.minimum)
+        else:
+            starts = np.cumsum(sizes) - sizes
+            hi = lo = x[:, flat[starts]]
+            for r in range(1, longest):
+                level = x[:, flat[starts + np.minimum(r, sizes - 1)]]  # a shorter run repeats its last
+                hi, lo = np.maximum(hi, level), np.minimum(lo, level)
+            d = hi - lo
+        return np.ascontiguousarray(d[:, None] <= bounds)
+    far = np.zeros((m, len(bounds), runs), bool)
+    for p, q, run in _run_pairs(sizes):
+        for k in range(m):
+            level, pair = np.nonzero(_beyond(s, k * n + flat[p], k * n + flat[q], bounds))
+            far[k, level, run[pair]] = True
+    return ~far
+
+
+def first_far_pair(a, bound, up):
+    """The first pair (p, q) of the ascending positions ``up``, in
+    ``itertools.combinations`` order, at which the net ``a`` lies more than
+    ``bound`` apart, decided by :func:`_beyond` chunk by chunk in
+    :func:`_run_pairs` row order; None when there is none."""
+    s, bounds = stacked([a]), np.array([[bound]])
+    for p, q, _ in _run_pairs([len(up)]):
+        beyond = _beyond(s, up[p], up[q], bounds)[0]
+        if beyond.any():
+            f = beyond.argmax()
+            return int(up[p[f]]), int(up[q[f]])
+    return None
 
 
 def _orthants(ufunc, x, shape, up=True):
@@ -384,15 +385,15 @@ def tail_maxima(w, x, ufunc=np.maximum):
     return run_maxima(x, *up_runs(w), ufunc) if shape is None else _orthants(ufunc, x, shape)
 
 
-def target_distances(s):
-    """Distance from each member's value at every position to its target:
-    members x positions of a stacked family whose members all have one,
-    bit-identical to ``unchecked_dist`` (scalar spaces: |x - t|)."""
+def targets_within(s, bound):
+    """Members x positions: whether each member's value at every position
+    lies within ``bound`` of its target, for a stacked family whose members
+    all have one, exactly as ``unchecked_dist`` measures it."""
     m, n = len(s), len(s.window)
     if s.space.is_scalar():
-        return np.abs(s.array - s.points[m * n:, None])
-    p = np.arange(m * n).reshape(m, n)
-    return group_max_distances(s, [(p, m * n + np.arange(m)[:, None], p)], m * n).reshape(m, n)
+        return np.abs(s.array - s.points[m * n:, None]) <= bound
+    p = np.arange(m * n)
+    return ~_beyond(s, p, m * n + p // n, np.array([[bound]]))[0].reshape(m, n)
 
 
 def _tail_bounds(s):
@@ -468,13 +469,13 @@ def tails_within(s, eps_grid, read, first=False):
     True there) and elsewhere True only where it holds.
 
     Scalar spaces take the tail's max minus min, which is exact (see
-    :func:`run_diameters`).  Other spaces prune with :func:`_tail_bounds`
+    :func:`runs_within`).  Other spaces prune with :func:`_tail_bounds`
     (after Har-Peled, "A practical approach for computing the diameter of
-    a point set", SoCG 2001) and decide the rest exactly: a tail's diameter
-    is the largest, over its positions p, of the largest distance of a pair
-    meeting at p on a grid, or of p's tail diameter elsewhere.  Only
-    undecided positions above an undecided read one can exceed eps there;
-    :func:`group_max_distances` takes those, the others count as 0.
+    a point set", SoCG 2001) and decide the rest exactly.  On a grid a tail
+    lies within eps when every pair meeting (componentwise minimum) at one
+    of its positions does; only undecided positions above an undecided read
+    one can hold a pair beyond eps, and :func:`_beyond` decides their pairs.
+    Elsewhere :func:`runs_within` decides the read tails themselves.
     """
     bounds, w, m, n = np.array([eps_floor(eps) for eps in eps_grid])[:, None], s.window, len(s), len(s.window)
     if s.space.is_scalar():
@@ -487,14 +488,17 @@ def tails_within(s, eps_grid, read, first=False):
         pending &= ~np.logical_or.accumulate(hit & read, axis=2)
     if not pending.any():
         return hit
-    shape, exact = w.grid_shape(), np.zeros((m, n))
-    if shape is None:  # the diameters of the read tails themselves
-        cols, (flat, sizes) = pending.any(axis=(0, 1)), up_runs(w)
-        exact[:, cols] = run_diameters(s, flat[np.repeat(cols, sizes)], sizes[cols])
-    else:
-        need = undecided & _orthants(np.logical_or, pending.reshape(-1, n), shape, up=False).reshape(pending.shape)
-        exact = group_max_distances(s, _meet_pairs(shape, *np.nonzero(need.any(axis=1)), n), m * n).reshape(m, n)
-    return hit | pending & (tail_maxima(w, exact)[:, None] <= bounds)
+    shape = w.grid_shape()
+    if shape is None:  # the read tails themselves, decided as runs
+        cols, (flat, sizes), within = pending.any(axis=(0, 1)), up_runs(w), np.zeros_like(hit)
+        within[:, :, cols] = runs_within(s, bounds[:, 0], flat[np.repeat(cols, sizes)], sizes[cols])
+        return hit | pending & within
+    need = undecided & _orthants(np.logical_or, pending.reshape(-1, n), shape, up=False).reshape(pending.shape)
+    far = np.zeros(pending.shape, bool)  # some pair meeting at the position lies beyond the bound
+    for i, j, g in _meet_pairs(shape, *np.nonzero(need.any(axis=1)), n):
+        level, pair = np.nonzero(_beyond(s, i, j, bounds))
+        far[g[pair] // n, level, g[pair] % n] = True
+    return hit | pending & ~tail_maxima(w, far.reshape(-1, n)).reshape(far.shape)
 
 
 def cauchy_indices(s, eps_grid):

@@ -433,7 +433,7 @@ def doubling_sampling(window):
 #: Most elements :func:`random_sampling` puts in one candidate set: at most 5,
 #: where ``random.sample`` switches from pool to set above 21 (a test pins it).
 RANDOM_BLOCK_MAX = 3
-_BITS = tuple(b.bit_length() for b in range(22))  # pool-method bounds
+_BITS = tuple(b.bit_length() for b in range(22))  # of the bounds up to 21: the pool method's and randint's
 
 
 def _draw_ranks(rng, sizes):
@@ -441,32 +441,55 @@ def _draw_ranks(rng, sizes):
 
     CPython's rule, on the same MT19937 words: ``_randbelow(b)`` is
     ``getrandbits(b.bit_length())``, the top bits of one 32-bit word, drawn
-    again while >= b; ``sample`` swaps through a pool for up to 21
-    elements, else redraws duplicates.
+    again while >= b.  ``sample`` takes one of two methods, and the loop is
+    written for each.  Above 21 elements (the set method) the count is
+    ``randint(1, RANDOM_BLOCK_MAX)``, and each pick is drawn again while it
+    repeats an earlier one: the first three picks are written out with
+    ``!=`` tests, and a general tail takes a fourth and fifth.  Up to 21
+    (the pool method) each pick swaps the pool's last entry into its place.
     """
-    kmax, bits, getrandbits, ranks, counts = RANDOM_BLOCK_MAX, _BITS, rng.getrandbits, [], []
-    for m in sizes:
-        b = m if m < kmax else kmax
-        k = getrandbits(bits[b]) + 1
-        while k > b:
-            k = getrandbits(bits[b]) + 1
-        counts.append(k)
-        if m <= 21:
-            pool = list(range(m))
-            for b in range(m, m - k, -1):
-                j = getrandbits(bits[b])
-                while j >= b:
-                    j = getrandbits(bits[b])
-                ranks.append(pool[j])
-                pool[j] = pool[b - 1]
+    kmax, getrandbits, ranks, counts = RANDOM_BLOCK_MAX, rng.getrandbits, [], []
+    add, count, kbits, pools = ranks.append, counts.append, _BITS[kmax], [list(range(m)) for m in range(22)]
+    for m, s in zip(sizes, map(int.bit_length, sizes)):
+        if m > 21:
+            k = getrandbits(kbits)
+            while k >= kmax:
+                k = getrandbits(kbits)
+            count(k + 1)
+            a = getrandbits(s)
+            while a >= m:
+                a = getrandbits(s)
+            add(a)
+            if k:
+                b = getrandbits(s)
+                while b >= m or b == a:
+                    b = getrandbits(s)
+                add(b)
+                if k > 1:
+                    c = getrandbits(s)
+                    while c >= m or c == a or c == b:
+                        c = getrandbits(s)
+                    add(c)
+                    picked = [a, b, c]
+                    for _ in range(k - 2):
+                        j = getrandbits(s)
+                        while j >= m or j in picked:
+                            j = getrandbits(s)
+                        picked.append(j)
+                        add(j)
         else:
-            s, picked = m.bit_length(), []
-            for _ in range(k):
-                j = getrandbits(s)
-                while j >= m or j in picked:
-                    j = getrandbits(s)
-                picked.append(j)
-            ranks += picked
+            b = m if m < kmax else kmax
+            k = getrandbits(_BITS[b]) + 1
+            while k > b:
+                k = getrandbits(_BITS[b]) + 1
+            count(k)
+            pool = pools[m][:]
+            for b in range(m, m - k, -1):
+                j = getrandbits(_BITS[b])
+                while j >= b:
+                    j = getrandbits(_BITS[b])
+                add(pool[j])
+                pool[j] = pool[b - 1]
     return ranks, counts
 
 

@@ -8,6 +8,7 @@ the library is a two-route check rather than a tautology.
 import csv
 import itertools
 import json
+import math
 
 import numpy as np
 from hypothesis import strategies as st
@@ -24,7 +25,9 @@ from metastable import (
     replay_certificate,
     unit_interval_space,
 )
-from metastable.net import _run_pairs, group_max_distances, run_diameters, tail_maxima
+from metastable import WindowError
+from metastable.net import _run_pairs, run_maxima, stacked, tail_maxima
+from metastable.space import EUCLIDEAN
 from metastable.order import SamplingViolation, _draw_ranks, up_runs
 
 
@@ -246,6 +249,127 @@ def brute_cauchy_index(a, eps):
         if ok:
             return i0
     return None
+
+
+def group_max_distances(a, pairs, n_groups):
+    """Largest distance d(a_i, a_j) in each group of point pairs of a stacked family:
+    the all-pairs maxima that the library's decisions against eps answer to.
+
+    Points are numbered as in :attr:`StackedFamily.points`.  ``pairs``
+    yields chunks ``(i, j, group)`` of integer arrays: points
+    (``i`` and ``j`` broadcast against each other) and, in their broadcast
+    shape, a group id in ``range(n_groups)`` per pair.  Entry g of the
+    result is bit-identical to the ``max`` of ``a.space.unchecked_dist``
+    over group g's pairs, and 0.0 for a group without pairs.  Memory is
+    O(points + n_groups + chunk).
+
+    Scalar spaces take ``abs`` of the differences, and custom-table
+    spaces gather from the table: both exact.  Euclidean distances go
+    through a semi-static floating-point filter (Fortune & Van Wyk 1993;
+    Shewchuk 1997): numpy estimates e = fl(sqrt(sum fl(fl(x - y)^2))),
+    and only pairs whose estimate could belong to their group's maximum
+    are re-evaluated with ``math.dist``, whose values are the answers.
+
+    Why that is exact.  Let u = 2^-53, d the dimension and t the true
+    distance.  Call a pair safe when its computed sum of squares s lies
+    in [2^-900, 2^900]: no square overflowed, and squares that underflow
+    shift s by a relative d * 2^-122 at most.  On a safe pair each
+    difference, square and the square root rounds once (relative u), and
+    the d - 1 additions, in any order, add at most (d - 1)u / (1 - (d - 1)u)
+    to s, so |e - t| <= ((d + 4) / 2) u t up to O(u^2).  ``math.dist`` is
+    within one ulp, 2u t, of t.  Let q be the safe pair with the group's
+    largest estimate E.  A safe pair p with dist(p) >= dist(q) then has
+    e_p >= E (1 - (d + 8) u - O(u^2)); the filter keeps every safe pair
+    with e_p >= E (1 - 8 (d + 8) u), where the factor 8 covers the O(u^2)
+    terms, the underflow term and the rounding of the product.  Unsafe
+    pairs never set E and are always re-evaluated, except pairs of
+    identical points, whose distance 0.0 is the initial value.  So the
+    pair attaining the exact maximum is re-evaluated, and the maximum
+    over re-evaluated pairs is the maximum over the group.  Chunks keep a
+    running E, which is at most the final one, so they keep a superset.
+    """
+    out = np.zeros(n_groups)
+    space, array = a.space, a.points
+    if space.kind == EUCLIDEAN:
+        # math.dist takes the points as given, as unchecked_dist does (no enumerated
+        # family is Euclidean), gathered by position without a Python int per index.
+        targets = () if None in a.targets else a.targets
+        coordinates = np.fromiter(itertools.chain(*a._rows, targets), object, array.shape[1])
+        keep = 1.0 - 8 * (space.dim + 8) * 2.0**-53
+        estimates = np.zeros(n_groups)
+        for i, j, g in pairs:
+            with np.errstate(over="ignore"):  # overflowing pairs are re-evaluated
+                squares = sum((x[i] - x[j]) ** 2 for x in array)
+            if 2.0**-900 <= squares.min(initial=2.0**-900) and squares.max(initial=0.0) <= 2.0**900:
+                unsafe, e = None, np.sqrt(squares)
+            else:
+                unsafe = (squares < 2.0**-900) | (squares > 2.0**900)
+                e = np.sqrt(squares, out=np.zeros_like(squares), where=~unsafe)
+            np.maximum.at(estimates, g.ravel(), e.ravel())
+            redo = e >= estimates[g] * keep
+            if unsafe is not None:
+                redo |= unsafe
+            redo = np.nonzero(redo)
+            i, j = (v[redo] for v in np.broadcast_arrays(i, j))
+            g = g[redo]
+            if unsafe is not None:  # identical points are at distance 0, the initial value
+                differ = sum(x[i] != x[j] for x in array) > 0
+                i, j, g = i[differ], j[differ], g[differ]
+            exact = map(math.dist, coordinates[i], coordinates[j])
+            np.maximum.at(out, g, np.fromiter(exact, float, len(g)))
+        return out
+    if space.is_scalar():
+
+        def dist(i, j):
+            return np.abs(array[i] - array[j])
+    else:
+        table = np.array(space.table, dtype=float)
+
+        def dist(i, j):
+            return table[array[i], array[j]]
+    for i, j, g in pairs:
+        np.maximum.at(out, g.ravel(), dist(i, j).ravel())
+    return out
+
+
+def run_diameters(s, flat, sizes):
+    """Diameter of every member of a stacked family on each run of positions:
+    members x runs, each an exact maximum of ``unchecked_dist`` over the
+    run's pairs.
+
+    ``flat`` is an integer array of positions cut into consecutive
+    nonempty runs of ``sizes``.  Scalar spaces take run max minus run min
+    (``reduceat``), exact because binary64 subtraction is monotone.  Other
+    spaces take every pair of a run of every member through one
+    ``group_max_distances`` call.  The all-pairs route that
+    ``net.runs_within`` answers to: its decisions are these <= ``eps_floor(eps)``.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    if s.space.is_scalar():
+        return run_maxima(s.array, flat, sizes) - run_maxima(s.array, flat, sizes, np.minimum)
+    m, n, runs = len(s), len(s.window), len(sizes)
+    chunks = ((k * n + flat[p], k * n + flat[q], k * runs + run) for p, q, run in _run_pairs(sizes) for k in range(m))
+    return group_max_distances(s, chunks, m * runs).reshape(m, runs)
+
+
+def block_diameters(nets, *samplings):
+    """Nets x blocks matrix of the diameter of each net on each sampled block.
+
+    ``nets`` is a StackedFamily or a nonempty list of nets, stacked once.
+    Columns run over the indices of each sampling in turn, so with one
+    sampling index p witnesses net m at eps iff entry (m, p) is <= eps.
+    """
+    window = samplings[0].window
+    for eta in samplings:
+        if eta.window != window:
+            raise WindowError("samplings live on different windows")
+        if len(eta.sizes) != len(window) or not eta.sizes.all():
+            raise WindowError("sampling needs one nonempty candidate set per index")
+    family = stacked(nets)
+    if family.window != window:
+        raise WindowError("sampling and net live on different windows")
+    flat = np.concatenate([eta.flat for eta in samplings])
+    return run_diameters(family, flat, np.concatenate([eta.sizes for eta in samplings]))
 
 
 def tail_diameters(s):

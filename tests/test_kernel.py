@@ -5,6 +5,7 @@ matrix greedy cover must give exactly the answers of raw pairwise loops,
 including on tied values, int values and tolerances equal to a distance.
 """
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -36,11 +37,11 @@ from metastable import (
     unit_interval_space,
     window_cauchy_index,
 )
-from metastable import net, order
-from metastable.analyze import block_diameters
-from metastable.net import MetricSpace, cauchy_indices, eps_floor, group_max_distances, stacked, tails_within
-from metastable.order import DirectedWindow
+from metastable import meta, net, order
+from metastable.net import MetricSpace, cauchy_indices, eps_floor, runs_within, stacked, tails_within
+from metastable.order import DirectedWindow, up_runs
 from oracles import (
+    block_diameters,
     brute_cauchy_index,
     brute_greedy_cover,
     brute_random_sampling,
@@ -48,7 +49,9 @@ from oracles import (
     brute_up_set,
     brute_witness,
     diamond,
+    group_max_distances,
     label_chain,
+    run_diameters,
     tail_diameters,
     windows,
 )
@@ -270,7 +273,7 @@ def test_scalar_kernels_make_no_distance_calls(monkeypatch):
     for eps in (0.5, 0.25, 0.1):
         window_cauchy_index(a, eps)
     for eta in build_sampling_suite(w, ["identity", "successor", "doubling", "random-k"], seed=1).values():
-        block_diameters([a], eta)
+        runs_within(stacked([a]), [0.5, 0.25, 0.1], eta.flat, eta.sizes)
     assert calls == []
     # The counter does see the pairwise witness check on a custom-table
     # net, whose kernel gathers from the table: a block of 4 points has 6 pairs.
@@ -385,20 +388,29 @@ def test_group_maxima_are_bit_identical_to_unchecked_dist(data):
     assert got.tolist() == _oracle_maxima(a, i, j, g, n_groups)
 
 
-@pytest.mark.parametrize(
-    "a, b",
-    [
-        # |a| > |b| by one ulp, yet numpy's estimate orders them the other way.
-        ((-0.9241669388028388, 0.6388282212255945), (1.0919345106270197, -0.2643199794041268)),
-        # Squares in the subnormal range: |a| > |b|, yet a's estimate is 2% lower.
-        ((math.sqrt(10.49) * 2.0**-537,) * 2, (math.sqrt(20.6) * 2.0**-537, 0.0)),
-    ],
-)
+_MISORDERED = [
+    # |a| > |b| by one ulp, yet numpy's estimate orders them the other way.
+    ((-0.9241669388028388, 0.6388282212255945), (1.0919345106270197, -0.2643199794041268)),
+    # Squares in the subnormal range: |a| > |b|, yet a's estimate is 2% lower.
+    ((math.sqrt(10.49) * 2.0**-537,) * 2, (math.sqrt(20.6) * 2.0**-537, 0.0)),
+]
+
+
+@pytest.mark.parametrize("a, b", _MISORDERED)
 def test_filter_keeps_pairs_whose_estimates_misorder(a, b):
     net_ab = Net(make_omega_window(3), euclidean_space(2), ((0.0, 0.0), a, b))
     assert math.dist((0.0, 0.0), a) > math.dist((0.0, 0.0), b)
     pairs = [(np.array([0, 0]), np.array([1, 2]), np.array([0, 0]))]
     assert group_max_distances(stacked([net_ab]), pairs, 1).tolist() == [math.dist((0.0, 0.0), a)]
+
+
+@pytest.mark.parametrize("a, b", _MISORDERED)
+def test_pair_decisions_hold_where_estimates_misorder(a, b):
+    # Bounds at each distance and at the float below it: the estimates cannot tell them apart.
+    s = stacked([Net(make_omega_window(3), euclidean_space(2), ((0.0, 0.0), a, b))])
+    exact = np.array([math.dist((0.0, 0.0), a), math.dist((0.0, 0.0), b)])
+    bounds = np.array([[d] for e in exact for d in (e, math.nextafter(e, 0))])
+    assert net._beyond(s, np.array([0, 0]), np.array([1, 2]), bounds).tolist() == (exact > bounds).tolist()
 
 
 def _grids():
@@ -440,6 +452,116 @@ def test_custom_window_tails_read_the_kernel(data):
         for i in w.elements
     ]
     assert tail_diameters(stacked([a]))[0].tolist() == expected
+
+
+# -- block decisions against the all-pairs oracle ----------------------------
+
+
+@st.composite
+def _runs(draw, n):
+    """Runs of positions below n, as (flat, sizes), some past the level-pass size."""
+    sizes = draw(st.lists(st.integers(1, net.LEVEL_PASSES + 3), min_size=1, max_size=8))
+    flat = draw(st.lists(st.integers(0, n - 1), min_size=sum(sizes), max_size=sum(sizes)))
+    return np.array(flat, np.intp), np.array(sizes, np.intp)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_block_decisions_match_the_all_pairs_oracle(data):
+    # Chains, grids and custom windows; Euclidean points in dimension 1-8 with identical,
+    # subnormal and overflowing coordinates, table and scalar spaces; several members;
+    # tolerances at a run's diameter and at the float below it; drawn runs and up-sets.
+    w = data.draw(st.one_of(_grids(), windows()))
+    s = stacked(data.draw(kernel_families(w, max_members=3)))
+    flat, sizes = data.draw(st.one_of(_runs(len(w)), st.just(up_runs(w))))
+    diameters = run_diameters(s, flat, sizes)
+    bounds = [eps_floor(e) for e in _tolerances(data, diameters)]
+    with mock.patch.object(net, "PAIR_CHUNK", data.draw(st.sampled_from([1, 3, 7, net.PAIR_CHUNK]))):
+        got = runs_within(s, bounds, flat, sizes)
+    assert got.flags.c_contiguous
+    assert got.tolist() == (diameters[:, None] <= np.array(bounds)[:, None]).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_target_decisions_match_unchecked_dist(data):
+    # Each member's target is one of its own values, so ties at a bound are common.
+    w = data.draw(st.one_of(_grids(), windows()))
+    nets = [Net(w, a.space, a.values, data.draw(st.sampled_from(a.values))) for a in data.draw(kernel_families(w, max_members=3))]
+    distances = np.array([[a.space.unchecked_dist(v, a.target) for v in a.values] for a in nets])
+    for bound in map(eps_floor, _tolerances(data, distances)):
+        assert net.targets_within(stacked(nets), bound).tolist() == (distances <= bound).tolist()
+
+
+def test_a_scalar_block_past_the_level_passes_takes_reduceat(monkeypatch):
+    # One block of 5,000 positions beside 5,000 singletons: level passes would
+    # gather 5,000 times over every run; reduceat reads each position once.
+    rng, n = random.Random(5), 5000
+    s = stacked([Net(make_omega_window(n), unit_interval_space(), tuple(rng.random() for _ in range(n)))])
+    flat, sizes = np.concatenate([np.arange(n), rng.sample(range(n), n)]), np.array([n] + [1] * n)
+    calls, original = [], net.run_maxima
+    monkeypatch.setattr(net, "run_maxima", lambda *args: calls.append(len(args[1])) or original(*args))
+    bounds = [0.5, 1.0]
+    got = runs_within(s, bounds, flat, sizes)
+    assert calls == [2 * n, 2 * n]  # max and min, one pass each
+    assert got.tolist() == (run_diameters(s, flat, sizes)[:, None] <= np.array(bounds)[:, None]).tolist()
+    calls.clear()
+    runs_within(s, bounds, flat[n:], sizes[1:])
+    assert calls == []
+
+
+def _grid_nets(k, rng):
+    # Four R^2 nets on the k x k product window, approaching a seeded point as i + j grows.
+    w = product(make_omega_window(k), make_omega_window(k))
+    nets = []
+    for _ in range(4):
+        px, py = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        amp = [1.5 / (1.0 + (i + j) / 2.0) for i in range(k) for j in range(k)]
+        nets.append(Net(w, euclidean_space(2), tuple((px + a * rng.uniform(-1, 1), py + a * rng.uniform(-1, 1)) for a in amp)))
+    return nets
+
+
+def test_euclidean_analysis_takes_few_exact_distances(monkeypatch):
+    # empirical_rate over a random-k suite on a 16 x 16 grid decides thousands
+    # of block pairs and the tails' meet pairs against three tolerances; the
+    # filter leaves at most 16 of them to math.dist (the group maxima took
+    # about 5,500 per family).
+    calls = []
+    monkeypatch.setattr(net, "math", type(math)("math"))
+    vars(net.math).update(vars(math), dist=lambda x, y: calls.append(1) or math.dist(x, y))
+    for seed in range(3):
+        nets = _grid_nets(16, random.Random(seed))
+        report = empirical_rate(nets, [0.5, 0.25, 0.1], build_sampling_suite(nets[0].window, ["identity", "random-k"], seed=seed))
+        assert len(report.cells) == 27
+    assert len(calls) <= 16
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_far_block_is_the_first_far_pair_of_the_itertools_scan(data):
+    # On Euclidean and table nets, chunk by chunk: the pair certificates have
+    # always held, the first far pair of the up-set in combinations order.
+    w = data.draw(st.one_of(_grids(), windows()))
+    a = data.draw(kernel_families(w, kinds=("euclidean", "table")))[0]
+    eps = data.draw(st.sampled_from(_tolerances(data, np.array([a.space.unchecked_dist(x, y) for x in a.values for y in a.values]))))
+    with mock.patch.object(net, "PAIR_CHUNK", data.draw(st.sampled_from([1, 3, 7, net.PAIR_CHUNK]))):
+        for i in w.elements:
+            far = [{j, k} for j, k in itertools.combinations(w.up_set(i), 2) if a.dist(j, k) > eps]
+            if far:
+                assert meta._far_block(a, eps, i, False) == far[0]
+
+
+def test_a_far_pair_at_the_end_of_a_long_tail_is_found_by_the_pair_decision(monkeypatch):
+    # Only the last two of 2,000 R^2 points lie more than 1 apart: the scan
+    # reaches them as the last of about 2,000,000 pairs.
+    n = 2000
+    values = tuple((0.2 * math.cos(p), 0.2 * math.sin(p)) for p in range(n - 2)) + ((-0.6, 0.0), (0.6, 0.0))
+    a = Net(make_omega_window(n), euclidean_space(2), values)
+    calls, original = [], MetricSpace.unchecked_dist
+    monkeypatch.setattr(MetricSpace, "unchecked_dist", lambda self, x, y: calls.append(1) or original(self, x, y))
+    cert = refute_uniform([a], [[0]], 1.0)
+    assert cert.sampling.at(0) == {n - 2, n - 1}
+    assert len(calls) <= 1  # the replay's one pair
 
 
 @settings(max_examples=300, deadline=None)
@@ -563,22 +685,18 @@ def test_refute_uniform_on_euclidean_lists_matches_the_exhaustive_oracle(data):
 
 
 def test_cesaro_tails_take_near_linear_work(monkeypatch):
-    # Pairs handed to the distance kernel, per member and position, on the demo's tolerances.
-    handed, original = [], net.group_max_distances
+    # Pairs handed to the pair decision, per member and position, on the demo's tolerances.
+    handed, original = [], net._beyond
 
-    def counting(a, pairs, n_groups):
-        def tally():
-            for i, j, g in pairs:
-                handed.append(g.size)
-                yield i, j, g
-
-        return original(a, tally(), n_groups)
+    def counting(s, i, j, bounds):
+        handed.append(i.size)
+        return original(s, i, j, bounds)
 
     nets = cesaro_rotation_nets([math.pi / 2, math.pi / 3], 4096)
     grid = [0.5, 0.25, 0.05]
     want = tail_diameters(nets)[:, None] <= np.array(grid)[:, None]
     want[..., -1] = False  # the top
-    monkeypatch.setattr(net, "group_max_distances", counting)
+    monkeypatch.setattr(net, "_beyond", counting)
     got = cauchy_indices(nets, grid)
     assert got == [tuple(int(r.argmax()) if r.any() else None for r in row) for row in want]
     assert 0 < sum(handed) <= 64 * len(nets) * len(nets.window)

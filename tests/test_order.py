@@ -374,12 +374,23 @@ class TestRankDraw:
     @pytest.mark.parametrize("max_size", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize(
         "sizes",
-        [[1] * 300, [2, 3, 4, 5] * 40, [21] * 60, [22] * 60, [20, 21, 22, 23] * 20, [2**20, 2**20 - 1, 2**16 + 1]],
-        ids=["size-1", "small", "pool-21", "set-22", "switch", "wide"],
+        [
+            [1] * 300,
+            [2, 3, 4, 5] * 40,
+            [21] * 60,
+            [22] * 60,
+            [20, 21, 22, 23] * 20,
+            [2**20, 2**20 - 1, 2**16 + 1],
+            list(range(300, 0, -1)),
+            [(16 - i) * (16 - j) for i in range(16) for j in range(16)],
+        ],
+        ids=["size-1", "small", "pool-21", "set-22", "switch", "wide", "chain-300", "orthant-16x16"],
     )
     def test_sizes_match_the_stdlib(self, sizes, max_size, monkeypatch):
         # Size 1 draws randint(1, 1), which rejects half of all words; 21 is
-        # the last pool-method size and 22 the first set-method one.
+        # the last pool-method size and 22 the first set-method one.  The
+        # up-set sizes of a descending chain and of a 16 x 16 grid in C order
+        # are what random_samplings feeds the rule; both cross the switch.
         monkeypatch.setattr(order, "RANDOM_BLOCK_MAX", max_size)
         for seed in range(5):
             ours, theirs = random.Random(seed), random.Random(seed)
