@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meta import is_witness
+from .meta import _within
 from .net import CheckError, StackedFamily, cauchy_indices, eps_floor, runs_within, stacked
 from .space import BINARY, EUCLIDEAN, SpaceError, euclidean_space
 from .order import (
@@ -201,12 +201,12 @@ def empirical_rate(family, eps_grid, sampling_suite):
     for eps, witness in zip(eps_grid, np.ascontiguousarray(within.reshape(shape).transpose(1, 2, 0, 3))):
         first, found = witness.argmax(axis=2).tolist(), witness.any(axis=2).tolist()
         for (sid, eta), row, hit, in_cover in zip(sampling_suite.items(), first, found, _greedy_covers(witness)):
-            cover = tuple(els[p] for p in np.flatnonzero(in_cover).tolist())
-            for i in cover:  # certify the cover
-                if not any(is_witness(a, eps, eta, i) for a in family):
-                    raise CheckError(f"cover element {i!r} witnesses no net at eps={eps}, sampling {sid!r}")
+            cover = np.flatnonzero(in_cover).tolist()
+            for p in cover:  # certify the cover, each element's block read by position
+                if not any(_within(a, eps, eta.block(p)) for a in family):
+                    raise CheckError(f"cover element {els[p]!r} witnesses no net at eps={eps}, sampling {sid!r}")
             witnesses = tuple(els[p] if f else None for p, f in zip(row, hit))
-            cells.append(AnalysisCell(eps, sid, witnesses, cover, tuple(m for m, f in enumerate(hit) if not f)))
+            cells.append(AnalysisCell(eps, sid, witnesses, tuple(els[p] for p in cover), tuple(m for m, f in enumerate(hit) if not f)))
     cauchy = tuple(tuple(zip(eps_grid, indices)) for indices in cauchy_indices(family, eps_grid))
     return AnalysisReport(
         window_size=len(window),
@@ -254,7 +254,7 @@ def finite_space_ump_check(nets_by_point, eps_grid, sampling_suite):
         if cell.uncovered:
             raise CheckError(f"window-Cauchy nets {cell.uncovered} have no witness at eps={eps}, sampling {sid!r}")
         for m, a in enumerate(nets):  # re-validate: the cover serves every net
-            if not any(is_witness(a, eps, eta, i) for i in cover):
+            if not any(_within(a, eps, eta.block(eta.window.index(i))) for i in cover):
                 raise CheckError(f"cover misses net {m} at eps={eps}, sampling {sid!r}")
         sets.append(((eps, sid), cover))
     return UmpVerdict(True, (), tuple(sets), report.window_size)

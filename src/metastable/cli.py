@@ -3,8 +3,8 @@
 Exit codes: 0 verified / report written; 2 refutation found (or a verify
 report with failures); 3 precondition violation; 4 I/O or schema error (a
 file that is not UTF-8, an overlong CSV field, JSON nested too deeply); 5
-an answer failed its own re-check (a certificate that does not replay, a
-cover that does not re-validate), so nothing was written.
+an answer failed its own re-check (a certificate that does not replay; on
+analyze, a cover element that witnesses no net), so nothing was written.
 All randomized paths require an explicit --seed and are reproducible:
 identical inputs and seed yield byte-identical JSON output.  refute is
 exact and draws nothing: it accepts --seed and ignores it.

@@ -23,6 +23,7 @@ from .net import tail_maxima, tails_within, targets_within
 from .order import (
     Sampling,
     WindowError,
+    _above,
     induced_sampling,
     project_set,
     require_valid_sampling,
@@ -50,7 +51,6 @@ __all__ = [
 
 #: Default dyadic threshold grid 1, 1/2, ..., 2^-10 (descending).
 DEFAULT_THRESHOLDS = tuple(2.0 ** -i for i in range(11))
-_PAIRWISE = object()  # the target of a plain witness test, which compares every pair (None can be a point)
 
 
 class RateError(ValueError):
@@ -59,46 +59,38 @@ class RateError(ValueError):
 
 def is_witness(a, eps, eta, i):
     """Whether ``i`` witnesses plain [eps, eta]-metastability of ``a``."""
-    return _within(a, require_eps(eps), eta.at(i))
+    return _first_witness(a, require_eps(eps), eta, [a.window.index(i)]) is not None
 
 
 def is_pointed_witness(a, b, eps, eta, i):
     """Whether ``i`` witnesses [eps, eta]-metastability of ``a`` near ``b``."""
-    require_eps(eps)
-    return _within(a, eps, eta.at(i), a.space.require(b))
+    return _first_witness(a, require_eps(eps), eta, [a.window.index(i)], a.space.require(b)) is not None
 
 
-def _within(a, eps, block, target=_PAIRWISE):
-    # The one witness test, unchecked: every pair of the block's values (each
-    # read by position, once) within eps, or every value within eps of target.
-    dist, values, index = a.space.unchecked_dist, a.values, a.window.index
-    if target is _PAIRWISE:
-        points = [values[index(j)] for j in block]
+def _within(a, eps, block, target=None):
+    # The one witness test, unchecked: every pair of the values at the block's
+    # positions (each read once) within eps, or every value within eps of target.
+    dist, points = a.space.unchecked_dist, [a.values[p] for p in block]
+    if target is None:
         return all(dist(x, y) <= eps for x, y in itertools.combinations(points, 2))
-    return all(dist(values[index(j)], target) <= eps for j in block)
+    return all(dist(x, target) <= eps for x in points)
 
 
-def _first_witness(a, eps, blocks, target=_PAIRWISE):
-    # First index of the ordered (index, block) pairs whose block passes _within.
-    return next((i for i, block in blocks if _within(a, eps, block, target)), None)
-
-
-def _blocks(a, eta):
-    # (index, eta_i) over the window, in enumeration order.
+def _first_witness(a, eps, eta, positions, target=None):
+    # The one witness scan: the element at the first of ``positions`` whose block passes _within, else None.
     if eta.window != a.window:
         raise WindowError("sampling and net live on different windows")
-    return eta.items()
+    return next((a.window.elements[p] for p in positions if _within(a, eps, eta.block(p), target)), None)
 
 
 def find_witness(a, eps, eta):
     """First index (enumeration order) witnessing [eps, eta]-metastability, else None."""
-    return _first_witness(a, require_eps(eps), _blocks(a, eta))
+    return _first_witness(a, require_eps(eps), eta, range(len(a.window)))
 
 
 def find_pointed_witness(a, b, eps, eta):
     """Pointed analogue of :func:`find_witness`, measured against ``b``."""
-    a.space.require(b)
-    return _first_witness(a, require_eps(eps), _blocks(a, eta), b)
+    return _first_witness(a, require_eps(eps), eta, range(len(a.window)), a.space.require(b))
 
 
 # -- rates -----------------------------------------------------------------
@@ -289,8 +281,7 @@ def replay_certificate(cert):
         member.space.require(target)
     if cert.sampling.window != member.window or any(i not in member.window for i in cert.candidate_set):
         return False
-    blocks = ((i, cert.sampling.at(i)) for i in cert.candidate_set)
-    return _first_witness(member, eps, blocks, _PAIRWISE if target is None else target) is None
+    return _first_witness(member, eps, cert.sampling, map(member.window.index, cert.candidate_set), target) is None
 
 
 def require_replay(cert):
@@ -319,9 +310,9 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
     > eps from the target), and that pair (point) is the index's block in
     the certificate; other indices get {i}.  Every member of a chunk is
     decided at once, by :func:`~metastable.net.tails_within` at the union's
-    positions only (pointed: the largest distance to its target over each
-    up-set); only the first defeated member is built as a net.  Returns
-    None when no sampling defeats any member.
+    positions only (pointed: :func:`~metastable.net.targets_within` over each
+    up-set); the first defeated member's blocks are read off its row of the
+    chunk, and only it is built as a net.  Returns None when none is defeated.
     """
     require_eps(eps)
     candidate_sets = [tuple(s) for s in candidate_sets]  # as given: a set would merge True into 1
@@ -350,25 +341,27 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
     bound, read = eps_floor(eps), np.isin(np.arange(len(window)), [window.index(i) for i in union])
     for chunk in chunks:
         # Per member and index: whether its up-set lies within eps (pointed: of the target).
-        near = tail_maxima(window, targets_within(chunk, bound), np.minimum) if pointed else tails_within(chunk, [eps], read)[:, 0]
+        close = targets_within(chunk, bound) if pointed else None
+        near = tail_maxima(window, close, np.minimum) if pointed else tails_within(chunk, [eps], read)[:, 0]
         defeated = np.flatnonzero(~(near & read).any(axis=1))
         if defeated.size:
-            a = (chunk if is_spec else family)[int(defeated[0])]
-            blocks = {i: _far_block(a, eps, i, pointed) for i in union}
+            a = (chunk if is_spec else family)[k := int(defeated[0])]
+            blocks = {i: _far_block(chunk, k, bound, window.index(i), close) for i in union}
             eta = Sampling.from_function(window, lambda i: blocks.get(i, {i}))
             return require_replay(RefutationCertificate(eps, eta, a, union, pointed_target=a.target if pointed else None))
     return None
 
 
-def _far_block(a, eps, i, pointed):
-    # Index i's tail being farther than eps from a's target (pointed) or
-    # having diameter > eps: {j} for the first j above i that far from the
-    # target, or a pair that far apart, the largest and smallest value on
-    # scalar spaces, else the first such pair in combinations order.
-    up = a.window.up_set(i)
-    if pointed:
-        return next({j} for j in up if not _within(a, eps, (j,), a.target))
-    if a.space.is_scalar():
-        return {max(up, key=a.value), min(up, key=a.value)}
-    positions = np.fromiter(map(a.window.index, up), np.intp, len(up))
-    return {a.window.elements[p] for p in first_far_pair(a, eps_floor(eps), positions)}
+def _far_block(s, k, bound, p, close):
+    # The labels at which row k of s (defeated at p) lies beyond bound over p's up-set: pointed (``close``
+    # is targets_within(s, bound)), the first position far from the target; else a pair that far apart,
+    # the largest and smallest value on scalar spaces, otherwise the first in combinations order.
+    up = np.flatnonzero(_above(s.window, p, np.arange(len(s.window))))
+    if close is not None:
+        far = [up[close[k, up].argmin()]]
+    elif s.space.is_scalar():
+        x = s.array[k, up]
+        far = [up[x.argmax()], up[x.argmin()]]
+    else:
+        far = first_far_pair(s, k, bound, up)
+    return {s.window.elements[q] for q in far}

@@ -351,14 +351,14 @@ def runs_within(s, bounds, flat, sizes):
     return ~far
 
 
-def first_far_pair(a, bound, up):
+def first_far_pair(s, k, bound, up):
     """The first pair (p, q) of the ascending positions ``up``, in
-    ``itertools.combinations`` order, at which the net ``a`` lies more than
-    ``bound`` apart, decided by :func:`_beyond` chunk by chunk in
-    :func:`_run_pairs` row order; None when there is none."""
-    s, bounds = stacked([a]), np.array([[bound]])
+    ``itertools.combinations`` order, at which member ``k`` of the stacked
+    family ``s`` lies more than ``bound`` apart, decided by :func:`_beyond`
+    chunk by chunk in :func:`_run_pairs` row order; None when there is none."""
+    at, bounds = k * len(s.window) + up, np.array([[bound]])  # member k's points, numbered as in points
     for p, q, _ in _run_pairs([len(up)]):
-        beyond = _beyond(s, up[p], up[q], bounds)[0]
+        beyond = _beyond(s, at[p], at[q], bounds)[0]
         if beyond.any():
             f = beyond.argmax()
             return int(up[p[f]]), int(up[q[f]])

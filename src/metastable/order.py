@@ -75,6 +75,8 @@ class DirectedWindow:
             raise WindowError("window must be nonempty")
         if len(self._index) != len(self._elements):
             raise WindowError("duplicate window elements")
+        if None in self._index:  # None stands for "no index" in every answer
+            raise WindowError("None cannot be a window element")
         if factors is not None:
             shapes = factors[0].grid_shape(), factors[1].grid_shape()
             self._shape = shapes[0] + shapes[1] if None not in shapes else None
@@ -317,9 +319,9 @@ class Sampling:
     sorted within each, and ``sizes`` the block sizes in enumeration order.
     Labels appear only at the boundary: ``Sampling(window, assign)`` turns
     one label collection per element into positions once (a label naming
-    no element raises :class:`WindowError`), and ``assign``, :meth:`at`
-    and :meth:`items` build label sets on demand.  The constructor checks
-    nothing else; use :func:`validate_sampling`.
+    no element raises :class:`WindowError`); :meth:`block` reads a block's
+    positions, and ``assign``, :meth:`at` and :meth:`items` build label sets
+    on demand.  The constructor checks nothing else; use :func:`validate_sampling`.
     """
 
     def __new__(cls, window, assign):
@@ -352,11 +354,13 @@ class Sampling:
         labels, ends = [self.window.elements[p] for p in self.flat.tolist()], np.cumsum(self.sizes).tolist()
         return tuple(frozenset(labels[a:b]) for a, b in zip([0] + ends, ends))
 
+    def block(self, p):
+        """The sorted window positions of eta at position ``p``, as a list."""
+        return self.flat[self._starts[p]:self._starts[p] + self.sizes[p]].tolist()
+
     def at(self, element):
         """The candidate set eta_i for window element ``i``."""
-        p = self.window.index(element)
-        start, els = self._starts[p], self.window.elements
-        return frozenset(els[q] for q in self.flat[start:start + self.sizes[p]].tolist())
+        return frozenset(map(self.window.elements.__getitem__, self.block(self.window.index(element))))
 
     def items(self):
         """(element, candidate set) pairs in enumeration order, each set built as it is reached."""

@@ -131,6 +131,8 @@ def table_space(symbols, table):
     symbols = tuple(symbols)
     table = tuple(tuple(row) for row in table)
     n = len(symbols)
+    if any(x is None for x in symbols):  # a target of None means "no target"
+        raise SpaceError("None cannot be a symbol")
     if len(table) != n or any(len(row) != n for row in table):
         raise SpaceError("distance table shape mismatch")
     if not all(_is_real(v) and v >= 0 for row in table for v in row):

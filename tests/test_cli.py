@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from metastable import analyze, families, meta
-from metastable import build_rate, make_omega_window, product, random_sampling, identity_sampling
+from metastable import Net, binary_space, build_rate, make_custom_window, make_omega_window, product, random_sampling, identity_sampling
 from metastable.cli import FAMILY_MEMBER_CAP, _family_nets, _parser, main
 from metastable.families import FamilySpec, enumerate_family, rate_B
 from metastable.order import WINDOW_CAP
@@ -52,6 +52,16 @@ class TestVerify:
         rate_file.write_text(dumps(rate_to_dict(bad)))
         code = main(["verify", "--family", str(fam), "--rate", str(rate_file), "--eps", "0.5"])
         assert code == 2
+
+    def test_none_as_a_window_label_exits_three(self, tmp_path, capsys):
+        # The singleton block {None} witnesses every net, so an outcome of None would misreport it.
+        w = make_custom_window(["a", 1], [[1, 1], [0, 1]], [[0, 1], [1, 1]])
+        rate = build_rate({"id": identity_sampling(w)}, lambda t, eta: {"a"}, thresholds=(0.5,))
+        fam, rate_file, out = tmp_path / "family.json", tmp_path / "rate.json", tmp_path / "result.json"
+        for path, doc in ((fam, [net_to_dict(Net(w, binary_space(), (0, 1)))]), (rate_file, rate_to_dict(rate))):
+            path.write_text(dumps(doc).replace('"a"', "null"))
+        assert main(["verify", "--family", str(fam), "--rate", str(rate_file), "--eps", "0.5", "--out", str(out)]) == 3
+        assert not out.exists() and "None cannot be a window element" in capsys.readouterr().err
 
     def test_missing_file_exits_four(self, tmp_path):
         code = main(
@@ -448,7 +458,7 @@ class TestChecksBeforeWriting:
         assert "does not replay" in err and "Traceback" not in err
 
     def test_cover_that_does_not_revalidate(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(analyze, "is_witness", lambda *args: False)
+        monkeypatch.setattr(analyze, "_within", lambda *args: False)
         csv_file = tmp_path / "data.csv"
         csv_file.write_text("0.5\n0.5\n0.5\n")
         out = tmp_path / "report.json"

@@ -207,6 +207,29 @@ def test_scan_flags_attribute_reads():
     assert attribute_reads(tree, "assign") == [1, 3]
 
 
+def label_view_reads(tree):
+    """Lines that read a label view: ``at`` (a sampling's label block), ``up_set`` or ``value``."""
+    return sorted({line for name in ("at", "up_set", "value") for line in attribute_reads(tree, name)})
+
+
+@pytest.mark.parametrize("path", [SRC / "meta.py", SRC / "analyze.py"], ids=lambda p: p.name)
+def test_witness_scans_read_positions_not_labels(path):
+    # The witness scan, the cover certification and refutation's far blocks read
+    # block positions and family rows; labels are made only for the answer.
+    assert label_view_reads(ast.parse(path.read_text())) == []
+
+
+def test_scan_flags_label_view_reads():
+    tree = ast.parse(
+        "b = eta.at(i)\n"
+        "up = w.up_set(i)\n"
+        "x = max(up, key=a.value)\n"
+        "y = a.values[p] + eta.block(p) + at(i) + w.index(i)\n"
+        "a.value = 0\n"
+    )
+    assert label_view_reads(tree) == [1, 2, 3]
+
+
 def json_text_writers(tree):
     """Lines that call ``json.dump``/``json.dumps`` (also under another name) or import either from ``json``."""
     names = {"dump", "dumps"}

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from metastable import (
     Net,
@@ -542,13 +542,47 @@ def test_far_block_is_the_first_far_pair_of_the_itertools_scan(data):
     # On Euclidean and table nets, chunk by chunk: the pair certificates have
     # always held, the first far pair of the up-set in combinations order.
     w = data.draw(st.one_of(_grids(), windows()))
-    a = data.draw(kernel_families(w, kinds=("euclidean", "table")))[0]
+    s = stacked(data.draw(kernel_families(w, kinds=("euclidean", "table"))))
+    a = s[0]
     eps = data.draw(st.sampled_from(_tolerances(data, np.array([a.space.unchecked_dist(x, y) for x in a.values for y in a.values]))))
     with mock.patch.object(net, "PAIR_CHUNK", data.draw(st.sampled_from([1, 3, 7, net.PAIR_CHUNK]))):
         for i in w.elements:
             far = [{j, k} for j, k in itertools.combinations(w.up_set(i), 2) if a.dist(j, k) > eps]
             if far:
-                assert meta._far_block(a, eps, i, False) == far[0]
+                assert meta._far_block(s, 0, eps_floor(eps), w.index(i), None) == far[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_far_blocks_of_every_member_of_a_chunk_match_the_label_scans(data):
+    # Member k of a stacked chunk is read at points k * n + p: its far blocks
+    # and first far pairs are those the label scans over its up-sets find.
+    w = data.draw(st.one_of(_grids(), windows()))
+    nets = data.draw(kernel_families(w, kinds=("euclidean", "table", "half-line"), max_members=4))
+    assume(len(nets) > 1)
+    pointed = data.draw(st.booleans())
+    if pointed:
+        nets = [Net(w, a.space, a.values, target=data.draw(st.sampled_from(a.values))) for a in nets]
+    s, dist = stacked(nets), nets[0].space.unchecked_dist
+    far_from = [[dist(x, a.target if pointed else y) for x in a.values for y in a.values] for a in nets]
+    eps = data.draw(st.sampled_from(_tolerances(data, np.array(far_from))))
+    close = net.targets_within(s, eps_floor(eps)) if pointed else None
+    with mock.patch.object(net, "PAIR_CHUNK", data.draw(st.sampled_from([1, 3, 7]))):
+        for k, a in enumerate(nets):
+            for p, i in enumerate(w.elements):
+                up = brute_up_set(w, i)
+                positions = np.array([w.index(j) for j in up], np.intp)
+                pairs = [(j, m) for j, m in itertools.combinations(up, 2) if a.dist(j, m) > eps]
+                if pointed:
+                    far = [{j} for j in up if dist(a.value(j), a.target) > eps]
+                elif a.space.is_scalar():
+                    far = [{max(up, key=a.value), min(up, key=a.value)}] if pairs else []
+                else:
+                    far = [set(pair) for pair in pairs]
+                    first = tuple(map(w.index, pairs[0])) if pairs else None
+                    assert net.first_far_pair(s, k, eps_floor(eps), positions) == first
+                if far:
+                    assert meta._far_block(s, k, eps_floor(eps), p, close) == far[0]
 
 
 def test_a_far_pair_at_the_end_of_a_long_tail_is_found_by_the_pair_decision(monkeypatch):

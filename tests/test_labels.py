@@ -21,6 +21,7 @@ from metastable import (
     Rate,
     RefutationCertificate,
     Sampling,
+    SpaceError,
     WindowError,
     binary_space,
     build_rate,
@@ -33,6 +34,7 @@ from metastable import (
     refute_C,
     refute_D_pointed,
     refute_uniform,
+    table_space,
     unit_interval_space,
 )
 from metastable.families import FamilyError
@@ -199,9 +201,10 @@ class TestRoundTrips:
 
 _PARTS = st.integers(0, 4)
 # Labels of every kind a caller can hand the library: unhashable ones (a list, a set, a tuple holding
-# a list), ones equal to an int element but of another kind (a bool, a float), and nested tuples,
-# which name the elements of a nested product.
+# a list), ones equal to an int element but of another kind (a bool, a float), nested tuples,
+# which name the elements of a nested product, and None, which no window holds.
 ODD_LABELS = st.one_of(
+    st.none(),
     st.lists(_PARTS, max_size=2),
     st.sets(_PARTS, max_size=2),
     st.booleans(),
@@ -257,3 +260,20 @@ class TestEveryEntryPointCrossesTheOneRule:
         for join in (lambda a, b: float(max(a, b)), lambda a, b: label):
             with pytest.raises(WindowError):
                 make_custom_window([0, 1], lambda a, b: a <= b, join)
+
+
+class TestNoneIsNoLabel:
+    """None stands for "no answer" (no witness, no Cauchy index, no target), so no window
+    holds it as an element and no table space as a symbol: an answer of None is never a label."""
+
+    def test_a_custom_window_refuses_none(self):
+        for elements in ([None, 1], [1, None]):
+            with pytest.raises(WindowError, match="None cannot be a window element"):
+                make_custom_window(elements, [[1, 1], [0, 1]], [[0, 1], [1, 1]])
+        w = make_custom_window([(None, 0), 1], [[1, 1], [0, 1]], [[0, 1], [1, 1]])  # a tuple holding None is a label
+        assert (None, 0) in w and None not in w
+
+    def test_a_table_space_refuses_a_none_symbol(self):
+        with pytest.raises(SpaceError, match="None cannot be a symbol"):
+            table_space(["x", None], [[0, 1], [1, 0]])
+

@@ -717,6 +717,18 @@ class TestTrustedInputs:
             with pytest.raises(ValueError):
                 check()
 
+    def test_witness_predicates_refuse_a_sampling_on_another_window(self):
+        # 4 names an element of both windows, but the blocks are omega_5's, not the net's.
+        a, eta = constant_net(make_omega_window(6)), order.successor_sampling(make_omega_window(5))
+        for check in (
+            lambda: is_witness(a, 0.5, eta, 4),
+            lambda: is_pointed_witness(a, 0, 0.5, eta, 4),
+            lambda: find_witness(a, 0.5, eta),
+            lambda: find_pointed_witness(a, 0, 0.5, eta),
+        ):
+            with pytest.raises(order.WindowError, match="different windows"):
+                check()
+
     def test_pointed_witness_checks_outside_point(self):
         w = make_omega_window(3)
         a, eta = constant_net(w), identity_sampling(w)
@@ -755,7 +767,7 @@ class TestPointedTop:
         far = Net(w, binary_space(), (0,) * 7 + (1,), target=0)
         calls = []
         original = meta._far_block
-        monkeypatch.setattr(meta, "_far_block", lambda a, *args: calls.append(a) or original(a, *args))
+        monkeypatch.setattr(meta, "_far_block", lambda s, k, *args: calls.append(k) or original(s, k, *args))
         cert = refute_uniform(spikes(w)[:7] + [far], [{2, 7}], 0.5, pointed=True)
         assert cert.member is far and require_replay(cert) is cert
-        assert set(map(id, calls)) == {id(far)}
+        assert set(calls) == {7}

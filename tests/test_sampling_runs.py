@@ -211,6 +211,6 @@ def test_custom_window_order_tests_read_the_stored_matrix_once():
 def test_a_first_witness_scan_builds_only_the_sets_it_reads(monkeypatch):
     w = make_omega_window(2**16)
     a = Net(w, unit_interval_space(), (0.5,) * len(w))
-    at, built = Sampling.at, []
-    monkeypatch.setattr(Sampling, "at", lambda s, i: built.append(i) or at(s, i))
-    assert find_witness(a, 0.1, successor_sampling(w)) == 0 and built == [0]
+    block, read = Sampling.block, []
+    monkeypatch.setattr(Sampling, "block", lambda s, p: read.append(p) or block(s, p))
+    assert find_witness(a, 0.1, successor_sampling(w)) == 0 and read == [0]
