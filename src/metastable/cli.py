@@ -85,9 +85,7 @@ def cmd_verify(args):
     rate = _ser.rate_from_dict(_load_json(args.rate))
     family = _family_nets(_ser.family_from_dict(_load_json(args.family)))
     sids = [args.sampling] if args.sampling else sorted(rate.samplings)
-    reports = [
-        _ser.report_to_dict(_meta.verify_rate(family, rate, args.eps, sid)) for sid in sids
-    ]
+    reports = list(map(_ser.report_to_dict, _meta._verify_reports(family, rate, args.eps, sids)))
     doc = {
         "type": "verify-result",
         "schema_version": _ser.SCHEMA_VERSION,
@@ -142,9 +140,7 @@ def _demo_doc(scenario, size, seed):
             window, ["identity", "successor", "doubling", "random-k"], seed=seed
         )
         rate = _meta.build_rate(suite, lambda t, eta: _families.rate_B(eta, window))
-        reports = [
-            _ser.report_to_dict(_meta.verify_rate(family, rate, 0.5, sid)) for sid in sorted(suite)
-        ]
+        reports = list(map(_ser.report_to_dict, _meta._verify_reports(family, rate, 0.5, sorted(suite))))
         return {
             "scenario": scenario,
             "rate": _ser.rate_to_dict(rate),

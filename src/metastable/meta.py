@@ -24,6 +24,7 @@ from .order import (
     Sampling,
     WindowError,
     _above,
+    _positions,
     induced_sampling,
     project_set,
     require_valid_sampling,
@@ -133,8 +134,7 @@ class Rate:
                 raise RateError(f"table sampling id {sid!r} is unregistered")
             if not candidates:
                 raise RateError(f"empty candidate set at ({t}, {sid!r})")
-            for i in candidates:
-                self.window.index(i)
+            self.window._indices(candidates)
         object.__setattr__(self, "table", {key: frozenset(c) for key, c in self.table.items()})  # a set merges True into 1
 
     @property
@@ -188,23 +188,35 @@ def verify_rate(family, rate, eps, sid):
     :func:`~metastable.net.runs_within` (pointed: each of its values by
     :func:`~metastable.net.targets_within`) against ``eps_floor(eps)``.
     """
-    candidates, sampling = rate.lookup(eps, sid), rate.samplings[sid]
-    window, pointed = sampling.window, rate.pointed
+    return _verify_reports(family, rate, eps, [sid])[0]
+
+
+def _verify_reports(family, rate, eps, sids):
+    # verify_rate's report for each of sids, in order: the candidates' blocks of every sid decided by one kernel call.
+    cells = [(rate.lookup(eps, sid), rate.samplings[sid]) for sid in sids]
+    window, pointed = rate.window, rate.pointed
     bound = eps_floor(require_eps(eps))
     family = stacked(family)
     if family.window != window:
         raise WindowError("family nets and rate live on different windows")
     if pointed and None in family.targets:
         raise RateError("pointed verification needs a declared target on every net")
-    order = sorted(candidates, key=window.index)  # ascending positions: the blocks keep the sampling's order
-    chosen = np.bincount([window.index(i) for i in order], minlength=len(window)) > 0
-    flat, sizes = sampling.flat[np.repeat(chosen, sampling.sizes)], sampling.sizes[chosen]
+    labels, starts, runs = [], [], []  # every sid's candidates in turn, each sid's in ascending positions
+    for candidates, sampling in cells:
+        positions = window._indices(candidates := list(candidates))
+        starts.append(len(labels))
+        labels += [candidates[k] for k in np.argsort(positions).tolist()]
+        chosen = np.bincount(positions, minlength=len(window)) > 0  # ascending positions: the blocks keep the sampling's order
+        runs.append((sampling.flat[np.repeat(chosen, sampling.sizes)], sampling.sizes[chosen]))
+    flat, sizes = map(np.concatenate, zip(*runs))
     if pointed:  # every value of a block within eps of its member's target
         ok = run_maxima(targets_within(family, bound), flat, sizes, np.minimum)
     else:
         ok = runs_within(family, [bound], flat, sizes)[:, 0]
-    outcomes = tuple(order[c] if any_ else None for c, any_ in zip(ok.argmax(axis=1).tolist(), ok.any(axis=1).tolist()))
-    return WitnessReport(eps=eps, sampling_id=sid, window_size=len(window), outcomes=outcomes)
+    # Per sid and member, the first witness's place in labels; len(labels), read as None, where there is none.
+    first = np.minimum.reduceat(np.where(ok, np.arange(len(labels)), len(labels)), starts, axis=1).T.tolist()
+    labels.append(None)
+    return [WitnessReport(eps, sid, len(window), tuple(map(labels.__getitem__, f))) for sid, f in zip(sids, first)]
 
 
 def pointed_to_plain(rate):
@@ -279,9 +291,10 @@ def replay_certificate(cert):
     require_valid_sampling(cert.sampling)
     if target is not None:
         member.space.require(target)
-    if cert.sampling.window != member.window or any(i not in member.window for i in cert.candidate_set):
+    positions = _positions(member.window, list(cert.candidate_set))
+    if cert.sampling.window != member.window or -1 in positions:
         return False
-    return _first_witness(member, eps, cert.sampling, map(member.window.index, cert.candidate_set), target) is None
+    return _first_witness(member, eps, cert.sampling, positions, target) is None
 
 
 def require_replay(cert):
@@ -328,8 +341,7 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
         window = chunks[0].window
         if pointed and None in chunks[0].targets:
             raise RateError("pointed refutation needs declared targets")
-    for i in itertools.chain.from_iterable(candidate_sets):
-        window.index(i)
+    positions = window._indices(itertools.chain.from_iterable(candidate_sets))
     union = frozenset().union(*candidate_sets)
     if is_spec and (cert := _families.closed_form_refutation(family, union, eps, pointed=pointed)):
         return require_replay(cert)
@@ -338,7 +350,7 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
     top = window.top()
     if top in union and (not pointed or is_spec and family.tag == "C"):
         return None
-    bound, read = eps_floor(eps), np.isin(np.arange(len(window)), [window.index(i) for i in union])
+    bound, read = eps_floor(eps), np.bincount(positions, minlength=len(window)) > 0
     for chunk in chunks:
         # Per member and index: whether its up-set lies within eps (pointed: of the target).
         close = targets_within(chunk, bound) if pointed else None

@@ -38,6 +38,7 @@ __all__ = [
 OMEGA = "omega-window"
 PRODUCT = "product-window"
 CUSTOM = "custom"
+_INT, _BOOLS, _FLOATS = frozenset({int}), (bool, np.bool_), (float, np.floating)  # label types the label rule reads
 
 
 class WindowError(ValueError):
@@ -66,16 +67,16 @@ class DirectedWindow:
 
     def __init__(self, kind, elements, factors=None, leq_matrix=None, join_table=None):
         self.kind = kind
-        self._elements = tuple(elements)
-        self._index = {e: p for p, e in enumerate(self._elements)}
+        self._elements = elements if kind == OMEGA else tuple(elements)  # an omega window's range(n): element p is p
+        self._index = None if kind == OMEGA else {e: p for p, e in enumerate(self._elements)}
         self._factors = factors
         self._order = None if leq_matrix is None else np.array(leq_matrix, bool)  # what _above reads
         self._join = join_table
         if not self._elements:
             raise WindowError("window must be nonempty")
-        if len(self._index) != len(self._elements):
+        if kind != OMEGA and len(self._index) != len(self._elements):
             raise WindowError("duplicate window elements")
-        if None in self._index:  # None stands for "no index" in every answer
+        if kind != OMEGA and None in self._index:  # None stands for "no index" in every answer
             raise WindowError("None cannot be a window element")
         if factors is not None:
             shapes = factors[0].grid_shape(), factors[1].grid_shape()
@@ -92,7 +93,7 @@ class DirectedWindow:
 
     @property
     def elements(self):
-        """Elements in canonical enumeration order."""
+        """Elements in canonical enumeration order: ``range(n)`` on an omega window, else a tuple."""
         return self._elements
 
     @property
@@ -102,10 +103,15 @@ class DirectedWindow:
 
     def index(self, a):
         """Position of the element ``a`` names (see ``in``), in enumeration order."""
-        p = _position(self._index, self._elements, a)
-        if p is None:
+        (p,) = _positions(self, [a])
+        if p < 0:
             raise WindowError(f"{a!r} is not an element of this window")
         return p
+
+    def _indices(self, labels):
+        # index of each label, as an array, from one call of the rule; index raises for the first naming none.
+        p = _positions(self, labels := list(labels))
+        return np.array(p, np.intp) if -1 not in p else self.index(labels[p.index(-1)])
 
     def __len__(self):
         return len(self._elements)
@@ -114,8 +120,8 @@ class DirectedWindow:
         return iter(self._elements)
 
     def __contains__(self, a):
-        """Whether ``a`` names an element; never raises (see ``_position``)."""
-        return _position(self._index, self._elements, a) is not None
+        """Whether ``a`` names an element; never raises (see ``_positions``)."""
+        return _positions(self, [a])[0] >= 0
 
     def leq(self, a, b):
         """Whether ``a`` precedes (or equals) ``b`` in the window order."""
@@ -200,10 +206,8 @@ class DirectedWindow:
     # -- equality is structural -------------------------------------------
 
     def _key(self):
-        if self.kind == OMEGA:
-            return (self.kind, len(self._elements))
-        if self.kind == PRODUCT:
-            return (self.kind, self._factors)
+        if self.kind != CUSTOM:  # a product is its factors, an omega window its range
+            return (self.kind, self._factors or self._elements)
         return (self.kind, self._elements, self._order.tobytes(), self._join)
 
     def __eq__(self, other):
@@ -220,24 +224,32 @@ class DirectedWindow:
         return f"DirectedWindow({self.kind}, n={len(self)})"
 
 
-def _position(index, elements, a):
-    # The one label rule: the position of the element ``a`` names, else None.  ``a`` names an
-    # element it equals only as written: a bool names only a bool and a float only a float,
-    # through tuples, so ``True`` and ``1.0`` name no omega element.  An unhashable ``a`` names none.
+def _positions(w, labels):
+    # The one label rule, for a list of labels: the position of the element each names, else -1.  A label
+    # names an element it equals only as written: a bool names only a bool and a float only a float, numpy's
+    # too, through tuples, so ``True`` and ``1.0`` name no omega element.  An unhashable label names none.
+    n = len(w._elements)
+    if w._index is None and _INT.issuperset(map(type, labels)):  # omega: exact ints take one range test
+        return labels if not labels or 0 <= min(labels) and max(labels) < n else [a if 0 <= a < n else -1 for a in labels]
+    return [_named(w, a) for a in labels]
+
+
+def _named(w, a):
+    # One label past the range test, found as a dict finds it (by hash, then ==; omega element p hashes to p), and
+    # kept if of the element's kind; the identity and type tests only spare _same_kind's calls.  No element is None.
     try:
-        p = index.get(a)
-    except TypeError:
-        return None
-    e = None if p is None else elements[p]
-    # One type other than tuple is one kind: the identity and type tests only spare _same_kind's calls.
-    return p if p is not None and (a is e or type(a) is type(e) is not tuple or _same_kind(a, e)) else None
+        p = hash(a) if w._index is None else w._index.get(a, -1)
+        e = w._elements[p] if 0 <= p < len(w._elements) and (w._index is not None or p == a) else None
+    except TypeError:  # unhashable
+        return -1
+    return p if e is not None and (a is e or type(a) is type(e) is not tuple or _same_kind(a, e)) else -1
 
 
 def _same_kind(x, e):
-    # For equal labels: whether bools meet only bools and floats only floats, through tuples.
+    # For equal labels: whether bools meet only bools and floats only floats (numpy's too), through tuples.
     if type(e) is tuple:
         return all(map(_same_kind, x, e))
-    return isinstance(x, bool) is isinstance(e, bool) and isinstance(x, float) is isinstance(e, float)
+    return type(x) is type(e) or isinstance(x, _BOOLS) is isinstance(e, _BOOLS) and isinstance(x, _FLOATS) is isinstance(e, _FLOATS)
 
 
 def make_omega_window(n):
@@ -264,9 +276,9 @@ def make_custom_window(elements, leq, join):
     n = len(elements)
     if callable(leq):
         leq = [[bool(leq(a, b)) for b in elements] for a in elements]
-    if callable(join):
-        pos = {e: p for p, e in enumerate(elements)}
-        join = [[_position(pos, elements, join(a, b)) for b in elements] for a in elements]  # None: names no element
+    if callable(join):  # -1 where the join names no element, read by the rule on a window of the elements alone
+        w = DirectedWindow(CUSTOM, elements)
+        join = [_positions(w, [join(a, b) for b in elements]) for a in elements]
     leq_matrix, join_table = (tuple(tuple(row) for row in m) for m in (leq, join))
     if any(len(m) != n or any(len(r) != n for r in m) for m in (leq_matrix, join_table)):
         raise WindowError("leq matrix or join table shape mismatch")
@@ -282,8 +294,7 @@ def make_custom_window(elements, leq, join):
 def product(d, e):
     """Product window: pairs under the componentwise order and join."""
     _require_window_size(len(d) * len(e))
-    elements = tuple(itertools.product(d.elements, e.elements))
-    return DirectedWindow(PRODUCT, elements, factors=(d, e))
+    return DirectedWindow(PRODUCT, itertools.product(d.elements, e.elements), factors=(d, e))
 
 
 # -- samplings -------------------------------------------------------------
@@ -317,8 +328,8 @@ class Sampling:
 
     Held as runs of window positions: ``flat`` lists every block in turn,
     sorted within each, and ``sizes`` the block sizes in enumeration order.
-    Labels appear only at the boundary: ``Sampling(window, assign)`` turns
-    one label collection per element into positions once (a label naming
+    Labels appear only at the boundary: ``Sampling(window, assign)`` turns all
+    its labels into positions by one call of the label rule (the first naming
     no element raises :class:`WindowError`); :meth:`block` reads a block's
     positions, and ``assign``, :meth:`at` and :meth:`items` build label sets
     on demand.  The constructor checks nothing else; use :func:`validate_sampling`.
@@ -326,14 +337,10 @@ class Sampling:
 
     def __new__(cls, window, assign):
         blocks = tuple(assign)
-        sizes, labels = np.fromiter(map(len, blocks), np.intp, len(blocks)), list(itertools.chain.from_iterable(blocks))
-        rule = itertools.repeat(window._index), itertools.repeat(window._elements)
-        try:
-            flat = np.fromiter(map(_position, *rule, labels), np.intp, len(labels))
-        except TypeError:  # a None: some label names no element, and index raises for the first
-            flat = np.array([window.index(a) for a in labels])
-        flat, owner = _sorted_runs(flat, sizes, len(window)), np.repeat(np.arange(len(sizes)), sizes)
-        once = (np.diff(flat, prepend=-1) != 0) | (np.diff(owner, prepend=-1) != 0)  # a label given twice counts once
+        sizes, labels = np.fromiter(map(len, blocks), np.intp, len(blocks)), itertools.chain.from_iterable(blocks)
+        flat, owner = _sorted_runs(window._indices(labels), sizes, len(window)), np.repeat(np.arange(len(sizes)), sizes)
+        once = np.ones(len(flat), bool)  # a label given twice counts once
+        once[1:] = (flat[1:] != flat[:-1]) | (owner[1:] != owner[:-1])
         return cls._of_runs(window, flat[once], np.bincount(owner[once], minlength=len(sizes)))
 
     @classmethod

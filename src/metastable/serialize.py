@@ -158,6 +158,11 @@ def _label_to_json(label):
     return label
 
 
+def _labels_to_json(labels):
+    # _label_to_json of each label, as a list; skipped when no label is a tuple.
+    return list(map(_label_to_json, labels)) if any(issubclass(t, tuple) for t in set(map(type, labels))) else list(labels)
+
+
 def _label_from_json(label):
     if isinstance(label, list):
         return tuple(_label_from_json(x) for x in label)
@@ -316,7 +321,7 @@ def rate_to_dict(rate):
         {
             "threshold": t,
             "sampling_id": sid,
-            "candidates": [_label_to_json(i) for i in sorted(cands, key=w.index)],
+            "candidates": _labels_to_json(sorted(cands, key=w.index)),
         }
         for (t, sid), cands in sorted(rate.table.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
     ]
@@ -368,7 +373,7 @@ def report_to_dict(report):
             "eps": report.eps,
             "sampling_id": report.sampling_id,
             "window_size": report.window_size,
-            "outcomes": [_label_to_json(o) for o in report.outcomes],
+            "outcomes": _labels_to_json(report.outcomes),
             "overall": report.overall,
         }
     )
@@ -382,7 +387,7 @@ def certificate_to_dict(cert):
             "eps": cert.eps,
             "sampling": sampling_to_dict(cert.sampling),
             "member": net_to_dict(cert.member),
-            "candidate_set": [_label_to_json(i) for i in sorted(cert.candidate_set, key=w.index)],
+            "candidate_set": _labels_to_json(sorted(cert.candidate_set, key=w.index)),
             "pointed_target": _label_to_json(cert.pointed_target),
         }
     )
@@ -392,8 +397,7 @@ def certificate_to_dict(cert):
 def certificate_from_dict(doc):
     _expect(doc, "refutation-certificate")
     sampling, labels = sampling_from_dict(doc["sampling"]), _labels(doc["candidate_set"])
-    for i in labels:
-        sampling.window.index(i)
+    sampling.window._indices(labels)
     return RefutationCertificate(
         eps=doc["eps"],
         sampling=sampling,

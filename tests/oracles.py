@@ -73,6 +73,24 @@ def brute_leq(window, a, b):
     return bool(window._order[window.index(a), window.index(b)])
 
 
+def brute_position(window, a):
+    """The label rule label by label: a lookup in a dict of the window's elements, then a check that
+    the label is of its element's kind (a bool, numpy's too, names only a bool and a float, numpy's
+    too, only a float, through tuples).  The position of the element ``a`` names, else None."""
+    try:
+        p = {e: p for p, e in enumerate(window.elements)}.get(a)
+    except TypeError:  # unhashable
+        return None
+    return p if p is not None and _brute_same_kind(a, window.elements[p]) else None
+
+
+def _brute_same_kind(x, e):
+    if type(e) is tuple:
+        return all(map(_brute_same_kind, x, e))
+    bools, floats = (bool, np.bool_), (float, np.floating)
+    return isinstance(x, bools) is isinstance(e, bools) and isinstance(x, floats) is isinstance(e, floats)
+
+
 def brute_up_set(window, a):
     """Elements ``b`` with ``a`` <= ``b``, by filtering the window through ``brute_leq``."""
     return tuple(b for b in window.elements if brute_leq(window, a, b))

@@ -713,6 +713,23 @@ class TestDocumentsAsWritten:
         assert code == 3 and not out.exists()
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["assign", "candidates"])
+    @pytest.mark.parametrize(
+        "labels, code",
+        [*(([label], 3) for label in [True, 0.0, -1, 3, 2**70, None, "1", [1]]), ([], 3), ([{}], 4), ([0, 0], 0)],
+        ids=["true", "0.0", "-1", "3", "2**70", "null", "string", "list", "empty", "object", "repeated"],
+    )
+    def test_verify_exit_code_by_label(self, tmp_path, capsys, where, labels, code):
+        # On omega_3: a label naming no element and an empty block exit 3, a JSON object 4, a repeat counts once.
+        def edit(doc):
+            if where == "assign":
+                doc["samplings"]["id"]["assign"][0] = labels
+            else:
+                doc["table"][0]["candidates"] = labels
+
+        assert self._verify(tmp_path, edit, n=3)[0] == code
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_candidates_as_a_string_exit_four(self, tmp_path):
         code, out = self._verify(tmp_path, lambda doc: doc["table"][0].update(candidates="0"))
         assert code == 4 and not out.exists()

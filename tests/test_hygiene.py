@@ -322,3 +322,19 @@ def test_scan_finds_the_phrase_by_function():
         "X = 'is not an element'\n"
     )
     assert phrase_sites(source, "is not an element") == ["W.index", "check", "<module>"]
+
+
+def window_table_reads(tree):
+    """Lines that read a window's element table, ``_index`` or ``_elements``, as an attribute."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in ("_index", "_elements"))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "order.py"] + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_only_order_reads_the_element_table(path):
+    # Every label crosses the one label rule (order._positions) through in, index or a bulk call of it.
+    assert window_table_reads(ast.parse(path.read_text())) == []
+
+
+def test_scan_flags_a_read_of_the_element_table():
+    tree = ast.parse("w._index.get(a)\nw.elements[0]\nx = w._elements\nw._indices([a])\n")
+    assert window_table_reads(tree) == [1, 3]

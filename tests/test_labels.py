@@ -11,7 +11,10 @@ its document to itself.
 
 import json
 import random
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,7 +52,8 @@ from metastable.serialize import (
     sampling_from_dict,
     sampling_to_dict,
 )
-from oracles import windows
+from metastable.order import _positions
+from oracles import brute_position, windows
 
 
 def _chain(elements):
@@ -102,6 +106,19 @@ class TestMisnamedLabels:
         for name, build in builds.items():
             with pytest.raises(WindowError, match=r"not an? (window )?element"):
                 build()
+
+    @pytest.mark.parametrize("label", [np.True_, np.False_, np.float32(1.0), np.float64(1.0), np.float16(0.0)])
+    def test_numpy_bools_and_floats_name_no_int(self, label):
+        w = make_omega_window(3)
+        assert label not in w and (0, label) not in product(w, w)
+        with pytest.raises(WindowError, match="is not an element of this window"):
+            w.index(label)
+        with pytest.raises(WindowError, match="is not an element of this window"):
+            Sampling(w, [[label], [1], [2]])
+
+    @pytest.mark.parametrize("w, label, p", [(BOOLS, np.True_, 1), (FLOATS, np.float32(1.0), 1), (make_omega_window(3), np.int64(2), 2)])
+    def test_numpy_labels_name_their_own_kind(self, w, label, p):
+        assert label in w and w.index(label) == p
 
     @pytest.mark.parametrize("w, label, p", [(make_omega_window(8), 1, 1), (BOOLS, False, 0), (FLOATS, 1.0, 1)])
     def test_the_element_as_written_is_accepted(self, w, label, p):
@@ -277,3 +294,74 @@ class TestNoneIsNoLabel:
         with pytest.raises(SpaceError, match="None cannot be a symbol"):
             table_space(["x", None], [[0, 1], [1, 0]])
 
+
+# Labels of every kind, as the bulk rule meets them: ints in and past the window and past int64, bools and
+# floats (Python's and numpy's), numbers equal to an int (numpy's int, a fraction, a decimal, a complex),
+# strings, None, unhashable lists and dicts, and nested tuples of these.
+_SCALAR_LABELS = st.one_of(
+    st.integers(-2, 8),
+    st.sampled_from([-1, 2**63, 2**70, -(2**70), 0.0, 1.0, np.True_, np.False_, np.float32(1.0), np.float64(2.0),
+                     np.int64(1), Fraction(1), Decimal(2), 1 + 0j, "1", "x0", "a", None]),
+    st.booleans(),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.integers(0, 2), st.integers(0, 2), max_size=1),
+)
+_ANY_LABELS = st.recursive(_SCALAR_LABELS, lambda inner: st.tuples(inner, inner), max_leaves=4)
+_CASTS = [int, bool, float, np.bool_, np.float32, np.float64, np.int64, Fraction, Decimal, complex, str]
+
+
+@st.composite
+def _recast(draw, w):
+    # An element with some of its numbers cast to another kind of number or to a string, through tuples.
+    def cast(x):
+        if type(x) is tuple:
+            return tuple(map(cast, x))
+        return draw(st.sampled_from(_CASTS))(x) if type(x) in (int, bool, float) and draw(st.booleans()) else x
+
+    return cast(draw(st.sampled_from(w.elements)))
+
+
+def _brute_positions(w, labels):
+    return [-1 if (p := brute_position(w, a)) is None else p for a in labels]
+
+
+def _refusal(call):
+    # The type and wording of what ``call`` raises, else None.
+    try:
+        call()
+    except Exception as exc:  # its type is part of the answer
+        return type(exc), str(exc)
+    return None
+
+
+class TestTheBulkRuleMatchesTheLabelByLabelRule:
+    """``_positions`` against ``oracles.brute_position``, the rule as a dict lookup label by label."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_label_windows(), st.data())
+    def test_positions_in_index_and_sampling_agree(self, w, data):
+        elements = st.sampled_from(w.elements)
+        labels = data.draw(st.lists(st.one_of(elements, _recast(w), _ANY_LABELS, st.tuples(elements, _ANY_LABELS)), max_size=8))
+        expected = _brute_positions(w, labels)
+        assert _positions(w, list(labels)) == expected
+        for a, p in zip(labels, expected):
+            assert (a in w) is (p >= 0)
+            if p >= 0:
+                assert w.index(a) == p
+            else:
+                assert _refusal(lambda: w.index(a)) == (WindowError, f"{a!r} is not an element of this window")
+        blocks = [labels[k::3] for k in range(3)]
+        bad = [a for block in blocks for a, p in zip(block, _brute_positions(w, block)) if p < 0]
+        if bad:
+            assert _refusal(lambda: Sampling(w, blocks)) == (WindowError, f"{bad[0]!r} is not an element of this window")
+        else:
+            s = Sampling(w, blocks)
+            assert [s.block(k) for k in range(3)] == [sorted(set(_brute_positions(w, block))) for block in blocks]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.lists(st.integers(-(2**70), 2**70) | st.integers(-3, 45), max_size=12))
+    def test_ints_on_an_omega_window(self, n, labels):
+        # Exact ints take the range test; any other type in the list sends every label through the lookup.
+        w = make_omega_window(n)
+        expected = _brute_positions(w, labels)
+        assert _positions(w, list(labels)) == expected == _positions(w, [*labels, "x"])[:-1]

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,12 +58,12 @@ def order_data(draw):
 class TestOmegaWindow:
     def test_singleton(self):
         w = make_omega_window(1)
-        assert w.elements == (0,)
+        assert w.elements == range(1)
         assert w.join(0, 0) == 0
 
     def test_chain_join_is_max(self):
         w = make_omega_window(5)
-        assert w.elements == (0, 1, 2, 3, 4)
+        assert w.elements == range(5)
         assert w.join(1, 3) == 3
         assert w.leq(0, 4) and not w.leq(4, 0)
 
@@ -76,6 +77,17 @@ class TestOmegaWindow:
 
     def test_validate_passes(self):
         make_omega_window(6).validate()
+
+    def test_holds_no_element_table(self):
+        # Its elements are range(n): a tuple and an index dict of 2**16 elements would take about 7.4 MiB.
+        tracemalloc.start()
+        try:
+            w = make_omega_window(2**16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert 2**16 < WINDOW_CAP and w.elements == range(2**16) and w.index(2**16 - 1) == 2**16 - 1
 
 
 class TestProductWindow:
