@@ -16,13 +16,11 @@ def main():
     m, horizon = 5, 16
     nets = paracompact_nets(m, horizon)
     print(f"iterate nets at {m} points over {horizon} steps:")
-    for p, a in enumerate(nets):
-        print(f"  x{p}: {tuple(int(v) for v in a.values)} -> target 1")
+    for p, row in enumerate(nets.array.tolist()):
+        print(f"  x{p}: {tuple(map(int, row))} -> target 1")
 
     suite = build_sampling_suite(nets.window, ["identity", "successor"])
-    verdict = finite_space_ump_check(
-        {f"x{p}": a for p, a in enumerate(nets)}, [0.5, 0.25], suite
-    )
+    verdict = finite_space_ump_check(nets, [f"x{p}" for p in range(m)], [0.5, 0.25], suite)
     print(f"\nplain uniform check: ok={verdict.ok}")
     for (eps, sid), cover in verdict.sets:
         print(f"  eps={eps:<5} {sid:10s} cover {list(cover)}")

@@ -14,6 +14,7 @@ import csv
 import math
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -47,15 +48,6 @@ __all__ = [
 FLOAT_SLACK = 2.0 ** -40
 
 
-def _quarter_turns(theta):
-    # Exact multiples of a quarter turn get an exact integer orbit, so the
-    # four-step cancellations hold to the bit.
-    step = math.pi / 2
-    if theta % step == 0.0:
-        return round(theta / step) % 4
-    return None
-
-
 def cesaro_rotation_nets(angles, horizon):
     """Cesaro averages of the rotation orbit of (1, 0): a StackedFamily, one member per angle.
 
@@ -70,8 +62,8 @@ def cesaro_rotation_nets(angles, horizon):
     window = make_omega_window(horizon)
     rows, targets = [], []
     for theta in angles:
-        q = _quarter_turns(theta)
-        if q is not None:
+        if theta % (math.pi / 2) == 0.0:  # an exact multiple of a quarter turn: the integer orbit
+            q = round(theta / (math.pi / 2)) % 4
             orbit = ((1, 0), (0, 1), (-1, 0), (0, -1))
             sx = sy = 0
             values = [(1.0, 0.0)]
@@ -160,6 +152,13 @@ def _greedy_covers(witness):
     return cover
 
 
+def _runs(flat, sizes, runs):
+    # The positions of the chosen runs of ``flat`` (cut by ``sizes``), one list each, from one gather.
+    lens, ends = sizes[runs], np.cumsum(sizes[runs])
+    gathered = flat[np.repeat((np.cumsum(sizes) - sizes)[runs] - ends + lens, lens) + np.arange(lens.sum())].tolist()
+    return [gathered[b - a:b] for a, b in zip(lens.tolist(), ends.tolist())]
+
+
 def empirical_rate(family, eps_grid, sampling_suite):
     """Per-(eps, sampling) witness tables plus greedy minimal covering sets.
 
@@ -172,14 +171,15 @@ def empirical_rate(family, eps_grid, sampling_suite):
     The family is stacked once.  Its Cauchy indices (tails decided against
     every tolerance by :func:`~metastable.net.cauchy_indices`) are one
     call, and so is the decision of every block of the suite against every
-    tolerance (:func:`~metastable.net.runs_within`), which gives one
-    C-contiguous witness tensor per tolerance: every cell's first
-    witnesses and cover.  The answers are those of the pairwise checks,
-    exactly: binary64 subtraction is monotone, so fl(max - min) over a
-    block or tail of scalar values equals the largest fl|x - y| over its
-    pairs, Euclidean pairs are decided by the kernel filter's margin or by
-    ``math.dist``, and with no NaN distances (points are finite) the
-    largest distance is <= eps exactly when every distance is.
+    tolerance (:func:`~metastable.net.runs_within`), which gives one witness
+    tensor, cells x members x positions (cell c is tolerance c // k and
+    sampling c % k of k), for one ``argmax`` and one lockstep cover.  The
+    answers are those of the pairwise checks, exactly: binary64 subtraction
+    is monotone, so fl(max - min) over a block or tail of scalar values
+    equals the largest fl|x - y| over its pairs, Euclidean pairs are decided
+    by the kernel filter's margin or by ``math.dist``, and with no NaN
+    distances (points are finite) the largest distance is <= eps exactly
+    when every distance is.
     """
     family = stacked(family)
     if not eps_grid or not sampling_suite:
@@ -189,33 +189,30 @@ def empirical_rate(family, eps_grid, sampling_suite):
     repeated = [x for x, y in zip(eps_grid, eps_grid[1:]) if x == y]  # one cell per tolerance, as in a Rate
     if repeated:
         raise ValueError(f"tolerance {repeated[0]!r} is repeated in the grid")
-    samplings = sampling_suite.values()
+    sids, samplings, n = tuple(sampling_suite), tuple(sampling_suite.values()), len(window)
     if any(eta.window != window for eta in samplings):
         raise WindowError("sampling and net live on different windows")
-    if any(len(eta.sizes) != len(window) or not eta.sizes.all() for eta in samplings):
-        raise WindowError("sampling needs one nonempty candidate set per index")
     flat, sizes = (np.concatenate([getattr(eta, f) for eta in samplings]) for f in ("flat", "sizes"))
-    within = runs_within(family, [eps_floor(eps) for eps in eps_grid], flat, sizes)
-    shape = len(family), len(eps_grid), len(sampling_suite), len(window)  # members x tolerances x cells x positions
-    cells = []
-    for eps, witness in zip(eps_grid, np.ascontiguousarray(within.reshape(shape).transpose(1, 2, 0, 3))):
-        first, found = witness.argmax(axis=2).tolist(), witness.any(axis=2).tolist()
-        for (sid, eta), row, hit, in_cover in zip(sampling_suite.items(), first, found, _greedy_covers(witness)):
-            cover = np.flatnonzero(in_cover).tolist()
-            for p in cover:  # certify the cover, each element's block read by position
-                if not any(_within(a, eps, eta.block(p)) for a in family):
-                    raise CheckError(f"cover element {els[p]!r} witnesses no net at eps={eps}, sampling {sid!r}")
-            witnesses = tuple(els[p] if f else None for p, f in zip(row, hit))
-            cells.append(AnalysisCell(eps, sid, witnesses, tuple(els[p] for p in cover), tuple(m for m, f in enumerate(hit) if not f)))
-    cauchy = tuple(tuple(zip(eps_grid, indices)) for indices in cauchy_indices(family, eps_grid))
-    return AnalysisReport(
-        window_size=len(window),
-        eps_grid=eps_grid,
-        sampling_ids=tuple(sampling_suite),
-        cells=tuple(cells),
-        cauchy_indices=cauchy,
-        refuted=any(cell.uncovered for cell in cells),
+    if any(len(eta.sizes) != n for eta in samplings) or not sizes.all():
+        raise WindowError("sampling needs one nonempty candidate set per index")
+    k, within = len(samplings), runs_within(family, [eps_floor(eps) for eps in eps_grid], flat, sizes)
+    witness = np.ascontiguousarray(within.reshape(len(family), -1, n).transpose(1, 0, 2))  # cells x members x positions
+    m, found = len(family), witness.any(axis=2)
+    seen = [els[p] if f else None for p, f in zip(witness.argmax(axis=2).ravel().tolist(), found.ravel().tolist())]
+    cell, at = np.nonzero(_greedy_covers(witness))  # every cover element, cell by cell
+    named, blocks, covers = witness[cell, :, at].argmax(axis=1).tolist(), _runs(flat, sizes, cell % k * n + at), [[] for _ in found]
+    for c, p, member, block in zip(cell.tolist(), at.tolist(), named, blocks):
+        # Certified on its block: first by the member the tensor says it witnesses, the others only before refusing.
+        eps = eps_grid[c // k]
+        if not _within(family[member], eps, block) and not any(_within(a, eps, block) for a in family):
+            raise CheckError(f"cover element {els[p]!r} witnesses no net at eps={eps}, sampling {sids[c % k]!r}")
+        covers[c].append(els[p])
+    cells = tuple(
+        AnalysisCell(eps_grid[c // k], sids[c % k], tuple(seen[c * m:c * m + m]), tuple(cover), tuple(compress(range(m), missed)))
+        for c, (cover, missed) in enumerate(zip(covers, (~found).tolist()))
     )
+    cauchy = tuple(tuple(zip(eps_grid, indices)) for indices in cauchy_indices(family, eps_grid))
+    return AnalysisReport(len(window), eps_grid, sids, cells, cauchy, refuted=any(cell.uncovered for cell in cells))
 
 
 @dataclass(frozen=True)
@@ -228,22 +225,21 @@ class UmpVerdict:
     window_size: int
 
 
-def finite_space_ump_check(nets_by_point, eps_grid, sampling_suite):
+def finite_space_ump_check(family, labels, eps_grid, sampling_suite):
     """Uniform candidate sets for a family indexed by a finite point set.
 
-    A finite point set is compact, so once every per-point net is
-    window-Cauchy at the finest tolerance a uniform candidate set exists
-    for each (eps, sampling) cell.  Both facts are read off
-    :func:`empirical_rate`'s report (its Cauchy indices and greedy
-    covers), and each cover is re-validated against every net.  Nets
-    failing the Cauchy precondition are reported per point and no sets
-    are returned.
+    ``family`` has one member per point, named by ``labels`` in order.  A
+    finite point set is compact, so once every member is window-Cauchy at
+    the finest tolerance a uniform candidate set exists for each (eps,
+    sampling) cell.  Both facts are read off :func:`empirical_rate`'s
+    report (its Cauchy indices and greedy covers), and each cover is
+    re-validated against every member.  Members failing the Cauchy
+    precondition are reported by point and no sets are returned.
     """
-    nets_by_point = dict(nets_by_point)
-    if not nets_by_point or not eps_grid or not sampling_suite:
-        raise ValueError("empty family, tolerance grid, or sampling suite")
-    labels, nets = list(nets_by_point), list(nets_by_point.values())
-    report = empirical_rate(nets, eps_grid, sampling_suite)
+    family, labels = stacked(family), tuple(labels)
+    if len(labels) != len(family):
+        raise ValueError(f"{len(labels)} point labels for a family of {len(family)}")
+    report = empirical_rate(family, eps_grid, sampling_suite)
     finest = report.eps_grid[-1]
     failures = tuple((label, finest) for label, c in zip(labels, report.cauchy_indices) if c[-1][1] is None)
     if failures:
@@ -253,8 +249,9 @@ def finite_space_ump_check(nets_by_point, eps_grid, sampling_suite):
         eps, sid, eta, cover = cell.eps, cell.sampling_id, sampling_suite[cell.sampling_id], cell.cover_set
         if cell.uncovered:
             raise CheckError(f"window-Cauchy nets {cell.uncovered} have no witness at eps={eps}, sampling {sid!r}")
-        for m, a in enumerate(nets):  # re-validate: the cover serves every net
-            if not any(_within(a, eps, eta.block(eta.window.index(i))) for i in cover):
+        blocks = [eta.block(p) for p in family.window._indices(cover).tolist()]  # the cover's positions, read once
+        for m, a in enumerate(family):  # re-validate: the cover serves every net
+            if not any(_within(a, eps, block) for block in blocks):
                 raise CheckError(f"cover misses net {m} at eps={eps}, sampling {sid!r}")
         sets.append(((eps, sid), cover))
     return UmpVerdict(True, (), tuple(sets), report.window_size)

@@ -161,9 +161,7 @@ def _demo_doc(scenario, size, seed):
             raise _families.FamilyError("window too small: no point defeats the candidate set")
         nets = _family_nets(spec)
         suite = _analyze.build_sampling_suite(window, ["identity", "successor"])
-        verdict = _analyze.finite_space_ump_check(
-            {f"x{p}": a for p, a in enumerate(nets)}, [0.5], suite
-        )
+        verdict = _analyze.finite_space_ump_check(nets, [f"x{p}" for p in range(n_points)], [0.5], suite)
         return {
             "scenario": scenario,
             "plain_uniform": _ser.ump_verdict_to_dict(verdict),

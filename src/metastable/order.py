@@ -519,7 +519,7 @@ def random_samplings(window, rng, count):
         sides = np.array(shape, np.intp)[:, None] - np.indices(shape, np.intp).reshape(len(shape), -1)
         sizes = sides.prod(axis=0)
     q, counts = _draw_ranks(rng, sizes.tolist() * count)
-    q, counts = np.array(q, np.intp), np.array(counts, np.intp)
+    q, counts = np.fromiter(q, np.intp, len(q)), np.fromiter(counts, np.intp, len(counts))
     owner = np.repeat(np.arange(len(counts)) % n, counts)
     if shape is None:
         at = ups[(np.cumsum(sizes) - sizes)[owner] + q]

@@ -8,6 +8,7 @@ deterministic (collections are emitted in canonical enumeration order) and
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -226,6 +227,9 @@ def sampling_from_dict(doc):
     rows = doc["assign"]
     if type(rows) is not list:
         raise SchemaError("a sampling's assign must be a JSON list of label lists")
+    if w.kind == OMEGA and {list}.issuperset(map(type, rows)):
+        with contextlib.suppress(WindowError):  # no omega label is a list: one scan, the rule's; a fault is re-derived below
+            return Sampling(w, rows)
     if not {list}.issuperset(map(type, rows)) or {list, dict} & set(map(type, itertools.chain.from_iterable(rows))):
         rows = list(map(_labels, rows))  # names the first row that is no list; lists become tuples
         hash(tuple(map(tuple, rows)))  # a JSON object is no label: TypeError, a schema fault

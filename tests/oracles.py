@@ -61,16 +61,35 @@ def windows():
     return st.recursive(base, lambda inner: st.tuples(inner, inner).map(lambda de: product(*de)), max_leaves=3)
 
 
+_ORDERS = {}  # id(window): (window, leq); holding the window keeps its id from reuse
+
+
+def _brute_order(window):
+    """The order of ``window`` as a predicate on two elements, built once per window from a dict of
+    its elements, so the oracle never goes through the library's label rule (``window.index``) that
+    it checks: componentwise over a product's label parts, position order on a chain, else the
+    entry of the custom window's order matrix."""
+    held = _ORDERS.get(id(window))
+    if held is None or held[0] is not window:
+        if window.factors is not None:
+            first, second = map(_brute_order, window.factors)
+            leq = lambda a, b: first(a[0], b[0]) and second(a[1], b[1])
+        else:
+            pos = {e: p for p, e in enumerate(window.elements)}
+            if window.is_chain():
+                leq = lambda a, b: pos[a] <= pos[b]
+            else:
+                rows = window._order.tolist()
+                leq = lambda a, b: rows[pos[a]][pos[b]]
+        if len(_ORDERS) >= 256:
+            _ORDERS.clear()
+        held = _ORDERS[id(window)] = window, leq
+    return held[1]
+
+
 def brute_leq(window, a, b):
-    """The window order by labels, apart from the library's positional test: index
-    order on a chain, componentwise over a product's label parts, else the entry
-    of the custom window's order matrix."""
-    if window.is_chain():
-        return window.index(a) <= window.index(b)
-    if window.factors is not None:
-        d, e = window.factors
-        return brute_leq(d, a[0], b[0]) and brute_leq(e, a[1], b[1])
-    return bool(window._order[window.index(a), window.index(b)])
+    """The window order on elements, apart from the library's positional test and its label rule."""
+    return _brute_order(window)(a, b)
 
 
 def brute_position(window, a):

@@ -253,7 +253,7 @@ def test_criterion_5_finite_space_uniform_sets():
             w, ["identity", "successor", "random-k"], seed=trial, random_count=2
         )
         eps_grid = (0.5, 0.25)
-        verdict = finite_space_ump_check(nets, eps_grid, suite)
+        verdict = finite_space_ump_check(list(nets.values()), list(nets), eps_grid, suite)
         if not verdict.ok or not verdict.sets:
             failures += 1
             continue

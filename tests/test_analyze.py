@@ -3,12 +3,14 @@ import math
 import pathlib
 import random
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from metastable import (
     Net,
+    Sampling,
     SpaceError,
     binary_space,
     build_sampling_suite,
@@ -29,6 +31,7 @@ from metastable import (
 from metastable import analyze
 from metastable.cli import main
 from metastable.net import CheckError, StackedFamily
+from metastable.order import up_runs
 from oracles import brute_csv_nets, brute_witness
 
 
@@ -141,7 +144,50 @@ class TestEmpiricalRate:
         with pytest.raises(ValueError, match=f"tolerance {repeated} is repeated"):
             empirical_rate(family, grid, suite)
         with pytest.raises(ValueError, match=f"tolerance {repeated} is repeated"):
-            finite_space_ump_check({"x": family[0]}, grid, suite)
+            finite_space_ump_check(family, ["x"], grid, suite)
+
+
+class TestCertification:
+    """Each cover element is re-checked pairwise on its block's positions."""
+
+    def test_the_member_the_tensor_names_is_tried_first(self, monkeypatch):
+        # Member 0 alternates and every block pairs positions of unlike parity, so it witnesses
+        # nowhere (empirical_rate takes such unvalidated cycles; a valid sampling's top block
+        # witnesses every member).  Each cover element then takes one re-check, on a constant member.
+        w = make_omega_window(6)
+        nets = [Net(w, binary_space(), (0, 1) * 3)] + [Net(w, binary_space(), (v,) * 6) for v in (0, 1)]
+        suite = {f"cycle-{d}": Sampling(w, [{p, (p + d) % 6} for p in range(6)]) for d in (1, 3)}
+        calls, real = [], analyze._within
+        monkeypatch.setattr(analyze, "_within", lambda *args: calls.append(args) or real(*args))
+        report = empirical_rate(nets, [0.5, 0.25], suite)
+        assert all(cell.uncovered == (0,) and cell.cover_set for cell in report.cells)
+        assert len(calls) == sum(len(cell.cover_set) for cell in report.cells)
+
+    def test_certification_lists_only_the_cover_runs(self, monkeypatch):
+        # Each block of the up-set sampling is its element's whole up-set, so 32 copies hold 66,560
+        # positions, and a Python list of them takes 8 bytes a position; a constant net is covered
+        # at 0 in every cell, so certification reads 32 runs of 64.  What is allocated past the
+        # covers must stay under an eighth of such a list.
+        w = make_omega_window(64)
+        up = Sampling._of_runs(w, *up_runs(w))
+        suite = {f"up-{r}": up for r in range(32)}
+        real, held = analyze._greedy_covers, []
+
+        def covers(witness):
+            cover = real(witness)
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+            return cover
+
+        monkeypatch.setattr(analyze, "_greedy_covers", covers)
+        tracemalloc.start()
+        try:
+            report = empirical_rate([Net(w, unit_interval_space(), (0.5,) * 64)], [0.5], suite)
+            peak = tracemalloc.get_traced_memory()[1] - held[0]
+        finally:
+            tracemalloc.stop()
+        assert all(cell.cover_set == (0,) for cell in report.cells)
+        assert peak < len(suite) * len(up.flat)
 
 
 class TestFiniteSpaceUmp:
@@ -149,9 +195,7 @@ class TestFiniteSpaceUmp:
         nets = paracompact_nets(4, 12)
         w = nets[0].window
         suite = build_sampling_suite(w, ["identity", "successor"])
-        verdict = finite_space_ump_check(
-            {f"x{p}": nets[p] for p in range(4)}, [0.5], suite
-        )
+        verdict = finite_space_ump_check(nets, [f"x{p}" for p in range(4)], [0.5], suite)
         assert verdict.ok and not verdict.non_cauchy_points
         assert len(verdict.sets) == 2
         for (eps, sid), cover in verdict.sets:
@@ -163,12 +207,16 @@ class TestFiniteSpaceUmp:
         w = make_omega_window(6)
         bad = Net(w, binary_space(), (1, 0, 1, 0, 1, 0))
         good = Net(w, binary_space(), (0,) * 6)
-        verdict = finite_space_ump_check(
-            {"p": good, "q": bad}, [0.5, 0.25], {"id": identity_sampling(w)}
-        )
+        verdict = finite_space_ump_check([good, bad], ["p", "q"], [0.5, 0.25], {"id": identity_sampling(w)})
         assert not verdict.ok
         assert verdict.non_cauchy_points == (("q", 0.25),)
         assert verdict.sets == ()
+
+    def test_one_label_per_member(self):
+        nets = paracompact_nets(3, 8)
+        suite = {"id": identity_sampling(nets.window)}
+        with pytest.raises(ValueError, match="2 point labels for a family of 3"):
+            finite_space_ump_check(nets, ["x0", "x1"], [0.5], suite)
 
     @pytest.mark.parametrize("cells", [
         lambda c: dataclasses.replace(c, cover_set=()),  # a cover that serves no net
@@ -186,7 +234,7 @@ class TestFiniteSpaceUmp:
         nets = paracompact_nets(3, 8)
         suite = build_sampling_suite(nets[0].window, ["identity", "successor"])
         with pytest.raises(CheckError):
-            finite_space_ump_check({f"x{p}": a for p, a in enumerate(nets)}, [0.5], suite)
+            finite_space_ump_check(nets, [f"x{p}" for p in range(3)], [0.5], suite)
 
 
 class TestIngestCsv:

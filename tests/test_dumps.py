@@ -163,7 +163,7 @@ def test_every_encoder_writes_a_json_tree(w, seed):
     reports = [
         report_to_dict(verify_rate([a], rate, 0.5, "random")),
         analysis_report_to_dict(empirical_rate([a], [0.5, 0.25], suite)),
-        ump_verdict_to_dict(finite_space_ump_check({"x": a, ("y", 1): a}, [0.5], suite)),
+        ump_verdict_to_dict(finite_space_ump_check([a, a], ["x", ("y", 1)], [0.5], suite)),
     ]
     for doc in reports:
         assert dumps(doc) == json_text(doc) and json.loads(dumps(doc)) == doc

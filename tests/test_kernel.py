@@ -37,7 +37,7 @@ from metastable import (
     unit_interval_space,
     window_cauchy_index,
 )
-from metastable import meta, net, order
+from metastable import analyze, meta, net, order
 from metastable.net import MetricSpace, cauchy_indices, eps_floor, runs_within, stacked, tails_within
 from metastable.order import DirectedWindow, up_runs
 from oracles import (
@@ -223,6 +223,22 @@ def test_lockstep_covers_match_oracles_on_wide_tied_families(data, seed):
     _check_cells(nets, empirical_rate(nets, data.draw(tolerances(nets)), suite), suite)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(0, 2**16))
+def test_one_lockstep_cover_call_equals_a_call_per_cell_and_the_oracle(data, seed):
+    # Cells stacked as empirical_rate stacks them (every tolerance, then every sampling) run
+    # independently: one call gives each cell the cover of its own call and of the set-based oracle.
+    wide = data.draw(st.booleans())
+    nets = data.draw(wide_families() if wide else families())
+    suite = (_lockstep_suite if wide else _suite)(nets[0].window, seed)
+    cells = [(eps, eta) for eps in data.draw(tolerances(nets)) for eta in suite.values()]
+    witness = np.stack([block_diameters(nets, eta) <= eps for eps, eta in cells])  # cells x members x positions
+    covers, els = analyze._greedy_covers(witness), nets[0].window.elements
+    for c, (eps, eta) in enumerate(cells):
+        assert np.array_equal(covers[c], analyze._greedy_covers(witness[c:c + 1])[0])
+        assert tuple(els[p] for p in np.flatnonzero(covers[c])) == brute_greedy_cover(nets, eps, eta)[0]
+
+
 def test_lockstep_cells_differ_in_rounds_and_leave_nets_uncovered():
     # 48 nets on an 8-chain, 40 drawn from five values: at one tolerance the
     # cells need three different numbers of rounds, and two cells keep nets
@@ -243,7 +259,7 @@ def test_finite_space_ump_verdicts_match_oracles(data, seed):
     nets = data.draw(families())
     grid = data.draw(tolerances(nets))
     suite = _suite(nets[0].window, seed)
-    verdict = finite_space_ump_check({f"p{m}": a for m, a in enumerate(nets)}, grid, suite)
+    verdict = finite_space_ump_check(nets, [f"p{m}" for m in range(len(nets))], grid, suite)
     finest = min(grid)
     failures = tuple(
         (f"p{m}", finest) for m, a in enumerate(nets) if brute_cauchy_index(a, finest) is None

@@ -457,6 +457,6 @@ class TestDumps:
         nets = paracompact_nets(3, 8)
         suite = build_sampling_suite(nets[0].window, ["identity"])
         report = empirical_rate(nets, [0.5], suite)
-        verdict = finite_space_ump_check({"p": nets[0]}, [0.5], suite)
+        verdict = finite_space_ump_check([nets[0]], ["p"], [0.5], suite)
         json.loads(dumps(analysis_report_to_dict(report)))
         json.loads(dumps(ump_verdict_to_dict(verdict)))
