@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import json
 import math
 import sys
@@ -45,12 +46,19 @@ EXIT_IO = 4
 EXIT_CHECK = 5
 
 
-def _load_json(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise _ser.SchemaError(f"{path}: JSON nested too deeply") from None
+def _read(path, decode):
+    # The JSON document at ``path``, decoded with the cyclic GC paused and then left as it was
+    # found: no JSON tree, nor what a decoder builds of it, holds a cycle for the GC to find.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return decode(json.load(fh))
+    except RecursionError:  # the parser's: each decoder reports its own as a SchemaError
+        raise _ser.SchemaError(f"{path}: JSON nested too deeply") from None
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _write(doc, out):
@@ -82,8 +90,8 @@ def _space_from_args(args):
 
 
 def cmd_verify(args):
-    rate = _ser.rate_from_dict(_load_json(args.rate))
-    family = _family_nets(_ser.family_from_dict(_load_json(args.family)))
+    rate = _read(args.rate, _ser.rate_from_dict)
+    family = _family_nets(_read(args.family, _ser.family_from_dict))
     sids = [args.sampling] if args.sampling else sorted(rate.samplings)
     reports = list(map(_ser.report_to_dict, _meta._verify_reports(family, rate, args.eps, sids)))
     doc = {
@@ -98,8 +106,8 @@ def cmd_verify(args):
 
 
 def cmd_refute(args):
-    family = _ser.family_from_dict(_load_json(args.family))
-    sets = _ser.candidate_sets_from_json(_load_json(args.candidates))
+    family = _read(args.family, _ser.family_from_dict)
+    sets = _read(args.candidates, _ser.candidate_sets_from_json)
     cert = _meta.refute_uniform(family, sets, args.eps, pointed=args.pointed)
     if cert is None:
         _write(
@@ -115,7 +123,7 @@ def cmd_analyze(args):
     if args.csv:
         family = _analyze.ingest_csv(args.csv, _space_from_args(args))
     elif args.family:
-        family = _family_nets(_ser.family_from_dict(_load_json(args.family)))
+        family = _family_nets(_read(args.family, _ser.family_from_dict))
     else:
         raise ValueError("analyze needs --csv or --family")
     eps_grid = [float(t) for t in args.eps_grid.split(",")]

@@ -108,8 +108,8 @@ class StackedFamily:
     """
 
     def __init__(self, window, space, array, targets, rows=None):
-        # ``rows``: each member's values as given; None when the array's own
-        # values are theirs (binary ints, floats), as for enumerated members.
+        # ``rows``: each member's values as given; None when the array's own values are
+        # theirs (binary ints, floats), as for enumerated and most decoded members.
         if rows is None and not space.is_scalar():
             raise ValueError(f"a family on {space.kind} space needs its members' rows")
         array.flags.writeable = False
@@ -125,17 +125,17 @@ class StackedFamily:
         if not rows:
             raise ValueError("empty family")
         n, given = len(window), [t for t in targets if t is not None]
-        x = _bulk(space, rows) if {n}.issuperset(map(len, rows)) else None
-        if x is None or given and _bulk(space, [given]) is None:
+        x, exact = _bulk(space, rows) if {n}.issuperset(map(len, rows)) else (None, False)
+        if x is None or given and _bulk(space, [given])[0] is None:
             for row, t in zip(rows, targets):
                 if len(row) != n:
                     raise SpaceError(f"net has {len(row)} values for a window of {n}")
                 for v in row if t is None else (*row, t):
                     space.require(v)
-            x = np.array(rows, float)  # all points: reals (Euclidean: tuples of them), ints up to 2**53
+            x, exact = np.array(rows, float), False  # all points: reals (Euclidean: tuples of them), ints up to 2**53
         if space.kind == EUCLIDEAN:
             x = np.ascontiguousarray(x.transpose(0, 2, 1))
-        return cls(window, space, x, targets, rows=rows)
+        return cls(window, space, x, targets, rows=None if exact else list(map(tuple, rows)))
 
     def __len__(self):
         return len(self.targets)
@@ -164,7 +164,7 @@ class StackedFamily:
         x = self.array.transpose(1, 0, 2).reshape(self.space.dim, -1) if self.space.kind == EUCLIDEAN else self.array.ravel()
         if None in self.targets:
             return x
-        t = _bulk(self.space, [self.targets])
+        t = _bulk(self.space, [self.targets])[0]
         t = (np.array([self.targets], float) if t is None else t)[0]  # checked: ints at 2**53
         return np.concatenate((x, t.T if self.space.kind == EUCLIDEAN else t), axis=-1)
 

@@ -289,6 +289,7 @@ def _stack_from_dicts(docs):
     # values of all members are checked at once, as one StackedFamily.
     first = _expect(docs[0], "net")
     window, space = window_from_dict(first["window"]), space_from_dict(first["space"])
+    rows, targets = [], []  # read in the one pass over the members
     for doc in docs:
         if doc.get("schema_version") != SCHEMA_VERSION or doc.get("type") != "net":
             _expect(doc, "net")
@@ -296,15 +297,14 @@ def _stack_from_dicts(docs):
             raise WindowError("family members live on different windows")
         if doc["space"] != first["space"] and space_from_dict(doc["space"]) != space:
             raise SpaceError("family members take values in different spaces")
-        if type(doc["values"]) is not list:
+        if type(values := doc["values"]) is not list:
             raise SchemaError("a net's values must be a JSON list")
-    rows, targets = [doc["values"] for doc in docs], _labels([doc.get("target") for doc in docs])
-    points = itertools.chain.from_iterable
+        rows.append(values)
+        targets.append(doc.get("target"))
+    points, targets = itertools.chain.from_iterable, _labels(targets)
     if space.kind == EUCLIDEAN and not set(map(type, points(rows))) <= {list}:
         raise SchemaError("a Euclidean point must be a JSON list of coordinates")
-    if space.is_scalar():  # copied, so that the family shares no list with the document
-        rows = list(map(tuple, rows))
-    else:  # only a JSON list becomes a tuple label; all coordinates scalar: each point one tuple
+    if not space.is_scalar():  # only a JSON list becomes a tuple label; all coordinates scalar: each point one tuple
         flat = space.kind == EUCLIDEAN and list not in set(map(type, points(points(rows))))
         rows = [tuple(map(tuple if flat else _label_from_json, row)) for row in rows]
     try:

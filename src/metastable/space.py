@@ -138,17 +138,21 @@ def table_space(symbols, table):
     if not all(_is_real(v) and v >= 0 for row in table for v in row):
         raise SpaceError("distance table entries must be finite reals >= 0")
     table = tuple(tuple(map(float, row)) for row in table)
-    for i in range(n):
-        if table[i][i] != 0.0:
-            raise SpaceError(f"nonzero self-distance at {symbols[i]!r}")
-        for j in range(n):
-            if table[i][j] != table[j][i]:
-                raise SpaceError(f"asymmetric distances at {symbols[i]!r}, {symbols[j]!r}")
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if table[i][k] > table[i][j] + table[j][k]:
-            raise SpaceError(
-                f"triangle inequality fails at {symbols[i]!r}, {symbols[j]!r}, {symbols[k]!r}"
-            )
+    t = np.array(table).reshape(n, n)
+    faults = np.column_stack((t.diagonal() != 0.0, t != t.T))  # row i: its self-distance, then its pairs
+    if faults.any():
+        i, j = divmod(int(faults.argmax()), n + 1)  # j = 0: i's self-distance; else the pair i, j - 1
+        pair = f"asymmetric distances at {symbols[i]!r}, {symbols[j - 1]!r}"
+        raise SpaceError(pair if j else f"nonzero self-distance at {symbols[i]!r}")
+    first, until = None, n  # the first failing (i, j, k) in product order; only an i < until can precede it
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, as in Python
+        for j in range(n):  # one middle symbol at a time: O(n^2) memory
+            fails = (t[:until] > t[:until, j, None] + t[j]).ravel()
+            if fails.any():
+                until, k = divmod(int(fails.argmax()), n)
+                first = (until, j, k)
+    if first:
+        raise SpaceError("triangle inequality fails at " + ", ".join(repr(symbols[p]) for p in first))
     bound = max((v for row in table for v in row), default=0.0)
     return MetricSpace(TABLE, symbols=symbols, table=table, diameter_bound=bound)
 
@@ -159,31 +163,29 @@ _RANGES = {BINARY: (0.0, 1.0), UNIT_INTERVAL: (0.0, 1.0), HALF_LINE: (0.0, math.
 
 
 def _bulk(space, rows):
-    # ``rows`` (lists of points, all of one length) as one array, rows x points (Euclidean:
-    # rows x points x dim; tables: symbol positions), if one bulk test proves every one
-    # a point, else None.  Coordinates are exact ints and floats; binary ints in [0, 1]
-    # are 0 and 1.  Ints convert exactly below 2**53, and one at or past it leaves the
-    # answer to require.
-    points = itertools.chain.from_iterable
+    # ``rows`` (lists of points, all of one length) as one array, rows x points (Euclidean: rows x points x dim;
+    # tables: symbol positions), if one bulk test proves every one a point, else None; and whether it gives back
+    # each value as given (binary ints, scalar floats).  Coordinates are exact ints and floats, flattened once;
+    # binary ints in [0, 1] are 0 and 1.  Ints convert exactly below 2**53; one at or past it leaves the answer to require.
     if space.kind == TABLE:
         positions = [list(map(space._position, row)) for row in rows]
-        return None if any(None in row for row in positions) else np.array(positions, np.intp)
-    shape, coordinates = (len(rows), len(rows[0])), points
+        return None if any(None in row for row in positions) else np.array(positions, np.intp), False
+    shape, values = (len(rows), len(rows[0])), list(itertools.chain.from_iterable(rows))
     if space.kind == EUCLIDEAN:
-        if set(map(type, points(rows))) != {tuple} or set(map(len, points(rows))) != {space.dim}:
-            return None
-        shape, coordinates = (*shape, space.dim), lambda rows: points(points(rows))
-    types = set(map(type, coordinates(rows)))
+        if set(map(type, values)) != {tuple} or set(map(len, values)) != {space.dim}:
+            return None, False
+        shape, values = (*shape, space.dim), list(itertools.chain.from_iterable(values))
+    types = set(map(type, values))
     if not types <= ({int} if space.kind == BINARY else {int, float}):
-        return None
-    try:  # streamed: no per-row conversion cache
-        x = np.fromiter(coordinates(rows), float, math.prod(shape)).reshape(shape)
+        return None, False
+    try:
+        x = np.fromiter(values, float, len(values)).reshape(shape)
     except OverflowError:
-        return None
+        return None, False
     lo, hi = _RANGES.get(space.kind, (-math.inf, math.inf))
     least, most = float(x.min()), float(x.max())  # NaN if any entry is
     if not (math.isfinite(least) and math.isfinite(most) and lo <= least and most <= hi):
-        return None
+        return None, False
     if int in types and max(-least, most) >= 2.0**53:
-        return None
-    return x
+        return None, False
+    return x, space.kind == BINARY or space.is_scalar() and int not in types

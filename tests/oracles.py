@@ -554,3 +554,22 @@ def brute_csv_nets(path, space):
                     raise SpaceError(f"non-binary value in row {lineno}")
         return [Net(window, space, tuple(int(row[col]) for row in rows)) for col in range(ncols)]
     return [Net(window, space, tuple(row[col] for row in rows)) for col in range(ncols)]
+
+
+def brute_table_fault(symbols, table):
+    """The message ``space.table_space`` raises for a distance table of
+    finite reals >= 0, else None, found by the loops it once ran: each row's
+    self-distance and then its pairs, row by row, then every (i, j, k) in
+    ``itertools.product`` order against ``T[i][k] <= T[i][j] + T[j][k]``."""
+    table = [[float(v) for v in row] for row in table]
+    n = len(symbols)
+    for i in range(n):
+        if table[i][i] != 0.0:
+            return f"nonzero self-distance at {symbols[i]!r}"
+        for j in range(n):
+            if table[i][j] != table[j][i]:
+                return f"asymmetric distances at {symbols[i]!r}, {symbols[j]!r}"
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if table[i][k] > table[i][j] + table[j][k]:
+            return f"triangle inequality fails at {symbols[i]!r}, {symbols[j]!r}, {symbols[k]!r}"
+    return None

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import json
 import time
 import tracemalloc
@@ -6,10 +8,10 @@ import pytest
 
 from metastable import analyze, families, meta
 from metastable import Net, binary_space, build_rate, make_custom_window, make_omega_window, product, random_sampling, identity_sampling
-from metastable.cli import FAMILY_MEMBER_CAP, _family_nets, _parser, main
+from metastable.cli import FAMILY_MEMBER_CAP, _family_nets, _parser, _read, main
 from metastable.families import FamilySpec, enumerate_family, rate_B
 from metastable.order import WINDOW_CAP
-from metastable.serialize import certificate_from_dict, dumps, family_spec_to_dict, net_to_dict, rate_to_dict, sampling_to_dict
+from metastable.serialize import certificate_from_dict, dumps, family_from_dict, family_spec_to_dict, net_to_dict, rate_to_dict, sampling_to_dict
 
 
 @pytest.fixture
@@ -830,3 +832,53 @@ class TestDemo:
         for row in lines[1:]:
             n, sup, bound = row.split()
             assert float(sup) <= float(bound) + 2.0 ** -40
+
+
+class TestReadPausesTheCollector:
+    """Input documents are read and decoded with the cyclic GC paused, and every
+    command leaves the GC as it found it, on every exit path."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def collecting(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def _refute(self, tmp_path, family, candidates="[[0]]"):
+        fam, cands = tmp_path / "family.json", tmp_path / "cands.json"
+        fam.write_text(family if isinstance(family, str) else json.dumps(family))
+        cands.write_text(candidates)
+        return ["refute", "--family", str(fam), "--candidates", str(cands), "--eps", "0.5", "--out", str(tmp_path / "out.json")]
+
+    def test_verify_exit_zero_leaves_the_gc_as_found(self, omega6_b, tmp_path, collecting):
+        fam, rate = omega6_b
+        assert main(["verify", "--family", str(fam), "--rate", str(rate), "--eps", "0.5", "--out", str(tmp_path / "r.json")]) == 0
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("family, code, message", [
+        ([_binary_net_doc([1, 1, 0, 0])], 2, None),
+        ([_binary_net_doc([0, 0, 0, 0]), _binary_net_doc([1, 0, 0, 0, 0])], 3, "different windows"),
+        ([{**_binary_net_doc([1, 0, 0, 0]), "values": "1000"}], 4, "values must be a JSON list"),
+        ("[" * 100_000 + "]" * 100_000, 4, "JSON nested too deeply"),
+    ], ids=["refuted", "mixed-windows", "schema-fault", "nested-too-deeply"])
+    def test_refute_leaves_the_gc_as_found(self, tmp_path, capsys, collecting, family, code, message):
+        assert main(self._refute(tmp_path, family)) == code
+        assert gc.isenabled() is collecting
+        assert message is None or message in capsys.readouterr().err
+
+    def test_a_bad_candidates_file_leaves_the_gc_as_found(self, tmp_path, collecting):
+        assert main(self._refute(tmp_path, [_binary_net_doc([1, 1, 0, 0])], candidates="[[0]")) == 4
+        assert gc.isenabled() is collecting
+
+    def test_no_collection_while_a_2048_member_list_is_decoded(self, tmp_path):
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps([_binary_net_doc([*head, 0]) for head in itertools.product((0, 1), repeat=11)]))
+        collections = []
+        gc.collect()  # so that no generation starts near its threshold
+        gc.callbacks.append(cb := lambda phase, info: phase == "start" and collections.append(info["generation"]))
+        try:
+            family = _read(fam, family_from_dict)
+        finally:
+            gc.callbacks.remove(cb)
+        assert len(family) == 2048 and collections == []

@@ -263,6 +263,48 @@ def test_scan_flags_json_text_writers():
     assert json_text_writers(tree) == [3, 5, 6]
 
 
+def reads_and_collector_switches(tree, exempt=None):
+    """Lines that call ``json.load``/``json.loads`` or ``gc.disable``/``gc.enable`` (also under
+    another name) or import one of them, outside the module-level function named ``exempt``."""
+    names = {"json": {"load", "loads"}, "gc": {"disable", "enable"}}
+    skipped = {n for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == exempt for n in ast.walk(f)}
+    nodes = [n for n in ast.walk(tree) if n not in skipped]
+    aliases = {a.asname or a.name: a.name for n in nodes if isinstance(n, ast.Import) for a in n.names if a.name in names}
+    imports = {n.lineno for n in nodes if isinstance(n, ast.ImportFrom) and any(a.name in names.get(n.module, ()) for a in n.names)}
+    calls = (n for n in nodes if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute))
+    return sorted(imports | {n.lineno for n in calls if n.func.attr in names.get(aliases.get(getattr(n.func.value, "id", None)), ())})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_cli_read_is_the_one_json_reader(path):
+    # Every input document is parsed and decoded by cli._read, with the cyclic GC paused and
+    # then restored there; nowhere else does the package parse JSON text or switch the GC.
+    assert reads_and_collector_switches(ast.parse(path.read_text()), exempt="_read" if path.name == "cli.py" else None) == []
+
+
+def test_the_reader_holds_the_reads_it_is_exempt_from():
+    assert len(reads_and_collector_switches(ast.parse((SRC / "cli.py").read_text()))) == 3
+
+
+def test_scan_flags_json_reads_and_collector_switches():
+    tree = ast.parse(
+        "import gc, json\n"
+        "import json as j\n"
+        "from gc import disable\n"
+        "from json import dumps, loads as parse\n"
+        "def _read(path):\n"
+        "    gc.disable()\n"
+        "    return json.load(open(path))\n"
+        "x = j.loads(text) or json.dumps(doc) or gc.collect()\n"
+        "def f():\n"
+        "    gc.enable()\n"
+        "    def _read():\n"
+        "        return json.load(fh)\n"
+    )
+    assert reads_and_collector_switches(tree) == [3, 4, 6, 7, 8, 10, 12]
+    assert reads_and_collector_switches(tree, exempt="_read") == [3, 4, 8, 10, 12]
+
+
 def same_kind_imports(tree):
     """Lines that import ``_same_kind``, from any module and under any name."""
     imports = (n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom))

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import math
 import random
 import re
@@ -25,7 +26,7 @@ from metastable import (
 )
 from metastable.meta import is_witness
 from metastable.net import StackedFamily
-from oracles import all_samplings, brute_cauchy_index, label_chain, random_binary_net, random_unit_net
+from oracles import all_samplings, brute_cauchy_index, brute_table_fault, label_chain, random_binary_net, random_unit_net
 
 
 class TestSpaces:
@@ -60,6 +61,55 @@ class TestSpaces:
     def test_table_asymmetry(self):
         with pytest.raises(SpaceError):
             table_space(["x", "y"], [[0, 1], [2, 0]])
+
+    @pytest.mark.parametrize("seed", range(80))
+    def test_table_checks_name_the_first_fault_the_loops_name(self, seed):
+        # A metric (points on a line, or shortest paths), then a few planted faults of some
+        # kinds: the numpy passes must name the pair or triple the row-by-row loops name first.
+        rng = random.Random(seed)
+        n = rng.randint(2, 9)
+        if seed % 2:
+            points = [rng.choice([rng.randint(0, 4), rng.random(), rng.uniform(0, 1e308)]) for _ in range(n)]
+            table = [[abs(x - y) for y in points] for x in points]
+        else:
+            table = [[0.0 if p == q else rng.choice([0.1, 0.2, 0.3, 0.1 + 0.2, 1, 2.5]) for q in range(n)] for p in range(n)]
+            for p in range(n):
+                table[p] = [min(table[p][q], table[q][p]) for q in range(n)]
+            for k, p, q in itertools.product(range(n), repeat=3):  # Floyd-Warshall: a metric up to rounding
+                table[p][q] = min(table[p][q], table[p][k] + table[k][q])
+        kinds = rng.choice([["triangle"], ["triangle"], ["diagonal", "asymmetric"], ["diagonal", "asymmetric", "triangle"]])
+        for _ in range(rng.randint(0, 4)):
+            p, q = rng.sample(range(n), 2)
+            kind = rng.choice(kinds)
+            if kind == "diagonal":
+                table[p][p] = rng.choice([1, 0.5])
+            elif kind == "asymmetric":
+                table[p][q] = math.nextafter(table[p][q], math.inf)
+            else:
+                table[p][q] = table[q][p] = table[p][q] * 1.5 + 1
+        symbols = [f"s{p}" for p in range(n)]
+        expected = brute_table_fault(symbols, table)
+        if expected is None:
+            assert table_space(symbols, table).table == tuple(tuple(map(float, row)) for row in table)
+        else:
+            with pytest.raises(SpaceError) as info:
+                table_space(symbols, table)
+            assert str(info.value) == expected
+
+    def test_the_triangle_check_adds_in_binary64(self):
+        # 0.1 + 0.2 is 0.30000000000000004: a side of exactly that length passes, the next float fails.
+        for side, fails in [(0.1 + 0.2, False), (math.nextafter(0.1 + 0.2, 1.0), True), (0.3, False)]:
+            table = [[0, 0.1, side], [0.1, 0, 0.2], [side, 0.2, 0]]
+            assert brute_table_fault("xyz", table) == ("triangle inequality fails at 'x', 'y', 'z'" if fails else None)
+            if fails:
+                with pytest.raises(SpaceError, match="'x', 'y', 'z'"):
+                    table_space("xyz", table)
+            else:
+                table_space("xyz", table)
+
+    def test_a_sum_past_the_float_range_is_no_fault(self):
+        big = 1.5e308
+        assert table_space("xyz", [[0, big, big], [big, 0, big], [big, big, 0]]).diameter_bound == big
 
     @pytest.mark.parametrize("entry", ["1.5", False, True, math.nan, math.inf, None])
     def test_table_entries_are_finite_reals(self, entry):

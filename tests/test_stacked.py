@@ -35,7 +35,7 @@ from metastable import net as net_module
 from metastable.cli import main
 from metastable.families import FamilySpec, enumerate_family, stack_family
 from metastable.net import StackedFamily, cauchy_indices, stacked
-from metastable.serialize import SchemaError, dumps, family_from_dict, net_to_dict
+from metastable.serialize import SchemaError, dumps, family_from_dict, net_from_dict, net_to_dict
 from oracles import brute_cauchy_index, brute_pointed_witness, brute_refute_uniform, brute_witness, windows
 
 TABLE = table_space(["a", ("p", 1), 2], [[0, 0.5, 1.0], [0.5, 0, 0.5], [1.0, 0.5, 0]])
@@ -171,6 +171,39 @@ class TestNetsLeaveAsDecoded:
         family = family_from_dict(docs)
         docs[0]["values"][0] = 7
         assert family[0].values == (1, 0, 0)
+
+    @pytest.mark.parametrize("space, values", [
+        (binary_space(), [(1, 0, 0, 1), (0, 0, 0, 0), (1, 1, 1, 1)]),
+        (unit_interval_space(), [(0.5, 1.0, 0.0, -0.0), (0.25, 0.125, 1.0, 0.75)]),
+        (half_line_space(), [(2.5, 1e300, 0.0, 5e-324), (0.0, 0.0, 3.0, 7.5)]),
+    ], ids=["binary", "unit-floats", "half-line-floats"])
+    def test_binary_and_float_lists_read_their_members_off_the_array(self, space, values):
+        # The array gives these values back exactly, so the family keeps no copy of its rows.
+        w = make_omega_window(4)
+        docs = json.loads(dumps([net_to_dict(Net(w, space, v, target=v[1])) for v in values]))
+        family = family_from_dict(docs)
+        assert family._rows is None
+        assert list(family) == [net_from_dict(doc) for doc in docs] == [Net(w, space, v, target=v[1]) for v in values]
+        assert [[type(x) for x in a.values] for a in family] == [list(map(type, v)) for v in values]
+        assert dumps([net_to_dict(a) for a in family]) == dumps(docs)
+
+    @pytest.mark.parametrize("space", [unit_interval_space(), half_line_space()], ids=["unit", "half-line"])
+    def test_int_values_off_binary_space_keep_their_rows(self, space):
+        # An int 1 read back off the float array would be 1.0, and write "1.0".
+        docs = json.loads(dumps([net_to_dict(Net(make_omega_window(3), space, (1, 0.5, 0)))]))
+        family = family_from_dict(docs)
+        assert family._rows == [(1, 0.5, 0)] and [type(v) for v in family[0].values] == [int, float, int]
+
+    def test_an_int_one_on_the_unit_interval_refutes_as_written(self, tmp_path):
+        w = make_omega_window(4)
+        path, cands, out = tmp_path / "family.json", tmp_path / "cands.json", tmp_path / "out"
+        path.write_text(dumps([net_to_dict(Net(w, unit_interval_space(), (0.0, 0.0, 0.0, 0.0))),
+                               net_to_dict(Net(w, unit_interval_space(), (0.0, 1, 0.0, 0.0)))]))
+        cands.write_text("[[0]]")
+        assert main(["refute", "--family", str(path), "--candidates", str(cands), "--eps", "0.5", "--out", str(out)]) == 2
+        text = out.read_text()
+        assert json.loads(text)["member"]["values"] == [0.0, 1, 0.0, 0.0]
+        assert '"values": [\n      0.0,\n      1,\n      0.0,' in text
 
     def test_members_hold_python_scalars(self):
         spec_members = [next(enumerate_family(FamilySpec(tag, make_omega_window(5)))) for tag in ("B", "C", "D", "paracompact")]
