@@ -14,6 +14,7 @@ import csv
 import math
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress
 
 import numpy as np
@@ -201,10 +202,11 @@ def empirical_rate(family, eps_grid, sampling_suite):
     seen = [els[p] if f else None for p, f in zip(witness.argmax(axis=2).ravel().tolist(), found.ravel().tolist())]
     cell, at = np.nonzero(_greedy_covers(witness))  # every cover element, cell by cell
     named, blocks, covers = witness[cell, :, at].argmax(axis=1).tolist(), _runs(flat, sizes, cell % k * n + at), [[] for _ in found]
+    row, space = cache(family.row), family.space  # each member's values, read at most once for every cell
     for c, p, member, block in zip(cell.tolist(), at.tolist(), named, blocks):
         # Certified on its block: first by the member the tensor says it witnesses, the others only before refusing.
         eps = eps_grid[c // k]
-        if not _within(family[member], eps, block) and not any(_within(a, eps, block) for a in family):
+        if not _within(space, row(member), eps, block) and not any(_within(space, row(b), eps, block) for b in range(m)):
             raise CheckError(f"cover element {els[p]!r} witnesses no net at eps={eps}, sampling {sids[c % k]!r}")
         covers[c].append(els[p])
     cells = tuple(
@@ -244,14 +246,14 @@ def finite_space_ump_check(family, labels, eps_grid, sampling_suite):
     failures = tuple((label, finest) for label, c in zip(labels, report.cauchy_indices) if c[-1][1] is None)
     if failures:
         return UmpVerdict(False, failures, (), report.window_size)
-    sets = []
+    sets, rows = [], list(map(family.row, range(len(family))))  # each member's values, read once for every cell
     for cell in report.cells:
         eps, sid, eta, cover = cell.eps, cell.sampling_id, sampling_suite[cell.sampling_id], cell.cover_set
         if cell.uncovered:
             raise CheckError(f"window-Cauchy nets {cell.uncovered} have no witness at eps={eps}, sampling {sid!r}")
         blocks = [eta.block(p) for p in family.window._indices(cover).tolist()]  # the cover's positions, read once
-        for m, a in enumerate(family):  # re-validate: the cover serves every net
-            if not any(_within(a, eps, block) for block in blocks):
+        for m, values in enumerate(rows):  # re-validate: the cover serves every net
+            if not any(_within(family.space, values, eps, block) for block in blocks):
                 raise CheckError(f"cover misses net {m} at eps={eps}, sampling {sid!r}")
         sets.append(((eps, sid), cover))
     return UmpVerdict(True, (), tuple(sets), report.window_size)

@@ -68,10 +68,10 @@ def is_pointed_witness(a, b, eps, eta, i):
     return _first_witness(a, require_eps(eps), eta, [a.window.index(i)], a.space.require(b)) is not None
 
 
-def _within(a, eps, block, target=None):
-    # The one witness test, unchecked: every pair of the values at the block's
-    # positions (each read once) within eps, or every value within eps of target.
-    dist, points = a.space.unchecked_dist, [a.values[p] for p in block]
+def _within(space, values, eps, block, target=None):
+    # The one witness test, unchecked: every pair of a member's values (a row, as
+    # given) at the block's positions (each read once) within eps, or every one within eps of target.
+    dist, points = space.unchecked_dist, [values[p] for p in block]
     if target is None:
         return all(dist(x, y) <= eps for x, y in itertools.combinations(points, 2))
     return all(dist(x, target) <= eps for x in points)
@@ -81,7 +81,8 @@ def _first_witness(a, eps, eta, positions, target=None):
     # The one witness scan: the element at the first of ``positions`` whose block passes _within, else None.
     if eta.window != a.window:
         raise WindowError("sampling and net live on different windows")
-    return next((a.window.elements[p] for p in positions if _within(a, eps, eta.block(p), target)), None)
+    values, space, elements = a.values, a.space, a.window.elements  # read once per scan
+    return next((elements[p] for p in positions if _within(space, values, eps, eta.block(p), target)), None)
 
 
 def find_witness(a, eps, eta):
@@ -325,7 +326,7 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
     decided at once, by :func:`~metastable.net.tails_within` at the union's
     positions only (pointed: :func:`~metastable.net.targets_within` over each
     up-set); the first defeated member's blocks are read off its row of the
-    chunk, and only it is built as a net.  Returns None when none is defeated.
+    chunk, and only it leaves, as a view of that row.  Returns None when none is.
     """
     require_eps(eps)
     candidate_sets = [tuple(s) for s in candidate_sets]  # as given: a set would merge True into 1

@@ -7,12 +7,11 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .order import DirectedWindow, WindowError, product, up_runs
-from .space import BINARY, EUCLIDEAN, MetricSpace, SpaceError, _bulk, half_line_space, unit_interval_space
+from .order import WindowError, product, up_runs
+from .space import BINARY, EUCLIDEAN, SpaceError, _bulk, half_line_space, unit_interval_space
 
 __all__ = [
     "Net",
@@ -57,54 +56,49 @@ def eps_floor(eps):
     return math.nextafter(e, -math.inf) if e > eps else e
 
 
-@dataclass(frozen=True)
 class Net:
-    """Total map from window elements to points of a metric space.
+    """Total map from window elements to points of a metric space: row ``k`` of
+    the stacked family ``family``, which holds its ``values`` (as given, in window
+    order), optional ``target`` (for pointed verification) and ``array`` row.
+    ``Net(window, space, values, target)`` checks them once, as the one member
+    of a family.  Nets compare and hash as (window, space, values, target)."""
 
-    ``values`` follows the window's enumeration order.  ``target`` is an
-    optional declared limit point, required only for pointed verification.
-    The values and target are checked once, at construction, and ``array``
-    holds the values as one read-only numpy array: floats for scalar
-    spaces, one row of coordinates per axis for Euclidean spaces, symbol
-    positions for table spaces.
-    """
+    __slots__ = ("family", "k")
+    window = property(lambda a: a.family.window)
+    space = property(lambda a: a.family.space)
+    values = property(lambda a: a.family.row(a.k))
+    target = property(lambda a: a.family.targets[a.k])
+    array = property(lambda a: a.family.array[a.k])
+    _fields = property(lambda a: (a.window, a.space, a.values, a.target))
 
-    window: DirectedWindow
-    space: MetricSpace
-    values: tuple
-    target: object = None
+    def __init__(self, window, space, values, target=None):
+        self.family, self.k = StackedFamily.from_rows(window, space, [values], [target]), 0
 
-    def __post_init__(self):
-        # Checked as the one member of a stacked family.
-        family = StackedFamily.from_rows(self.window, self.space, [self.values], [self.target])
-        object.__setattr__(self, "array", family.array[0])
+    def __eq__(self, other):
+        return self._fields == other._fields if isinstance(other, Net) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __repr__(self):
+        return "Net(window={!r}, space={!r}, values={!r}, target={!r})".format(*self._fields)
 
     def value(self, i):
         return self.values[self.window.index(i)]
 
     def dist(self, i, j):
-        # Values were checked once in __post_init__.
         return self.space.unchecked_dist(self.value(i), self.value(j))
-
-
-def _checked_net(window, space, values, target, array):
-    # A Net whose values and target were checked with its family's array, of which ``array`` is its row.
-    a = object.__new__(Net)
-    a.__dict__.update(window=window, space=space, values=values, target=target, array=array)
-    return a
 
 
 class StackedFamily:
     """The members of a family on one window and one space, as one array.
 
-    ``array`` has one row per member, each laid out as ``Net.array``:
-    members x positions of floats for scalar spaces, members x dim x
-    positions for Euclidean spaces, and symbol positions for table spaces.
-    ``targets`` holds each member's declared target, or None.  Every value
-    and target was checked once, with the whole array.  As a sequence, the
-    family yields its members as nets whose values and targets are exactly
-    as given (Python scalars and tuples); each is built on first use and
-    then kept, so a net leaves the library only when asked for.
+    ``array`` has one row per member: members x positions of floats for
+    scalar spaces, members x dim x positions for Euclidean spaces, and
+    symbol positions for table spaces; ``targets`` holds each member's
+    declared target, or None.  All were checked once, with the whole array.
+    As a sequence, the family yields views of its rows (see :class:`Net`),
+    made anew each time; :meth:`row` reads a member's values as given.
     """
 
     def __init__(self, window, space, array, targets, rows=None):
@@ -112,9 +106,10 @@ class StackedFamily:
         # theirs (binary ints, floats), as for enumerated and most decoded members.
         if rows is None and not space.is_scalar():
             raise ValueError(f"a family on {space.kind} space needs its members' rows")
+        self.window, self.space, self.array, self.targets, self._rows = window, space, array, list(targets), rows
+        if len(self.targets) != len(array):
+            raise ValueError(f"a family of {len(array)} rows has {len(self.targets)} targets")
         array.flags.writeable = False
-        self.window, self.space, self.array, self.targets = window, space, array, list(targets)
-        self._rows, self._nets = rows, {}
 
     @classmethod
     def from_rows(cls, window, space, rows, targets):
@@ -140,16 +135,17 @@ class StackedFamily:
     def __len__(self):
         return len(self.targets)
 
+    def row(self, k):
+        """Member k's values as given: Python scalars and tuples, binary values as ints."""
+        if self._rows is not None:
+            return tuple(self._rows[k])
+        row = self.array[k].tolist()
+        return tuple(map(int, row) if self.space.kind == BINARY else row)
+
     def __getitem__(self, m):
-        m = range(len(self))[operator.index(m)]
-        if m not in self._nets:
-            if self._rows is None:
-                row = self.array[m].tolist()
-                values = tuple(map(int, row) if self.space.kind == BINARY else row)
-            else:
-                values = tuple(self._rows[m])
-            self._nets[m] = _checked_net(self.window, self.space, values, self.targets[m], self.array[m])
-        return self._nets[m]
+        a = object.__new__(Net)
+        a.family, a.k = self, range(len(self))[operator.index(m)]
+        return a
 
     def __eq__(self, other):
         # Member by member, as the list of its nets.
@@ -198,7 +194,8 @@ def _pairwise(a, b, target):
     # The net of d(a_i, b_j) on product(window_a, window_b): pairs (i, j) with j running fastest, as the values.
     if a.space != b.space:
         raise SpaceError("mutual distance requires a shared metric space")
-    values = tuple(a.space.unchecked_dist(x, y) for x in a.values for y in b.values)
+    dist, ys = a.space.unchecked_dist, b.values  # read once, not once per pair
+    values = tuple(dist(x, y) for x in a.values for y in ys)
     return Net(product(a.window, b.window), _distance_space(a.space), values, target)
 
 
@@ -219,7 +216,7 @@ def self_distance(a):
 def distance_to_point(a, b):
     """Real net of distances from a fixed point: value at i is d(a_i, b)."""
     a.space.require(b)
-    values = tuple(a.space.unchecked_dist(v, b) for v in a.values)
+    values = tuple(map(a.space.unchecked_dist, a.values, [b] * len(a.window)))
     return Net(a.window, _distance_space(a.space), values, target=0.0)
 
 
@@ -307,7 +304,7 @@ def _beyond(s, i, j, bounds):
     if redo.any():
 
         def given(a):  # point k * n + p is member k's value at p, point m * n + k its target
-            return s._rows[a // n][a % n] if a < m * n else s.targets[a - m * n]
+            return s.row(a // n)[a % n] if a < m * n else s.targets[a - m * n]
 
         low[redo] = [math.dist(given(p), given(q)) for p, q in zip(i[redo].tolist(), j[redo].tolist())]
     return low > bounds

@@ -331,7 +331,7 @@ def group_max_distances(a, pairs, n_groups):
         # math.dist takes the points as given, as unchecked_dist does (no enumerated
         # family is Euclidean), gathered by position without a Python int per index.
         targets = () if None in a.targets else a.targets
-        coordinates = np.fromiter(itertools.chain(*a._rows, targets), object, array.shape[1])
+        coordinates = np.fromiter(itertools.chain(*map(a.row, range(len(a))), targets), object, array.shape[1])
         keep = 1.0 - 8 * (space.dim + 8) * 2.0**-53
         estimates = np.zeros(n_groups)
         for i, j, g in pairs:

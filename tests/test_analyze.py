@@ -26,6 +26,7 @@ from metastable import (
     is_witness,
     make_omega_window,
     paracompact_nets,
+    table_space,
     unit_interval_space,
 )
 from metastable import analyze
@@ -235,6 +236,40 @@ class TestFiniteSpaceUmp:
         suite = build_sampling_suite(nets[0].window, ["identity", "successor"])
         with pytest.raises(CheckError):
             finite_space_ump_check(nets, [f"x{p}" for p in range(3)], [0.5], suite)
+
+
+class TestRecheckReadsRows:
+    """The cover certification and the finite-space re-check read each member's
+    row off the family, at most once per call, and build no net from it."""
+
+    FAMILIES = {
+        "binary": lambda: paracompact_nets(5, 12),
+        "unit": lambda: StackedFamily.from_rows(make_omega_window(12), unit_interval_space(),
+                                                [(1, 0.5, 0.25, 0.125) + (0.0,) * 8, (0.75,) * 6 + (1, 1.0) * 3], [None, None]),
+        "table": lambda: StackedFamily.from_rows(make_omega_window(12), table_space(["a", ("p", 1)], [[0, 1], [1, 0]]),
+                                                 [("a", ("p", 1)) * 3 + ("a",) * 6, (("p", 1),) * 12], [None, None]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_no_member_leaves_and_each_row_is_read_once(self, monkeypatch, kind):
+        family = self.FAMILIES[kind]()
+        suite = build_sampling_suite(family.window, ["identity", "successor", "doubling"])
+        members, reads, marks = [], [], []
+        view, row, real = StackedFamily.__getitem__, StackedFamily.row, analyze.empirical_rate
+
+        def reported(*args):
+            report = real(*args)
+            marks.append(len(reads))
+            return report
+
+        monkeypatch.setattr(StackedFamily, "__getitem__", lambda s, m: members.append(m) or view(s, m))
+        monkeypatch.setattr(StackedFamily, "row", lambda s, k: reads.append(k) or row(s, k))
+        monkeypatch.setattr(analyze, "empirical_rate", reported)
+        verdict = finite_space_ump_check(family, [f"x{p}" for p in range(len(family))], [0.5, 0.25], suite)
+        assert verdict.ok and members == []
+        certified, rechecked = reads[:marks[0]], reads[marks[0]:]
+        assert certified and sorted(set(certified)) == sorted(certified)  # the covers' members, each once
+        assert rechecked == list(range(len(family)))  # every member, once for every cell
 
 
 class TestIngestCsv:

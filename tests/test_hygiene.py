@@ -207,6 +207,61 @@ def test_scan_flags_attribute_reads():
     assert attribute_reads(tree, "assign") == [1, 3]
 
 
+def reads_outside(tree, name, scope):
+    """Lines that read attribute ``name`` outside the method ``scope`` ("Class.method") of ``tree``."""
+    cls, method = scope.split(".")
+    inside = [f for c in tree.body if isinstance(c, ast.ClassDef) and c.name == cls for f in c.body if getattr(f, "name", None) == method]
+    return sorted(set(attribute_reads(tree, name)).difference(*(attribute_reads(f, name) for f in inside)))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_a_family_row_is_read_by_row_alone(path):
+    # The array is the one member store; the rows as given (``_rows``) are read
+    # by StackedFamily.row, for members and kernels alike.
+    assert reads_outside(ast.parse(path.read_text()), "_rows", "StackedFamily.row") == []
+
+
+def test_scan_flags_row_reads_outside_the_reader():
+    tree = ast.parse(
+        "class StackedFamily:\n"
+        "    def row(self, k):\n"
+        "        return self._rows[k]\n"
+        "    def __getitem__(self, m):\n"
+        "        return self._rows[m]\n"
+        "def row(s, k):\n"
+        "    s._rows = None\n"
+        "    return s._rows[k]\n"
+    )
+    assert reads_outside(tree, "_rows", "StackedFamily.row") == [5, 8]
+
+
+def forged_nets(tree):
+    """Lines that make a ``Net`` (also ``module.Net``) past its constructor, by ``__new__``."""
+    calls = (n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "__new__" and n.args)
+    return sorted({n.lineno for n in calls if "Net" in (getattr(n.args[0], "id", None), getattr(n.args[0], "attr", None))})
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "net.py"], ids=lambda p: p.name)
+def test_only_net_makes_a_member_view(path):
+    # A Net is checked by its family; outside net a member comes from a family or the constructor.
+    assert forged_nets(ast.parse(path.read_text())) == []
+
+
+def test_net_makes_its_views_in_one_place():
+    assert len(forged_nets(ast.parse((SRC / "net.py").read_text()))) == 1
+
+
+def test_scan_flags_forged_nets():
+    tree = ast.parse(
+        "a = object.__new__(Net)\n"
+        "b = object.__new__(net.Net)\n"
+        "c = object.__new__(cls) or Net.__new__(Net)\n"
+        "d = Net(w, s, v) or object.__new__(Network)\n"
+        "Net.__new__ = None\n"
+    )
+    assert forged_nets(tree) == [1, 2, 3]
+
+
 def label_view_reads(tree):
     """Lines that read a label view: ``at`` (a sampling's label block), ``up_set`` or ``value``."""
     return sorted({line for name in ("at", "up_set", "value") for line in attribute_reads(tree, name)})

@@ -38,8 +38,9 @@ from metastable import (
     window_cauchy_index,
 )
 from metastable import analyze, meta, net, order
-from metastable.net import MetricSpace, cauchy_indices, eps_floor, runs_within, stacked, tails_within
+from metastable.net import cauchy_indices, eps_floor, runs_within, stacked, tails_within
 from metastable.order import DirectedWindow, up_runs
+from metastable.space import MetricSpace
 from oracles import (
     block_diameters,
     brute_cauchy_index,

@@ -607,15 +607,20 @@ class TestRefuteUniform:
         assert len(validations) == 2
 
     def test_paracompact_enumeration_is_lazy(self, monkeypatch):
-        # Point 3 is the first whose iterate is 0 above 2; later points
-        # are never built.
-        built = []
-        original = Net.__post_init__
-        monkeypatch.setattr(Net, "__post_init__", lambda a: built.append(1) or original(a))
+        # Point 3 is the first whose iterate is 0 above 2; it lies in the first
+        # chunk of 64 members, and no later chunk is built.
+        chunks, original = [], families._members
+
+        def counted(spec, size):
+            for chunk in original(spec, size):
+                chunks.append(len(chunk))
+                yield chunk
+
+        monkeypatch.setattr(families, "_members", counted)
         spec = FamilySpec("paracompact", make_omega_window(64), {"n_points": 4096})
         cert = refute_uniform(spec, [{0, 1, 2}], 0.5, pointed=True)
         assert cert is not None and cert.member.values[:5] == (1.0, 0.0, 1.0, 0.0, 1.0)
-        assert len(built) <= 5
+        assert chunks == [64]
 
     def test_net_lists_are_not_capped(self):
         # Only enumeration is capped; member 4097 of a list is examined.

@@ -228,7 +228,8 @@ class TestNetPointCheck:
                 _net(space, values, target)
             assert str(err.value) == str(exc)
         else:
-            assert _net(space, values, target).values is values
+            a = _net(space, values, target)
+            assert type(a.values) is tuple and a.values == values and list(map(type, a.values)) == list(map(type, values))
 
     @pytest.mark.parametrize("kind", sorted(POINT_SPACES))
     def test_every_edge_value_alone_and_behind_points(self, kind):

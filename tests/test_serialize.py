@@ -238,7 +238,7 @@ class TestFamilies:
         assert all(a.window is family[0].window and a.space is family[0].space for a in family)
 
     def test_scalar_list_decodes_without_a_call_per_value(self, monkeypatch):
-        from metastable.net import MetricSpace
+        from metastable.space import MetricSpace
 
         w = make_omega_window(12)
         docs = json.loads(dumps([net_to_dict(Net(w, binary_space(), (m % 2,) * 11 + (0,), target=0)) for m in range(2048)]))

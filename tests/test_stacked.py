@@ -8,8 +8,10 @@ each such decision to the brute-force oracles of ``oracles.py``, which
 loop over nets one pair at a time.
 """
 
+import copy
 import itertools
 import json
+import pickle
 import random
 
 import numpy as np
@@ -31,7 +33,6 @@ from metastable import (
     unit_interval_space,
     verify_rate,
 )
-from metastable import net as net_module
 from metastable.cli import main
 from metastable.families import FamilySpec, enumerate_family, stack_family
 from metastable.net import StackedFamily, cauchy_indices, stacked
@@ -156,15 +157,16 @@ class TestNetsLeaveAsDecoded:
         heads = list(itertools.product((0, 1), repeat=11))
         random.Random(5).shuffle(heads)
         docs = json.loads(dumps([net_to_dict(Net(w, binary_space(), h + (0,), target=0)) for h in heads]))
+        # A member leaves as a view of its row (``__getitem__``) or as a one-member family (``Net``).
         built = []
-        checked, unchecked = Net.__post_init__, net_module._checked_net
-        monkeypatch.setattr(Net, "__post_init__", lambda a: built.append(a) or checked(a))
-        monkeypatch.setattr(net_module, "_checked_net", lambda *args: built.append(args) or unchecked(*args))
+        viewed, checked = StackedFamily.__getitem__, Net.__init__
+        monkeypatch.setattr(StackedFamily, "__getitem__", lambda s, m: built.append((s, m)) or viewed(s, m))
+        monkeypatch.setattr(Net, "__init__", lambda a, *args, **kwargs: built.append(args) or checked(a, *args, **kwargs))
         family = family_from_dict(docs)
         cert = refute_uniform(family, [[0, 5]], 0.5)
-        assert cert is not None and built == [(w, binary_space(), cert.member.values, 0, cert.member.array)]
+        assert cert is not None and cert.member.family is family and built == [(family, cert.member.k)]
         monkeypatch.undo()
-        assert replay_certificate(cert) and cert.member is family[list(family).index(cert.member)]
+        assert replay_certificate(cert) and cert.member == family[list(family).index(cert.member)]
 
     def test_a_decoded_family_shares_no_list_with_its_document(self):
         docs = json.loads(dumps([net_to_dict(Net(make_omega_window(3), binary_space(), (1, 0, 0), target=0))]))
@@ -229,6 +231,73 @@ class TestNetsLeaveAsDecoded:
         assert main(["refute", "--family", str(path), "--candidates", str(tmp_path / "cands.json"), "--eps", "0.25",
                      "--out", str(tmp_path / "out")]) == 2
         assert json.loads((tmp_path / "out").read_text())["member"]["values"] == [1, 0.0, 1.0, 0, 0.5, 0.5]
+
+
+class TestMembersAreRows:
+    """A member is a view of one row of its family: it holds the family and its
+    row number, reads its window, space, values, target and array from the
+    family, and is made each time it is asked for."""
+
+    ROWS = {
+        "binary": (binary_space(), [(1, 0, 0), (0, 1, 1)], [0, None]),
+        "unit-floats": (unit_interval_space(), [(0.5, -0.0, 1.0), (0.25, 0.75, 0.0)], [0.5, 0.25]),
+        "unit-mixed": (unit_interval_space(), [(1, 0.5, 0), (0.0, 1, 1.0)], [1, None]),
+        "euclidean": (euclidean_space(2), [((0.0, 1), (2.5, 0.0), (1, 1)), ((0.5, 0.5), (0, 0), (0.0, 3.0))], [(0, 0), None]),
+        "table": (TABLE, [("a", 2, ("p", 1)), (2, 2, "a")], ["a", 2]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(ROWS))
+    def test_a_member_is_a_view_of_its_row(self, kind):
+        space, rows, targets = self.ROWS[kind]
+        w = make_omega_window(3)
+        family = StackedFamily.from_rows(w, space, rows, targets)
+        for k, (values, target) in enumerate(zip(rows, targets)):
+            a = family[k]
+            assert a.family is family and a.k == k and a.window is w and a.space is space
+            assert a.values == values and [type(v) for v in a.values] == [type(v) for v in values] and a.target == target
+            assert np.array_equal(a.array, family.array[k]) and np.array_equal(a.array, Net(w, space, values, target).array)
+            assert family[k] is not a and family[k] == a and family.row(k) == values
+
+    def test_a_net_is_the_one_member_of_its_family(self):
+        a = Net(make_omega_window(3), binary_space(), (1, 0, 1), target=1)
+        assert len(a.family) == 1 and a.k == 0 and a.family[0] == a and list(a.family) == [a]
+        assert a.family.targets == [1] and a.family.array.tolist() == [[1.0, 0.0, 1.0]]
+
+    def test_a_list_of_values_is_read_as_its_tuple(self):
+        # Before, the net kept the caller's list: it did not hash, compared unequal to the
+        # tuple-built net, and a later change to the list reached values but not array.
+        w, values = make_omega_window(3), [0, 1, 1]
+        a = Net(w, binary_space(), values)
+        assert a == Net(w, binary_space(), (0, 1, 1)) and hash(a) == hash(Net(w, binary_space(), (0, 1, 1)))
+        values[0] = 1
+        assert type(a.values) is tuple and a.values == (0, 1, 1) and a.array.tolist() == [0.0, 1.0, 1.0]
+        mixed = [1, 0.5, 0]  # kept as given, off the float array
+        b = Net(w, unit_interval_space(), mixed)
+        mixed[1] = 0.25
+        assert b.values == (1, 0.5, 0) and type(b.values[0]) is int
+
+    @pytest.mark.parametrize("kind", sorted(ROWS))
+    def test_a_member_round_trips_through_pickle_and_copy(self, kind):
+        space, rows, targets = self.ROWS[kind]
+        a = StackedFamily.from_rows(make_omega_window(3), space, rows, targets)[1]
+        for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert b == a and hash(b) == hash(a) and b.k == 1 and np.array_equal(b.array, a.array)
+
+    def test_members_compare_as_their_fields(self):
+        w = make_omega_window(2)
+        a = Net(w, binary_space(), (0, 1), target=1)
+        assert a != Net(w, binary_space(), (0, 1)) and a != Net(w, unit_interval_space(), (0, 1), target=1)
+        assert a != (w, binary_space(), (0, 1), 1) and len({a, Net(w, binary_space(), (0, 1), target=1)}) == 1
+        assert repr(a) == f"Net(window={w!r}, space={binary_space()!r}, values=(0, 1), target=1)"
+
+    @pytest.mark.parametrize("rows, targets", [([(0, 1, 1), (1, 1, 1)], [None]), ([(0, 1, 1)], [None, None])])
+    def test_one_target_per_row(self, rows, targets):
+        # Before, a family took the target count as its length: the kernels decided a
+        # row that was no member, or a member had no row.
+        with pytest.raises(ValueError, match=f"{len(rows)} rows has {len(targets)} targets"):
+            StackedFamily.from_rows(make_omega_window(3), binary_space(), rows, targets)
+        with pytest.raises(ValueError, match=f"{len(rows)} rows has {len(targets)} targets"):
+            StackedFamily(make_omega_window(3), binary_space(), np.array(rows, float), targets)
 
 
 class TestRowsOffScalarSpaces:
