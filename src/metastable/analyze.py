@@ -153,13 +153,6 @@ def _greedy_covers(witness):
     return cover
 
 
-def _runs(flat, sizes, runs):
-    # The positions of the chosen runs of ``flat`` (cut by ``sizes``), one list each, from one gather.
-    lens, ends = sizes[runs], np.cumsum(sizes[runs])
-    gathered = flat[np.repeat((np.cumsum(sizes) - sizes)[runs] - ends + lens, lens) + np.arange(lens.sum())].tolist()
-    return [gathered[b - a:b] for a, b in zip(lens.tolist(), ends.tolist())]
-
-
 def empirical_rate(family, eps_grid, sampling_suite):
     """Per-(eps, sampling) witness tables plus greedy minimal covering sets.
 
@@ -201,11 +194,11 @@ def empirical_rate(family, eps_grid, sampling_suite):
     m, found = len(family), witness.any(axis=2)
     seen = [els[p] if f else None for p, f in zip(witness.argmax(axis=2).ravel().tolist(), found.ravel().tolist())]
     cell, at = np.nonzero(_greedy_covers(witness))  # every cover element, cell by cell
-    named, blocks, covers = witness[cell, :, at].argmax(axis=1).tolist(), _runs(flat, sizes, cell % k * n + at), [[] for _ in found]
+    named, covers = witness[cell, :, at].argmax(axis=1).tolist(), [[] for _ in found]
     row, space = cache(family.row), family.space  # each member's values, read at most once for every cell
-    for c, p, member, block in zip(cell.tolist(), at.tolist(), named, blocks):
+    for c, p, member in zip(cell.tolist(), at.tolist(), named):
         # Certified on its block: first by the member the tensor says it witnesses, the others only before refusing.
-        eps = eps_grid[c // k]
+        eps, block = eps_grid[c // k], samplings[c % k].block(p)
         if not _within(space, row(member), eps, block) and not any(_within(space, row(b), eps, block) for b in range(m)):
             raise CheckError(f"cover element {els[p]!r} witnesses no net at eps={eps}, sampling {sids[c % k]!r}")
         covers[c].append(els[p])

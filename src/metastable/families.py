@@ -324,10 +324,9 @@ def refute_C(s, window, eps):
     l = next(iter(window.strictly_above(k)), None) if k is not None else None
     if l is None:
         raise FamilyError("window has no two elements strictly above the candidate set")
-    eta = Sampling.from_function(
-        window, lambda i: {k, l} if i in s else {i}
-    )
-    values = tuple(1 if e == k else 0 for e in window.elements)
+    kp = window.index(k)  # l lies above the join too, so it is listed after k, the first such
+    eta = Sampling._with_blocks(window, dict.fromkeys(window._indices(s).tolist(), [kp, window.index(l)]))
+    values = (0,) * kp + (1,) + (0,) * (len(window) - kp - 1)
     member = Net(window, binary_space(), values, target=0)
     _require(_eventually_zero(window, member.array), member.array)
     return RefutationCertificate(eps, eta, member, s, pointed_target=None)

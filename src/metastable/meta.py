@@ -359,16 +359,16 @@ def refute_uniform(family, candidate_sets, eps, pointed=False):
         defeated = np.flatnonzero(~(near & read).any(axis=1))
         if defeated.size:
             a = (chunk if is_spec else family)[k := int(defeated[0])]
-            blocks = {i: _far_block(chunk, k, bound, window.index(i), close) for i in union}
-            eta = Sampling.from_function(window, lambda i: blocks.get(i, {i}))
+            blocks = {p: _far_block(chunk, k, bound, p, close) for p in np.flatnonzero(read).tolist()}
+            eta = Sampling._with_blocks(window, blocks)
             return require_replay(RefutationCertificate(eps, eta, a, union, pointed_target=a.target if pointed else None))
     return None
 
 
 def _far_block(s, k, bound, p, close):
-    # The labels at which row k of s (defeated at p) lies beyond bound over p's up-set: pointed (``close``
-    # is targets_within(s, bound)), the first position far from the target; else a pair that far apart,
-    # the largest and smallest value on scalar spaces, otherwise the first in combinations order.
+    # The ascending positions at which row k of s (defeated at p) lies beyond bound over p's up-set: pointed
+    # (``close`` is targets_within(s, bound)), the first position far from the target; else a pair that far
+    # apart, the largest and smallest value on scalar spaces, otherwise the first in combinations order.
     up = np.flatnonzero(_above(s.window, p, np.arange(len(s.window))))
     if close is not None:
         far = [up[close[k, up].argmin()]]
@@ -377,4 +377,4 @@ def _far_block(s, k, bound, p, close):
         far = [up[x.argmax()], up[x.argmin()]]
     else:
         far = first_far_pair(s, k, bound, up)
-    return {s.window.elements[q] for q in far}
+    return sorted(map(int, far))

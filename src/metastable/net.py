@@ -275,7 +275,7 @@ def _beyond(s, i, j, bounds):
     A table space gathers from its table.  A Euclidean pair goes through a
     semi-static floating-point filter (Fortune & Van Wyk 1993; Shewchuk
     1997): numpy estimates e = fl(sqrt(sum fl(fl(x - y)^2))), and only the
-    pairs it cannot decide go to ``math.dist``, on the points as given.
+    pairs it cannot decide go to ``math.dist``, on the array's exact points.
     Why that is exact.  Let u = 2^-53, d the dimension and t the true
     distance.  Call a pair safe when its computed sum of squares lies in
     [2^-900, 2^900]: no square overflowed, and squares that underflow shift
@@ -289,7 +289,7 @@ def _beyond(s, i, j, bounds):
     have a sum of exactly 0; every other unsafe pair, and every pair with a
     bound in between, is measured.
     """
-    x, n, m = s.points, len(s.window), len(s)
+    x = s.points
     if s.space.kind != EUCLIDEAN:
         return np.array(s.space.table, float)[x[i], x[j]] > bounds
     kappa = 8 * (s.space.dim + 8) * 2.0**-53
@@ -301,12 +301,8 @@ def _beyond(s, i, j, bounds):
     unsafe = (squares < 2.0**-900) | (squares > 2.0**900)
     if unsafe.any():
         redo |= unsafe & (sum(c[i] != c[j] for c in x) > 0)
-    if redo.any():
-
-        def given(a):  # point k * n + p is member k's value at p, point m * n + k its target
-            return s.row(a // n)[a % n] if a < m * n else s.targets[a - m * n]
-
-        low[redo] = [math.dist(given(p), given(q)) for p, q in zip(i[redo].tolist(), j[redo].tolist())]
+    if redo.any():  # every coordinate, a float or an int up to 2**53, is held exactly, as math.dist reads it
+        low[redo] = [math.dist(x[:, p], x[:, q]) for p, q in zip(i[redo].tolist(), j[redo].tolist())]
     return low > bounds
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class DirectedWindow:
     upper bound; its table holds element positions, so it stays inside).
     """
 
-    __slots__ = ("kind", "_elements", "_index", "_factors", "_order", "_join", "_chain", "_shape", "_top")
+    __slots__ = ("kind", "_elements", "_index", "_factors", "_order", "_joins", "_chain", "_shape", "_top")
 
     def __init__(self, kind, elements, factors=None, leq_matrix=None, join_table=None):
         self.kind = kind
@@ -71,7 +71,7 @@ class DirectedWindow:
         self._index = None if kind == OMEGA else {e: p for p, e in enumerate(self._elements)}
         self._factors = factors
         self._order = None if leq_matrix is None else np.array(leq_matrix, bool)  # what _above reads
-        self._join = join_table
+        self._joins = None if join_table is None else np.array(join_table, np.intp)  # what _join reads
         if not self._elements:
             raise WindowError("window must be nonempty")
         if kind != OMEGA and len(self._index) != len(self._elements):
@@ -87,7 +87,8 @@ class DirectedWindow:
             self._shape = (n,) if chain else None
         # C order over a grid follows a chain's order only when at most one axis is longer than 1.
         self._chain = self._shape is not None and sum(s > 1 for s in self._shape) <= 1
-        self._top = self._elements[-1] if self._shape else self.join_all(self._elements)
+        self._top = (factors[0]._top, factors[1]._top) if factors else (
+            self._elements[-1] if self._shape else self.join_all(self._elements))
 
     # -- structure ---------------------------------------------------------
 
@@ -128,33 +129,28 @@ class DirectedWindow:
         return bool(_above(self, self.index(a), self.index(b)))
 
     def join(self, a, b):
-        """The chosen explicit upper bound of ``a`` and ``b``, an element of the window."""
-        p, q = self.index(a), self.index(b)  # on every kind: a product's factors read only two entries
-        if self.kind == OMEGA:
-            return self._elements[max(p, q)]
-        if self.kind == PRODUCT:
-            d, e = self._factors
-            return (d.join(a[0], b[0]), e.join(a[1], b[1]))
-        return self._elements[self._join[p][q]]
+        """The chosen explicit upper bound of ``a`` and ``b``, an element of the window (``_join`` of their positions)."""
+        return self._elements[_join(self, self.index(a), self.index(b))]
 
     def join_all(self, items):
         """Upper bound of a nonempty collection, by repeated join.
 
-        Items are joined in enumeration order so the result is
-        deterministic regardless of input ordering.
+        Items are joined in enumeration order, a repeated item as often as
+        given, so the result is deterministic regardless of input ordering.
         """
-        ordered = sorted(items, key=self.index)
-        if not ordered:
+        positions = np.sort(self._indices(items)).tolist()
+        if not positions:
             raise WindowError("join_all of empty collection")
-        return reduce(self.join, ordered)
+        return self._elements[reduce(partial(_join, self), positions)]
 
     def up_set(self, a):
         """All elements ``b`` with ``a`` <= ``b``, in enumeration order, read off positions."""
         return tuple(itertools.compress(self._elements, _above(self, self.index(a), np.arange(len(self)))))
 
     def strictly_above(self, a):
-        """Elements strictly above ``a``, in enumeration order."""
-        return tuple(b for b in self.up_set(a) if b != a)
+        """Elements strictly above ``a``, in enumeration order, read off positions."""
+        p, q = self.index(a), np.arange(len(self))
+        return tuple(itertools.compress(self._elements, _above(self, p, q) & (q != p)))
 
     def is_chain(self):
         """Whether the window is a chain listed in its own order.
@@ -177,12 +173,12 @@ class DirectedWindow:
         return self._shape
 
     def top(self):
-        """The greatest element: the last on a grid, else the join of all; fixed at construction."""
+        """The greatest element: a product's factors' pair, a chain's last, else the join of all; fixed at construction."""
         return self._top
 
     def validate(self):
         """Re-verify the partial-order and majorization invariants (omega and product windows satisfy them
-        by construction) by boolean-matrix passes over the order matrix, its rows as bits, and the join table."""
+        by construction) by boolean-matrix passes over the order matrix, its rows as bits, and every pair's ``_join``."""
         els, p = self._elements, np.arange(len(self))
         above = _above(self, p[:, None], p)
         if not above.diagonal().all():
@@ -197,7 +193,7 @@ class DirectedWindow:
             a = broken.argmax()
             b, c = np.argwhere(above[a][:, None] & above & ~above[a])[0]
             raise WindowError(f"order not transitive on {els[a]!r}, {els[b]!r}, {els[c]!r}")
-        join = np.array(self._join if self.kind == CUSTOM else [[self.index(self.join(a, b)) for b in els] for a in els])
+        join = _join(self, p[:, None], p)
         bad = np.argwhere(~(above[p[:, None], join] & above[p, join]))
         if len(bad):
             a, b = bad[0]
@@ -208,7 +204,7 @@ class DirectedWindow:
     def _key(self):
         if self.kind != CUSTOM:  # a product is its factors, an omega window its range
             return (self.kind, self._factors or self._elements)
-        return (self.kind, self._elements, self._order.tobytes(), self._join)
+        return (self.kind, self._elements, self._order.tobytes(), self._joins.tobytes())
 
     def __eq__(self, other):
         if other is self:
@@ -311,6 +307,17 @@ def _above(w, p, q):
     return w._order[p, q]
 
 
+def _join(w, p, q):
+    # The window join over integer position arrays, as _above is its order: on an omega window the larger
+    # position, on a product by its factors' positions (p = p_d * |e| + p_e), else the join table.
+    if w.kind == OMEGA:
+        return np.maximum(p, q)
+    if w.kind == PRODUCT:
+        d, e = w.factors
+        return _join(d, p // len(e), q // len(e)) * len(e) + _join(e, p % len(e), q % len(e))
+    return w._joins[p, q]
+
+
 def _sorted_runs(flat, sizes, n):
     # Positions below n sorted within each run: a run's keys lie in a band of their own.
     base = np.repeat(np.arange(len(sizes), dtype=np.int64) * n, sizes)
@@ -354,6 +361,16 @@ class Sampling:
     @classmethod
     def from_function(cls, window, fn):
         return cls(window, map(fn, window.elements))
+
+    @classmethod
+    def _with_blocks(cls, window, blocks):
+        # The identity sampling, except that each position p in ``blocks`` gets the ascending positions blocks[p].
+        sizes = np.ones(len(window), np.intp)
+        sizes[list(blocks)] = list(map(len, blocks.values()))
+        flat, starts = np.repeat(np.arange(len(window)), sizes), np.cumsum(sizes) - sizes
+        for p, block in blocks.items():
+            flat[starts[p]:starts[p] + sizes[p]] = block
+        return cls._of_runs(window, flat, sizes)
 
     @property
     def assign(self):
@@ -441,8 +458,9 @@ def doubling_sampling(window):
     return _chain_sampling(window, lambda p: 2 * p)
 
 
-#: Most elements :func:`random_sampling` puts in one candidate set: at most 5,
-#: where ``random.sample`` switches from pool to set above 21 (a test pins it).
+#: Most elements :func:`random_sampling` puts in one candidate set.  The output
+#: bytes fix it at 3, and :func:`_draw_ranks` writes its set method out for at
+#: most three picks (a test pins it).
 RANDOM_BLOCK_MAX = 3
 _BITS = tuple(b.bit_length() for b in range(22))  # of the bounds up to 21: the pool method's and randint's
 
@@ -455,9 +473,9 @@ def _draw_ranks(rng, sizes):
     again while >= b.  ``sample`` takes one of two methods, and the loop is
     written for each.  Above 21 elements (the set method) the count is
     ``randint(1, RANDOM_BLOCK_MAX)``, and each pick is drawn again while it
-    repeats an earlier one: the first three picks are written out with
-    ``!=`` tests, and a general tail takes a fourth and fifth.  Up to 21
-    (the pool method) each pick swaps the pool's last entry into its place.
+    repeats an earlier one: written out for at most three picks, with
+    ``!=`` tests.  Up to 21 (the pool method) each pick swaps the pool's
+    last entry into its place.
     """
     kmax, getrandbits, ranks, counts = RANDOM_BLOCK_MAX, rng.getrandbits, [], []
     add, count, kbits, pools = ranks.append, counts.append, _BITS[kmax], [list(range(m)) for m in range(22)]
@@ -481,13 +499,6 @@ def _draw_ranks(rng, sizes):
                     while c >= m or c == a or c == b:
                         c = getrandbits(s)
                     add(c)
-                    picked = [a, b, c]
-                    for _ in range(k - 2):
-                        j = getrandbits(s)
-                        while j >= m or j in picked:
-                            j = getrandbits(s)
-                        picked.append(j)
-                        add(j)
         else:
             b = m if m < kmax else kmax
             k = getrandbits(_BITS[b]) + 1
@@ -546,19 +557,20 @@ def induced_sampling(eta, d):
     require_valid_sampling(eta)
     if eta.window != d:
         raise WindowError("sampling does not live on the given window")
-    n, index = len(d), d.index
-    joins = [index(d.join(i, j)) for i in d.elements for j in d.elements]
+    n, p = len(d), np.arange(len(d))
+    joins = _join(d, p[:, None], p).ravel()
     squares = [(a[:, None] * n + a).ravel() for a in np.split(eta.flat, np.cumsum(eta.sizes)[:-1])]  # sorted as a is
-    return Sampling._of_runs(product(d, d), np.concatenate([squares[r] for r in joins]), eta.sizes[joins] ** 2)
+    return Sampling._of_runs(product(d, d), np.concatenate([squares[r] for r in joins.tolist()]), eta.sizes[joins] ** 2)
 
 
 def project_set(s, d):
-    """Image of a set of pairs under the join: {i v j : (i, j) in s}."""
-    out = set()
+    """Image of a set of pairs under the join: {i v j : (i, j) in s}, by one positional join."""
+    firsts, seconds = [], []
     for pair in s:
         try:
             i, j = pair
         except (TypeError, ValueError):
             raise WindowError(f"{pair!r} is not a pair") from None
-        out.add(d.join(i, j))
-    return frozenset(out)
+        firsts.append(i)
+        seconds.append(j)
+    return frozenset(map(d.elements.__getitem__, _join(d, d._indices(firsts), d._indices(seconds)).tolist()))

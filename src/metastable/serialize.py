@@ -189,7 +189,7 @@ def window_to_dict(w):
         doc["factors"] = [window_to_dict(f) for f in w.factors]
     else:
         doc["elements"] = [_label_to_json(e) for e in w.elements]
-        doc["leq"], doc["join"] = w._order.astype(int).tolist(), list(map(list, w._join))
+        doc["leq"], doc["join"] = w._order.astype(int).tolist(), w._joins.tolist()
     return _versioned(doc)
 
 

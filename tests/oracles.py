@@ -28,7 +28,7 @@ from metastable import (
 from metastable import WindowError
 from metastable.net import _run_pairs, run_maxima, stacked, tail_maxima
 from metastable.space import EUCLIDEAN
-from metastable.order import SamplingViolation, _draw_ranks, up_runs
+from metastable.order import OMEGA, SamplingViolation, _draw_ranks, up_runs
 
 
 def label_chain(listing):
@@ -61,35 +61,49 @@ def windows():
     return st.recursive(base, lambda inner: st.tuples(inner, inner).map(lambda de: product(*de)), max_leaves=3)
 
 
-_ORDERS = {}  # id(window): (window, leq); holding the window keeps its id from reuse
+_ORDERS = {}  # id(window): (window, leq, join); holding the window keeps its id from reuse
 
 
 def _brute_order(window):
-    """The order of ``window`` as a predicate on two elements, built once per window from a dict of
-    its elements, so the oracle never goes through the library's label rule (``window.index``) that
-    it checks: componentwise over a product's label parts, position order on a chain, else the
-    entry of the custom window's order matrix."""
+    """The order and the join of ``window`` as functions of two elements, built once per window from
+    a dict of its elements, so the oracle never goes through the library's label rule
+    (``window.index``) or positional rules that it checks.  Each follows the window's definition:
+    componentwise over a product's label parts; on an omega window position order and ``max``; on a
+    custom window position order if it is a chain, else the entry of its order matrix, and the
+    element its join table names."""
     held = _ORDERS.get(id(window))
     if held is None or held[0] is not window:
         if window.factors is not None:
-            first, second = map(_brute_order, window.factors)
+            (first, first_join), (second, second_join) = map(_brute_order, window.factors)
             leq = lambda a, b: first(a[0], b[0]) and second(a[1], b[1])
+            join = lambda a, b: (first_join(a[0], b[0]), second_join(a[1], b[1]))
         else:
-            pos = {e: p for p, e in enumerate(window.elements)}
+            els = window.elements
+            pos = {e: p for p, e in enumerate(els)}
             if window.is_chain():
                 leq = lambda a, b: pos[a] <= pos[b]
             else:
                 rows = window._order.tolist()
                 leq = lambda a, b: rows[pos[a]][pos[b]]
+            if window.kind == OMEGA:
+                join = max
+            else:
+                table = window._joins.tolist()
+                join = lambda a, b: els[table[pos[a]][pos[b]]]
         if len(_ORDERS) >= 256:
             _ORDERS.clear()
-        held = _ORDERS[id(window)] = window, leq
-    return held[1]
+        held = _ORDERS[id(window)] = window, leq, join
+    return held[1:]
 
 
 def brute_leq(window, a, b):
     """The window order on elements, apart from the library's positional test and its label rule."""
-    return _brute_order(window)(a, b)
+    return _brute_order(window)[0](a, b)
+
+
+def brute_join(window, a, b):
+    """The window join on elements, apart from the library's positional join and its label rule."""
+    return _brute_order(window)[1](a, b)
 
 
 def brute_position(window, a):
@@ -137,14 +151,20 @@ def brute_validate_window(elements, leq, join):
     return None
 
 
+def brute_values(a):
+    """A net's values keyed by its window's elements, read once, for the oracles' own label lookups."""
+    return dict(zip(a.window.elements, a.values))
+
+
 def brute_witness(a, eps, eta):
     """First index whose sampled block has all pairwise distances <= eps."""
+    value = brute_values(a)
     for i in a.window.elements:
         block = list(eta.at(i))
         ok = True
         for j in block:
             for k in block:
-                if a.space.dist(a.value(j), a.value(k)) > eps:
+                if a.space.dist(value[j], value[k]) > eps:
                     ok = False
         if ok:
             return i
@@ -158,15 +178,12 @@ def brute_greedy_cover(nets, eps, eta):
     window in enumeration order and keeps the first index with a strictly
     larger gain, so ties go to the lowest index.
     """
-    window = eta.window
-    witness_sets = [
-        {
-            i
-            for i in window.elements
-            if all(a.space.dist(a.value(j), a.value(k)) <= eps for j in eta.at(i) for k in eta.at(i))
-        }
-        for a in nets
-    ]
+    window, witness_sets = eta.window, []
+    for a in nets:
+        value = brute_values(a)
+        witness_sets.append(
+            {i for i in window.elements if all(a.space.dist(value[j], value[k]) <= eps for j in eta.at(i) for k in eta.at(i))}
+        )
     uncovered = {m for m, ws in enumerate(witness_sets) if ws}
     no_witness = tuple(m for m, ws in enumerate(witness_sets) if not ws)
     cover = []
@@ -182,8 +199,9 @@ def brute_greedy_cover(nets, eps, eta):
 
 
 def brute_pointed_witness(a, b, eps, eta):
+    value = brute_values(a)
     for i in a.window.elements:
-        if all(a.space.dist(a.value(j), b) <= eps for j in eta.at(i)):
+        if all(a.space.dist(value[j], b) <= eps for j in eta.at(i)):
             return i
     return None
 
@@ -228,7 +246,7 @@ def label_random_samplings(window, rng, count):
 
 def label_induced(eta, d):
     """eta_{i v j} x eta_{i v j} at every pair (i, j) of product(d, d)."""
-    return tuple(frozenset(itertools.product(eta.at(d.join(i, j)), repeat=2)) for i, j in product(d, d).elements)
+    return tuple(frozenset(itertools.product(eta.at(brute_join(d, i, j)), repeat=2)) for i, j in product(d, d).elements)
 
 
 def label_from_function(window, fn):
@@ -274,6 +292,7 @@ def positions_of(window, assign):
 
 
 def brute_cauchy_index(a, eps):
+    value = brute_values(a)
     for i0 in a.window.elements:
         tail = brute_up_set(a.window, i0)
         if len(tail) < 2:
@@ -281,7 +300,7 @@ def brute_cauchy_index(a, eps):
         ok = True
         for j in tail:
             for k in tail:
-                if a.space.dist(a.value(j), a.value(k)) > eps:
+                if a.space.dist(value[j], value[k]) > eps:
                     ok = False
         if ok:
             return i0

@@ -435,3 +435,25 @@ def test_only_order_reads_the_element_table(path):
 def test_scan_flags_a_read_of_the_element_table():
     tree = ast.parse("w._index.get(a)\nw.elements[0]\nx = w._elements\nw._indices([a])\n")
     assert window_table_reads(tree) == [1, 3]
+
+
+def label_function_samplings(tree):
+    """Lines that build a sampling by calling a label function per element: ``from_function``, read as an attribute."""
+    return attribute_reads(tree, "from_function")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "order.py"] + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_evidence_is_placed_by_position(path):
+    # Refutation places its far blocks at positions (Sampling._with_blocks); labels are made only for the answer.
+    assert label_function_samplings(ast.parse(path.read_text())) == []
+
+
+def test_scan_flags_label_function_samplings():
+    tree = ast.parse(
+        "eta = Sampling.from_function(w, lambda i: {i})\n"
+        "eta = order.Sampling.from_function(w, f)\n"
+        "build = Sampling.from_function\n"
+        "eta = Sampling._with_blocks(w, {0: [0, 1]})\n"
+        "from_function = None\n"
+    )
+    assert label_function_samplings(tree) == [1, 2, 3]

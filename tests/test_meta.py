@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import math
 import random
 
@@ -39,11 +41,17 @@ from metastable import (
 )
 from metastable import families, meta, order
 from metastable.families import FamilySpec, d_member, enumerate_family, rate_B, refute_C, refute_D_pointed
+from metastable.serialize import certificate_to_dict, dumps
 from oracles import (
     all_binary_nets,
     all_samplings,
+    brute_join,
+    brute_leq,
     brute_pointed_witness,
+    brute_position,
     brute_refute_uniform,
+    brute_up_set,
+    brute_values,
     brute_witness,
     diamond,
     eventually_constant_net,
@@ -776,3 +784,77 @@ class TestPointedTop:
         cert = refute_uniform(spikes(w)[:7] + [far], [{2, 7}], 0.5, pointed=True)
         assert cert.member is far and require_replay(cert) is cert
         assert set(calls) == {7}
+
+
+def label_far_blocks(a, union, eps, pointed):
+    """Per union element, the far block the label scans over its up-set find: pointed, the first
+    element far from the target; on scalar spaces the largest and the smallest value; else the first
+    far pair in combinations order."""
+    w, value, dist = a.window, brute_values(a), a.space.unchecked_dist
+    blocks = {}
+    for i in union:
+        up = brute_up_set(w, i)
+        if pointed:
+            blocks[i] = {next(j for j in up if dist(value[j], a.target) > eps)}
+        elif a.space.is_scalar():
+            blocks[i] = {max(up, key=value.__getitem__), min(up, key=value.__getitem__)}
+        else:
+            blocks[i] = set(next(pair for pair in itertools.combinations(up, 2) if dist(*map(value.get, pair)) > eps))
+    return blocks
+
+
+def assert_built_from_labels(cert, blocks):
+    # The certificate equals, and writes the bytes of, the one whose sampling is built label by label.
+    want = Sampling.from_function(cert.member.window, lambda i: blocks.get(i, {i}))
+    assert cert.sampling == want and cert.sampling.assign == want.assign
+    assert dumps(certificate_to_dict(cert)) == dumps(certificate_to_dict(dataclasses.replace(cert, sampling=want)))
+
+
+CERTIFICATE_WINDOWS = st.one_of(
+    st.integers(1, 6).map(make_omega_window),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).map(lambda nm: product(*map(make_omega_window, nm))),
+    st.permutations(["a", "b", "c", "d"]).map(label_chain),
+    st.just(diamond()),
+    st.just(product(make_omega_window(2), diamond())),
+)
+
+
+class TestCertificatesFromPositions:
+    """Evidence is placed by position (``Sampling._with_blocks``) and keeps the bytes of the label-built sampling."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(CERTIFICATE_WINDOWS, st.sampled_from(["binary", "unit", "euclidean", "table"]), st.booleans(), st.data())
+    def test_refute_uniform_places_the_label_scans_far_blocks(self, window, kind, pointed, data):
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        eps = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
+        elements = list(window.elements)[:-1] or [window.elements[0]]
+        sets = [rng.sample(elements, rng.randint(1, min(3, len(elements)))) for _ in range(rng.randint(1, 2))]
+        cert = refute_uniform(refute_members(window, rng, kind), sets, eps, pointed=pointed)
+        if cert is not None:
+            assert_built_from_labels(cert, label_far_blocks(cert.member, cert.candidate_set, eps, pointed))
+
+    @pytest.mark.parametrize("tag, pointed", [("B", False), ("B0", True), ("C", True)])
+    @pytest.mark.parametrize("window", [make_omega_window(9), product(make_omega_window(2), make_omega_window(3)), diamond()])
+    def test_spec_refutations_place_the_label_scans_far_blocks(self, tag, pointed, window):
+        found = 0
+        for union in itertools.chain.from_iterable(itertools.combinations(window.elements, r) for r in (1, 2)):
+            cert = refute_uniform(FamilySpec(tag, window), [union], 0.5, pointed=pointed)
+            if cert is not None:
+                found += 1
+                assert_built_from_labels(cert, label_far_blocks(cert.member, cert.candidate_set, 0.5, pointed))
+        assert found
+
+    @settings(max_examples=150, deadline=None)
+    @given(CERTIFICATE_WINDOWS, st.data())
+    def test_refute_C_places_the_pair_above_the_join(self, window, data):
+        s = data.draw(st.lists(st.sampled_from(window.elements), min_size=1, max_size=3))
+        bound = functools.reduce(functools.partial(brute_join, window), sorted(s, key=functools.partial(brute_position, window)))
+        above = lambda x: next((e for e in window.elements if e != x and brute_leq(window, x, e)), None)
+        k = above(bound)
+        l = above(k) if k is not None else None
+        if l is None:
+            with pytest.raises(families.FamilyError, match="no two elements strictly above"):
+                refute_C(s, window, 0.5)
+            return
+        cert = require_replay(refute_C(s, window, 0.5))
+        assert_built_from_labels(cert, {i: {k, l} for i in s})

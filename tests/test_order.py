@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,9 +23,19 @@ from metastable import (
     validate_sampling,
 )
 from metastable import order
-from metastable.order import WINDOW_CAP, DirectedWindow
+from metastable.order import CUSTOM, WINDOW_CAP, DirectedWindow
 from metastable.serialize import window_to_dict
-from oracles import all_samplings, brute_leq, brute_up_set, brute_validate_window, diamond, label_chain, windows
+from oracles import (
+    all_samplings,
+    brute_join,
+    brute_leq,
+    brute_position,
+    brute_up_set,
+    brute_validate_window,
+    diamond,
+    label_chain,
+    windows,
+)
 
 
 @st.composite
@@ -53,6 +64,85 @@ def order_data(draw):
             row.append(draw(st.integers(0, n - 1)) if free else draw(st.sampled_from(bounds)))
         join.append(row)
     return [f"e{p}" for p in range(n)], rel, join
+
+
+@st.composite
+def upper_bound_joins(draw):
+    """A custom window on the order of a label chain (listed in or out of order) or of the diamond,
+    whose join table names any common upper bound, not only the least; alone or in a product."""
+    base = draw(
+        st.one_of(
+            st.integers(1, 5).map(lambda n: label_chain([f"x{p}" for p in range(n)])),
+            st.permutations(["a", "b", "c", "d"]).map(label_chain),
+            st.just(diamond()),
+        )
+    )
+    rel, n = base._order, len(base)
+    join = [[draw(st.sampled_from(np.flatnonzero(rel[p] & rel[q]).tolist())) for q in range(n)] for p in range(n)]
+    w = make_custom_window(base.elements, rel.astype(int).tolist(), join)
+    return draw(st.sampled_from([w, product(w, make_omega_window(2)), product(diamond(), w), product(w, w)]))
+
+
+class TestPositionalJoin:
+    """``order._join`` is the one join rule, over positions; ``join`` and ``join_all`` are its label cases."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(windows(), upper_bound_joins()), st.data())
+    def test_join_matches_the_label_oracle(self, w, data):
+        els, p = w.elements, np.arange(len(w))
+        table = order._join(w, p[:, None], p)
+        assert table.shape == (len(w), len(w))
+        for a, b in itertools.product(range(len(w)), repeat=2):
+            want = brute_join(w, els[a], els[b])
+            assert els[order._join(w, a, b)] == want and els[table[a, b]] == want and w.join(els[a], els[b]) == want
+        items = data.draw(st.lists(st.sampled_from(els), min_size=1, max_size=6))
+        ordered = sorted(items, key=functools.partial(brute_position, w))  # a repeated item joins as often as given
+        assert w.join_all(items) == functools.reduce(functools.partial(brute_join, w), ordered)
+        pairs = set(zip(items, reversed(items)))
+        assert project_set(pairs, w) == {brute_join(w, a, b) for a, b in pairs}
+        for a in items:
+            assert w.strictly_above(a) == tuple(b for b in brute_up_set(w, a) if b != a)
+
+    def test_join_all_keeps_repeats_and_names_a_stray_label(self):
+        # A chain whose join of 0 with itself is 1: the repeat counts.
+        w = make_custom_window([0, 1, 2], lambda x, y: x <= y, [[1, 1, 2], [1, 1, 2], [2, 2, 2]])
+        assert w.join_all([0]) == 0 and w.join_all([0, 0]) == 1 and w.join_all([2, 0, 0]) == 2
+        for stray in (5, True, [0]):
+            with pytest.raises(WindowError, match=f"^{re.escape(repr(stray))} is not an element of this window$"):
+                w.join_all([0, stray])
+        with pytest.raises(WindowError, match="join_all of empty collection"):
+            w.join_all([])
+
+    @settings(max_examples=300, deadline=None)
+    @given(order_data(), st.data())
+    def test_validation_of_products_and_custom_windows_names_the_oracles_first_offender(self, data, pick):
+        # Custom windows built unvalidated, alone and as product factors: validate reads _join and _above.
+        elements, rel, join = data
+        leaf = DirectedWindow(CUSTOM, elements, leq_matrix=rel, join_table=join)
+        point = make_omega_window(2)
+        w = pick.draw(st.sampled_from([leaf, product(leaf, point), product(point, leaf), product(leaf, leaf)]))
+        expected = brute_validate_window(w.elements, functools.partial(brute_leq, w), functools.partial(brute_join, w))
+        try:
+            w.validate()
+        except WindowError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+
+    def test_no_label_join_is_called(self, monkeypatch):
+        def refuse(self, a, b):
+            raise AssertionError(f"join({a!r}, {b!r}) called")
+
+        monkeypatch.setattr(DirectedWindow, "join", refuse)
+        # A bottom 0, a top 3 and two incomparable elements between them.
+        star = make_custom_window(
+            range(4), lambda x, y: x == y or x == 0 or y == 3, lambda x, y: x if x == y else max(x, y) if 0 in (x, y) else 3
+        )
+        for w in [make_omega_window(6), product(make_omega_window(3), diamond()), diamond(), star, product(star, star)]:
+            w.validate()
+            assert w.top() == w.join_all(w.elements) and project_set({(w.top(), w.elements[0])}, w) == {w.top()}
+            for eta in (identity_sampling(w), random_sampling(w, random.Random(3))):
+                assert validate_sampling(induced_sampling(eta, w)) == []
 
 
 class TestOmegaWindow:
@@ -379,24 +469,29 @@ class TestRankDraw:
     """``order._draw_ranks`` replays ``random.sample``/``randint`` on the same MT19937 words."""
 
     def test_block_bound_is_where_the_rule_is_exact(self):
-        # random.sample's small-set size is 21 only for samples of at most 5;
-        # past that its pool/set switch moves and the replay would diverge.
-        assert 1 <= order.RANDOM_BLOCK_MAX <= 5
+        # The output bytes fix the bound at 3, and the set method is written
+        # out for at most three picks (past 5, random.sample's pool/set switch
+        # would move as well).
+        assert order.RANDOM_BLOCK_MAX == 3
 
-    @pytest.mark.parametrize("max_size", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize(
-        "sizes",
+        "sizes, max_size",
         [
-            [1] * 300,
-            [2, 3, 4, 5] * 40,
-            [21] * 60,
-            [22] * 60,
-            [20, 21, 22, 23] * 20,
-            [2**20, 2**20 - 1, 2**16 + 1],
-            list(range(300, 0, -1)),
-            [(16 - i) * (16 - j) for i in range(16) for j in range(16)],
+            # Up to 21 elements (the pool method) any count up to 5 is drawn; above, at most three.
+            pytest.param(sizes, k, id=f"{name}-{k}")
+            for name, sizes in {
+                "size-1": [1] * 300,
+                "small": [2, 3, 4, 5] * 40,
+                "pool-21": [21] * 60,
+                "set-22": [22] * 60,
+                "switch": [20, 21, 22, 23] * 20,
+                "wide": [2**20, 2**20 - 1, 2**16 + 1],
+                "chain-300": list(range(300, 0, -1)),
+                "orthant-16x16": [(16 - i) * (16 - j) for i in range(16) for j in range(16)],
+            }.items()
+            for k in range(1, 6)
+            if k <= 3 or max(sizes) <= 21
         ],
-        ids=["size-1", "small", "pool-21", "set-22", "switch", "wide", "chain-300", "orthant-16x16"],
     )
     def test_sizes_match_the_stdlib(self, sizes, max_size, monkeypatch):
         # Size 1 draws randint(1, 1), which rejects half of all words; 21 is
