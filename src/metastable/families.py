@@ -26,14 +26,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .net import CheckError, Net, StackedFamily, require_eps
+from .net import CheckError, Net, StackedFamily, require_eps, tail_maxima
 from .order import (
     DirectedWindow,
     Sampling,
     WindowError,
+    _above,
     make_omega_window,
     successor_sampling,
-    up_runs,
 )
 from .space import binary_space, unit_interval_space
 
@@ -138,14 +138,12 @@ class RefutationCertificate:
 
 def _nonincreasing(window, values):
     # Per member (values: positions on the last axis): adjacent positions on
-    # a chain; elsewhere each element against its up-set.
+    # a chain; elsewhere each element against its up-set's largest value.
     x = np.asarray(values)
     if window.is_chain():
         return (x[..., :-1] >= x[..., 1:]).all(axis=-1)
-    ok, (flat, sizes) = True, up_runs(window)
-    for p, up in enumerate(np.split(flat, np.cumsum(sizes)[:-1])):
-        ok = ok & (x[..., [p]] >= x[..., up]).all(axis=-1)
-    return ok
+    y = x.reshape(-1, len(window))
+    return (y >= tail_maxima(window, y)).all(axis=1).reshape(x.shape[:-1])
 
 
 def _eventually_zero(window, values):
@@ -319,13 +317,14 @@ def refute_C(s, window, eps):
     """
     _require_refutation_eps(eps)
     s = _candidate_set(s, window)
-    bound = window.join_all(s)
-    k = next(iter(window.strictly_above(bound)), None)
-    l = next(iter(window.strictly_above(k)), None) if k is not None else None
-    if l is None:
-        raise FamilyError("window has no two elements strictly above the candidate set")
-    kp = window.index(k)  # l lies above the join too, so it is listed after k, the first such
-    eta = Sampling._with_blocks(window, dict.fromkeys(window._indices(s).tolist(), [kp, window.index(l)]))
+    q, up = np.arange(len(window)), [window.index(window.join_all(s))]
+    for _ in range(2):  # k, the first position strictly above the join, then l, the first strictly above k
+        above = np.flatnonzero(_above(window, up[-1], q) & (q != up[-1]))
+        if not len(above):
+            raise FamilyError("window has no two elements strictly above the candidate set")
+        up.append(int(above[0]))
+    _, kp, lp = up  # l lies above the join too, so it is listed after k, the first such
+    eta = Sampling._with_blocks(window, dict.fromkeys(window._indices(s).tolist(), [kp, lp]))
     values = (0,) * kp + (1,) + (0,) * (len(window) - kp - 1)
     member = Net(window, binary_space(), values, target=0)
     _require(_eventually_zero(window, member.array), member.array)

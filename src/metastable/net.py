@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .order import WindowError, product, up_runs
+from .order import WindowError, _leaf_runs, _run_ranks, _up_decode, product
 from .space import BINARY, EUCLIDEAN, SpaceError, _bulk, half_line_space, unit_interval_space
 
 __all__ = [
@@ -84,7 +84,7 @@ class Net:
         return "Net(window={!r}, space={!r}, values={!r}, target={!r})".format(*self._fields)
 
     def value(self, i):
-        return self.values[self.window.index(i)]
+        return self.family.item(self.k, self.window.index(i))
 
     def dist(self, i, j):
         return self.space.unchecked_dist(self.value(i), self.value(j))
@@ -110,6 +110,12 @@ class StackedFamily:
         if len(self.targets) != len(array):
             raise ValueError(f"a family of {len(array)} rows has {len(self.targets)} targets")
         array.flags.writeable = False
+
+    def item(self, k, p):
+        """Member k's value at position p, as :meth:`row` gives it, read without building the row."""
+        if self._rows is not None:
+            return self._rows[k][p]
+        return (int if self.space.kind == BINARY else float)(self.array[k, p])
 
     @classmethod
     def from_rows(cls, window, space, rows, targets):
@@ -247,7 +253,7 @@ def _run_pairs(sizes):
     for rows in _spans(later):
         counts = later[rows]
         p = np.repeat(np.arange(rows.start, rows.stop), counts)
-        q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(counts) - counts, counts)
+        q = p + 1 + _run_ranks(counts)
         if len(p):
             yield p, q, run[p]
 
@@ -358,24 +364,21 @@ def first_far_pair(s, k, bound, up):
     return None
 
 
-def _orthants(ufunc, x, shape, up=True):
-    # ufunc accumulated over the orthant above (up) or below each entry of every row of x (rows x positions
-    # of a grid).  Reversing the positions reverses every axis of the C-order grid.
-    y = (x[:, ::-1] if up else x).reshape(len(x), *shape)
-    for axis in range(1, y.ndim):
-        y = ufunc.accumulate(y, axis=axis)
-    return y.reshape(x.shape)[:, ::-1] if up else y.reshape(x.shape)
-
-
 def tail_maxima(w, x, ufunc=np.maximum):
     """Largest entry (``ufunc=np.minimum``: smallest) of each row of ``x``
     (rows x positions of ``w``) over the up-set of every element.
 
-    An up-set is an orthant on a grid window (see ``DirectedWindow.grid_shape``),
-    taken as a suffix maximum along each axis, and a run of positions elsewhere.
+    An up-set is the product of its leaves' up-sets, so the reduction runs leaf by leaf over the positions
+    reversed once, which reverses every leaf: ``accumulate`` on a chain leaf, ``reduceat`` on a custom one.
     """
-    shape = w.grid_shape()
-    return run_maxima(x, *up_runs(w), ufunc) if shape is None else _orthants(ufunc, x, shape)
+    y = x[:, ::-1].reshape(len(x), *(k for k, _ in w._leaves))
+    for axis, (_, order) in enumerate(w._leaves, 1):
+        if order is None:
+            y = ufunc.accumulate(y, axis=axis)
+        else:  # the leaf's up-runs, read off its own order matrix with its positions reversed
+            flat, starts, _ = _leaf_runs(order[::-1, ::-1])
+            y = ufunc.reduceat(y.take(flat, axis=axis), starts, axis=axis)
+    return y.reshape(x.shape)[:, ::-1]
 
 
 def targets_within(s, bound):
@@ -397,7 +400,7 @@ def _tail_bounds(s):
     diagonal, rounded up by the kernel filter's margin (2d times the widest
     extent where the sum of squares may underflow).  ``lower`` is the widest
     axis extent or diagonal extent over sqrt 2, rounded down past every
-    rounding: a pair of the tail attains it.  Its orthant maximum makes it
+    rounding: a pair of the tail attains it.  Its tail maximum makes it
     monotone down the order, as D is.  A table space has 0 and its largest distance.
     """
     w, m, n = s.window, len(s), len(s.window)
@@ -421,8 +424,7 @@ def _tail_bounds(s):
 def _boxes(ext, strides):
     # Every offset 0 <= t < ext of each box (boxes x axes), box by box in C order: its box, t, and t @ strides.
     size = ext.prod(axis=1)
-    box = np.repeat(np.arange(len(size)), size)
-    rank = np.arange(len(box)) - (np.cumsum(size) - size)[box]
+    box, rank = np.repeat(np.arange(len(size)), size), _run_ranks(size)
     t = np.empty((len(box), ext.shape[1]), np.intp)
     for a in range(ext.shape[1] - 1, 0, -1):
         rank, t[:, a] = np.divmod(rank, ext[box, a])
@@ -468,7 +470,7 @@ def tails_within(s, eps_grid, read, first=False):
     lies within eps when every pair meeting (componentwise minimum) at one
     of its positions does; only undecided positions above an undecided read
     one can hold a pair beyond eps, and :func:`_beyond` decides their pairs.
-    Elsewhere :func:`runs_within` decides the read tails themselves.
+    Elsewhere :func:`runs_within` decides the pending read tails, as runs.
     """
     bounds, w, m, n = np.array([eps_floor(eps) for eps in eps_grid])[:, None], s.window, len(s), len(s.window)
     if s.space.is_scalar():
@@ -483,10 +485,12 @@ def tails_within(s, eps_grid, read, first=False):
         return hit
     shape = w.grid_shape()
     if shape is None:  # the read tails themselves, decided as runs
-        cols, (flat, sizes), within = pending.any(axis=(0, 1)), up_runs(w), np.zeros_like(hit)
-        within[:, :, cols] = runs_within(s, bounds[:, 0], flat[np.repeat(cols, sizes)], sizes[cols])
+        cols, within = np.flatnonzero(pending.any(axis=(0, 1))), np.zeros_like(hit)
+        sizes = _up_decode(w, cols)[1]
+        within[:, :, cols] = runs_within(s, bounds[:, 0], _up_decode(w, np.repeat(cols, sizes), _run_ranks(sizes))[0], sizes)
         return hit | pending & within
-    need = undecided & _orthants(np.logical_or, pending.reshape(-1, n), shape, up=False).reshape(pending.shape)
+    below = tail_maxima(w, pending.reshape(-1, n)[:, ::-1], np.logical_or)[:, ::-1]  # reversed, a grid's down-sets are up-sets
+    need = undecided & below.reshape(pending.shape)
     far = np.zeros(pending.shape, bool)  # some pair meeting at the position lies beyond the bound
     for i, j, g in _meet_pairs(shape, *np.nonzero(need.any(axis=1)), n):
         level, pair = np.nonzero(_beyond(s, i, j, bounds))

@@ -63,7 +63,7 @@ class DirectedWindow:
     upper bound; its table holds element positions, so it stays inside).
     """
 
-    __slots__ = ("kind", "_elements", "_index", "_factors", "_order", "_joins", "_chain", "_shape", "_top")
+    __slots__ = ("kind", "_elements", "_index", "_factors", "_order", "_joins", "_chain", "_leaves", "_top")
 
     def __init__(self, kind, elements, factors=None, leq_matrix=None, join_table=None):
         self.kind = kind
@@ -78,17 +78,15 @@ class DirectedWindow:
             raise WindowError("duplicate window elements")
         if kind != OMEGA and None in self._index:  # None stands for "no index" in every answer
             raise WindowError("None cannot be a window element")
-        if factors is not None:
-            shapes = factors[0].grid_shape(), factors[1].grid_shape()
-            self._shape = shapes[0] + shapes[1] if None not in shapes else None
-        else:
-            n = len(self._elements)
-            chain = leq_matrix is None or np.array_equal(self._order, np.triu(np.ones((n, n), bool)))
-            self._shape = (n,) if chain else None
-        # C order over a grid follows a chain's order only when at most one axis is longer than 1.
-        self._chain = self._shape is not None and sum(s > 1 for s in self._shape) <= 1
+        # The window as a product of leaves, (size, order) each, a product's its factors' in turn: positions are C order
+        # over them, and an up-set is the product of theirs.  A leaf's order is None on a chain, else its own matrix.
+        n = len(self._elements)
+        chain = leq_matrix is None or np.array_equal(self._order, np.triu(np.ones((n, n), bool)))
+        self._leaves = factors[0]._leaves + factors[1]._leaves if factors else ((n, None if chain else self._order),)
+        # C order over the leaves follows a chain's order only when every leaf is one and at most one is longer than 1.
+        self._chain = self.grid_shape() is not None and sum(k > 1 for k, _ in self._leaves) <= 1
         self._top = (factors[0]._top, factors[1]._top) if factors else (
-            self._elements[-1] if self._shape else self.join_all(self._elements))
+            self._elements[-1] if self._chain else self.join_all(self._elements))
 
     # -- structure ---------------------------------------------------------
 
@@ -147,11 +145,6 @@ class DirectedWindow:
         """All elements ``b`` with ``a`` <= ``b``, in enumeration order, read off positions."""
         return tuple(itertools.compress(self._elements, _above(self, self.index(a), np.arange(len(self)))))
 
-    def strictly_above(self, a):
-        """Elements strictly above ``a``, in enumeration order, read off positions."""
-        p, q = self.index(a), np.arange(len(self))
-        return tuple(itertools.compress(self._elements, _above(self, p, q) & (q != p)))
-
     def is_chain(self):
         """Whether the window is a chain listed in its own order.
 
@@ -163,14 +156,8 @@ class DirectedWindow:
         return self._chain
 
     def grid_shape(self):
-        """Leaf sizes of a grid window, else None; fixed at construction.
-
-        A grid is a chain or a product whose leaves are chains.  Its
-        enumeration is C order over the leaf positions, so the element at
-        leaf coordinates c sits at ``numpy.ravel_multi_index(c, shape)``
-        and its up-set is the orthant of coordinates >= c.
-        """
-        return self._shape
+        """Leaf sizes of a grid (a window whose leaves are chains, so its up-sets are orthants), else None."""
+        return None if any(order is not None for _, order in self._leaves) else tuple(k for k, _ in self._leaves)
 
     def top(self):
         """The greatest element: a product's factors' pair, a chain's last, else the join of all; fixed at construction."""
@@ -324,10 +311,32 @@ def _sorted_runs(flat, sizes, n):
     return np.sort(base + flat) - base
 
 
-def up_runs(w):
-    """The up-set of every element of ``w`` by position, in enumeration order, as runs: (flat, sizes)."""
-    above = _above(w, np.arange(len(w))[:, None], np.arange(len(w)))
-    return np.nonzero(above)[1], above.sum(axis=1)
+def _run_ranks(sizes):
+    # Each entry's rank inside its run, for consecutive runs of ``sizes``.
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def _leaf_runs(order):
+    # The up-set of each position of a custom leaf, from its k x k order matrix, as runs: (flat, starts, sizes).
+    sizes = order.sum(axis=1)
+    return np.nonzero(order)[1], np.cumsum(sizes) - sizes, sizes
+
+
+def _up_decode(w, owner, rank=0):
+    # The position of each rank inside the up-set of its owner position, in enumeration order, and that up-set's size.
+    # An up-set is the product of its leaves' (see DirectedWindow._leaves), so a rank is mixed radix over them, the
+    # last leaf least significant: on a chain leaf the digit r is the coordinate c + r, and on a custom leaf it
+    # indexes c's run of up-positions, read off the leaf's own matrix.
+    at, size, stride = 0, 1, 1
+    for k, order in reversed(w._leaves):
+        owner, c = np.divmod(owner, k)
+        if order is not None:
+            flat, starts, sizes = _leaf_runs(order)
+        side = k - c if order is None else sizes[c]
+        rank, r = np.divmod(rank, side)
+        at, size = at + stride * (c + r if order is None else flat[starts[c] + r]), size * side
+        stride *= k
+    return at, size
 
 
 class Sampling:
@@ -519,27 +528,13 @@ def random_samplings(window, rng, count):
     """The ``count`` random valid samplings that ``count`` calls of :func:`random_sampling` would draw.
 
     Each eta_i is a nonempty subset of the up-set of i, decoded from ranks
-    to positions by mixed radix over the orthant's sides on a grid (a chain
-    is the 1-D grid), and by index into the up-set's run elsewhere.
+    to positions by mixed radix over its leaves' up-sets (``_up_decode``).
     Positions are then sorted within each block.
     """
-    n, shape = len(window), window.grid_shape()
-    if shape is None:
-        ups, sizes = up_runs(window)
-    else:
-        sides = np.array(shape, np.intp)[:, None] - np.indices(shape, np.intp).reshape(len(shape), -1)
-        sizes = sides.prod(axis=0)
-    q, counts = _draw_ranks(rng, sizes.tolist() * count)
+    n = len(window)
+    q, counts = _draw_ranks(rng, _up_decode(window, np.arange(n))[1].tolist() * count)
     q, counts = np.fromiter(q, np.intp, len(q)), np.fromiter(counts, np.intp, len(counts))
-    owner = np.repeat(np.arange(len(counts)) % n, counts)
-    if shape is None:
-        at = ups[(np.cumsum(sizes) - sizes)[owner] + q]
-    else:
-        at, stride = owner, 1
-        for axis in reversed(range(len(shape))):  # least significant axis first
-            q, r = np.divmod(q, sides[axis][owner])
-            at = at + r * stride
-            stride *= shape[axis]
+    at, _ = _up_decode(window, np.repeat(np.arange(len(counts)) % n, counts), q)
     flat, edges = _sorted_runs(at, counts, n), [0, *np.cumsum(counts)[n - 1::n].tolist()]
     return [Sampling._of_runs(window, flat[edges[r]:edges[r + 1]], counts[r * n:(r + 1) * n]) for r in range(count)]
 
@@ -559,8 +554,9 @@ def induced_sampling(eta, d):
         raise WindowError("sampling does not live on the given window")
     n, p = len(d), np.arange(len(d))
     joins = _join(d, p[:, None], p).ravel()
-    squares = [(a[:, None] * n + a).ravel() for a in np.split(eta.flat, np.cumsum(eta.sizes)[:-1])]  # sorted as a is
-    return Sampling._of_runs(product(d, d), np.concatenate([squares[r] for r in joins.tolist()]), eta.sizes[joins] ** 2)
+    sizes = eta.sizes[joins]
+    start, (i, j) = np.repeat(eta._starts[joins], sizes**2), np.divmod(_run_ranks(sizes**2), np.repeat(sizes, sizes**2))
+    return Sampling._of_runs(product(d, d), eta.flat[start + i] * n + eta.flat[start + j], sizes**2)  # sorted as blocks are
 
 
 def project_set(s, d):

@@ -28,7 +28,7 @@ from metastable import (
 from metastable import WindowError
 from metastable.net import _run_pairs, run_maxima, stacked, tail_maxima
 from metastable.space import EUCLIDEAN
-from metastable.order import OMEGA, SamplingViolation, _draw_ranks, up_runs
+from metastable.order import OMEGA, SamplingViolation, _above, _draw_ranks
 
 
 def label_chain(listing):
@@ -38,6 +38,20 @@ def label_chain(listing):
     sorted; any other listing gives the same total order out of order.
     """
     return make_custom_window(listing, lambda x, y: x <= y, max)
+
+
+def star(k):
+    """Custom window of k >= 2 elements: a bottom 0, a top k - 1 and the k - 2 between them incomparable."""
+    return make_custom_window(
+        range(k), lambda x, y: x == y or x == 0 or y == k - 1, lambda x, y: x if x == y else max(x, y) if 0 in (x, y) else k - 1
+    )
+
+
+def up_runs(w):
+    """The up-set of every element of ``w`` by position, in enumeration order, as runs: (flat, sizes),
+    read off the whole n x n order matrix that ``_above`` gives."""
+    above = _above(w, np.arange(len(w))[:, None], np.arange(len(w)))
+    return np.nonzero(above)[1], above.sum(axis=1)
 
 
 def diamond():
@@ -59,6 +73,18 @@ def windows():
         st.just(diamond()),
     )
     return st.recursive(base, lambda inner: st.tuples(inner, inner).map(lambda de: product(*de)), max_leaves=3)
+
+
+def leaf_windows():
+    """Hypothesis strategy: :func:`windows`, beside products whose leaves mix chains with
+    custom ones (stars, a diamond, out-of-order chains), nested as factors."""
+    leaf = st.one_of(
+        st.integers(1, 4).map(make_omega_window),
+        st.integers(2, 5).map(star),
+        st.just(diamond()),
+        st.permutations(["a", "b", "c"]).map(label_chain),
+    )
+    return st.one_of(windows(), st.recursive(leaf, lambda inner: st.tuples(inner, inner).map(lambda de: product(*de)), max_leaves=3))
 
 
 _ORDERS = {}  # id(window): (window, leq, join); holding the window keeps its id from reuse

@@ -32,8 +32,7 @@ from metastable import (
 from metastable import analyze
 from metastable.cli import main
 from metastable.net import CheckError, StackedFamily
-from metastable.order import up_runs
-from oracles import brute_csv_nets, brute_witness
+from oracles import brute_csv_nets, brute_witness, up_runs
 
 
 class TestCesaroNets:

@@ -207,18 +207,23 @@ def test_scan_flags_attribute_reads():
     assert attribute_reads(tree, "assign") == [1, 3]
 
 
-def reads_outside(tree, name, scope):
-    """Lines that read attribute ``name`` outside the method ``scope`` ("Class.method") of ``tree``."""
-    cls, method = scope.split(".")
-    inside = [f for c in tree.body if isinstance(c, ast.ClassDef) and c.name == cls for f in c.body if getattr(f, "name", None) == method]
-    return sorted(set(attribute_reads(tree, name)).difference(*(attribute_reads(f, name) for f in inside)))
+def methods(tree, *scopes):
+    """The definitions of the methods ``scopes`` ("Class.method") of ``tree``."""
+    names = {tuple(scope.split(".")) for scope in scopes}
+    return [f for c in tree.body if isinstance(c, ast.ClassDef) for f in c.body if (c.name, getattr(f, "name", None)) in names]
+
+
+def reads_outside(tree, name, *scopes):
+    """Lines that read attribute ``name`` outside the methods ``scopes`` ("Class.method") of ``tree``."""
+    return sorted(set(attribute_reads(tree, name)).difference(*(attribute_reads(f, name) for f in methods(tree, *scopes))))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_a_family_row_is_read_by_row_alone(path):
     # The array is the one member store; the rows as given (``_rows``) are read
-    # by StackedFamily.row, for members and kernels alike.
-    assert reads_outside(ast.parse(path.read_text()), "_rows", "StackedFamily.row") == []
+    # by StackedFamily.row, for members and kernels alike, and one value at a
+    # time by StackedFamily.item, for a member's single-position reads.
+    assert reads_outside(ast.parse(path.read_text()), "_rows", "StackedFamily.row", "StackedFamily.item") == []
 
 
 def test_scan_flags_row_reads_outside_the_reader():
@@ -233,6 +238,7 @@ def test_scan_flags_row_reads_outside_the_reader():
         "    return s._rows[k]\n"
     )
     assert reads_outside(tree, "_rows", "StackedFamily.row") == [5, 8]
+    assert reads_outside(tree, "_rows", "StackedFamily.row", "StackedFamily.__getitem__") == [8]
 
 
 def forged_nets(tree):
@@ -457,3 +463,39 @@ def test_scan_flags_label_function_samplings():
         "from_function = None\n"
     )
     assert label_function_samplings(tree) == [1, 2, 3]
+
+
+def order_matrix_builds(tree):
+    """Lines of ``_above`` calls (also ``order._above``) given a position array with a new axis,
+    as in ``_above(w, p[:, None], p)``: a whole window's order matrix."""
+    calls = (n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) == "_above")
+    new_axis = lambda a: any(isinstance(k, ast.Constant) and k.value is None for i in ast.walk(a) if isinstance(i, ast.Subscript) for k in ast.walk(i.slice))
+    return sorted({n.lineno for n in calls if any(map(new_axis, n.args))})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_validation_builds_a_whole_order_matrix(path):
+    # An up-set is the product of its leaves' up-sets, each read off the leaf's own order
+    # (order._up_decode, net.tail_maxima), so no n x n table is built; re-checking a custom
+    # window's whole order (DirectedWindow.validate) is the one exception.
+    tree = ast.parse(path.read_text())
+    inside = {k for f in methods(tree, "DirectedWindow.validate") for k in range(f.lineno, f.end_lineno + 1)}
+    assert sorted(set(order_matrix_builds(tree)) - inside) == []
+    assert path.name != "order.py" or "up_runs" not in {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+
+def test_order_validation_builds_its_matrix():
+    tree = ast.parse((SRC / "order.py").read_text())
+    (validate,) = methods(tree, "DirectedWindow.validate")
+    assert len(order_matrix_builds(validate)) == 1
+
+
+def test_scan_flags_order_matrix_builds():
+    tree = ast.parse(
+        "a = _above(w, p[:, None], p)\n"
+        "b = order._above(w, np.arange(n)[:, None], np.arange(n))\n"
+        "c = _above(w, p, np.arange(n)) & (q != p)\n"
+        "d = _join(w, p[:, None], p)\n"
+        "e = _above(w, x[None, :], y)\n"
+    )
+    assert order_matrix_builds(tree) == [1, 2, 5]

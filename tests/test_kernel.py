@@ -39,7 +39,7 @@ from metastable import (
 )
 from metastable import analyze, meta, net, order
 from metastable.net import cauchy_indices, eps_floor, runs_within, stacked, tails_within
-from metastable.order import DirectedWindow, up_runs
+from metastable.order import DirectedWindow
 from metastable.space import MetricSpace
 from oracles import (
     block_diameters,
@@ -52,8 +52,10 @@ from oracles import (
     diamond,
     group_max_distances,
     label_chain,
+    leaf_windows,
     run_diameters,
     tail_diameters,
+    up_runs,
     windows,
 )
 
@@ -692,6 +694,24 @@ def test_tail_decisions_match_the_all_pairs_oracle(data):
         assert ((got & read).argmax(axis=2) == (want & read).argmax(axis=2)).all()
     else:
         assert (got[..., read] == want[..., read]).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_custom_leaf_tail_decisions_decode_the_read_runs_alone(data):
+    # Products with custom leaves, nested: a read tail left undecided by the bounds is decided
+    # exactly on its own run of up-positions, and no other element's run is decoded.
+    w = data.draw(leaf_windows())
+    s = stacked(data.draw(kernel_families(w, kinds=("euclidean", "table"), max_members=3)))
+    tails = tail_diameters(s)
+    grid = _tolerances(data, tails)
+    read = np.array(data.draw(st.lists(st.booleans(), min_size=len(w), max_size=len(w))))
+    owners, real = [], net._up_decode
+    with mock.patch.object(net, "_up_decode", lambda w, owner, *rank: owners.extend(owner.tolist()) or real(w, owner, *rank)):
+        got = tails_within(s, grid, read)
+    want = tails[:, None] <= np.array([eps_floor(e) for e in grid])[:, None]
+    assert not (got & ~want).any() and (got[..., read] == want[..., read]).all()
+    assert set(owners) <= set(np.flatnonzero(read).tolist()) and (not owners or w.grid_shape() is None)
 
 
 @settings(max_examples=300, deadline=None)

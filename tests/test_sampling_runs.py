@@ -29,7 +29,7 @@ from metastable import (
     unit_interval_space,
     validate_sampling,
 )
-from metastable.order import CUSTOM, DirectedWindow, up_runs
+from metastable.order import CUSTOM, DirectedWindow
 from metastable.serialize import sampling_from_dict, sampling_to_dict, window_to_dict
 from oracles import (
     brute_validate_sampling,
@@ -41,6 +41,7 @@ from oracles import (
     label_random_samplings,
     label_step,
     positions_of,
+    up_runs,
     windows,
 )
 

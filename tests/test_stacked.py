@@ -258,6 +258,27 @@ class TestMembersAreRows:
             assert np.array_equal(a.array, family.array[k]) and np.array_equal(a.array, Net(w, space, values, target).array)
             assert family[k] is not a and family[k] == a and family.row(k) == values
 
+    @pytest.mark.parametrize("kind", sorted(ROWS))
+    def test_a_value_is_the_entry_values_holds(self, kind):
+        space, rows, targets = self.ROWS[kind]
+        family = StackedFamily.from_rows(make_omega_window(3), space, rows, targets)
+        for a in family:
+            assert [(v, type(v)) for v in map(a.value, range(3))] == [(v, type(v)) for v in a.values]
+
+    @pytest.mark.parametrize("kind", sorted(ROWS))
+    def test_a_value_is_read_without_its_row(self, kind, monkeypatch):
+        # One position is read off the family (StackedFamily.item), not off a rebuilt row of n values.
+        space, rows, targets = self.ROWS[kind]
+        family = StackedFamily.from_rows(make_omega_window(3), space, rows, targets)
+        want = [a.values for a in family]
+
+        def refuse(self, k):
+            raise AssertionError(f"row {k} read")
+
+        monkeypatch.setattr(StackedFamily, "row", refuse)
+        assert [tuple(map(a.value, range(3))) for a in family] == want
+        assert family[0].dist(0, 2) == space.unchecked_dist(want[0][0], want[0][2])
+
     def test_a_net_is_the_one_member_of_its_family(self):
         a = Net(make_omega_window(3), binary_space(), (1, 0, 1), target=1)
         assert len(a.family) == 1 and a.k == 0 and a.family[0] == a and list(a.family) == [a]
