@@ -137,13 +137,14 @@ class RefutationCertificate:
 
 
 def _nonincreasing(window, values):
-    # Per member (values: positions on the last axis): adjacent positions on
-    # a chain; elsewhere each element against its up-set's largest value.
+    # Per member (values: positions on the last axis): adjacent positions on a chain; elsewhere each element
+    # against its up-set's largest value, 4096 rows at a time, as a custom leaf takes each row's up-runs whole.
     x = np.asarray(values)
     if window.is_chain():
         return (x[..., :-1] >= x[..., 1:]).all(axis=-1)
     y = x.reshape(-1, len(window))
-    return (y >= tail_maxima(window, y)).all(axis=1).reshape(x.shape[:-1])
+    ok = [(r >= tail_maxima(window, r)).all(axis=1) for r in np.split(y, range(4096, len(y), 4096))]
+    return np.concatenate(ok).reshape(x.shape[:-1])
 
 
 def _eventually_zero(window, values):
@@ -317,13 +318,12 @@ def refute_C(s, window, eps):
     """
     _require_refutation_eps(eps)
     s = _candidate_set(s, window)
-    q, up = np.arange(len(window)), [window.index(window.join_all(s))]
-    for _ in range(2):  # k, the first position strictly above the join, then l, the first strictly above k
-        above = np.flatnonzero(_above(window, up[-1], q) & (q != up[-1]))
-        if not len(above):
-            raise FamilyError("window has no two elements strictly above the candidate set")
-        up.append(int(above[0]))
-    _, kp, lp = up  # l lies above the join too, so it is listed after k, the first such
+    q, j = np.arange(len(window)), window.index(window.join_all(s))
+    k = np.flatnonzero(_above(window, j, q) & (q != j))[:1]  # the first position strictly above the join
+    l = np.flatnonzero(_above(window, k, q) & (q != k))[:1] if len(k) else k  # the first strictly above k
+    if not len(l):
+        raise FamilyError("window has no two elements strictly above the candidate set")
+    kp, lp = int(k[0]), int(l[0])  # l lies above the join too, so it is listed after k, the first such
     eta = Sampling._with_blocks(window, dict.fromkeys(window._indices(s).tolist(), [kp, lp]))
     values = (0,) * kp + (1,) + (0,) * (len(window) - kp - 1)
     member = Net(window, binary_space(), values, target=0)

@@ -113,9 +113,7 @@ class StackedFamily:
 
     def item(self, k, p):
         """Member k's value at position p, as :meth:`row` gives it, read without building the row."""
-        if self._rows is not None:
-            return self._rows[k][p]
-        return (int if self.space.kind == BINARY else float)(self.array[k, p])
+        return self._rows[k][p] if self._rows is not None else (int if self.space.kind == BINARY else float)(self.array[k, p])
 
     @classmethod
     def from_rows(cls, window, space, rows, targets):
@@ -483,8 +481,7 @@ def tails_within(s, eps_grid, read, first=False):
         pending &= ~np.logical_or.accumulate(hit & read, axis=2)
     if not pending.any():
         return hit
-    shape = w.grid_shape()
-    if shape is None:  # the read tails themselves, decided as runs
+    if w.grid_shape() is None:  # the read tails themselves, decided as runs
         cols, within = np.flatnonzero(pending.any(axis=(0, 1))), np.zeros_like(hit)
         sizes = _up_decode(w, cols)[1]
         within[:, :, cols] = runs_within(s, bounds[:, 0], _up_decode(w, np.repeat(cols, sizes), _run_ranks(sizes))[0], sizes)
@@ -492,7 +489,7 @@ def tails_within(s, eps_grid, read, first=False):
     below = tail_maxima(w, pending.reshape(-1, n)[:, ::-1], np.logical_or)[:, ::-1]  # reversed, a grid's down-sets are up-sets
     need = undecided & below.reshape(pending.shape)
     far = np.zeros(pending.shape, bool)  # some pair meeting at the position lies beyond the bound
-    for i, j, g in _meet_pairs(shape, *np.nonzero(need.any(axis=1)), n):
+    for i, j, g in _meet_pairs(w.grid_shape(), *np.nonzero(need.any(axis=1)), n):
         level, pair = np.nonzero(_beyond(s, i, j, bounds))
         far[g[pair] // n, level, g[pair] % n] = True
     return hit | pending & ~tail_maxima(w, far.reshape(-1, n)).reshape(far.shape)

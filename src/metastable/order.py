@@ -80,9 +80,8 @@ class DirectedWindow:
             raise WindowError("None cannot be a window element")
         # The window as a product of leaves, (size, order) each, a product's its factors' in turn: positions are C order
         # over them, and an up-set is the product of theirs.  A leaf's order is None on a chain, else its own matrix.
-        n = len(self._elements)
-        chain = leq_matrix is None or np.array_equal(self._order, np.triu(np.ones((n, n), bool)))
-        self._leaves = factors[0]._leaves + factors[1]._leaves if factors else ((n, None if chain else self._order),)
+        chain = leq_matrix is None or np.array_equal(self._order, np.triu(np.ones_like(self._order)))
+        self._leaves = factors[0]._leaves + factors[1]._leaves if factors else ((len(self), None if chain else self._order),)
         # C order over the leaves follows a chain's order only when every leaf is one and at most one is longer than 1.
         self._chain = self.grid_shape() is not None and sum(k > 1 for k, _ in self._leaves) <= 1
         self._top = (factors[0]._top, factors[1]._top) if factors else (
@@ -144,6 +143,11 @@ class DirectedWindow:
     def up_set(self, a):
         """All elements ``b`` with ``a`` <= ``b``, in enumeration order, read off positions."""
         return tuple(itertools.compress(self._elements, _above(self, self.index(a), np.arange(len(self)))))
+
+    def strictly_above(self, a):
+        """Elements strictly above ``a``, in enumeration order, read off positions."""
+        p, q = self.index(a), np.arange(len(self))
+        return tuple(itertools.compress(self._elements, _above(self, p, q) & (q != p)))
 
     def is_chain(self):
         """Whether the window is a chain listed in its own order.

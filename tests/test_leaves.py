@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metastable import product, random_samplings
+from metastable.families import _nonincreasing
 from metastable.net import run_maxima, tail_maxima
 from metastable.order import _draw_ranks, _run_ranks, _up_decode
-from oracles import leaf_windows, star, up_runs
+from oracles import label_chain, leaf_windows, star, up_runs
 
 
 @settings(max_examples=300, deadline=None)
@@ -72,3 +73,23 @@ def test_up_sets_by_leaves_hold_no_window_square(read):
     finally:
         tracemalloc.stop()
     assert peak < 128 * 1024
+
+
+@pytest.mark.parametrize("w", [label_chain([*range(0, 16, 2), *range(1, 16, 2)]), star(16)], ids=["chain-out-of-order", "star"])
+def test_nonincreasing_off_chains_holds_less_than_its_patterns(w):
+    # B and B0 off chains filter all 2^16 binary patterns of a 16-element window, 8 MiB as floats.
+    # A custom leaf's up-runs taken for every row at once held up to (k + 1) / 2 times that (76 MiB
+    # on the chain listed out of order); rows taken in chunks hold less than the patterns themselves.
+    x = ((np.arange(2**16)[:, None] >> np.arange(15, -1, -1)) & 1).astype(float)
+    flat, sizes = up_runs(w)
+    expected = np.ones(len(x), bool)
+    for p, up in enumerate(np.split(flat, np.cumsum(sizes)[:-1])):
+        expected &= (x[:, [p]] >= x[:, up]).all(axis=1)
+    tracemalloc.start()
+    try:
+        ok = _nonincreasing(w, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.tolist() == expected.tolist()
+    assert peak < x.nbytes

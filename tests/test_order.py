@@ -100,6 +100,8 @@ class TestPositionalJoin:
         assert w.join_all(items) == functools.reduce(functools.partial(brute_join, w), ordered)
         pairs = set(zip(items, reversed(items)))
         assert project_set(pairs, w) == {brute_join(w, a, b) for a, b in pairs}
+        for a in items:
+            assert w.strictly_above(a) == tuple(b for b in brute_up_set(w, a) if b != a)
 
     def test_join_all_keeps_repeats_and_names_a_stray_label(self):
         # A chain whose join of 0 with itself is 1: the repeat counts.
@@ -368,12 +370,15 @@ class TestUpSet:
         for a in w.elements:
             ups = brute_up_set(w, a)
             assert w.up_set(a) == ups
+            assert w.strictly_above(a) == tuple(b for b in ups if b != a)
 
     def test_non_element_raises_window_error(self):
         for w in (product(make_omega_window(2), make_omega_window(3)), diamond(), make_omega_window(3)):
             for a in (5, (0, 7), "top!"):
                 with pytest.raises(WindowError):
                     w.up_set(a)
+                with pytest.raises(WindowError):
+                    w.strictly_above(a)
 
 
 class TestValidateSampling:
